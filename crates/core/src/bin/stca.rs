@@ -82,8 +82,9 @@ control loop (admission queue -> predict -> STAP decide -> drain):
   --breaker-cooldown S  open-state cooldown before half-open probes (1.0)
   --drain-grace S       drain window after the last arrival (5.0)
   --shards N            serve through a fleet of N shards (default 1: the
-                        single loop); each shard owns its own queue,
-                        breaker, hysteresis, and seeded predictor state
+                        plain loop, which ignores shard faults); each
+                        shard owns its own queue, breaker, hysteresis,
+                        and seeded predictor state
   --router KIND         shard router: rendezvous | least-loaded
   --reroute-max N       failover hops before the router sheds a request
                         flushed by a shard crash (2)
@@ -458,68 +459,14 @@ fn cmd_serve(args: &Args) -> Result<(), StcaError> {
         (!spec.artifacts.trace_svg.is_empty()).then(|| PathBuf::from(&spec.artifacts.trace_svg));
     let profiles_path = matches!(spec.serve.predictor, stca_scenario::PredictorKind::Trained)
         .then(|| PathBuf::from(&spec.profile.out));
-    let n = spec.serve.requests;
-    if stca_scenario::convert::fleet_config(&spec).is_some() {
-        return cmd_serve_fleet(
-            &spec,
-            profiles_path.as_deref(),
-            trace_out.as_deref(),
-            trace_svg.as_deref(),
-        );
-    }
     let report = pipeline::run_serve(&spec, profiles_path.as_deref(), trace_out.as_deref())?;
-    let a = &report.accounting;
-    println!(
-        "served {} requests in {:.1} virtual seconds",
-        n, report.virtual_end_s
-    );
-    println!(
-        "  completed {}  shed {} (overload {} / deadline {} / failed {})  drained {}",
-        a.completed,
-        a.shed(),
-        a.shed_overload,
-        a.shed_deadline,
-        a.shed_failed,
-        a.drained
-    );
-    println!(
-        "  deadline-exceeded {}  degraded {}  watchdog trips {}  retries {}",
-        a.deadline_exceeded, report.degraded, report.watchdog_trips, report.retries
-    );
-    println!(
-        "  breaker: opens {} closes {} probes {} rejects {}",
-        report.breaker_opens, report.breaker_closes, report.breaker_probes, report.breaker_rejects
-    );
-    if let Some(ad) = &report.adapt {
-        println!(
-            "  adapt: drifts {}  retrains {} (failed {} / slow {})  promotions {}  \
-             rollbacks {}  active v{}",
-            ad.drifts,
-            ad.retrains,
-            ad.retrain_failures,
-            ad.retrain_slows,
-            ad.promotions,
-            ad.rollbacks,
-            ad.active_version
-        );
-    }
-    println!(
-        "  policy: applies {} suppressed {} (final timeout ratio {:.2})",
-        report.policy_applies,
-        report.policy_suppressed,
-        stca_serve::TIMEOUT_GRID[report.final_timeout_idx]
-    );
-    println!(
-        "  response: mean {:.4}s p50 {:.4}s p99 {:.4}s",
-        report.mean_response_s, report.p50_response_s, report.p99_response_s
-    );
-    println!("  decision hash {:016x}", report.decision_hash);
+    print_serve_report(&report);
     if let Some(dump) = &report.trace_dump {
         emit_trace_artifacts(dump, trace_out.as_deref(), trace_svg.as_deref())?;
     }
-    if !a.balanced() {
+    if !report.balanced() {
         return Err(StcaError::invalid_input(format!(
-            "accounting invariant violated: {a:?}"
+            "accounting invariant violated: {report:?}"
         )));
     }
     if !spec.artifacts.decision_log.is_empty() {
@@ -537,8 +484,83 @@ fn cmd_serve(args: &Args) -> Result<(), StcaError> {
     Ok(())
 }
 
-/// Print trace summary + write the Chrome/SVG artifacts (shared by the
-/// single-loop and fleet serve paths).
+/// Print a serving run: with several shards, the fleet's routing line,
+/// then each shard's counters under a `shard N:` header; a lone shard's
+/// counters print unindented. Fleet-wide response and decision hash last.
+fn print_serve_report(report: &stca_serve::FleetReport) {
+    let fleet = report.shards.len() > 1;
+    let across = if fleet {
+        format!(" across {} shards", report.shards.len())
+    } else {
+        String::new()
+    };
+    println!(
+        "served {} requests{across} in {:.1} virtual seconds",
+        report.offered, report.virtual_end_s
+    );
+    if fleet {
+        println!(
+            "  fleet: completed {}  rerouted {}  router-shed {}  crashed shards {:?}",
+            report.completed(),
+            report.rerouted,
+            report.router_shed,
+            report.crashed_shards()
+        );
+    }
+    let pad = if fleet { "    " } else { "  " };
+    for s in &report.shards {
+        let a = &s.accounting;
+        if fleet {
+            println!(
+                "  shard {}: admitted {}  rerouted-out {}  crashes {}  p99 {:.4}s",
+                s.id, a.admitted, s.rerouted_out, s.crashes, s.p99_response_s
+            );
+        }
+        println!(
+            "{pad}completed {}  shed {} (overload {} / deadline {} / failed {})  drained {}",
+            a.completed,
+            a.shed(),
+            a.shed_overload,
+            a.shed_deadline,
+            a.shed_failed,
+            a.drained
+        );
+        println!(
+            "{pad}deadline-exceeded {}  degraded {}  watchdog trips {}  retries {}",
+            a.deadline_exceeded, s.degraded, s.watchdog_trips, s.retries
+        );
+        println!(
+            "{pad}breaker: opens {} closes {} probes {} rejects {}",
+            s.breaker_opens, s.breaker_closes, s.breaker_probes, s.breaker_rejects
+        );
+        if let Some(ad) = &s.adapt {
+            println!(
+                "{pad}adapt: drifts {}  retrains {} (failed {} / slow {})  promotions {}  \
+                 rollbacks {}  active v{}",
+                ad.drifts,
+                ad.retrains,
+                ad.retrain_failures,
+                ad.retrain_slows,
+                ad.promotions,
+                ad.rollbacks,
+                ad.active_version
+            );
+        }
+        println!(
+            "{pad}policy: applies {} suppressed {} (final timeout ratio {:.2})",
+            s.policy_applies,
+            s.policy_suppressed,
+            stca_serve::TIMEOUT_GRID[s.final_timeout_idx]
+        );
+    }
+    println!(
+        "  response: mean {:.4}s p50 {:.4}s p99 {:.4}s",
+        report.mean_response_s, report.p50_response_s, report.p99_response_s
+    );
+    println!("  decision hash {:016x}", report.decision_hash);
+}
+
+/// Print trace summary + write the Chrome/SVG artifacts.
 fn emit_trace_artifacts(
     dump: &stca_trace::TraceDump,
     trace_out: Option<&Path>,
@@ -560,80 +582,6 @@ fn emit_trace_artifacts(
     if let Some(path) = trace_svg {
         stca_trace::write_svg(path, dump)?;
         println!("wrote trace waterfall to {}", path.display());
-    }
-    Ok(())
-}
-
-/// The `--shards N` (N > 1) serve path: route the arrival stream through
-/// a sharded fleet, report per-shard and fleet-wide accounting, and
-/// enforce the fleet invariant before writing artifacts.
-fn cmd_serve_fleet(
-    spec: &ScenarioSpec,
-    profiles_path: Option<&Path>,
-    trace_out: Option<&Path>,
-    trace_svg: Option<&Path>,
-) -> Result<(), StcaError> {
-    let report = pipeline::run_fleet(spec, profiles_path, trace_out)?;
-    println!(
-        "served {} requests across {} shards in {:.1} virtual seconds",
-        report.offered,
-        report.shards.len(),
-        report.virtual_end_s
-    );
-    println!(
-        "  fleet: completed {}  rerouted {}  router-shed {}  crashed shards {:?}",
-        report.completed(),
-        report.rerouted,
-        report.router_shed,
-        report.crashed_shards()
-    );
-    for s in &report.shards {
-        let a = &s.accounting;
-        println!(
-            "  shard {}: admitted {}  completed {}  shed {}  drained {}  \
-             rerouted-out {}  crashes {}  p99 {:.4}s",
-            s.id,
-            a.admitted,
-            a.completed,
-            a.shed(),
-            a.drained,
-            s.rerouted_out,
-            s.crashes,
-            s.p99_response_s
-        );
-    }
-    let (promos, rollbacks): (u64, u64) = report
-        .shards
-        .iter()
-        .filter_map(|s| s.adapt.as_ref())
-        .fold((0, 0), |(p, r), a| (p + a.promotions, r + a.rollbacks));
-    if report.shards.iter().any(|s| s.adapt.is_some()) {
-        println!("  adapt: promotions {promos}  rollbacks {rollbacks}");
-    }
-    println!(
-        "  response: mean {:.4}s p50 {:.4}s p99 {:.4}s",
-        report.mean_response_s, report.p50_response_s, report.p99_response_s
-    );
-    println!("  decision hash {:016x}", report.decision_hash);
-    if let Some(dump) = &report.trace_dump {
-        emit_trace_artifacts(dump, trace_out, trace_svg)?;
-    }
-    if !report.balanced() {
-        return Err(StcaError::invalid_input(format!(
-            "fleet accounting invariant violated: {report:?}"
-        )));
-    }
-    if !spec.artifacts.decision_log.is_empty() {
-        let path = PathBuf::from(&spec.artifacts.decision_log);
-        let mut text = report.decision_log.join("\n");
-        text.push('\n');
-        std::fs::write(&path, text).map_err(|e| StcaError::io(path.display().to_string(), e))?;
-        println!("wrote decision log to {}", path.display());
-    }
-    if !spec.artifacts.health.is_empty() {
-        let path = PathBuf::from(&spec.artifacts.health);
-        stca_serve::write_fleet_health(&path, &report)?;
-        println!("wrote health snapshot to {}", path.display());
     }
     Ok(())
 }

@@ -22,7 +22,7 @@ use stca_profiler::profile::{ProfileRow, ProfileSet};
 use stca_profiler::sampler::CounterOrdering;
 use stca_profiler::storage;
 use stca_scenario::{fnv1a, ModelKind, PredictorKind, ScenarioSpec, Stage};
-use stca_serve::{FleetReport, ServeReport};
+use stca_serve::FleetReport;
 use stca_util::Rng64;
 use stca_workloads::{RuntimeCondition, WorkloadSpec};
 use std::path::{Path, PathBuf};
@@ -304,8 +304,7 @@ fn trace_dump_guard(
 /// Resolve the spec's predictor and hand the serving loop a borrowed
 /// model: `trained` loads + trains on the profile store with the
 /// historical serve-seed derivation, `analytic` uses the closed-form EA
-/// tier. Shared by the single-loop and fleet paths so both serve the
-/// exact same model bytes.
+/// tier.
 fn with_serve_model<T>(
     spec: &ScenarioSpec,
     profiles: Option<&Path>,
@@ -329,51 +328,28 @@ fn with_serve_model<T>(
     }
 }
 
-/// Run the serving loop as the spec describes it. `profiles` supplies the
-/// trained-predictor dataset (required when `serve.predictor = trained`);
-/// `trace_error_path` is where in-flight traces dump if a fault unwinds
-/// mid-run (defaults to `stca-trace-error.json`).
+/// Run the serving loop as the spec describes it, with
+/// `[serve.fleet] shards` shards (one shard is the plain loop).
+/// `profiles` supplies the trained-predictor dataset (required when
+/// `serve.predictor = trained`); `trace_error_path` is where in-flight
+/// traces dump if a fault unwinds mid-run (defaults to
+/// `stca-trace-error.json`). Callers must check [`FleetReport::balanced`].
 pub fn run_serve(
     spec: &ScenarioSpec,
     profiles: Option<&Path>,
     trace_error_path: Option<&Path>,
-) -> Result<ServeReport, StcaError> {
-    let cfg = stca_scenario::convert::serve_config(spec);
-    let stream = stca_scenario::convert::synthetic_stream(spec);
-    let n = spec.serve.requests;
-    let _dump_hook = trace_dump_guard(cfg.trace.is_some(), trace_error_path);
-    let plan = &spec.fault.plan;
-    stca_obs::info!(
-        "serving {n} requests at {}/s (deadline {}s)",
-        spec.serve.rate,
-        spec.serve.deadline_s
-    );
-    with_serve_model(spec, profiles, |model| {
-        stca_serve::serve(&cfg, model, plan, &stream, n)
-    })
-}
-
-/// Run the sharded serving fleet as the spec describes it
-/// (`[serve.fleet] shards > 1`). Same contract as [`run_serve`], but the
-/// report carries per-shard accounting and the router's reroute/shed
-/// tallies; callers must check [`FleetReport::balanced`].
-pub fn run_fleet(
-    spec: &ScenarioSpec,
-    profiles: Option<&Path>,
-    trace_error_path: Option<&Path>,
 ) -> Result<FleetReport, StcaError> {
-    let cfg = stca_scenario::convert::fleet_config(spec).ok_or_else(|| {
-        StcaError::usage("run_fleet needs [serve.fleet] shards > 1 (use run_serve otherwise)")
-    })?;
+    let cfg = stca_scenario::convert::fleet_config(spec)
+        .ok_or_else(|| StcaError::usage("[serve.fleet] shards must be >= 1"))?;
     let stream = stca_scenario::convert::synthetic_stream(spec);
     let n = spec.serve.requests;
     let _dump_hook = trace_dump_guard(cfg.base.trace.is_some(), trace_error_path);
     let plan = &spec.fault.plan;
     stca_obs::info!(
-        "serving {n} requests at {}/s across {} shards ({} router)",
+        "serving {n} requests at {}/s (deadline {}s) across {} shard(s)",
         spec.serve.rate,
-        cfg.shards,
-        cfg.router.name()
+        spec.serve.deadline_s,
+        cfg.shards
     );
     with_serve_model(spec, profiles, |model| {
         stca_serve::serve_fleet(&cfg, model, plan, &stream, n)
@@ -673,47 +649,10 @@ fn run_stage(
         Stage::Serve => {
             let profiles = matches!(spec.serve.predictor, PredictorKind::Trained)
                 .then(|| paths.profiles.as_path());
-            if stca_scenario::convert::fleet_config(spec).is_some() {
-                let report = run_fleet(spec, profiles, paths.trace_json.as_deref())?;
-                if !report.balanced() {
-                    return Err(StcaError::invalid_input(format!(
-                        "fleet accounting invariant violated: {report:?}"
-                    )));
-                }
-                let mut log = report.decision_log.join("\n");
-                log.push('\n');
-                write_text(&paths.decision_log, &log)?;
-                stca_serve::write_fleet_health(&paths.health, &report)?;
-                if let Some(dump) = &report.trace_dump {
-                    if let Some(path) = &paths.trace_json {
-                        stca_trace::write_chrome_json(path, dump)?;
-                    }
-                    if let Some(path) = &paths.trace_svg {
-                        stca_trace::write_svg(path, dump)?;
-                    }
-                }
-                return Ok(StageOutcome {
-                    stage,
-                    // like the single loop: the fleet decision hash is the
-                    // determinism contract (it covers every shard's log
-                    // plus the router's reroute/shed lines)
-                    hash: report.decision_hash,
-                    resumed: false,
-                    detail: format!(
-                        "{} shards: {} completed / {} rerouted / {} router-shed, decision hash {:016x}",
-                        report.shards.len(),
-                        report.completed(),
-                        report.rerouted,
-                        report.router_shed,
-                        report.decision_hash
-                    ),
-                });
-            }
             let report = run_serve(spec, profiles, paths.trace_json.as_deref())?;
-            if !report.accounting.balanced() {
+            if !report.balanced() {
                 return Err(StcaError::invalid_input(format!(
-                    "accounting invariant violated: {:?}",
-                    report.accounting
+                    "accounting invariant violated: {report:?}"
                 )));
             }
             let mut log = report.decision_log.join("\n");
@@ -728,16 +667,22 @@ fn run_stage(
                     stca_trace::write_svg(path, dump)?;
                 }
             }
+            let shed: u64 = report.shards.iter().map(|s| s.accounting.shed()).sum();
             StageOutcome {
                 stage,
-                // the decision hash is the serving determinism contract;
-                // artifact bytes hash through it via the decision log
+                // the decision hash is the serving determinism contract (it
+                // covers every shard's log plus the router's reroute/shed
+                // lines); artifact bytes hash through it via the log
                 hash: report.decision_hash,
                 resumed: false,
                 detail: format!(
-                    "{} completed / {} shed, decision hash {:016x}",
-                    report.accounting.completed,
-                    report.accounting.shed(),
+                    "{} shard(s): {} completed / {} shed / {} rerouted / {} router-shed, \
+                     decision hash {:016x}",
+                    report.shards.len(),
+                    report.completed(),
+                    shed,
+                    report.rerouted,
+                    report.router_shed,
                     report.decision_hash
                 ),
             }

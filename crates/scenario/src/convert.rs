@@ -66,11 +66,13 @@ pub fn serve_config(spec: &ScenarioSpec) -> ServeConfig {
     }
 }
 
-/// The fleet config of the spec's `[serve.fleet]` section, or `None`
-/// when `shards <= 1` (the single serving loop). Per-shard seeds derive
-/// inside the engine from the base seeds as `seed ^ (shard_id << 24)`.
+/// The serving topology of the spec's `[serve]` + `[serve.fleet]`
+/// sections. `shards = 1` (the default) is the plain serving loop, run as
+/// a one-shard fleet; `None` only for `shards = 0`, which the spec setter
+/// rejects. Per-shard seeds derive inside the engine from the base seeds
+/// as `seed ^ (shard_id << 24)`.
 pub fn fleet_config(spec: &ScenarioSpec) -> Option<FleetConfig> {
-    if spec.fleet.shards <= 1 {
+    if spec.fleet.shards == 0 {
         return None;
     }
     Some(FleetConfig {

@@ -235,12 +235,13 @@ pub struct ServeSection {
 }
 
 /// `[serve.fleet]` — the sharded serving fleet. `shards = 1` (the
-/// default) keeps the single serving loop; `shards >= 2` runs the fleet
-/// with per-shard fault domains and failover routing. Per-shard seeds
-/// derive from `serve.seed` as `seed ^ (shard_id << 24)`.
+/// default) is the plain serving loop, a one-shard fleet that ignores
+/// shard faults; `shards >= 2` adds per-shard fault domains and failover
+/// routing. Per-shard seeds derive from `serve.seed` as
+/// `seed ^ (shard_id << 24)`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FleetSection {
-    /// Number of shards (independent fault domains); 1 = single loop.
+    /// Number of shards (independent fault domains); 1 = the plain loop.
     pub shards: u64,
     /// Routing discipline: `rendezvous` or `least-loaded`.
     pub router: RouterKind,

@@ -30,6 +30,7 @@
 //! any `--threads`. Wall-clock retrain latency feeds only the
 //! `serve.adapt.retrain_seconds` histogram, never a decision.
 
+use crate::shard::shard_metric;
 use stca_deepforest::{Cascade, CascadeConfig};
 use stca_fault::{FaultPlan, StcaError};
 use stca_util::{Matrix, SeedStream};
@@ -336,10 +337,7 @@ pub(crate) struct Lifecycle {
 
 impl Lifecycle {
     pub(crate) fn new(cfg: AdaptConfig, plan: FaultPlan, seed: u64, shard: Option<u32>) -> Self {
-        let retrain_hist = match shard {
-            Some(id) => stca_obs::histogram(&format!("serve.shard{id}.adapt.retrain_seconds")),
-            None => stca_obs::histogram("serve.adapt.retrain_seconds"),
-        };
+        let retrain_hist = stca_obs::histogram(&shard_metric(shard, "adapt.retrain_seconds"));
         Lifecycle {
             cfg,
             plan,

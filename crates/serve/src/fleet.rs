@@ -1,5 +1,5 @@
-//! Sharded serving fleet: N independent fault domains behind a
-//! deterministic router.
+//! The serving driver: N independent fault domains behind a
+//! deterministic router. One shard is the plain serving loop.
 //!
 //! Each shard owns a full [`ShardCore`] — bounded admission queue,
 //! circuit breaker, hysteresis controller, watchdog, seeded predictor
@@ -9,6 +9,35 @@
 //! faults (`shard_crash`, `shard_stall`, `shard_flap`) are rolled per
 //! `(plan seed, shard id, epoch)` so a faulted fleet is bit-identical at
 //! any `--threads`.
+//!
+//! ## Execution model
+//!
+//! The replayed arrival stream is processed in fixed-size chunks. Each
+//! chunk runs two phases:
+//!
+//! 1. **Parallel compute** — for every request in the chunk, the pure
+//!    per-request work runs on the worker pool: the primary model call,
+//!    the degraded fallback, the injected predictor fault, and the
+//!    injected stage stalls. All of it is a pure function of the request
+//!    (seed, features, sequence number), so input-order results are
+//!    bit-identical at any `--threads`.
+//! 2. **Serial replay** — in arrival order, requests are routed, admitted,
+//!    queued, dispatched to virtual servers, and completed. Everything
+//!    stateful lives here: shard faults, routing, queue occupancy,
+//!    overload shedding, deadline budgets, the circuit breakers,
+//!    hysteresis, the watchdog retry path, and the decision log.
+//!
+//! ## One shard
+//!
+//! `shards = 1` is the plain serving loop ([`crate::serve`] and
+//! `stca serve` without `--shards`). Its core gets no shard id, so:
+//!
+//! * decision-log lines carry no `" shard=N"` suffix;
+//! * metrics and histograms use `serve.*` names (fleet shards use
+//!   `serve.shardN.*`, plus the `serve.fleet.*` rollup);
+//! * traces carry no `shard` admission attribute;
+//! * shard-scoped faults stay inert: they model losing one shard among
+//!   peers, and a lone shard has none.
 //!
 //! ## Failover semantics
 //!
@@ -29,9 +58,9 @@
 //! flapped shards; only when every shard is crashed does a request get the
 //! typed `router_shed` disposition.
 //!
-//! ## Fleet accounting invariant
+//! ## Accounting invariant
 //!
-//! Per shard, reroutes extend the single-loop identity:
+//! Per shard, every admitted request ends in exactly one disposition:
 //!
 //! ```text
 //! admitted = completed + shed + drained + rerouted_out
@@ -47,11 +76,11 @@
 //! ```
 
 use crate::adapt::AdaptStats;
-use crate::model::EaModel;
+use crate::model::{EaModel, TIMEOUT_GRID};
 use crate::request::SyntheticStream;
 use crate::router::{route, Candidate, RouterKind};
 use crate::server::{Accounting, ServeConfig};
-use crate::shard::{compute_request, DecisionSink, Pending, ShardCore};
+use crate::shard::{compute_request, shard_metric, DecisionSink, Pending, ShardCore};
 use stca_fault::{FaultInjector, FaultPlan, StcaError};
 use stca_obs::json::Value;
 use stca_trace::{AttrValue, Disposition, FlightRecorder, Stage, TraceDump};
@@ -66,7 +95,8 @@ pub struct FleetConfig {
     /// seed (`base.breaker.seed ^ (shard_id << 24)`) so probe lotteries are
     /// independent across fault domains.
     pub base: ServeConfig,
-    /// Number of shards (independent fault domains).
+    /// Number of shards (independent fault domains); 1 is the plain
+    /// serving loop.
     pub shards: u32,
     /// Routing discipline.
     pub router: RouterKind,
@@ -129,22 +159,28 @@ pub struct ShardStats {
     pub stalls: u64,
     /// Epochs the router treated this shard as flapping.
     pub flaps: u64,
-    /// Breaker trips on this shard.
+    /// Breaker trips (closed → open and failed-probe re-opens).
     pub breaker_opens: u64,
-    /// Breaker recoveries on this shard.
+    /// Breaker recoveries (half-open → closed).
     pub breaker_closes: u64,
     /// Probe calls admitted while half-open.
     pub breaker_probes: u64,
-    /// Calls short-circuited to the degraded chain.
+    /// Calls short-circuited to the degraded chain while open.
     pub breaker_rejects: u64,
     /// Requests answered by the degraded predictor chain.
     pub degraded: u64,
-    /// Watchdog interventions.
+    /// Watchdog interventions (stage cut off at its budget).
     pub watchdog_trips: u64,
     /// Stage retries after a watchdog trip.
     pub retries: u64,
     /// Policy changes applied by this shard's hysteresis controller.
     pub policy_applies: u64,
+    /// Decisions suppressed by hysteresis.
+    pub policy_suppressed: u64,
+    /// Budgeted validation simulations run on policy application.
+    pub policy_validations: u64,
+    /// Validation sims that hit their event budget.
+    pub sim_budget_exhausted: u64,
     /// Timeout-grid index applied when the run ended.
     pub final_timeout_idx: usize,
     /// Mean response of this shard's completed requests, seconds.
@@ -158,7 +194,109 @@ pub struct ShardStats {
     pub adapt: Option<AdaptStats>,
 }
 
-/// Everything one fleet run produced.
+/// A JSON object map from `(key, value)` pairs.
+fn map<const N: usize>(pairs: [(&str, Value); N]) -> BTreeMap<String, Value> {
+    pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect()
+}
+
+fn object<const N: usize>(pairs: [(&str, Value); N]) -> Value {
+    Value::Object(map(pairs))
+}
+
+fn int(v: u64) -> Value {
+    Value::Number(v as f64)
+}
+
+impl ShardStats {
+    /// The shard summary as a JSON tree (one entry of the health
+    /// snapshot's `shards` array).
+    fn to_json_value(&self) -> Value {
+        let a = &self.accounting;
+        let mut root = map([
+            ("id", int(u64::from(self.id))),
+            (
+                "accounting",
+                object([
+                    ("admitted", int(a.admitted)),
+                    ("completed", int(a.completed)),
+                    ("shed_overload", int(a.shed_overload)),
+                    ("shed_deadline", int(a.shed_deadline)),
+                    ("shed_failed", int(a.shed_failed)),
+                    ("drained", int(a.drained)),
+                    ("rerouted_out", int(self.rerouted_out)),
+                    ("blocked", int(a.blocked)),
+                    ("deadline_exceeded", int(a.deadline_exceeded)),
+                ]),
+            ),
+            (
+                "faults",
+                object([
+                    ("crashes", int(self.crashes)),
+                    ("recoveries", int(self.recoveries)),
+                    ("stalls", int(self.stalls)),
+                    ("flaps", int(self.flaps)),
+                ]),
+            ),
+            (
+                "breaker",
+                object([
+                    ("opens", int(self.breaker_opens)),
+                    ("closes", int(self.breaker_closes)),
+                    ("probes", int(self.breaker_probes)),
+                    ("rejects", int(self.breaker_rejects)),
+                ]),
+            ),
+            (
+                "policy",
+                object([
+                    ("applies", int(self.policy_applies)),
+                    ("suppressed", int(self.policy_suppressed)),
+                    ("validations", int(self.policy_validations)),
+                    ("sim_budget_exhausted", int(self.sim_budget_exhausted)),
+                    (
+                        "applied_timeout_ratio",
+                        Value::Number(TIMEOUT_GRID[self.final_timeout_idx]),
+                    ),
+                ]),
+            ),
+            (
+                "response",
+                object([
+                    ("mean_s", Value::Number(self.mean_response_s)),
+                    ("p50_s", Value::Number(self.p50_response_s)),
+                    ("p99_s", Value::Number(self.p99_response_s)),
+                ]),
+            ),
+            ("degraded", int(self.degraded)),
+            ("watchdog_trips", int(self.watchdog_trips)),
+            ("retries", int(self.retries)),
+        ]);
+        if let Some(a) = &self.adapt {
+            let adapt = object([
+                ("drifts", int(a.drifts)),
+                ("retrains", int(a.retrains)),
+                ("retrain_failures", int(a.retrain_failures)),
+                ("retrain_slows", int(a.retrain_slows)),
+                ("shadow_scored", int(a.shadow_scored)),
+                ("shadow_agree", int(a.shadow_agree)),
+                ("promotions", int(a.promotions)),
+                ("promote_refused", int(a.promote_refused)),
+                ("rollbacks", int(a.rollbacks)),
+                ("guard_passes", int(a.guard_passes)),
+                ("active_version", int(a.active_version)),
+                ("last_drift_score", Value::Number(a.last_drift_score)),
+                (
+                    "last_shadow_agreement",
+                    Value::Number(a.last_shadow_agreement),
+                ),
+            ]);
+            root.insert("adapt".into(), adapt);
+        }
+        Value::Object(root)
+    }
+}
+
+/// Everything one serving run produced.
 #[derive(Debug, Clone)]
 pub struct FleetReport {
     /// Per-shard summaries, in shard-id order.
@@ -221,94 +359,71 @@ impl FleetReport {
 
     /// The report as a JSON tree (health snapshots, CLI output).
     pub fn to_json_value(&self) -> Value {
-        let num = Value::Number;
-        let int = |v: u64| Value::Number(v as f64);
-        let mut shards = Vec::with_capacity(self.shards.len());
-        for s in &self.shards {
-            let a = &s.accounting;
-            let mut m = BTreeMap::new();
-            m.insert("id".into(), int(u64::from(s.id)));
-            m.insert("admitted".into(), int(a.admitted));
-            m.insert("completed".into(), int(a.completed));
-            m.insert("shed".into(), int(a.shed()));
-            m.insert("drained".into(), int(a.drained));
-            m.insert("rerouted_out".into(), int(s.rerouted_out));
-            m.insert("crashes".into(), int(s.crashes));
-            m.insert("recoveries".into(), int(s.recoveries));
-            m.insert("stalls".into(), int(s.stalls));
-            m.insert("flaps".into(), int(s.flaps));
-            m.insert("breaker_opens".into(), int(s.breaker_opens));
-            m.insert("degraded".into(), int(s.degraded));
-            m.insert("watchdog_trips".into(), int(s.watchdog_trips));
-            m.insert("mean_response_s".into(), num(s.mean_response_s));
-            m.insert("p50_response_s".into(), num(s.p50_response_s));
-            m.insert("p99_response_s".into(), num(s.p99_response_s));
-            if let Some(a) = &s.adapt {
-                let mut adapt = BTreeMap::new();
-                adapt.insert("drifts".into(), int(a.drifts));
-                adapt.insert("retrains".into(), int(a.retrains));
-                adapt.insert("retrain_failures".into(), int(a.retrain_failures));
-                adapt.insert("retrain_slows".into(), int(a.retrain_slows));
-                adapt.insert("shadow_scored".into(), int(a.shadow_scored));
-                adapt.insert("promotions".into(), int(a.promotions));
-                adapt.insert("promote_refused".into(), int(a.promote_refused));
-                adapt.insert("rollbacks".into(), int(a.rollbacks));
-                adapt.insert("guard_passes".into(), int(a.guard_passes));
-                adapt.insert("active_version".into(), int(a.active_version));
-                m.insert("adapt".into(), Value::Object(adapt));
-            }
-            shards.push(Value::Object(m));
+        let mut root = map([
+            (
+                "shards",
+                Value::Array(self.shards.iter().map(ShardStats::to_json_value).collect()),
+            ),
+            ("offered", int(self.offered)),
+            ("completed", int(self.completed())),
+            ("rerouted", int(self.rerouted)),
+            ("router_shed", int(self.router_shed)),
+            ("balanced", Value::Bool(self.balanced())),
+            (
+                "response",
+                object([
+                    ("mean_s", Value::Number(self.mean_response_s)),
+                    ("p50_s", Value::Number(self.p50_response_s)),
+                    ("p99_s", Value::Number(self.p99_response_s)),
+                ]),
+            ),
+            (
+                "decision_hash",
+                Value::String(format!("{:016x}", self.decision_hash)),
+            ),
+            ("virtual_end_s", Value::Number(self.virtual_end_s)),
+        ]);
+        if let Some(dump) = &self.trace_dump {
+            let st = &dump.stats;
+            let trace = object([
+                ("retained_error", int(st.retained_error)),
+                ("retained_normal", int(st.retained_normal)),
+                ("evicted_normal", int(st.evicted_normal)),
+                ("dropped_error", int(st.dropped_error)),
+                ("sample_every", int(dump.sample_every)),
+            ]);
+            root.insert("trace".into(), trace);
         }
-        let mut resp = BTreeMap::new();
-        resp.insert("mean_s".into(), num(self.mean_response_s));
-        resp.insert("p50_s".into(), num(self.p50_response_s));
-        resp.insert("p99_s".into(), num(self.p99_response_s));
-        let mut root = BTreeMap::new();
-        root.insert("shards".into(), Value::Array(shards));
-        root.insert("offered".into(), int(self.offered));
-        root.insert("completed".into(), int(self.completed()));
-        root.insert("rerouted".into(), int(self.rerouted));
-        root.insert("router_shed".into(), int(self.router_shed));
-        root.insert("balanced".into(), Value::Bool(self.balanced()));
-        root.insert("response".into(), Value::Object(resp));
-        root.insert(
-            "decision_hash".into(),
-            Value::String(format!("{:016x}", self.decision_hash)),
-        );
-        root.insert("virtual_end_s".into(), num(self.virtual_end_s));
         Value::Object(root)
     }
 }
 
-/// Write a JSON health snapshot: the fleet report plus every `serve.*`
-/// metric (per-shard `serve.shardN.*` prefixes and the `serve.fleet.*`
-/// rollup included) currently in the global registry.
-pub fn write_fleet_health(path: &Path, report: &FleetReport) -> Result<(), StcaError> {
+/// Write a JSON health snapshot: the report plus every `serve.*` metric
+/// currently in the global registry.
+pub fn write_health(path: &Path, report: &FleetReport) -> Result<(), StcaError> {
     let mut root = match report.to_json_value() {
         Value::Object(m) => m,
         _ => unreachable!("report serialises to an object"),
     };
-    let mut metrics = BTreeMap::new();
-    for (name, metric) in stca_obs::registry().snapshot_prefixed("serve.") {
-        match metric {
-            stca_obs::metrics::Metric::Counter(c) => {
-                metrics.insert(name, Value::Number(c.get() as f64));
-            }
-            stca_obs::metrics::Metric::Gauge(g) => {
-                metrics.insert(name, Value::Number(g.get()));
-            }
-            stca_obs::metrics::Metric::Histogram(h) => {
-                metrics.insert(name, Value::Number(h.mean()));
-            }
-        }
-    }
+    let metrics = stca_obs::registry()
+        .snapshot_prefixed("serve.")
+        .into_iter()
+        .map(|(name, metric)| {
+            let v = match metric {
+                stca_obs::metrics::Metric::Counter(c) => c.get() as f64,
+                stca_obs::metrics::Metric::Gauge(g) => g.get(),
+                stca_obs::metrics::Metric::Histogram(h) => h.mean(),
+            };
+            (name, Value::Number(v))
+        })
+        .collect();
     root.insert("metrics".into(), Value::Object(metrics));
     let json = Value::Object(root).to_string();
     std::fs::write(path, json).map_err(|e| StcaError::io(path.display().to_string(), e))
 }
 
 /// `(mean, p50, p99)` of a response set; all zero for an empty set (a
-/// shard that crashed before completing anything still gets a summary).
+/// shard that completed nothing still gets a summary).
 fn response_summary(responses: &mut [f64]) -> (f64, f64, f64) {
     if responses.is_empty() {
         return (0.0, 0.0, 0.0);
@@ -338,7 +453,9 @@ const ROUTE_SALT: u64 = 0x000F_1EE7;
 /// Health-gated shard selection for request `seq` at virtual `now`.
 /// Tiered fallback: fully healthy shards first, then breaker-open, then
 /// flapped; crashed shards are never candidates. `None` means every shard
-/// is crashed (router shed).
+/// is crashed (router shed). `candidates` is scratch space reused across
+/// calls, so routing allocates nothing once it has grown to the shard
+/// count.
 fn pick_target(
     slots: &[Slot<'_>],
     kind: RouterKind,
@@ -346,27 +463,27 @@ fn pick_target(
     seq: u64,
     now: f64,
     exclude: Option<u32>,
+    candidates: &mut Vec<Candidate>,
 ) -> Option<u32> {
-    let gather = |pred: &dyn Fn(&Slot<'_>) -> bool| -> Vec<Candidate> {
-        slots
-            .iter()
-            .enumerate()
-            .filter(|(id, s)| exclude != Some(*id as u32) && pred(s))
-            .map(|(id, s)| Candidate {
-                id: id as u32,
-                queue_depth: s.core.queue_depth(),
-            })
-            .collect()
-    };
-    for pred in [
-        &(|s: &Slot<'_>| !s.crashed && !s.flapped && !s.core.breaker.is_open_at(now))
-            as &dyn Fn(&Slot<'_>) -> bool,
+    let tiers: [&dyn Fn(&Slot<'_>) -> bool; 3] = [
+        &|s: &Slot<'_>| !s.crashed && !s.flapped && !s.core.breaker.is_open_at(now),
         &|s: &Slot<'_>| !s.crashed && !s.flapped,
         &|s: &Slot<'_>| !s.crashed,
-    ] {
-        let candidates = gather(pred);
+    ];
+    for routable in tiers {
+        candidates.clear();
+        candidates.extend(
+            slots
+                .iter()
+                .enumerate()
+                .filter(|(id, s)| exclude != Some(*id as u32) && routable(s))
+                .map(|(id, s)| Candidate {
+                    id: id as u32,
+                    queue_depth: s.core.queue_depth(),
+                }),
+        );
         if !candidates.is_empty() {
-            return route(kind, seed, seq, &candidates);
+            return route(kind, seed, seq, candidates);
         }
     }
     None
@@ -429,11 +546,11 @@ fn apply_epoch(
     flushed
 }
 
-/// Run the sharded serving fleet over `n_requests` replayed arrivals.
+/// Run the serving driver over `n_requests` replayed arrivals.
 ///
 /// Deterministic: with the same config, stream, plan, and model, the
-/// fleet decision hash, report, and merged trace dump are bit-identical
-/// at any thread count.
+/// decision hash, report, and merged trace dump are bit-identical at any
+/// thread count.
 pub fn serve_fleet(
     cfg: &FleetConfig,
     model: &dyn EaModel,
@@ -444,16 +561,26 @@ pub fn serve_fleet(
     cfg.validate()?;
     if !(stream.rate.is_finite() && stream.rate > 0.0) {
         return Err(StcaError::invalid_input(format!(
-            "fleet: arrival rate {} must be finite and positive",
+            "serve: arrival rate {} must be finite and positive",
             stream.rate
         )));
     }
     if !(stream.deadline_s.is_finite() && stream.deadline_s > 0.0) {
         return Err(StcaError::invalid_input(format!(
-            "fleet: deadline {} must be finite and positive",
+            "serve: deadline {} must be finite and positive",
             stream.deadline_s
         )));
     }
+    // one shard is the plain serving loop: its core gets no shard id and
+    // it rolls no shard faults (see the module docs)
+    let fleet = cfg.shards > 1;
+    let fleet_metric = |name: &str| {
+        if fleet {
+            format!("serve.fleet.{name}")
+        } else {
+            format!("serve.{name}")
+        }
+    };
     let run_key = stream.seed ^ 0x5E4E;
     let injectors: [FaultInjector; 2] = [plan.injector(run_key, 0), plan.injector(run_key, 1)];
     // per-shard configs first (the cores borrow them), seeds derived as
@@ -467,9 +594,10 @@ pub fn serve_fleet(
         .collect();
     let mut slots: Vec<Slot<'_>> = shard_cfgs
         .iter()
-        .enumerate()
-        .map(|(id, c)| {
-            let mut core = ShardCore::new(c, stream.seed ^ ((id as u64) << 24), Some(id as u32));
+        .zip(0u32..)
+        .map(|(c, id)| {
+            let seed = stream.seed ^ (u64::from(id) << 24);
+            let mut core = ShardCore::new(c, seed, fleet.then_some(id));
             core.install_adapt(plan);
             Slot {
                 core,
@@ -483,6 +611,13 @@ pub fn serve_fleet(
             }
         })
         .collect();
+    // a lone shard publishes its recorder so error-dump hooks can
+    // snapshot it mid-run; a fleet has no single recorder to publish
+    let _active = if fleet {
+        None
+    } else {
+        slots[0].core.recorder.clone().map(stca_trace::set_active)
+    };
     // router sheds get their own recorder so admission-time sheds are
     // traced even though they never touch a shard
     let router_rec = cfg
@@ -490,9 +625,11 @@ pub fn serve_fleet(
         .trace
         .map(|tc| Arc::new(Mutex::new(FlightRecorder::new(tc))));
     let route_seed = stream.seed ^ ROUTE_SALT;
+    let mut candidates = Vec::with_capacity(slots.len());
     let mut sink = DecisionSink::new(cfg.base.keep_decision_log);
     let timer =
-        stca_obs::StageTimer::with_histogram(stca_obs::histogram("serve.fleet.run_seconds"));
+        stca_obs::StageTimer::with_histogram(stca_obs::histogram(&fleet_metric("run_seconds")));
+    let depth_gauge = stca_obs::gauge(&fleet_metric("queue_depth"));
     let mut rerouted = 0u64;
     let mut router_shed = 0u64;
     let mut cur_epoch: i64 = -1;
@@ -504,7 +641,10 @@ pub fn serve_fleet(
         let (reqs, new_t) = stream.chunk(seq, count, t_cursor);
         t_cursor = new_t;
         last_arrival = new_t;
-        // phase 1: pure per-request compute, identical to the single loop
+        // phase 1: pure per-request compute, input-order results. When
+        // tracing, each worker tags its thread with the request's trace
+        // id so histograms recorded inside the model call (e.g.
+        // `deepforest.predict.seconds`) pick up exemplars.
         let trace_cfg = cfg.base.trace;
         let computed = stca_exec::par_map_indexed(&reqs, |_, r| {
             if let Some(tc) = &trace_cfg {
@@ -521,7 +661,7 @@ pub fn serve_fleet(
         // arrival that crossed it is admitted
         for (r, comp) in reqs.into_iter().zip(computed) {
             let arrival_epoch = (r.arrival_s / cfg.epoch_s).floor() as i64;
-            while cur_epoch < arrival_epoch {
+            while fleet && cur_epoch < arrival_epoch {
                 cur_epoch += 1;
                 let boundary = cur_epoch as f64 * cfg.epoch_s;
                 let flushed =
@@ -531,7 +671,15 @@ pub fn serve_fleet(
                     let target = if p.hops > cfg.reroute_max {
                         None
                     } else {
-                        pick_target(&slots, cfg.router, route_seed, p.seq, boundary, Some(from))
+                        pick_target(
+                            &slots,
+                            cfg.router,
+                            route_seed,
+                            p.seq,
+                            boundary,
+                            Some(from),
+                            &mut candidates,
+                        )
                     };
                     match target {
                         Some(to) => {
@@ -568,19 +716,20 @@ pub fn serve_fleet(
                     }
                 }
             }
-            match pick_target(&slots, cfg.router, route_seed, r.seq, r.arrival_s, None) {
+            let target = pick_target(
+                &slots,
+                cfg.router,
+                route_seed,
+                r.seq,
+                r.arrival_s,
+                None,
+                &mut candidates,
+            );
+            match target {
                 Some(id) => {
-                    let slot = &mut slots[id as usize];
-                    let mut ctx = slot
-                        .core
-                        .recorder
-                        .as_ref()
-                        .and_then(|rec| rec.lock().ok())
-                        .map(|mut rec| rec.begin(r.seq, r.arrival_s));
-                    if let Some(c) = ctx.as_mut() {
-                        c.annotate_admission("shard", AttrValue::Num(f64::from(id)));
-                    }
-                    slot.core.arrive(
+                    let core = &mut slots[id as usize].core;
+                    let ctx = core.begin_trace(r.seq, r.arrival_s);
+                    core.arrive(
                         Pending {
                             seq: r.seq,
                             arrival_s: r.arrival_s,
@@ -611,7 +760,7 @@ pub fn serve_fleet(
         }
         seq += count as u64;
         let depth: usize = slots.iter().map(|s| s.core.queue_depth()).sum();
-        stca_obs::gauge("serve.fleet.queue_depth").set(depth as f64);
+        depth_gauge.set(depth as f64);
     }
     // coordinated graceful drain: close every probe gate fleet-wide
     // first, then drain shard by shard in id order
@@ -631,31 +780,35 @@ pub fn serve_fleet(
     // per-shard and fleet-wide percentiles
     let mut all_responses: Vec<f64> = Vec::new();
     let mut shard_stats = Vec::with_capacity(slots.len());
-    for (id, slot) in slots.iter_mut().enumerate() {
+    for (slot, id) in slots.iter_mut().zip(0u32..) {
         let mut responses = std::mem::take(&mut slot.core.responses);
         all_responses.extend_from_slice(&responses);
         let (mean, p50, p99) = response_summary(&mut responses);
+        let core = &slot.core;
         shard_stats.push(ShardStats {
-            id: id as u32,
-            accounting: slot.core.acct,
+            id,
+            accounting: core.acct,
             rerouted_out: slot.rerouted_out,
             crashes: slot.crashes,
             recoveries: slot.recoveries,
             stalls: slot.stalls,
             flaps: slot.flaps,
-            breaker_opens: slot.core.breaker.opens,
-            breaker_closes: slot.core.breaker.closes,
-            breaker_probes: slot.core.breaker.probes,
-            breaker_rejects: slot.core.breaker.rejects,
-            degraded: slot.core.degraded,
-            watchdog_trips: slot.core.watchdog_trips,
-            retries: slot.core.retries,
-            policy_applies: slot.core.hyst.applies,
-            final_timeout_idx: slot.core.hyst.applied(),
+            breaker_opens: core.breaker.opens,
+            breaker_closes: core.breaker.closes,
+            breaker_probes: core.breaker.probes,
+            breaker_rejects: core.breaker.rejects,
+            degraded: core.degraded,
+            watchdog_trips: core.watchdog_trips,
+            retries: core.retries,
+            policy_applies: core.hyst.applies,
+            policy_suppressed: core.hyst.suppressed,
+            policy_validations: core.policy_validations,
+            sim_budget_exhausted: core.sim_budget_exhausted,
+            final_timeout_idx: core.hyst.applied(),
             mean_response_s: mean,
             p50_response_s: p50,
             p99_response_s: p99,
-            adapt: slot.core.lifecycle.as_ref().map(|lc| lc.stats),
+            adapt: core.lifecycle.as_ref().map(|lc| lc.stats),
         });
     }
     let (fleet_mean, fleet_p50, fleet_p99) = response_summary(&mut all_responses);
@@ -691,22 +844,29 @@ pub fn serve_fleet(
         virtual_end_s: virtual_end,
         trace_dump,
     };
-    flush_fleet_metrics(&report);
+    flush_metrics(&report);
     Ok(report)
 }
 
-/// Flush run totals into the global metrics: `serve.shardN.*` per shard
-/// (nested `serve.shardN.breaker.*` for breaker counters) and the
-/// `serve.fleet.*` rollup.
-fn flush_fleet_metrics(r: &FleetReport) {
+/// Flush run totals into the global metrics: per shard under `serve.*`
+/// (one shard) or `serve.shardN.*` (breaker counters nest as
+/// `breaker.*`), plus the `serve.fleet.*` rollup when there are several
+/// shards.
+fn flush_metrics(r: &FleetReport) {
+    let fleet = r.shards.len() > 1;
     for s in &r.shards {
         let a = &s.accounting;
-        let pre = format!("serve.shard{}", s.id);
-        for (name, v) in [
+        let shard = fleet.then_some(s.id);
+        let mut counters = vec![
             ("admitted_total", a.admitted),
             ("completed_total", a.completed),
             ("shed_total", a.shed()),
+            ("shed_overload_total", a.shed_overload),
+            ("shed_deadline_total", a.shed_deadline),
+            ("shed_failed_total", a.shed_failed),
             ("drained_total", a.drained),
+            ("blocked_total", a.blocked),
+            ("deadline_exceeded_total", a.deadline_exceeded),
             ("rerouted_out_total", s.rerouted_out),
             ("crashes_total", s.crashes),
             ("recoveries_total", s.recoveries),
@@ -714,38 +874,56 @@ fn flush_fleet_metrics(r: &FleetReport) {
             ("flaps_total", s.flaps),
             ("degraded_total", s.degraded),
             ("watchdog_trips_total", s.watchdog_trips),
+            ("retries_total", s.retries),
+            ("policy_applies_total", s.policy_applies),
+            ("policy_suppressed_total", s.policy_suppressed),
+            ("policy_validations_total", s.policy_validations),
+            ("sim_budget_exhausted_total", s.sim_budget_exhausted),
             ("breaker.opens_total", s.breaker_opens),
             ("breaker.closes_total", s.breaker_closes),
             ("breaker.probes_total", s.breaker_probes),
             ("breaker.rejects_total", s.breaker_rejects),
-        ] {
-            if v > 0 {
-                stca_obs::counter(&format!("{pre}.{name}")).add(v);
-            }
-        }
-        if let Some(a) = &s.adapt {
+        ];
+        if let Some(ad) = &s.adapt {
+            counters.extend([
+                ("adapt.drifts_total", ad.drifts),
+                ("adapt.retrains_total", ad.retrains),
+                ("adapt.retrain_failures_total", ad.retrain_failures),
+                ("adapt.retrain_slows_total", ad.retrain_slows),
+                ("adapt.shadow_scored_total", ad.shadow_scored),
+                ("adapt.promotions_total", ad.promotions),
+                ("adapt.promote_refused_total", ad.promote_refused),
+                ("adapt.rollbacks_total", ad.rollbacks),
+                ("adapt.guard_passes_total", ad.guard_passes),
+            ]);
             for (name, v) in [
-                ("adapt.drifts_total", a.drifts),
-                ("adapt.retrains_total", a.retrains),
-                ("adapt.retrain_failures_total", a.retrain_failures),
-                ("adapt.retrain_slows_total", a.retrain_slows),
-                ("adapt.shadow_scored_total", a.shadow_scored),
-                ("adapt.promotions_total", a.promotions),
-                ("adapt.promote_refused_total", a.promote_refused),
-                ("adapt.rollbacks_total", a.rollbacks),
-                ("adapt.guard_passes_total", a.guard_passes),
+                ("adapt.drift_score", ad.last_drift_score),
+                ("adapt.shadow_agreement", ad.last_shadow_agreement),
+                ("adapt.active_version", ad.active_version as f64),
             ] {
-                if v > 0 {
-                    stca_obs::counter(&format!("{pre}.{name}")).add(v);
-                }
+                stca_obs::gauge(&shard_metric(shard, name)).set(v);
             }
         }
+        for (name, v) in counters {
+            if v > 0 {
+                stca_obs::counter(&shard_metric(shard, name)).add(v);
+            }
+        }
+    }
+    if !fleet {
+        return;
     }
     let settled: u64 = r
         .shards
         .iter()
         .map(|s| s.accounting.completed + s.accounting.shed() + s.accounting.drained)
         .sum();
+    let adapt_sum = |f: fn(&AdaptStats) -> u64| -> u64 {
+        r.shards
+            .iter()
+            .filter_map(|s| s.adapt.as_ref().map(f))
+            .sum()
+    };
     for (name, v) in [
         ("serve.fleet.offered_total", r.offered),
         ("serve.fleet.completed_total", r.completed()),
@@ -762,17 +940,11 @@ fn flush_fleet_metrics(r: &FleetReport) {
         ),
         (
             "serve.fleet.adapt.promotions_total",
-            r.shards
-                .iter()
-                .filter_map(|s| s.adapt.map(|a| a.promotions))
-                .sum(),
+            adapt_sum(|a| a.promotions),
         ),
         (
             "serve.fleet.adapt.rollbacks_total",
-            r.shards
-                .iter()
-                .filter_map(|s| s.adapt.map(|a| a.rollbacks))
-                .sum(),
+            adapt_sum(|a| a.rollbacks),
         ),
     ] {
         if v > 0 {
@@ -920,5 +1092,54 @@ mod tests {
             ..FleetConfig::default()
         };
         assert!(serve_fleet(&bad, &model, &plan, &stream(), 10).is_err());
+    }
+
+    #[test]
+    fn policy_applies_run_budgeted_validation_sims() {
+        for shards in [1, 3] {
+            let mut cfg = small_fleet(shards);
+            cfg.base.hysteresis_k = 2;
+            cfg.base.sim_budget_events = 50; // tiny budget: must exhaust
+            let r = run(&cfg, &FaultPlan::none(), 2_000);
+            for s in &r.shards {
+                assert!(
+                    s.policy_applies > 0,
+                    "shard {} of {shards}: EA spread must flip the policy",
+                    s.id
+                );
+                assert_eq!(s.policy_validations, s.policy_applies);
+                assert_eq!(s.sim_budget_exhausted, s.policy_validations);
+            }
+        }
+    }
+
+    #[test]
+    fn health_snapshot_writes_valid_json() {
+        let dir = std::env::temp_dir().join(format!("stca_health_test_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("tmp dir");
+        for shards in [1, 3] {
+            let r = run(&small_fleet(shards), &FaultPlan::ci_default(), 1_000);
+            let path = dir.join(format!("health{shards}.json"));
+            write_health(&path, &r).expect("writes");
+            let text = std::fs::read_to_string(&path).expect("reads");
+            let Value::Object(root) = Value::parse(&text).expect("valid JSON") else {
+                panic!("expected an object: {text}");
+            };
+            assert!(root.contains_key("metrics"));
+            assert_eq!(root.get("balanced"), Some(&Value::Bool(true)));
+            let Some(Value::Array(per_shard)) = root.get("shards") else {
+                panic!("no shards array: {text}");
+            };
+            assert_eq!(per_shard.len(), shards as usize);
+            for shard in per_shard {
+                let Value::Object(m) = shard else {
+                    panic!("shard entry is not an object: {shard:?}");
+                };
+                for key in ["accounting", "breaker", "policy", "response", "retries"] {
+                    assert!(m.contains_key(key), "{shards} shards: no {key} in {m:?}");
+                }
+            }
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -9,11 +9,14 @@
 //!
 //! Robustness pieces, each its own module:
 //!
-//! - [`server`] — the loop: bounded admission queue with a configurable
-//!   overload policy ([`OverloadPolicy`]), per-request deadline budgets
-//!   propagated through predict → decide, graceful drain, and the exact
-//!   accounting invariant `admitted = completed + shed + drained`
-//!   ([`Accounting::balanced`]).
+//! - [`fleet`] — the one serving loop, [`serve_fleet`]: N shards behind a
+//!   deterministic router, with failover, coordinated graceful drain, and
+//!   exact fleet accounting ([`FleetReport::balanced`]). One shard is the
+//!   plain loop (see the module docs for its rules).
+//! - [`server`] — the loop's configuration ([`ServeConfig`],
+//!   [`OverloadPolicy`]), per-shard accounting ([`Accounting`]), and
+//!   [`serve`], the one-shard entry.
+//! - [`router`] — rendezvous and least-loaded shard selection.
 //! - [`breaker`] — a generic circuit breaker (closed / open / half-open
 //!   with seeded probe lotteries) wrapping the primary predictor; trips to
 //!   the degraded fallback chain and recovers deterministically.
@@ -51,10 +54,10 @@ pub mod watchdog;
 
 pub use adapt::{AdaptConfig, AdaptStats};
 pub use breaker::{BreakerConfig, BreakerState, CircuitBreaker, Verdict};
-pub use fleet::{serve_fleet, write_fleet_health, FleetConfig, FleetReport, ShardStats};
+pub use fleet::{serve_fleet, write_health, FleetConfig, FleetReport, ShardStats};
 pub use hysteresis::Hysteresis;
 pub use model::{decide, AnalyticEa, EaModel, StationModel, TIMEOUT_GRID};
 pub use request::{Request, SyntheticStream};
 pub use router::{rendezvous_score, route, Candidate, RouterKind};
-pub use server::{serve, write_health, Accounting, OverloadPolicy, ServeConfig, ServeReport};
+pub use server::{serve, Accounting, OverloadPolicy, ServeConfig, ServeReport};
 pub use watchdog::{StageRun, Watchdog};

@@ -1,13 +1,12 @@
-//! One serving shard: the serial-replay core shared by the single-loop
-//! server and the fleet.
+//! One serving shard: the serial-replay core the fleet driver runs once
+//! per fault domain.
 //!
 //! [`ShardCore`] is the phase-2 state machine of the serving loop —
 //! bounded admission queue, virtual servers, circuit breaker, hysteresis
-//! controller, watchdog retry path, deadline budgets, and graceful drain —
-//! factored out of `server.rs` so `fleet.rs` can run N independent fault
-//! domains over the same stages. The single-loop server drives exactly one
-//! core with an empty log suffix, which keeps its decision log
-//! byte-identical to the pre-fleet implementation.
+//! controller, watchdog retry path, deadline budgets, and graceful drain.
+//! `fleet.rs` runs one core per shard. A one-shard run's core has no
+//! shard id, which keeps its log, metric names, and traces in the
+//! pre-fleet format (see `fleet.rs` for the one-shard rules).
 //!
 //! Decision-log entries flow through a caller-owned [`DecisionSink`]: one
 //! sink per run, shared by every shard in a fleet, so the fleet decision
@@ -27,6 +26,15 @@ use stca_queuesim::{QueueSim, RunBudget, StationConfig};
 use stca_trace::{AttrValue, Disposition, FlightRecorder, Stage, TraceCtx};
 use stca_util::Distribution;
 use std::collections::VecDeque;
+
+/// A per-shard metric name: `serve.<name>` in a one-shard run,
+/// `serve.shardN.<name>` for fleet shard N.
+pub(crate) fn shard_metric(shard: Option<u32>, name: &str) -> String {
+    match shard {
+        Some(id) => format!("serve.shard{id}.{name}"),
+        None => format!("serve.{name}"),
+    }
+}
 
 pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 pub(crate) const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -129,9 +137,9 @@ pub(crate) struct ShardCore<'a> {
     /// rejects.
     draining: bool,
     /// Appended to every decision-log entry (`" shard=N"` in a fleet,
-    /// empty for the single loop so its log stays byte-identical).
+    /// empty in a one-shard run so its log stays byte-identical).
     suffix: String,
-    /// Shard id this core was created as (`None` for the single loop).
+    /// Shard id this core was created as (`None` in a one-shard run).
     shard: Option<u32>,
     /// Drift-aware model lifecycle (`Some` once [`ShardCore::install_adapt`]
     /// ran with adaptation enabled).
@@ -147,14 +155,12 @@ pub(crate) struct ShardCore<'a> {
 
 impl<'a> ShardCore<'a> {
     /// A fresh core. `shard` selects fleet mode: per-shard metric names
-    /// (`serve.shardN.*`) and a `" shard=N"` decision-log suffix; `None`
-    /// keeps the single-loop names and byte format.
+    /// (`serve.shardN.*`), a `" shard=N"` decision-log suffix, and a
+    /// `shard` admission attribute; `None` (one shard) keeps the `serve.*`
+    /// names and the pre-fleet byte format.
     pub(crate) fn new(cfg: &'a ServeConfig, seed: u64, shard: Option<u32>) -> Self {
         let initial = decide(&cfg.station, 1.0);
-        let resp_hist = match shard {
-            Some(id) => stca_obs::histogram(&format!("serve.shard{id}.response_seconds")),
-            None => stca_obs::histogram("serve.response_seconds"),
-        };
+        let resp_hist = stca_obs::histogram(&shard_metric(shard, "response_seconds"));
         ShardCore {
             cfg,
             breaker: CircuitBreaker::new(cfg.breaker),
@@ -185,8 +191,7 @@ impl<'a> ShardCore<'a> {
     }
 
     /// Install the drift-aware model lifecycle, if the config enables it.
-    /// Called once per core, right after construction, by the single-loop
-    /// server and by every fleet slot.
+    /// Called once per core, right after construction.
     pub(crate) fn install_adapt(&mut self, plan: &FaultPlan) {
         if self.cfg.adapt.enabled {
             self.lifecycle = Some(Lifecycle::new(
@@ -196,6 +201,20 @@ impl<'a> ShardCore<'a> {
                 self.shard,
             ));
         }
+    }
+
+    /// Open the trace of a fresh arrival (`None` when tracing is off).
+    /// Fleet shards tag the admission span with their id.
+    pub(crate) fn begin_trace(&self, seq: u64, arrival_s: f64) -> Option<TraceCtx> {
+        let mut ctx = self
+            .recorder
+            .as_ref()
+            .and_then(|rec| rec.lock().ok())
+            .map(|mut rec| rec.begin(seq, arrival_s))?;
+        if let Some(id) = self.shard {
+            ctx.annotate_admission("shard", AttrValue::Num(f64::from(id)));
+        }
+        Some(ctx)
     }
 
     /// File a finished trace (no-op when tracing is off).

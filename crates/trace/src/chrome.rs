@@ -2,10 +2,10 @@
 //!
 //! One artifact format serves two masters: the emitted JSON loads
 //! directly in `about:tracing` / Perfetto (spans become complete events
-//! on per-server tracks), and `stca trace report` / `trace_check` parse
-//! the same file back losslessly. Timestamps are virtual seconds scaled
-//! to microseconds (the unit Chrome expects); trace ids are rendered as
-//! hex strings because JSON numbers cannot hold a full `u64`.
+//! on per-server tracks), and `stca trace report` / `stca trace check`
+//! parse the same file back losslessly. Timestamps are virtual seconds
+//! scaled to microseconds (the unit Chrome expects); trace ids are
+//! rendered as hex strings because JSON numbers cannot hold a full `u64`.
 //!
 //! Layout:
 //!
@@ -224,7 +224,7 @@ fn boolean(v: &Value, key: &str, ctx: &str) -> Result<bool, SchemaError> {
 }
 
 /// Parse and schema-validate a Chrome trace document back into a
-/// [`TraceDump`]. This is the checker `trace_check` and `stca trace
+/// [`TraceDump`]. This is the checker `stca trace check` and `stca trace
 /// report` share: every event must be a metadata event or a complete
 /// (`ph:"X"`) event with a known stage name, microsecond timestamps,
 /// and args joining it to a trace declared under `stca.traces`.
