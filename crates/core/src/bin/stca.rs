@@ -135,8 +135,10 @@ Parallelism (any subcommand):
 Fault tolerance (profile/explore):
   --fault-plan SPEC     inject deterministic faults (presets: none, ci-default,
                         heavy; overrides: seed=, crash=, timeout=, dropout=,
-                        corrupt=, stuck=, noise=, latency=); default:
-                        STCA_FAULT_PLAN, else none
+                        corrupt=, stuck=, noise=, latency=, predict_fail=,
+                        stall=, shard_crash=, shard_stall=, shard_flap=,
+                        drift_burst=, retrain_fail=, retrain_slow=,
+                        promote_corrupt=); default: STCA_FAULT_PLAN, else none
   --max-retries N       retry budget per experiment (default 3)
   --checkpoint FILE     persist finished work units (profile conditions,
                         explore grid cells); a re-run resumes from FILE and
@@ -156,14 +158,14 @@ const CLI_ONLY_FLAGS: [&str; 4] = ["spec", "checkpoint", "threads", "metrics-out
 /// the spec. Flags are applied in table order after the optional `--spec`
 /// file, so they override it (and a later table entry overrides an
 /// earlier one, which keeps `-o` winning over `--out`).
-struct FlagMap {
-    map: &'static [(&'static str, &'static str, &'static str)],
+struct FlagMap<'a> {
+    map: &'a [(&'a str, &'a str, &'a str)],
     /// Flags the subcommand handles itself after the table (e.g. the
     /// compound `--timeouts TA,TB`).
     extra: &'static [&'static str],
 }
 
-impl FlagMap {
+impl FlagMap<'_> {
     /// Build the subcommand's spec: defaults, then `--spec FILE`, then
     /// flag overrides — the one precedence rule of the CLI.
     fn build(&self, args: &Args) -> Result<ScenarioSpec, StcaError> {
@@ -383,75 +385,28 @@ fn cmd_serve(args: &Args) -> Result<(), StcaError> {
         // trained path has a stable CLI shape
         require_flag_unless_spec(args, "pair")?;
     }
+    // the serving flag surface is every schema row that carries a flag
+    let map: Vec<_> = [
+        ("pair", "workloads", "pair"),
+        ("profiles", "profile", "out"),
+    ]
+    .into_iter()
+    .chain(stca_scenario::spec::rows().filter_map(|r| Some((r.flag?, r.section, r.key))))
+    .collect();
     let mut spec = FlagMap {
-        map: &[
-            ("pair", "workloads", "pair"),
-            ("profiles", "profile", "out"),
-            ("requests", "serve", "requests"),
-            ("rate", "serve", "rate"),
-            ("deadline", "serve", "deadline_s"),
-            ("seed", "serve", "seed"),
-            ("servers", "serve", "servers"),
-            ("queue-cap", "serve", "queue_capacity"),
-            ("overload", "serve", "overload"),
-            ("hysteresis", "serve", "hysteresis_k"),
-            ("breaker-threshold", "serve", "breaker_threshold"),
-            ("breaker-cooldown", "serve", "breaker_cooldown_s"),
-            ("drain-grace", "serve", "drain_grace_s"),
-            ("shards", "serve.fleet", "shards"),
-            ("router", "serve.fleet", "router"),
-            ("reroute-max", "serve.fleet", "reroute_max"),
-            ("adapt-epoch", "serve.adapt", "epoch_s"),
-            ("adapt-window", "serve.adapt", "window"),
-            ("adapt-min-samples", "serve.adapt", "min_samples"),
-            ("adapt-threshold", "serve.adapt", "drift_threshold"),
-            ("adapt-shadow", "serve.adapt", "shadow_requests"),
-            ("adapt-agree-tol", "serve.adapt", "agree_tol"),
-            ("adapt-agreement", "serve.adapt", "promote_agreement"),
-            ("adapt-guard", "serve.adapt", "guard_requests"),
-            ("adapt-guard-band", "serve.adapt", "guard_band"),
-            ("adapt-history", "serve.adapt", "history"),
-            ("adapt-budget", "serve.adapt", "retrain_budget_s"),
-            ("adapt", "serve.adapt", "enabled"),
-            ("decision-log", "artifacts", "decision_log"),
-            ("health-out", "artifacts", "health"),
-            ("trace-out", "artifacts", "trace_json"),
-            ("trace-svg", "artifacts", "trace_svg"),
-            ("trace-sample", "trace", "sample_every"),
-            ("trace-ring", "trace", "ring_capacity"),
-        ],
+        map: &map,
         extra: &[],
     }
     .build(args)?;
     if args.get("profiles").is_some() {
         set_flag(&mut spec, "profiles", "serve", "predictor", "trained")?;
     }
-    let any_trace_flag = ["trace-out", "trace-svg", "trace-sample", "trace-ring"]
-        .iter()
-        .any(|f| args.get(f).is_some());
-    if any_trace_flag {
-        set_flag(&mut spec, "trace-out", "trace", "enabled", "true")?;
-    }
-    // any tuning flag switches the lifecycle on, mirroring --trace-*;
-    // an explicit --adapt true/false still wins (applied above, and
-    // re-applied here so it beats the implicit enable)
-    let any_adapt_flag = [
-        "adapt-epoch",
-        "adapt-window",
-        "adapt-min-samples",
-        "adapt-threshold",
-        "adapt-shadow",
-        "adapt-agree-tol",
-        "adapt-agreement",
-        "adapt-guard",
-        "adapt-guard-band",
-        "adapt-history",
-        "adapt-budget",
-    ]
-    .iter()
-    .any(|f| args.get(f).is_some());
-    if any_adapt_flag && args.get("adapt").is_none() {
-        set_flag(&mut spec, "adapt", "serve.adapt", "enabled", "true")?;
+    // any --trace-* flag switches the recorder on; any --adapt-* tuning
+    // flag switches the lifecycle on unless --adapt says otherwise
+    let any_flag = |prefix: &str| args.iter().any(|(f, _)| f.starts_with(prefix));
+    spec.trace.enabled |= any_flag("trace-");
+    if any_flag("adapt-") && args.get("adapt").is_none() {
+        spec.adapt.enabled = true;
     }
     let trace_out =
         (!spec.artifacts.trace_json.is_empty()).then(|| PathBuf::from(&spec.artifacts.trace_json));

@@ -256,6 +256,69 @@ fn unknown_flags_and_keys_exit_2() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Out-of-range sizes fail cleanly instead of aborting on allocation: a
+/// huge adapt window grows with the traffic rather than being reserved up
+/// front, and `serve.servers` is bounded like `serve.fleet.shards`.
+#[test]
+fn huge_adapt_window_serves_and_huge_server_count_exits_2() {
+    let dir = temp_dir("huge");
+    let out = run_in(
+        &dir,
+        &[
+            "serve",
+            "--requests",
+            "200",
+            "--adapt-window",
+            "100000000000000",
+            "--threads",
+            "1",
+        ],
+    );
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "huge adapt window must serve:\n{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+
+    let out = run_in(&dir, &["serve", "--servers", "100000000000"]);
+    assert_eq!(out.status.code(), Some(2), "huge server count must exit 2");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        err.contains("servers=100000000000: out of range") && err.contains("1..=1024"),
+        "bad error: {err}"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Any `--trace-*` flag enables the recorder and any `--adapt-*` tuning
+/// flag enables the lifecycle, unless `--adapt` says otherwise.
+#[test]
+fn trace_and_adapt_flags_imply_enable() {
+    let dir = temp_dir("implied");
+    let serve = |extra: &[&str]| {
+        let mut args = vec!["serve", "--requests", "2000", "--threads", "1"];
+        args.extend_from_slice(extra);
+        stdout_of(&dir, &args)
+    };
+    let adapt_lines = |out: &str| out.lines().filter(|l| l.contains("adapt:")).count();
+
+    let out = serve(&["--adapt-window", "128"]);
+    assert!(
+        adapt_lines(&out) > 0,
+        "--adapt-window must enable adapt:\n{out}"
+    );
+    let out = serve(&["--adapt", "false", "--adapt-window", "128"]);
+    assert_eq!(adapt_lines(&out), 0, "--adapt false must win:\n{out}");
+    let out = serve(&["--trace-sample", "8"]);
+    assert!(
+        out.lines().any(|l| l.trim_start().starts_with("trace:")),
+        "--trace-sample must enable tracing:\n{out}"
+    );
+    assert_eq!(adapt_lines(&out), 0, "{out}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 const MINI_SCENARIO: &str = "\
 [scenario]
 name = \"mini\"

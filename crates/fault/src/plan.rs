@@ -10,7 +10,7 @@
 
 use crate::error::StcaError;
 use crate::sanitize::COUNTER_PLAUSIBLE_MAX;
-use stca_util::{Rng64, SeedStream, SpecError, SpecErrorKind, SpecLocation};
+use stca_util::{Bound, Rng64, SeedStream, SpecError, SpecErrorKind, SpecLocation};
 use std::sync::{Arc, OnceLock};
 
 // Tag space for the per-attempt stream; unique within one injector.
@@ -217,49 +217,18 @@ impl FaultPlan {
         }
     }
 
-    /// Whether any fault has non-zero probability.
+    /// Whether any fault has non-zero probability: the plan differs from
+    /// [`FaultPlan::none`] in something other than its seed.
     pub fn is_active(&self) -> bool {
-        self.crash_prob > 0.0
-            || self.timeout_prob > 0.0
-            || self.dropout_prob > 0.0
-            || self.corrupt_prob > 0.0
-            || self.stuck_prob > 0.0
-            || self.noise_rel > 0.0
-            || self.latency_mean_s > 0.0
-            || self.predict_fail_prob > 0.0
-            || self.stall_prob > 0.0
-            || self.shard_crash_prob > 0.0
-            || self.shard_stall_prob > 0.0
-            || self.shard_flap_prob > 0.0
-            || self.drift_burst_prob > 0.0
-            || self.retrain_fail_prob > 0.0
-            || self.retrain_slow_prob > 0.0
-            || self.promote_corrupt_prob > 0.0
+        *self
+            != FaultPlan {
+                seed: self.seed,
+                ..FaultPlan::none()
+            }
     }
 
     /// The preset names `parse` accepts.
     pub const PRESETS: [&'static str; 3] = ["none", "ci-default", "heavy"];
-
-    /// The `key=value` keys `parse` accepts, in documentation order.
-    pub const KEYS: [&'static str; 17] = [
-        "seed",
-        "crash",
-        "timeout",
-        "dropout",
-        "corrupt",
-        "stuck",
-        "noise",
-        "latency",
-        "predict_fail",
-        "stall",
-        "shard_crash",
-        "shard_stall",
-        "shard_flap",
-        "drift_burst",
-        "retrain_fail",
-        "retrain_slow",
-        "promote_corrupt",
-    ];
 
     /// Parse a plan spec: a preset name (`none`, `ci-default`, `heavy`),
     /// `key=value` pairs, or a preset followed by overrides — all
@@ -317,63 +286,6 @@ impl FaultPlan {
             }
         }
         Ok(plan)
-    }
-
-    /// Set one `key=value` override on the plan, validating range. The
-    /// error carries no context — callers wrap it in a [`SpecError`] with
-    /// their own location.
-    pub fn set(&mut self, key: &str, value: &str) -> Result<(), SpecErrorKind> {
-        if key == "seed" {
-            self.seed = value.parse().map_err(|_| SpecErrorKind::BadValue {
-                key: key.to_string(),
-                value: value.to_string(),
-                want: "a u64".to_string(),
-            })?;
-            return Ok(());
-        }
-        let num: f64 = value.parse().map_err(|_| SpecErrorKind::BadValue {
-            key: key.to_string(),
-            value: value.to_string(),
-            want: "a number".to_string(),
-        })?;
-        let field = match key {
-            "crash" => &mut self.crash_prob,
-            "timeout" => &mut self.timeout_prob,
-            "dropout" => &mut self.dropout_prob,
-            "corrupt" => &mut self.corrupt_prob,
-            "stuck" => &mut self.stuck_prob,
-            "noise" => &mut self.noise_rel,
-            "latency" => &mut self.latency_mean_s,
-            "predict_fail" => &mut self.predict_fail_prob,
-            "stall" => &mut self.stall_prob,
-            "shard_crash" => &mut self.shard_crash_prob,
-            "shard_stall" => &mut self.shard_stall_prob,
-            "shard_flap" => &mut self.shard_flap_prob,
-            "drift_burst" => &mut self.drift_burst_prob,
-            "retrain_fail" => &mut self.retrain_fail_prob,
-            "retrain_slow" => &mut self.retrain_slow_prob,
-            "promote_corrupt" => &mut self.promote_corrupt_prob,
-            _ => {
-                return Err(SpecErrorKind::UnknownKey {
-                    key: key.to_string(),
-                    valid: &Self::KEYS,
-                })
-            }
-        };
-        let is_prob = !matches!(key, "noise" | "latency");
-        if !num.is_finite() || num < 0.0 || (is_prob && num > 1.0) {
-            return Err(SpecErrorKind::OutOfRange {
-                key: key.to_string(),
-                value: value.to_string(),
-                range: if is_prob {
-                    "a probability in [0, 1]".to_string()
-                } else {
-                    "a finite value >= 0".to_string()
-                },
-            });
-        }
-        *field = num;
-        Ok(())
     }
 
     /// Plan from the `STCA_FAULT_PLAN` environment variable; unset or empty
@@ -523,6 +435,68 @@ impl FaultPlan {
             .derive(shard_id as u64)
             .rng(epoch)
     }
+}
+
+/// Declares the `key=value` override keys, one row each:
+/// `"key" => field: int|real(bound)`. [`FaultPlan::KEYS`],
+/// [`FaultPlan::BOUNDS`], [`FaultPlan::set`] and [`FaultPlan::get`] are
+/// generated from the rows, so adding a key is a field, its preset values
+/// and one row.
+macro_rules! overrides {
+    ($($key:literal => $field:ident: $parse:ident($bound:expr),)*) => {
+        impl FaultPlan {
+            /// The `key=value` keys `parse` accepts, in documentation order.
+            pub const KEYS: [&'static str; [$($key),*].len()] = [$($key),*];
+
+            /// Each key's legal values, in [`FaultPlan::KEYS`] order.
+            pub const BOUNDS: [Bound; Self::KEYS.len()] = [$($bound),*];
+
+            /// Set one `key=value` override on the plan, validating range.
+            /// The error carries no context — callers wrap it in a
+            /// [`SpecError`] with their own location.
+            pub fn set(&mut self, key: &str, value: &str) -> Result<(), SpecErrorKind> {
+                match key {
+                    $($key => self.$field = $bound.$parse(key, value)?,)*
+                    _ => {
+                        return Err(SpecErrorKind::UnknownKey {
+                            key: key.to_string(),
+                            valid: &Self::KEYS,
+                        })
+                    }
+                }
+                Ok(())
+            }
+
+            /// The canonical text of one override's value (floats in
+            /// shortest round-trip form), or `None` for an unknown key.
+            pub fn get(&self, key: &str) -> Option<String> {
+                match key {
+                    $($key => Some(self.$field.to_string()),)*
+                    _ => None,
+                }
+            }
+        }
+    };
+}
+
+overrides! {
+    "seed" => seed: int(Bound::Any),
+    "crash" => crash_prob: real(Bound::Probability),
+    "timeout" => timeout_prob: real(Bound::Probability),
+    "dropout" => dropout_prob: real(Bound::Probability),
+    "corrupt" => corrupt_prob: real(Bound::Probability),
+    "stuck" => stuck_prob: real(Bound::Probability),
+    "noise" => noise_rel: real(Bound::NonNegative),
+    "latency" => latency_mean_s: real(Bound::NonNegative),
+    "predict_fail" => predict_fail_prob: real(Bound::Probability),
+    "stall" => stall_prob: real(Bound::Probability),
+    "shard_crash" => shard_crash_prob: real(Bound::Probability),
+    "shard_stall" => shard_stall_prob: real(Bound::Probability),
+    "shard_flap" => shard_flap_prob: real(Bound::Probability),
+    "drift_burst" => drift_burst_prob: real(Bound::Probability),
+    "retrain_fail" => retrain_fail_prob: real(Bound::Probability),
+    "retrain_slow" => retrain_slow_prob: real(Bound::Probability),
+    "promote_corrupt" => promote_corrupt_prob: real(Bound::Probability),
 }
 
 /// A [`FaultPlan`] bound to one `(run, attempt)` pair.

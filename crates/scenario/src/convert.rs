@@ -28,20 +28,7 @@ pub fn trace_config(spec: &ScenarioSpec) -> Option<TraceConfig> {
 /// With `enabled = false` (the default) the lifecycle never installs and
 /// serving output is byte-identical to pre-adapt builds.
 pub fn adapt_config(spec: &ScenarioSpec) -> AdaptConfig {
-    AdaptConfig {
-        enabled: spec.adapt.enabled,
-        epoch_s: spec.adapt.epoch_s,
-        window: spec.adapt.window as usize,
-        min_samples: spec.adapt.min_samples as usize,
-        drift_threshold: spec.adapt.drift_threshold,
-        shadow_requests: spec.adapt.shadow_requests,
-        agree_tol: spec.adapt.agree_tol,
-        promote_agreement: spec.adapt.promote_agreement,
-        guard_requests: spec.adapt.guard_requests,
-        guard_band: spec.adapt.guard_band,
-        history: spec.adapt.history as usize,
-        retrain_budget_s: spec.adapt.retrain_budget_s,
-    }
+    spec.adapt
 }
 
 /// The serving-loop config of the spec's `[serve]` (+ `[serve.adapt]`,

@@ -22,9 +22,9 @@ pub mod spec;
 
 pub use parse::{apply_str, parse_str};
 pub use spec::{
-    fnv1a, AdaptSection, ArtifactsSection, CatSection, FaultSection, FleetSection, ModelKind,
-    PredictorKind, ProfileSection, ScenarioSection, ScenarioSpec, ServeSection, SpecValue, Stage,
-    TraceSection, TrainSection, WorkloadsSection, SECTIONS,
+    fnv1a, ArtifactsSection, CatSection, FaultSection, FleetSection, ModelKind, PredictorKind,
+    ProfileSection, ScenarioSection, ScenarioSpec, ServeSection, SpecValue, Stage, TraceSection,
+    TrainSection, WorkloadsSection, SECTIONS,
 };
 
 use stca_fault::StcaError;

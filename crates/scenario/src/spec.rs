@@ -1,11 +1,17 @@
-//! The typed scenario spec: sections, defaults, the central typed setter,
-//! and the canonical serializer.
+//! The typed scenario spec: sections, defaults, the key table, the central
+//! typed setter, and the canonical serializer.
 //!
 //! A [`ScenarioSpec`] owns every knob the `stca` subcommands used to parse
 //! ad hoc: workloads, CAT layout, fault plan, profiling, training, policy
-//! search, serving, tracing, and artifact outputs. Three invariants shape
+//! search, serving, tracing, and artifact outputs. Four invariants shape
 //! the API:
 //!
+//! * **One row per key.** Every key is declared once, as one [`Row`] of
+//!   the schema: section, key, value [`Codec`] (type plus range), the field
+//!   it reads and writes, and its `stca serve` flag if it has one.
+//!   [`keys_of`], [`ScenarioSpec::set`], [`ScenarioSpec::canonical`] and
+//!   the CLI flag surface are all derived from the rows; `[fault]` takes
+//!   its override rows from [`FaultPlan`]'s own table.
 //! * **One setter.** [`ScenarioSpec::set`] is the only way a key gets a
 //!   value — the file parser and the CLI flag-override layer both go
 //!   through it, so a flag and a spec line cannot disagree about types,
@@ -22,9 +28,10 @@
 //! applies flag overrides — later writes win.
 
 use stca_fault::FaultPlan;
-use stca_serve::{OverloadPolicy, RouterKind};
-use stca_util::{SpecErrorKind, SpecLocation};
+use stca_serve::{AdaptConfig, OverloadPolicy, RouterKind};
+use stca_util::{Bound, SpecErrorKind, SpecLocation};
 use stca_workloads::BenchmarkId;
+use std::sync::OnceLock;
 
 /// The pipeline stages a scenario can run, in canonical order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -51,24 +58,18 @@ impl Stage {
         Stage::Serve,
     ];
 
+    /// The spec token of each stage, in [`Stage::ALL`] order.
+    pub const NAMES: [&'static str; 5] = ["profile", "dataset", "train", "explore", "serve"];
+
     /// The spec token for this stage.
     pub fn name(&self) -> &'static str {
-        match self {
-            Stage::Profile => "profile",
-            Stage::Dataset => "dataset",
-            Stage::Train => "train",
-            Stage::Explore => "explore",
-            Stage::Serve => "serve",
-        }
+        Self::NAMES[*self as usize]
     }
 
     /// Parse a spec token.
     pub fn parse(s: &str) -> Option<Stage> {
-        Stage::ALL.iter().copied().find(|st| st.name() == s)
+        token(s, &Self::ALL, &Self::NAMES).ok()
     }
-
-    /// The valid stage tokens, for error messages.
-    pub const NAMES: [&'static str; 5] = ["profile", "dataset", "train", "explore", "serve"];
 }
 
 /// Which model configuration the train stage uses.
@@ -86,18 +87,21 @@ pub enum ModelKind {
 }
 
 impl ModelKind {
+    /// Every kind, in [`ModelKind::NAMES`] order.
+    pub const ALL: [ModelKind; 4] = [
+        ModelKind::Auto,
+        ModelKind::Quick,
+        ModelKind::Standard,
+        ModelKind::SimpleMl,
+    ];
+
+    /// The spec token of each kind.
+    pub const NAMES: [&'static str; 4] = ["auto", "quick", "standard", "simple-ml"];
+
     /// The spec token for this kind.
     pub fn name(&self) -> &'static str {
-        match self {
-            ModelKind::Auto => "auto",
-            ModelKind::Quick => "quick",
-            ModelKind::Standard => "standard",
-            ModelKind::SimpleMl => "simple-ml",
-        }
+        Self::NAMES[*self as usize]
     }
-
-    /// The valid tokens, for error messages.
-    pub const NAMES: [&'static str; 4] = ["auto", "quick", "standard", "simple-ml"];
 }
 
 /// Which predictor tier the serve stage runs.
@@ -110,12 +114,15 @@ pub enum PredictorKind {
 }
 
 impl PredictorKind {
+    /// Every kind, in [`PredictorKind::NAMES`] order.
+    pub const ALL: [PredictorKind; 2] = [PredictorKind::Analytic, PredictorKind::Trained];
+
+    /// The spec token of each kind.
+    pub const NAMES: [&'static str; 2] = ["analytic", "trained"];
+
     /// The spec token for this kind.
     pub fn name(&self) -> &'static str {
-        match self {
-            PredictorKind::Analytic => "analytic",
-            PredictorKind::Trained => "trained",
-        }
+        Self::NAMES[*self as usize]
     }
 }
 
@@ -250,40 +257,6 @@ pub struct FleetSection {
     pub reroute_max: u64,
 }
 
-/// `[serve.adapt]` — the drift-aware model lifecycle. Disabled by
-/// default; when enabled, each shard watches EA residuals and the
-/// feature distribution, retrains a warm-start candidate on drift,
-/// shadow-scores it, and promotes it behind a guard band with automatic
-/// rollback. Keys mirror `stca_serve::AdaptConfig`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct AdaptSection {
-    /// Whether the lifecycle runs at all.
-    pub enabled: bool,
-    /// Virtual seconds per lifecycle epoch (fault rolls are per-epoch).
-    pub epoch_s: f64,
-    /// Sliding residual/feature window size (retraining rows).
-    pub window: u64,
-    /// Observations before the drift detector may fire.
-    pub min_samples: u64,
-    /// Combined Page-Hinkley / distribution-shift score that triggers a
-    /// retrain.
-    pub drift_threshold: f64,
-    /// Completed requests a candidate is shadow-scored on.
-    pub shadow_requests: u64,
-    /// Absolute EA tolerance for a shadow prediction to "agree".
-    pub agree_tol: f64,
-    /// Minimum shadow agreement fraction required to promote.
-    pub promote_agreement: f64,
-    /// Completed requests the post-promotion guard window watches.
-    pub guard_requests: u64,
-    /// Allowed residual/deadline regression factor before rollback.
-    pub guard_band: f64,
-    /// Bounded model-version history depth (rollback targets).
-    pub history: u64,
-    /// Virtual-seconds retrain budget; slower injected retrains abort.
-    pub retrain_budget_s: f64,
-}
-
 /// `[trace]` — the per-request flight recorder.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TraceSection {
@@ -336,8 +309,9 @@ pub struct ScenarioSpec {
     pub serve: ServeSection,
     /// `[serve.fleet]`
     pub fleet: FleetSection,
-    /// `[serve.adapt]`
-    pub adapt: AdaptSection,
+    /// `[serve.adapt]` — the drift-aware model lifecycle, held as the
+    /// engine's own config (disabled by default).
+    pub adapt: AdaptConfig,
     /// `[trace]`
     pub trace: TraceSection,
     /// `[artifacts]`
@@ -407,20 +381,7 @@ impl Default for ScenarioSpec {
                 router: RouterKind::Rendezvous,
                 reroute_max: 2,
             },
-            adapt: AdaptSection {
-                enabled: false,
-                epoch_s: 5.0,
-                window: 256,
-                min_samples: 64,
-                drift_threshold: 4.0,
-                shadow_requests: 64,
-                agree_tol: 0.25,
-                promote_agreement: 0.6,
-                guard_requests: 128,
-                guard_band: 1.5,
-                history: 4,
-                retrain_budget_s: 1.0,
-            },
+            adapt: AdaptConfig::default(),
             trace: TraceSection {
                 enabled: false,
                 sample_every: 64,
@@ -438,115 +399,212 @@ impl Default for ScenarioSpec {
     }
 }
 
-/// The section names, in canonical order.
-pub const SECTIONS: [&str; 13] = [
-    "scenario",
-    "workloads",
-    "cat",
-    "fault",
-    "profile",
-    "train",
-    "explore",
-    "predict",
-    "serve",
-    "serve.fleet",
-    "serve.adapt",
-    "trace",
-    "artifacts",
+/// A key's value type and legal range: what [`ScenarioSpec::set`] accepts
+/// for it and how [`ScenarioSpec::canonical`] writes it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Codec {
+    /// Any string; written quoted.
+    Text,
+    /// `true` or `false`.
+    Bool,
+    /// An integer or a finite float within a bound.
+    Num(Bound),
+    /// One token of an enum's token list.
+    Token(&'static [&'static str]),
+    /// A benchmark pair `A,B`.
+    Pair,
+    /// Stages in pipeline order, without duplicates.
+    Pipeline,
+    /// A non-empty list of timeout ratios `>= 0`.
+    Grid,
+    /// A fault-plan spec (preset and overrides); write-only sugar whose
+    /// effect the canonical form carries in the override keys.
+    Plan,
+}
+
+impl Codec {
+    /// The numeric bound; [`Bound::Any`] for non-numeric codecs.
+    fn bound(self) -> Bound {
+        match self {
+            Codec::Num(bound) => bound,
+            _ => Bound::Any,
+        }
+    }
+}
+
+/// One key of the schema, declared once.
+#[derive(Clone, Copy)]
+pub struct Row {
+    /// The section the key lives in.
+    pub section: &'static str,
+    /// The key.
+    pub key: &'static str,
+    /// Its value type and legal range.
+    pub codec: Codec,
+    /// The `stca serve` flag that sets it, if any.
+    pub flag: Option<&'static str>,
+    write: fn(&mut ScenarioSpec, &Row, &SpecValue) -> Result<(), SpecErrorKind>,
+    read: fn(&ScenarioSpec, &Row) -> Option<String>,
+}
+
+/// A field type rows can decode from a [`SpecValue`] and write back in
+/// canonical form.
+trait Value: Sized {
+    /// The codec of a row whose declaration names no bound.
+    const CODEC: Codec;
+    fn decode(row: &Row, value: &SpecValue) -> Result<Self, SpecErrorKind>;
+    /// The canonical text, or `None` for a write-only key.
+    fn encode(&self) -> Option<String>;
+}
+
+const fn codec_of<T: Value>(_field: fn(&ScenarioSpec) -> &T) -> Codec {
+    T::CODEC
+}
+
+/// The first argument, or the second when one is given.
+macro_rules! or_given {
+    ($default:expr) => {
+        $default
+    };
+    ($default:expr, $given:expr) => {
+        $given
+    };
+}
+
+/// One section's rows: `key`, `key: bound` for a bounded number, and
+/// `=> "flag"` for a key `stca serve` sets by flag. The key names the
+/// field of the section's struct it reads and writes.
+macro_rules! section {
+    ($name:literal, $sec:ident { $($key:ident $(: $bound:expr)? $(=> $flag:literal)?),* $(,)? }) => {
+        &[$(Row {
+            section: $name,
+            key: stringify!($key),
+            codec: or_given!(codec_of(|s| &s.$sec.$key) $(, Codec::Num($bound))?),
+            flag: or_given!(None $(, Some($flag))?),
+            write: |s, row, v| {
+                s.$sec.$key = Value::decode(row, v)?;
+                Ok(())
+            },
+            read: |s, _| s.$sec.$key.encode(),
+        }),*]
+    };
+}
+
+/// The schema: every section's rows, in canonical order.
+const SCHEMA: &[&[Row]] = &[
+    section! { "scenario", scenario { name, pipeline } },
+    section! { "workloads", workloads { pair, accesses } },
+    section! { "cat", cat {
+        ways,
+        default_span: Bound::at_least(1, "way"),
+        boosted_span: Bound::at_least(1, "way"),
+    } },
+    &FAULT_ROWS,
+    section! { "profile", profile {
+        conditions, seed, out, measured_queries, warmup_queries, accesses_per_query,
+    } },
+    section! { "train", train { model, seed } },
+    section! { "explore", explore { utilization: Bound::Positive, grid } },
+    section! { "predict", predict {
+        utilization: Bound::Positive,
+        timeout_a: Bound::NonNegative,
+        timeout_b: Bound::NonNegative,
+    } },
+    section! { "serve", serve {
+        requests => "requests",
+        rate: Bound::Positive => "rate",
+        deadline_s: Bound::Positive => "deadline",
+        servers: Bound::within(1, 1024, "servers") => "servers",
+        queue_capacity => "queue-cap",
+        overload => "overload",
+        hysteresis_k => "hysteresis",
+        breaker_threshold => "breaker-threshold",
+        breaker_cooldown_s: Bound::NonNegative => "breaker-cooldown",
+        drain_grace_s: Bound::NonNegative => "drain-grace",
+        seed => "seed",
+        predictor,
+    } },
+    section! { "serve.fleet", fleet {
+        shards: Bound::within(1, 1024, "shards") => "shards",
+        router => "router",
+        reroute_max => "reroute-max",
+    } },
+    section! { "serve.adapt", adapt {
+        enabled => "adapt",
+        epoch_s: Bound::Positive => "adapt-epoch",
+        window: Bound::at_least(2, "rows") => "adapt-window",
+        min_samples: Bound::at_least(2, "observations") => "adapt-min-samples",
+        drift_threshold: Bound::Positive => "adapt-threshold",
+        shadow_requests: Bound::at_least(1, "request") => "adapt-shadow",
+        agree_tol: Bound::NonNegative => "adapt-agree-tol",
+        promote_agreement: Bound::Probability => "adapt-agreement",
+        guard_requests: Bound::at_least(1, "request") => "adapt-guard",
+        guard_band: Bound::Factor => "adapt-guard-band",
+        history: Bound::at_least(1, "version") => "adapt-history",
+        retrain_budget_s: Bound::Positive => "adapt-budget",
+    } },
+    section! { "trace", trace { enabled, sample_every => "trace-sample", ring_capacity => "trace-ring" } },
+    section! { "artifacts", artifacts {
+        dir,
+        decision_log => "decision-log",
+        health => "health-out",
+        metrics,
+        trace_json => "trace-out",
+        trace_svg => "trace-svg",
+    } },
 ];
 
-const SCENARIO_KEYS: [&str; 2] = ["name", "pipeline"];
-const WORKLOADS_KEYS: [&str; 2] = ["pair", "accesses"];
-const CAT_KEYS: [&str; 3] = ["ways", "default_span", "boosted_span"];
-const FAULT_KEYS: [&str; 19] = [
-    "plan",
-    "max_retries",
-    "seed",
-    "crash",
-    "timeout",
-    "dropout",
-    "corrupt",
-    "stuck",
-    "noise",
-    "latency",
-    "predict_fail",
-    "stall",
-    "shard_crash",
-    "shard_stall",
-    "shard_flap",
-    "drift_burst",
-    "retrain_fail",
-    "retrain_slow",
-    "promote_corrupt",
-];
-const PROFILE_KEYS: [&str; 6] = [
-    "conditions",
-    "seed",
-    "out",
-    "measured_queries",
-    "warmup_queries",
-    "accesses_per_query",
-];
-const TRAIN_KEYS: [&str; 2] = ["model", "seed"];
-const EXPLORE_KEYS: [&str; 2] = ["utilization", "grid"];
-const PREDICT_KEYS: [&str; 3] = ["utilization", "timeout_a", "timeout_b"];
-const SERVE_KEYS: [&str; 12] = [
-    "requests",
-    "rate",
-    "deadline_s",
-    "servers",
-    "queue_capacity",
-    "overload",
-    "hysteresis_k",
-    "breaker_threshold",
-    "breaker_cooldown_s",
-    "drain_grace_s",
-    "seed",
-    "predictor",
-];
-const FLEET_KEYS: [&str; 3] = ["shards", "router", "reroute_max"];
-const ADAPT_KEYS: [&str; 12] = [
-    "enabled",
-    "epoch_s",
-    "window",
-    "min_samples",
-    "drift_threshold",
-    "shadow_requests",
-    "agree_tol",
-    "promote_agreement",
-    "guard_requests",
-    "guard_band",
-    "history",
-    "retrain_budget_s",
-];
-const TRACE_KEYS: [&str; 3] = ["enabled", "sample_every", "ring_capacity"];
-const ARTIFACTS_KEYS: [&str; 6] = [
-    "dir",
-    "decision_log",
-    "health",
-    "metrics",
-    "trace_json",
-    "trace_svg",
-];
+/// `[fault]`: the `plan` sugar, the retry budget, then one row per
+/// [`FaultPlan`] override key — the fault plan's own table declares those.
+const FAULT_ROWS: [Row; 2 + FaultPlan::KEYS.len()] = {
+    let [plan, max_retries] = *section! { "fault", fault {
+        plan,
+        max_retries: Bound::within(0, u32::MAX as u64, "retries"),
+    } };
+    let mut rows = [plan; 2 + FaultPlan::KEYS.len()];
+    rows[1] = max_retries;
+    let mut i = 0;
+    while i < FaultPlan::KEYS.len() {
+        rows[2 + i] = Row {
+            section: "fault",
+            key: FaultPlan::KEYS[i],
+            codec: Codec::Num(FaultPlan::BOUNDS[i]),
+            flag: None,
+            write: |s, row, v| s.fault.plan.set(row.key, v.expect_scalar(row.key)?),
+            read: |s, row| s.fault.plan.get(row.key),
+        };
+        i += 1;
+    }
+    rows
+};
+
+/// The section names, in canonical order.
+pub const SECTIONS: [&str; SCHEMA.len()] = {
+    let mut names = [""; SCHEMA.len()];
+    let mut i = 0;
+    while i < SCHEMA.len() {
+        names[i] = SCHEMA[i][0].section;
+        i += 1;
+    }
+    names
+};
+
+/// Every row of the schema, in canonical order.
+pub fn rows() -> impl Iterator<Item = &'static Row> {
+    SCHEMA.iter().flat_map(|rows| rows.iter())
+}
 
 /// The valid keys of a section, or `None` for an unknown section.
 pub fn keys_of(section: &str) -> Option<&'static [&'static str]> {
-    Some(match section {
-        "scenario" => &SCENARIO_KEYS,
-        "workloads" => &WORKLOADS_KEYS,
-        "cat" => &CAT_KEYS,
-        "fault" => &FAULT_KEYS,
-        "profile" => &PROFILE_KEYS,
-        "train" => &TRAIN_KEYS,
-        "explore" => &EXPLORE_KEYS,
-        "predict" => &PREDICT_KEYS,
-        "serve" => &SERVE_KEYS,
-        "serve.fleet" => &FLEET_KEYS,
-        "serve.adapt" => &ADAPT_KEYS,
-        "trace" => &TRACE_KEYS,
-        "artifacts" => &ARTIFACTS_KEYS,
-        _ => return None,
-    })
+    static KEYS: OnceLock<Vec<Vec<&'static str>>> = OnceLock::new();
+    let keys = KEYS.get_or_init(|| {
+        SCHEMA
+            .iter()
+            .map(|rows| rows.iter().map(|r| r.key).collect())
+            .collect()
+    });
+    let i = SECTIONS.iter().position(|s| *s == section)?;
+    Some(&keys[i])
 }
 
 /// A value handed to [`ScenarioSpec::set`]: one scalar token or a list of
@@ -569,11 +627,7 @@ impl SpecValue {
     fn expect_scalar<'a>(&'a self, key: &str) -> Result<&'a str, SpecErrorKind> {
         match self {
             SpecValue::Scalar(s) => Ok(s),
-            SpecValue::List(_) => Err(SpecErrorKind::BadValue {
-                key: key.to_string(),
-                value: "[...]".to_string(),
-                want: "a scalar, not a list".to_string(),
-            }),
+            SpecValue::List(_) => Err(bad(key, "[...]", "a scalar, not a list")),
         }
     }
 
@@ -599,47 +653,149 @@ fn bad(key: &str, value: &str, want: &str) -> SpecErrorKind {
     }
 }
 
-fn parse_u64(key: &str, v: &str) -> Result<u64, SpecErrorKind> {
-    v.parse().map_err(|_| bad(key, v, "a u64"))
-}
-
-fn parse_f64(key: &str, v: &str) -> Result<f64, SpecErrorKind> {
-    let x: f64 = v.parse().map_err(|_| bad(key, v, "a number"))?;
-    if !x.is_finite() {
-        return Err(bad(key, v, "a finite number"));
+/// The value of token `s` in an enum's parallel `all`/`names` lists.
+fn token<T: Copy>(s: &str, all: &[T], names: &'static [&'static str]) -> Result<T, SpecErrorKind> {
+    match names.iter().position(|n| *n == s) {
+        Some(i) => Ok(all[i]),
+        None => Err(SpecErrorKind::UnknownKey {
+            key: s.to_string(),
+            valid: names,
+        }),
     }
-    Ok(x)
 }
 
-fn parse_pos_f64(key: &str, v: &str) -> Result<f64, SpecErrorKind> {
-    let x = parse_f64(key, v)?;
-    if x <= 0.0 {
-        return Err(SpecErrorKind::OutOfRange {
-            key: key.to_string(),
-            value: v.to_string(),
-            range: "> 0".to_string(),
-        });
+impl Value for String {
+    const CODEC: Codec = Codec::Text;
+    fn decode(row: &Row, v: &SpecValue) -> Result<Self, SpecErrorKind> {
+        Ok(v.expect_scalar(row.key)?.to_string())
     }
-    Ok(x)
-}
-
-fn parse_nonneg_f64(key: &str, v: &str) -> Result<f64, SpecErrorKind> {
-    let x = parse_f64(key, v)?;
-    if x < 0.0 {
-        return Err(SpecErrorKind::OutOfRange {
-            key: key.to_string(),
-            value: v.to_string(),
-            range: ">= 0".to_string(),
-        });
+    fn encode(&self) -> Option<String> {
+        Some(quote(self))
     }
-    Ok(x)
 }
 
-fn parse_bool(key: &str, v: &str) -> Result<bool, SpecErrorKind> {
-    match v {
-        "true" => Ok(true),
-        "false" => Ok(false),
-        _ => Err(bad(key, v, "true or false")),
+impl Value for bool {
+    const CODEC: Codec = Codec::Bool;
+    fn decode(row: &Row, v: &SpecValue) -> Result<Self, SpecErrorKind> {
+        match v.expect_scalar(row.key)? {
+            "true" => Ok(true),
+            "false" => Ok(false),
+            other => Err(bad(row.key, other, "true or false")),
+        }
+    }
+    fn encode(&self) -> Option<String> {
+        Some(self.to_string())
+    }
+}
+
+macro_rules! int_values {
+    ($($t:ty),*) => {$(
+        impl Value for $t {
+            const CODEC: Codec = Codec::Num(Bound::Any);
+            fn decode(row: &Row, v: &SpecValue) -> Result<Self, SpecErrorKind> {
+                let text = v.expect_scalar(row.key)?;
+                let n = row.codec.bound().int(row.key, text)?;
+                <$t>::try_from(n).map_err(|_| bad(row.key, text, concat!("a ", stringify!($t))))
+            }
+            fn encode(&self) -> Option<String> {
+                Some(self.to_string())
+            }
+        }
+    )*};
+}
+
+int_values!(u64, u32, usize);
+
+impl Value for f64 {
+    const CODEC: Codec = Codec::Num(Bound::Any);
+    fn decode(row: &Row, v: &SpecValue) -> Result<Self, SpecErrorKind> {
+        row.codec.bound().real(row.key, v.expect_scalar(row.key)?)
+    }
+    /// Rust's shortest round-trip `Display`: parsing the text recovers
+    /// the value exactly.
+    fn encode(&self) -> Option<String> {
+        Some(self.to_string())
+    }
+}
+
+macro_rules! token_values {
+    ($($t:ty),*) => {$(
+        impl Value for $t {
+            const CODEC: Codec = Codec::Token(&<$t>::NAMES);
+            fn decode(row: &Row, v: &SpecValue) -> Result<Self, SpecErrorKind> {
+                token(v.expect_scalar(row.key)?, &<$t>::ALL, &<$t>::NAMES)
+            }
+            fn encode(&self) -> Option<String> {
+                Some(quote(self.name()))
+            }
+        }
+    )*};
+}
+
+token_values!(ModelKind, PredictorKind, OverloadPolicy, RouterKind);
+
+impl Value for (BenchmarkId, BenchmarkId) {
+    const CODEC: Codec = Codec::Pair;
+    fn decode(row: &Row, v: &SpecValue) -> Result<Self, SpecErrorKind> {
+        let text = v.expect_scalar(row.key)?;
+        BenchmarkId::parse_pair(text).map_err(|e| bad(row.key, text, &e.to_string()))
+    }
+    fn encode(&self) -> Option<String> {
+        Some(quote(&format!("{},{}", self.0, self.1)))
+    }
+}
+
+impl Value for Vec<Stage> {
+    const CODEC: Codec = Codec::Pipeline;
+    fn decode(row: &Row, v: &SpecValue) -> Result<Self, SpecErrorKind> {
+        let stages = v
+            .items()
+            .iter()
+            .map(|item| token(item, &Stage::ALL, &Stage::NAMES))
+            .collect::<Result<Vec<_>, _>>()?;
+        if stages.windows(2).any(|w| w[0] >= w[1]) {
+            let names: Vec<&str> = stages.iter().map(Stage::name).collect();
+            return Err(bad(
+                row.key,
+                &names.join(","),
+                &format!(
+                    "stages in pipeline order ({}) without duplicates",
+                    Stage::NAMES.join(", ")
+                ),
+            ));
+        }
+        Ok(stages)
+    }
+    fn encode(&self) -> Option<String> {
+        Some(list(self.iter().map(|s| quote(s.name()))))
+    }
+}
+
+impl Value for Vec<f64> {
+    const CODEC: Codec = Codec::Grid;
+    fn decode(row: &Row, v: &SpecValue) -> Result<Self, SpecErrorKind> {
+        let items = v.items();
+        if items.is_empty() {
+            return Err(bad(row.key, "[]", "at least one grid point"));
+        }
+        items
+            .iter()
+            .map(|item| Bound::NonNegative.real(row.key, item))
+            .collect()
+    }
+    fn encode(&self) -> Option<String> {
+        Some(list(self.iter().map(f64::to_string)))
+    }
+}
+
+impl Value for FaultPlan {
+    const CODEC: Codec = Codec::Plan;
+    fn decode(row: &Row, v: &SpecValue) -> Result<Self, SpecErrorKind> {
+        let text = v.expect_scalar(row.key)?;
+        FaultPlan::parse_spec(text, "fault plan").map_err(|e| bad(row.key, text, &e.to_string()))
+    }
+    fn encode(&self) -> Option<String> {
+        None
     }
 }
 
@@ -658,345 +814,13 @@ impl ScenarioSpec {
             key: section.to_string(),
             valid: &SECTIONS,
         })?;
-        if !valid.contains(&key) {
-            return Err(SpecErrorKind::UnknownKey {
+        let row = rows()
+            .find(|r| r.section == section && r.key == key)
+            .ok_or_else(|| SpecErrorKind::UnknownKey {
                 key: key.to_string(),
                 valid,
-            });
-        }
-        match (section, key) {
-            ("scenario", "name") => {
-                self.scenario.name = value.expect_scalar(key)?.to_string();
-            }
-            ("scenario", "pipeline") => {
-                let mut stages = Vec::new();
-                for item in value.items() {
-                    let stage = Stage::parse(&item).ok_or_else(|| SpecErrorKind::UnknownKey {
-                        key: item.clone(),
-                        valid: &Stage::NAMES,
-                    })?;
-                    stages.push(stage);
-                }
-                if stages.windows(2).any(|w| w[0] >= w[1]) {
-                    return Err(bad(
-                        key,
-                        &stages
-                            .iter()
-                            .map(|s| s.name())
-                            .collect::<Vec<_>>()
-                            .join(","),
-                        "stages in pipeline order (profile, dataset, train, explore, serve) \
-                         without duplicates",
-                    ));
-                }
-                self.scenario.pipeline = stages;
-            }
-            ("workloads", "pair") => {
-                let v = value.expect_scalar(key)?;
-                self.workloads.pair =
-                    BenchmarkId::parse_pair(v).map_err(|e| bad(key, v, &e.to_string()))?;
-            }
-            ("workloads", "accesses") => {
-                self.workloads.accesses = parse_u64(key, value.expect_scalar(key)?)?;
-            }
-            ("cat", "ways") => self.cat.ways = parse_u64(key, value.expect_scalar(key)?)?,
-            ("cat", "default_span") => {
-                let n = parse_u64(key, value.expect_scalar(key)?)?;
-                if n == 0 {
-                    return Err(SpecErrorKind::OutOfRange {
-                        key: key.to_string(),
-                        value: "0".to_string(),
-                        range: ">= 1 way".to_string(),
-                    });
-                }
-                self.cat.default_span = n;
-            }
-            ("cat", "boosted_span") => {
-                let n = parse_u64(key, value.expect_scalar(key)?)?;
-                if n == 0 {
-                    return Err(SpecErrorKind::OutOfRange {
-                        key: key.to_string(),
-                        value: "0".to_string(),
-                        range: ">= 1 way".to_string(),
-                    });
-                }
-                self.cat.boosted_span = n;
-            }
-            ("fault", "plan") => {
-                let v = value.expect_scalar(key)?;
-                self.fault.plan = FaultPlan::parse_spec(v, "fault plan")
-                    .map_err(|e| bad(key, v, &e.to_string()))?;
-            }
-            ("fault", "max_retries") => {
-                let v = value.expect_scalar(key)?;
-                let n = parse_u64(key, v)?;
-                self.fault.max_retries =
-                    u32::try_from(n).map_err(|_| bad(key, v, "a u32 retry budget"))?;
-            }
-            ("fault", _) => {
-                // the remaining fault keys are FaultPlan's own
-                self.fault.plan.set(key, value.expect_scalar(key)?)?;
-            }
-            ("profile", "conditions") => {
-                self.profile.conditions = parse_u64(key, value.expect_scalar(key)?)?;
-            }
-            ("profile", "seed") => self.profile.seed = parse_u64(key, value.expect_scalar(key)?)?,
-            ("profile", "out") => self.profile.out = value.expect_scalar(key)?.to_string(),
-            ("profile", "measured_queries") => {
-                self.profile.measured_queries = parse_u64(key, value.expect_scalar(key)?)?;
-            }
-            ("profile", "warmup_queries") => {
-                self.profile.warmup_queries = parse_u64(key, value.expect_scalar(key)?)?;
-            }
-            ("profile", "accesses_per_query") => {
-                self.profile.accesses_per_query = parse_u64(key, value.expect_scalar(key)?)?;
-            }
-            ("train", "model") => {
-                let v = value.expect_scalar(key)?;
-                self.train.model = match v {
-                    "auto" => ModelKind::Auto,
-                    "quick" => ModelKind::Quick,
-                    "standard" => ModelKind::Standard,
-                    "simple-ml" => ModelKind::SimpleMl,
-                    _ => {
-                        return Err(SpecErrorKind::UnknownKey {
-                            key: v.to_string(),
-                            valid: &ModelKind::NAMES,
-                        })
-                    }
-                };
-            }
-            ("train", "seed") => self.train.seed = parse_u64(key, value.expect_scalar(key)?)?,
-            ("explore", "utilization") => {
-                self.explore.utilization = parse_pos_f64(key, value.expect_scalar(key)?)?;
-            }
-            ("explore", "grid") => {
-                let items = value.items();
-                if items.is_empty() {
-                    return Err(bad(key, "[]", "at least one grid point"));
-                }
-                let mut grid = Vec::with_capacity(items.len());
-                for item in &items {
-                    let x = parse_f64(key, item)?;
-                    if x < 0.0 {
-                        return Err(SpecErrorKind::OutOfRange {
-                            key: key.to_string(),
-                            value: item.clone(),
-                            range: "timeout ratios >= 0".to_string(),
-                        });
-                    }
-                    grid.push(x);
-                }
-                self.explore.grid = grid;
-            }
-            ("predict", "utilization") => {
-                self.predict.utilization = parse_pos_f64(key, value.expect_scalar(key)?)?;
-            }
-            ("predict", "timeout_a") => {
-                self.predict.timeout_a = parse_nonneg_f64(key, value.expect_scalar(key)?)?;
-            }
-            ("predict", "timeout_b") => {
-                self.predict.timeout_b = parse_nonneg_f64(key, value.expect_scalar(key)?)?;
-            }
-            ("serve", "requests") => {
-                self.serve.requests = parse_u64(key, value.expect_scalar(key)?)?;
-            }
-            ("serve", "rate") => self.serve.rate = parse_pos_f64(key, value.expect_scalar(key)?)?,
-            ("serve", "deadline_s") => {
-                self.serve.deadline_s = parse_pos_f64(key, value.expect_scalar(key)?)?;
-            }
-            ("serve", "servers") => {
-                let n = parse_u64(key, value.expect_scalar(key)?)?;
-                if n == 0 {
-                    return Err(SpecErrorKind::OutOfRange {
-                        key: key.to_string(),
-                        value: "0".to_string(),
-                        range: ">= 1 server".to_string(),
-                    });
-                }
-                self.serve.servers = n;
-            }
-            ("serve", "queue_capacity") => {
-                self.serve.queue_capacity = parse_u64(key, value.expect_scalar(key)?)?;
-            }
-            ("serve", "overload") => {
-                let v = value.expect_scalar(key)?;
-                self.serve.overload =
-                    OverloadPolicy::parse(v).map_err(|_| SpecErrorKind::UnknownKey {
-                        key: v.to_string(),
-                        valid: &["shed-newest", "shed-oldest", "block"],
-                    })?;
-            }
-            ("serve", "hysteresis_k") => {
-                self.serve.hysteresis_k = parse_u64(key, value.expect_scalar(key)?)?;
-            }
-            ("serve", "breaker_threshold") => {
-                self.serve.breaker_threshold = parse_u64(key, value.expect_scalar(key)?)?;
-            }
-            ("serve", "breaker_cooldown_s") => {
-                self.serve.breaker_cooldown_s = parse_nonneg_f64(key, value.expect_scalar(key)?)?;
-            }
-            ("serve", "drain_grace_s") => {
-                self.serve.drain_grace_s = parse_nonneg_f64(key, value.expect_scalar(key)?)?;
-            }
-            ("serve", "seed") => self.serve.seed = parse_u64(key, value.expect_scalar(key)?)?,
-            ("serve", "predictor") => {
-                let v = value.expect_scalar(key)?;
-                self.serve.predictor = match v {
-                    "analytic" => PredictorKind::Analytic,
-                    "trained" => PredictorKind::Trained,
-                    _ => {
-                        return Err(SpecErrorKind::UnknownKey {
-                            key: v.to_string(),
-                            valid: &["analytic", "trained"],
-                        })
-                    }
-                };
-            }
-            ("serve.fleet", "shards") => {
-                let n = parse_u64(key, value.expect_scalar(key)?)?;
-                if n == 0 || n > 1024 {
-                    return Err(SpecErrorKind::OutOfRange {
-                        key: key.to_string(),
-                        value: n.to_string(),
-                        range: "1..=1024 shards".to_string(),
-                    });
-                }
-                self.fleet.shards = n;
-            }
-            ("serve.fleet", "router") => {
-                let v = value.expect_scalar(key)?;
-                self.fleet.router =
-                    RouterKind::parse(v).map_err(|_| SpecErrorKind::UnknownKey {
-                        key: v.to_string(),
-                        valid: &["rendezvous", "least-loaded"],
-                    })?;
-            }
-            ("serve.fleet", "reroute_max") => {
-                self.fleet.reroute_max = parse_u64(key, value.expect_scalar(key)?)?;
-            }
-            ("serve.adapt", "enabled") => {
-                self.adapt.enabled = parse_bool(key, value.expect_scalar(key)?)?;
-            }
-            ("serve.adapt", "epoch_s") => {
-                self.adapt.epoch_s = parse_pos_f64(key, value.expect_scalar(key)?)?;
-            }
-            ("serve.adapt", "window") => {
-                let n = parse_u64(key, value.expect_scalar(key)?)?;
-                if n < 2 {
-                    return Err(SpecErrorKind::OutOfRange {
-                        key: key.to_string(),
-                        value: n.to_string(),
-                        range: ">= 2 rows".to_string(),
-                    });
-                }
-                self.adapt.window = n;
-            }
-            ("serve.adapt", "min_samples") => {
-                let n = parse_u64(key, value.expect_scalar(key)?)?;
-                if n < 2 {
-                    return Err(SpecErrorKind::OutOfRange {
-                        key: key.to_string(),
-                        value: n.to_string(),
-                        range: ">= 2 observations".to_string(),
-                    });
-                }
-                self.adapt.min_samples = n;
-            }
-            ("serve.adapt", "drift_threshold") => {
-                self.adapt.drift_threshold = parse_pos_f64(key, value.expect_scalar(key)?)?;
-            }
-            ("serve.adapt", "shadow_requests") => {
-                let n = parse_u64(key, value.expect_scalar(key)?)?;
-                if n == 0 {
-                    return Err(SpecErrorKind::OutOfRange {
-                        key: key.to_string(),
-                        value: "0".to_string(),
-                        range: ">= 1 request".to_string(),
-                    });
-                }
-                self.adapt.shadow_requests = n;
-            }
-            ("serve.adapt", "agree_tol") => {
-                self.adapt.agree_tol = parse_nonneg_f64(key, value.expect_scalar(key)?)?;
-            }
-            ("serve.adapt", "promote_agreement") => {
-                let v = value.expect_scalar(key)?;
-                let x = parse_nonneg_f64(key, v)?;
-                if x > 1.0 {
-                    return Err(SpecErrorKind::OutOfRange {
-                        key: key.to_string(),
-                        value: v.to_string(),
-                        range: "a fraction in 0..=1".to_string(),
-                    });
-                }
-                self.adapt.promote_agreement = x;
-            }
-            ("serve.adapt", "guard_requests") => {
-                let n = parse_u64(key, value.expect_scalar(key)?)?;
-                if n == 0 {
-                    return Err(SpecErrorKind::OutOfRange {
-                        key: key.to_string(),
-                        value: "0".to_string(),
-                        range: ">= 1 request".to_string(),
-                    });
-                }
-                self.adapt.guard_requests = n;
-            }
-            ("serve.adapt", "guard_band") => {
-                let v = value.expect_scalar(key)?;
-                let x = parse_f64(key, v)?;
-                if x < 1.0 {
-                    return Err(SpecErrorKind::OutOfRange {
-                        key: key.to_string(),
-                        value: v.to_string(),
-                        range: "a regression factor >= 1".to_string(),
-                    });
-                }
-                self.adapt.guard_band = x;
-            }
-            ("serve.adapt", "history") => {
-                let n = parse_u64(key, value.expect_scalar(key)?)?;
-                if n == 0 {
-                    return Err(SpecErrorKind::OutOfRange {
-                        key: key.to_string(),
-                        value: "0".to_string(),
-                        range: ">= 1 version".to_string(),
-                    });
-                }
-                self.adapt.history = n;
-            }
-            ("serve.adapt", "retrain_budget_s") => {
-                self.adapt.retrain_budget_s = parse_pos_f64(key, value.expect_scalar(key)?)?;
-            }
-            ("trace", "enabled") => {
-                self.trace.enabled = parse_bool(key, value.expect_scalar(key)?)?;
-            }
-            ("trace", "sample_every") => {
-                self.trace.sample_every = parse_u64(key, value.expect_scalar(key)?)?;
-            }
-            ("trace", "ring_capacity") => {
-                self.trace.ring_capacity = parse_u64(key, value.expect_scalar(key)?)?;
-            }
-            ("artifacts", "dir") => self.artifacts.dir = value.expect_scalar(key)?.to_string(),
-            ("artifacts", "decision_log") => {
-                self.artifacts.decision_log = value.expect_scalar(key)?.to_string();
-            }
-            ("artifacts", "health") => {
-                self.artifacts.health = value.expect_scalar(key)?.to_string();
-            }
-            ("artifacts", "metrics") => {
-                self.artifacts.metrics = value.expect_scalar(key)?.to_string();
-            }
-            ("artifacts", "trace_json") => {
-                self.artifacts.trace_json = value.expect_scalar(key)?.to_string();
-            }
-            ("artifacts", "trace_svg") => {
-                self.artifacts.trace_svg = value.expect_scalar(key)?.to_string();
-            }
-            _ => unreachable!("key {key:?} listed for section {section:?} but not handled"),
-        }
-        Ok(())
+            })?;
+        (row.write)(self, row, value)
     }
 
     /// The canonical serialized form: every section, every key, schema
@@ -1004,169 +828,23 @@ impl ScenarioSpec {
     /// not survive — their effects do). Parsing the canonical form yields
     /// an equal spec, and canonicalizing is idempotent byte-for-byte.
     pub fn canonical(&self) -> String {
-        let mut out = String::with_capacity(1024);
-        let p = &mut out;
-        sec(p, "scenario");
-        kv_str(p, "name", &self.scenario.name);
-        kv_list(
-            p,
-            "pipeline",
-            &self
-                .scenario
-                .pipeline
-                .iter()
-                .map(|s| quote(s.name()))
-                .collect::<Vec<_>>(),
-        );
-        sec(p, "workloads");
-        kv_str(
-            p,
-            "pair",
-            &format!("{},{}", self.workloads.pair.0, self.workloads.pair.1),
-        );
-        kv_raw(p, "accesses", &self.workloads.accesses.to_string());
-        sec(p, "cat");
-        kv_raw(p, "ways", &self.cat.ways.to_string());
-        kv_raw(p, "default_span", &self.cat.default_span.to_string());
-        kv_raw(p, "boosted_span", &self.cat.boosted_span.to_string());
-        sec(p, "fault");
-        kv_raw(p, "max_retries", &self.fault.max_retries.to_string());
-        kv_raw(p, "seed", &self.fault.plan.seed.to_string());
-        kv_raw(p, "crash", &fmt_f64(self.fault.plan.crash_prob));
-        kv_raw(p, "timeout", &fmt_f64(self.fault.plan.timeout_prob));
-        kv_raw(p, "dropout", &fmt_f64(self.fault.plan.dropout_prob));
-        kv_raw(p, "corrupt", &fmt_f64(self.fault.plan.corrupt_prob));
-        kv_raw(p, "stuck", &fmt_f64(self.fault.plan.stuck_prob));
-        kv_raw(p, "noise", &fmt_f64(self.fault.plan.noise_rel));
-        kv_raw(p, "latency", &fmt_f64(self.fault.plan.latency_mean_s));
-        kv_raw(
-            p,
-            "predict_fail",
-            &fmt_f64(self.fault.plan.predict_fail_prob),
-        );
-        kv_raw(p, "stall", &fmt_f64(self.fault.plan.stall_prob));
-        kv_raw(p, "shard_crash", &fmt_f64(self.fault.plan.shard_crash_prob));
-        kv_raw(p, "shard_stall", &fmt_f64(self.fault.plan.shard_stall_prob));
-        kv_raw(p, "shard_flap", &fmt_f64(self.fault.plan.shard_flap_prob));
-        kv_raw(p, "drift_burst", &fmt_f64(self.fault.plan.drift_burst_prob));
-        kv_raw(
-            p,
-            "retrain_fail",
-            &fmt_f64(self.fault.plan.retrain_fail_prob),
-        );
-        kv_raw(
-            p,
-            "retrain_slow",
-            &fmt_f64(self.fault.plan.retrain_slow_prob),
-        );
-        kv_raw(
-            p,
-            "promote_corrupt",
-            &fmt_f64(self.fault.plan.promote_corrupt_prob),
-        );
-        sec(p, "profile");
-        kv_raw(p, "conditions", &self.profile.conditions.to_string());
-        kv_raw(p, "seed", &self.profile.seed.to_string());
-        kv_str(p, "out", &self.profile.out);
-        kv_raw(
-            p,
-            "measured_queries",
-            &self.profile.measured_queries.to_string(),
-        );
-        kv_raw(
-            p,
-            "warmup_queries",
-            &self.profile.warmup_queries.to_string(),
-        );
-        kv_raw(
-            p,
-            "accesses_per_query",
-            &self.profile.accesses_per_query.to_string(),
-        );
-        sec(p, "train");
-        kv_str(p, "model", self.train.model.name());
-        kv_raw(p, "seed", &self.train.seed.to_string());
-        sec(p, "explore");
-        kv_raw(p, "utilization", &fmt_f64(self.explore.utilization));
-        kv_list(
-            p,
-            "grid",
-            &self
-                .explore
-                .grid
-                .iter()
-                .map(|&x| fmt_f64(x))
-                .collect::<Vec<_>>(),
-        );
-        sec(p, "predict");
-        kv_raw(p, "utilization", &fmt_f64(self.predict.utilization));
-        kv_raw(p, "timeout_a", &fmt_f64(self.predict.timeout_a));
-        kv_raw(p, "timeout_b", &fmt_f64(self.predict.timeout_b));
-        sec(p, "serve");
-        kv_raw(p, "requests", &self.serve.requests.to_string());
-        kv_raw(p, "rate", &fmt_f64(self.serve.rate));
-        kv_raw(p, "deadline_s", &fmt_f64(self.serve.deadline_s));
-        kv_raw(p, "servers", &self.serve.servers.to_string());
-        kv_raw(p, "queue_capacity", &self.serve.queue_capacity.to_string());
-        kv_str(p, "overload", self.serve.overload.name());
-        kv_raw(p, "hysteresis_k", &self.serve.hysteresis_k.to_string());
-        kv_raw(
-            p,
-            "breaker_threshold",
-            &self.serve.breaker_threshold.to_string(),
-        );
-        kv_raw(
-            p,
-            "breaker_cooldown_s",
-            &fmt_f64(self.serve.breaker_cooldown_s),
-        );
-        kv_raw(p, "drain_grace_s", &fmt_f64(self.serve.drain_grace_s));
-        kv_raw(p, "seed", &self.serve.seed.to_string());
-        kv_str(p, "predictor", self.serve.predictor.name());
-        sec(p, "serve.fleet");
-        kv_raw(p, "shards", &self.fleet.shards.to_string());
-        kv_str(p, "router", self.fleet.router.name());
-        kv_raw(p, "reroute_max", &self.fleet.reroute_max.to_string());
-        sec(p, "serve.adapt");
-        kv_raw(
-            p,
-            "enabled",
-            if self.adapt.enabled { "true" } else { "false" },
-        );
-        kv_raw(p, "epoch_s", &fmt_f64(self.adapt.epoch_s));
-        kv_raw(p, "window", &self.adapt.window.to_string());
-        kv_raw(p, "min_samples", &self.adapt.min_samples.to_string());
-        kv_raw(p, "drift_threshold", &fmt_f64(self.adapt.drift_threshold));
-        kv_raw(
-            p,
-            "shadow_requests",
-            &self.adapt.shadow_requests.to_string(),
-        );
-        kv_raw(p, "agree_tol", &fmt_f64(self.adapt.agree_tol));
-        kv_raw(
-            p,
-            "promote_agreement",
-            &fmt_f64(self.adapt.promote_agreement),
-        );
-        kv_raw(p, "guard_requests", &self.adapt.guard_requests.to_string());
-        kv_raw(p, "guard_band", &fmt_f64(self.adapt.guard_band));
-        kv_raw(p, "history", &self.adapt.history.to_string());
-        kv_raw(p, "retrain_budget_s", &fmt_f64(self.adapt.retrain_budget_s));
-        sec(p, "trace");
-        kv_raw(
-            p,
-            "enabled",
-            if self.trace.enabled { "true" } else { "false" },
-        );
-        kv_raw(p, "sample_every", &self.trace.sample_every.to_string());
-        kv_raw(p, "ring_capacity", &self.trace.ring_capacity.to_string());
-        sec(p, "artifacts");
-        kv_str(p, "dir", &self.artifacts.dir);
-        kv_str(p, "decision_log", &self.artifacts.decision_log);
-        kv_str(p, "health", &self.artifacts.health);
-        kv_str(p, "metrics", &self.artifacts.metrics);
-        kv_str(p, "trace_json", &self.artifacts.trace_json);
-        kv_str(p, "trace_svg", &self.artifacts.trace_svg);
+        let mut out = String::with_capacity(2048);
+        for rows in SCHEMA {
+            if !out.is_empty() {
+                out.push('\n');
+            }
+            out.push('[');
+            out.push_str(rows[0].section);
+            out.push_str("]\n");
+            for row in rows.iter() {
+                if let Some(value) = (row.read)(self, row) {
+                    out.push_str(row.key);
+                    out.push_str(" = ");
+                    out.push_str(&value);
+                    out.push('\n');
+                }
+            }
+        }
         out
     }
 
@@ -1187,34 +865,12 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
-fn sec(out: &mut String, name: &str) {
-    if !out.is_empty() {
-        out.push('\n');
-    }
-    out.push('[');
-    out.push_str(name);
-    out.push_str("]\n");
-}
-
-fn kv_raw(out: &mut String, key: &str, value: &str) {
-    out.push_str(key);
-    out.push_str(" = ");
-    out.push_str(value);
-    out.push('\n');
-}
-
-fn kv_str(out: &mut String, key: &str, value: &str) {
-    let quoted = quote(value);
-    kv_raw(out, key, &quoted);
-}
-
-fn kv_list(out: &mut String, key: &str, items: &[String]) {
-    let joined = items.join(", ");
-    kv_raw(out, key, &format!("[{joined}]"));
+fn list(items: impl Iterator<Item = String>) -> String {
+    format!("[{}]", items.collect::<Vec<_>>().join(", "))
 }
 
 /// Quote and escape a string value.
-pub fn quote(s: &str) -> String {
+fn quote(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
     for c in s.chars() {
@@ -1229,12 +885,6 @@ pub fn quote(s: &str) -> String {
     }
     out.push('"');
     out
-}
-
-/// Format an `f64` so that parsing the text recovers the value exactly
-/// (Rust's shortest round-trip `Display`).
-pub fn fmt_f64(x: f64) -> String {
-    format!("{x}")
 }
 
 /// Location helper re-exported for the parser.
@@ -1321,5 +971,20 @@ mod tests {
         assert!(c.contains("overload = \"shed-newest\"\n"));
         // canonical text is stable
         assert_eq!(c, s.canonical());
+    }
+
+    #[test]
+    fn rows_are_unique_per_section_and_flags_unique() {
+        for section in SECTIONS {
+            let keys = keys_of(section).expect("listed section");
+            for (i, key) in keys.iter().enumerate() {
+                assert!(!keys[..i].contains(key), "{section}.{key} declared twice");
+            }
+        }
+        let flags: Vec<&str> = rows().filter_map(|r| r.flag).collect();
+        for (i, flag) in flags.iter().enumerate() {
+            assert!(!flags[..i].contains(flag), "--{flag} declared twice");
+        }
+        assert_eq!(rows().count(), 75);
     }
 }

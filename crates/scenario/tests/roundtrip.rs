@@ -6,7 +6,9 @@
 //! unknown keys, malformed values, duplicates — is a hard usage error
 //! (exit 2) that names the offender.
 
+use stca_scenario::spec::{rows, Codec};
 use stca_scenario::{fnv1a, parse_str, ScenarioSpec, SpecValue};
+use stca_util::{Bound, SpecErrorKind};
 
 fn roundtrip(spec: &ScenarioSpec, what: &str) {
     let canon = spec.canonical();
@@ -65,8 +67,8 @@ impl Gen {
         z ^ (z >> 31)
     }
 
-    fn pick<'a, T>(&mut self, xs: &'a [T]) -> &'a T {
-        &xs[(self.next() % xs.len() as u64) as usize]
+    fn pick<T: Copy>(&mut self, xs: &[T]) -> T {
+        xs[(self.next() % xs.len() as u64) as usize]
     }
 
     fn f64_in(&mut self, lo: f64, hi: f64) -> f64 {
@@ -74,225 +76,133 @@ impl Gen {
         // round-trips any finite f64, so this just keeps ranges sane.
         lo + (hi - lo) * ((self.next() >> 11) as f64 / (1u64 << 53) as f64)
     }
+
+    fn u64_in(&mut self, min: u64, max: u64) -> u64 {
+        let span = u128::from(max - min) + 1;
+        min + (u128::from(self.next()) % span) as u64
+    }
+
+    /// A random in-range value for a row of codec `codec`.
+    fn value(&mut self, codec: Codec) -> SpecValue {
+        let scalar = |s: &str| SpecValue::scalar(s);
+        let list = |xs: &[&str]| SpecValue::List(xs.iter().map(|x| x.to_string()).collect());
+        match codec {
+            Codec::Text => scalar(self.pick(&[
+                "",
+                "a",
+                "table-1",
+                "runs/r7/out.log",
+                "spaces and tabs\tok",
+                "quotes \"inside\" and a \\ backslash",
+                "newline\nin name",
+            ])),
+            Codec::Bool => scalar(self.pick(&["true", "false"])),
+            Codec::Num(Bound::Any) => scalar(&self.next().to_string()),
+            Codec::Num(Bound::Int { min, max, .. }) => scalar(&self.u64_in(min, max).to_string()),
+            Codec::Num(Bound::Positive) => scalar(&self.f64_in(1e-3, 2000.0).to_string()),
+            Codec::Num(Bound::NonNegative) => scalar(&self.f64_in(0.0, 20.0).to_string()),
+            Codec::Num(Bound::Probability) => scalar(&self.f64_in(0.0, 1.0).to_string()),
+            Codec::Num(Bound::Factor) => scalar(&self.f64_in(1.0, 4.0).to_string()),
+            Codec::Token(names) => scalar(self.pick(names)),
+            Codec::Pair => {
+                scalar(self.pick(&["kmeans,bfs", "redis,social", "spkmeans,spstream", "knn,jac"]))
+            }
+            Codec::Pipeline => list(self.pick(&[
+                &["profile"][..],
+                &["profile", "dataset", "train"],
+                &["profile", "dataset", "train", "explore", "serve"],
+                &["serve"],
+                &["explore", "serve"],
+            ])),
+            Codec::Grid => {
+                let n = 1 + self.next() % 6;
+                let points: Vec<String> =
+                    (0..n).map(|_| self.f64_in(0.0, 8.0).to_string()).collect();
+                SpecValue::List(points)
+            }
+            Codec::Plan => scalar(self.pick(&["none", "ci-default", "heavy", "heavy,crash=0.5"])),
+        }
+    }
 }
 
-/// Drive `set` with randomized valid values across every section, then
-/// demand a byte-stable round trip. This covers the same path the file
-/// parser and the CLI flag layer share.
+/// Drive `set` with a random in-range value for every row of the schema
+/// (each row skipped now and then, so defaults and preset values mix in),
+/// then demand a byte-stable round trip. This covers the same path the
+/// file parser and the CLI flag layer share.
 #[test]
-fn randomized_specs_roundtrip() {
-    let names = [
-        "a",
-        "table-1",
-        "spaces and tabs\tok",
-        "quotes \"inside\" and a \\ backslash",
-        "newline\nin name",
-    ];
-    let pairs = ["kmeans,bfs", "redis,social", "spkmeans,spstream", "knn,jac"];
-    let models = ["auto", "quick", "standard", "simple-ml"];
-    let predictors = ["analytic", "trained"];
-    let overloads = ["shed-newest", "shed-oldest", "block"];
-    let plans = ["none", "ci-default", "heavy"];
-    let bools = ["true", "false"];
-    let pipelines: [&[&str]; 5] = [
-        &["profile"],
-        &["profile", "dataset", "train"],
-        &["profile", "dataset", "train", "explore", "serve"],
-        &["serve"],
-        &["explore", "serve"],
-    ];
-    let grids: [&[&str]; 3] = [
-        &["0.25", "0.75", "1.5", "3", "6"],
-        &["0.5", "1", "2"],
-        &["1.25"],
-    ];
-
+fn every_row_roundtrips_random_in_range_values() {
     let mut g = Gen(0x5ca1ab1e);
     for round in 0..200 {
         let mut spec = ScenarioSpec::default();
-        let set = |spec: &mut ScenarioSpec, sec: &str, key: &str, v: String| {
-            spec.set(sec, key, &SpecValue::scalar(v))
-                .unwrap_or_else(|e| panic!("round {round}: set {sec}.{key}: {e:?}"));
-        };
-        set(&mut spec, "scenario", "name", g.pick(&names).to_string());
-        let stages: Vec<String> = g.pick(&pipelines).iter().map(|s| s.to_string()).collect();
-        spec.set("scenario", "pipeline", &SpecValue::List(stages))
-            .expect("pipeline");
-        set(&mut spec, "workloads", "pair", g.pick(&pairs).to_string());
-        set(
-            &mut spec,
-            "workloads",
-            "accesses",
-            (1 + g.next() % 1_000_000).to_string(),
-        );
-        set(&mut spec, "cat", "ways", (g.next() % 12).to_string());
-        set(
-            &mut spec,
-            "cat",
-            "default_span",
-            (1 + g.next() % 4).to_string(),
-        );
-        set(
-            &mut spec,
-            "cat",
-            "boosted_span",
-            (1 + g.next() % 4).to_string(),
-        );
-        set(&mut spec, "fault", "plan", g.pick(&plans).to_string());
-        set(
-            &mut spec,
-            "fault",
-            "max_retries",
-            (g.next() % 10).to_string(),
-        );
-        set(
-            &mut spec,
-            "fault",
-            "crash",
-            format!("{}", g.f64_in(0.0, 0.2)),
-        );
-        set(
-            &mut spec,
-            "fault",
-            "noise",
-            format!("{}", g.f64_in(0.0, 0.5)),
-        );
-        set(
-            &mut spec,
-            "fault",
-            "drift_burst",
-            format!("{}", g.f64_in(0.0, 1.0)),
-        );
-        set(
-            &mut spec,
-            "fault",
-            "promote_corrupt",
-            format!("{}", g.f64_in(0.0, 1.0)),
-        );
-        set(
-            &mut spec,
-            "profile",
-            "conditions",
-            (1 + g.next() % 64).to_string(),
-        );
-        set(&mut spec, "profile", "seed", g.next().to_string());
-        set(
-            &mut spec,
-            "profile",
-            "out",
-            format!("p{}.stca", g.next() % 100),
-        );
-        set(&mut spec, "train", "model", g.pick(&models).to_string());
-        set(&mut spec, "train", "seed", g.next().to_string());
-        set(
-            &mut spec,
-            "explore",
-            "utilization",
-            format!("{}", g.f64_in(0.1, 0.99)),
-        );
-        let grid: Vec<String> = g.pick(&grids).iter().map(|s| s.to_string()).collect();
-        spec.set("explore", "grid", &SpecValue::List(grid))
-            .expect("grid");
-        set(
-            &mut spec,
-            "predict",
-            "timeout_a",
-            format!("{}", g.f64_in(0.25, 8.0)),
-        );
-        set(
-            &mut spec,
-            "serve",
-            "requests",
-            (1 + g.next() % 1_000_000).to_string(),
-        );
-        set(
-            &mut spec,
-            "serve",
-            "rate",
-            format!("{}", g.f64_in(1.0, 2000.0)),
-        );
-        set(
-            &mut spec,
-            "serve",
-            "deadline_s",
-            format!("{}", g.f64_in(0.01, 5.0)),
-        );
-        set(
-            &mut spec,
-            "serve",
-            "servers",
-            (1 + g.next() % 8).to_string(),
-        );
-        set(
-            &mut spec,
-            "serve",
-            "overload",
-            g.pick(&overloads).to_string(),
-        );
-        set(
-            &mut spec,
-            "serve",
-            "predictor",
-            g.pick(&predictors).to_string(),
-        );
-        set(&mut spec, "serve", "seed", g.next().to_string());
-        set(
-            &mut spec,
-            "serve.adapt",
-            "enabled",
-            g.pick(&bools).to_string(),
-        );
-        set(
-            &mut spec,
-            "serve.adapt",
-            "epoch_s",
-            format!("{}", g.f64_in(0.5, 20.0)),
-        );
-        set(
-            &mut spec,
-            "serve.adapt",
-            "window",
-            (2 + g.next() % 512).to_string(),
-        );
-        set(
-            &mut spec,
-            "serve.adapt",
-            "drift_threshold",
-            format!("{}", g.f64_in(0.5, 8.0)),
-        );
-        set(
-            &mut spec,
-            "serve.adapt",
-            "promote_agreement",
-            format!("{}", g.f64_in(0.0, 1.0)),
-        );
-        set(
-            &mut spec,
-            "serve.adapt",
-            "guard_band",
-            format!("{}", g.f64_in(1.0, 3.0)),
-        );
-        set(
-            &mut spec,
-            "serve.adapt",
-            "history",
-            (1 + g.next() % 8).to_string(),
-        );
-        set(&mut spec, "trace", "enabled", g.pick(&bools).to_string());
-        set(
-            &mut spec,
-            "trace",
-            "sample_every",
-            (1 + g.next() % 512).to_string(),
-        );
-        set(
-            &mut spec,
-            "artifacts",
-            "dir",
-            format!("runs/r{}", g.next() % 100),
-        );
+        for row in rows() {
+            if g.next().is_multiple_of(5) {
+                continue;
+            }
+            let value = g.value(row.codec);
+            spec.set(row.section, row.key, &value).unwrap_or_else(|e| {
+                panic!(
+                    "round {round}: set {}.{} = {value:?}: {e:?}",
+                    row.section, row.key
+                )
+            });
+        }
         roundtrip(&spec, &format!("random spec #{round}"));
     }
+}
+
+/// Every bounded row rejects a value just outside its range with an
+/// `OutOfRange` naming the key, and accepts the range's edges.
+#[test]
+fn every_bounded_row_rejects_just_outside_its_range() {
+    let mut checked = 0;
+    for row in rows() {
+        let Codec::Num(bound) = row.codec else {
+            continue;
+        };
+        let (inside, outside): (Vec<String>, Vec<String>) = match bound {
+            Bound::Any => continue,
+            Bound::Int { min, max, .. } => (
+                vec![min.to_string(), max.to_string()],
+                [min.checked_sub(1), max.checked_add(1)]
+                    .into_iter()
+                    .flatten()
+                    .map(|n| n.to_string())
+                    .collect(),
+            ),
+            Bound::Positive => (vec!["5e-324".into()], vec!["0".into(), "-5e-324".into()]),
+            Bound::NonNegative => (vec!["0".into()], vec!["-5e-324".into()]),
+            Bound::Probability => (
+                vec!["0".into(), "1".into()],
+                vec!["-5e-324".into(), "1.0000000000000002".into()],
+            ),
+            Bound::Factor => (vec!["1".into()], vec!["0.9999999999999999".into()]),
+        };
+        for v in inside {
+            let mut spec = ScenarioSpec::default();
+            spec.set(row.section, row.key, &SpecValue::scalar(v.clone()))
+                .unwrap_or_else(|e| panic!("{}.{} = {v}: {e:?}", row.section, row.key));
+        }
+        assert!(
+            !outside.is_empty(),
+            "{}.{}: bound {bound:?} has no outside",
+            row.section,
+            row.key
+        );
+        for v in outside {
+            let mut spec = ScenarioSpec::default();
+            match spec.set(row.section, row.key, &SpecValue::scalar(v.clone())) {
+                Err(SpecErrorKind::OutOfRange { key, value, .. }) => {
+                    assert_eq!((key.as_str(), value.as_str()), (row.key, v.as_str()));
+                }
+                other => panic!(
+                    "{}.{} = {v}: want OutOfRange, got {other:?}",
+                    row.section, row.key
+                ),
+            }
+            checked += 1;
+        }
+    }
+    assert!(checked >= 30, "only {checked} out-of-range probes");
 }
 
 fn expect_usage(text: &str, needles: &[&str]) {

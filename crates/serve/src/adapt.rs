@@ -343,7 +343,7 @@ impl Lifecycle {
             plan,
             shard_id: shard.unwrap_or(0),
             seed,
-            window: VecDeque::with_capacity(cfg.window),
+            window: VecDeque::new(),
             ph_n: 0,
             ph_mean: 0.0,
             ph_m: 0.0,
@@ -352,7 +352,7 @@ impl Lifecycle {
             base_mean: 0.0,
             base_m2: 0.0,
             ratio_sum: 0.0,
-            ratios: VecDeque::with_capacity(cfg.window),
+            ratios: VecDeque::new(),
             cur_epoch: None,
             cur_offset: 0.0,
             phase: Phase::Stable,

@@ -20,23 +20,28 @@ pub enum RouterKind {
 }
 
 impl RouterKind {
+    /// Every router, in [`RouterKind::NAMES`] order.
+    pub const ALL: [RouterKind; 2] = [RouterKind::Rendezvous, RouterKind::LeastLoaded];
+
+    /// The CLI/spec token of each router.
+    pub const NAMES: [&'static str; 2] = ["rendezvous", "least-loaded"];
+
     /// Parse a CLI/spec token: `rendezvous` or `least-loaded`.
     pub fn parse(s: &str) -> Result<Self, StcaError> {
-        match s {
-            "rendezvous" => Ok(RouterKind::Rendezvous),
-            "least-loaded" => Ok(RouterKind::LeastLoaded),
-            _ => Err(StcaError::usage(format!(
-                "router {s:?}: want rendezvous or least-loaded"
-            ))),
-        }
+        Self::ALL
+            .into_iter()
+            .find(|k| k.name() == s)
+            .ok_or_else(|| {
+                StcaError::usage(format!(
+                    "router {s:?}: want one of {}",
+                    Self::NAMES.join(", ")
+                ))
+            })
     }
 
     /// The CLI/spec token for this router.
     pub fn name(&self) -> &'static str {
-        match self {
-            RouterKind::Rendezvous => "rendezvous",
-            RouterKind::LeastLoaded => "least-loaded",
-        }
+        Self::NAMES[*self as usize]
     }
 }
 

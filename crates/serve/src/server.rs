@@ -33,25 +33,19 @@ pub enum OverloadPolicy {
 }
 
 impl OverloadPolicy {
-    /// Parse a CLI token: `shed-newest`, `shed-oldest`, or `block`.
-    pub fn parse(s: &str) -> Result<Self, StcaError> {
-        match s {
-            "shed-newest" => Ok(OverloadPolicy::ShedNewest),
-            "shed-oldest" => Ok(OverloadPolicy::ShedOldest),
-            "block" => Ok(OverloadPolicy::Block),
-            _ => Err(StcaError::usage(format!(
-                "overload policy {s:?}: want shed-newest, shed-oldest, or block"
-            ))),
-        }
-    }
+    /// Every policy, in [`OverloadPolicy::NAMES`] order.
+    pub const ALL: [OverloadPolicy; 3] = [
+        OverloadPolicy::ShedNewest,
+        OverloadPolicy::ShedOldest,
+        OverloadPolicy::Block,
+    ];
+
+    /// The CLI/spec token of each policy.
+    pub const NAMES: [&'static str; 3] = ["shed-newest", "shed-oldest", "block"];
 
     /// The CLI token for this policy.
     pub fn name(&self) -> &'static str {
-        match self {
-            OverloadPolicy::ShedNewest => "shed-newest",
-            OverloadPolicy::ShedOldest => "shed-oldest",
-            OverloadPolicy::Block => "block",
-        }
+        Self::NAMES[*self as usize]
     }
 }
 

@@ -11,6 +11,7 @@
 //! and tests agree across runs.
 
 pub mod args;
+pub mod bound;
 pub mod dist;
 pub mod kmeans;
 pub mod matrix;
@@ -19,6 +20,7 @@ pub mod sort;
 pub mod stats;
 
 pub use args::{ArgError, Args, SpecError, SpecErrorKind, SpecLocation};
+pub use bound::Bound;
 pub use dist::Distribution;
 pub use matrix::Matrix;
 pub use rng::{Rng64, SeedStream};
