@@ -1,244 +1,47 @@
-//! Soak test for the serving loop: replay a large request stream under an
-//! injected fault plan and assert the robustness contract holds.
-//!
-//! Six runs, same seed:
-//!
-//! 1. **baseline** — no faults, 1 thread: the healthy p99;
-//! 2. **faulted @ 1 thread** — the fault plan on;
-//! 3. **faulted @ 8 threads** — must be *bit-identical* to run 2
-//!    (decision hash, accounting, response percentiles);
-//! 4. **traced @ 1 and 8 threads** — the flight recorder on at 1/64
-//!    sampling: retained traces must be bit-identical across thread
-//!    counts, the decision hash and virtual percentiles must match the
-//!    untraced run exactly (tracing observes, never perturbs), and the
-//!    wall-clock overhead is recorded;
-//! 5. **logged audit** — a capped logged+traced replay proving every
-//!    admitted request appears in the decision log exactly once (nothing
-//!    lost, nothing duplicated) and that the flight recorder retained an
-//!    agreeing trace for every shed / deadline-exceeded / drained
-//!    decision (the retention invariant).
-//!
-//! Asserted invariants:
-//!
-//! * exact accounting on every run: `admitted = completed + shed + drained`;
-//! * determinism: run 2 and run 3 agree bit-for-bit, and so do the two
-//!   traced runs' dumps;
-//! * tracing is free on the virtual clock: decision hash and p50/p99 are
-//!   bit-identical with the recorder on or off;
-//! * bounded degradation: faulted p99 stays under the structural ceiling
-//!   `deadline + 4 x watchdog budget` (a completed request starts within
-//!   its deadline and each of its two stages costs at most two watchdog
-//!   budgets);
-//! * under a plan with predictor faults, the breaker both trips and
-//!   recovers.
+//! Soak a committed serving scenario: replay its serve stage under its
+//! own fault plan at 1 and 8 threads, traced and untraced, and assert the
+//! serving plane's robustness contract (see `stca_bench::soak`).
 //!
 //! Usage:
 //!   cargo run --release -p stca-bench --bin soak --
-//!       [--requests N] [--rate R] [--deadline S] [--fault-plan SPEC]
-//!       [--seed N] [--audit N] [--metrics-out FILE]
+//!       --scenario FILE [--requests N] [--metrics-out FILE]
 //!
-//! Defaults replay 2M requests under the `heavy` preset. CI runs a short
-//! smoke (`--requests 60000 --fault-plan ci-default`).
+//! `--requests` overrides `[serve] requests`; `--metrics-out` writes the
+//! metrics registry, including the recorded wall overheads. Unknown flags
+//! and a scenario without a serve stage exit 2. A `trained` predictor
+//! profiles into `runs/<name>`, as `stca scenario run` does.
 
-use stca_fault::{FaultPlan, StcaError};
-use stca_serve::{serve, AnalyticEa, ServeConfig, ServeReport, SyntheticStream};
-use stca_util::Args;
+use stca_fault::StcaError;
+use stca_scenario::SpecValue;
+use stca_util::{Args, SpecError};
+use std::path::Path;
 use std::process::ExitCode;
 
-fn check(ok: bool, what: &str) -> Result<(), StcaError> {
-    if ok {
-        println!("  ok: {what}");
-        Ok(())
-    } else {
-        Err(StcaError::invalid_input(format!("soak FAILED: {what}")))
-    }
-}
-
-fn run_once(
-    cfg: &ServeConfig,
-    plan: &FaultPlan,
-    stream: &SyntheticStream,
-    n: u64,
-    threads: usize,
-    label: &str,
-) -> Result<(ServeReport, f64), StcaError> {
-    stca_exec::set_threads(threads);
-    let t0 = std::time::Instant::now();
-    let r = serve(cfg, &AnalyticEa::default(), plan, stream, n)?;
-    let wall_s = t0.elapsed().as_secs_f64();
-    let a = &r.accounting;
-    println!(
-        "{label}: {n} reqs in {:.2}s wall / {:.0}s virtual | completed {} shed {} drained {} | p99 {:.4}s | hash {:016x}",
-        wall_s,
-        r.virtual_end_s,
-        a.completed,
-        a.shed(),
-        a.drained,
-        r.p99_response_s,
-        r.decision_hash
-    );
-    check(a.balanced(), &format!("{label}: accounting balances"))?;
-    check(
-        a.admitted == n,
-        &format!("{label}: all {n} offered requests were accounted"),
-    )?;
-    Ok((r, wall_s))
-}
+const FLAGS: [&str; 3] = ["scenario", "requests", "metrics-out"];
 
 fn real_main() -> Result<(), StcaError> {
     let flags = Args::from_env()?;
-    let n: u64 = flags.get_parsed("requests", 2_000_000u64)?;
-    let rate: f64 = flags.get_parsed("rate", 250.0f64)?;
-    let deadline: f64 = flags.get_parsed("deadline", 0.5f64)?;
-    let seed: u64 = flags.get_parsed("seed", 2022u64)?;
-    let audit: u64 = flags.get_parsed("audit", 200_000u64)?.min(n);
-    let plan = match flags.get("fault-plan") {
-        Some(spec) => FaultPlan::parse(spec)?,
-        None => FaultPlan::heavy(),
-    };
-    // a twitchy breaker (2 consecutive failures) so even the ci-default
-    // plan's 2% fault rate trips it within a short smoke run
-    let cfg = ServeConfig {
-        breaker: stca_serve::BreakerConfig {
-            failure_threshold: 2,
-            ..stca_serve::BreakerConfig::default()
-        },
-        ..ServeConfig::default()
-    };
-    let stream = SyntheticStream {
-        seed,
-        rate,
-        deadline_s: deadline,
-        n_features: 6,
-    };
-
-    // 1: healthy baseline
-    let (baseline, _) = run_once(&cfg, &FaultPlan::none(), &stream, n, 1, "baseline")?;
-
-    // 2 + 3: faulted, 1 vs 8 threads
-    let (faulted_1, faulted_1_wall) = run_once(&cfg, &plan, &stream, n, 1, "faulted@1t")?;
-    let (faulted_8, _) = run_once(&cfg, &plan, &stream, n, 8, "faulted@8t")?;
-    check(
-        faulted_1.decision_hash == faulted_8.decision_hash,
-        "decision log is bit-identical at 1 vs 8 threads",
-    )?;
-    check(
-        faulted_1.accounting == faulted_8.accounting,
-        "accounting is identical at 1 vs 8 threads",
-    )?;
-    check(
-        faulted_1.p99_response_s.to_bits() == faulted_8.p99_response_s.to_bits()
-            && faulted_1.mean_response_s.to_bits() == faulted_8.mean_response_s.to_bits(),
-        "response percentiles are bit-identical at 1 vs 8 threads",
-    )?;
-
-    // bounded degradation: a completed request starts within its deadline
-    // and pays at most 2 watchdog budgets per stage
-    let ceiling = deadline + 4.0 * cfg.watchdog_budget_s;
-    check(
-        faulted_1.p99_response_s.is_finite() && faulted_1.p99_response_s <= ceiling,
-        &format!(
-            "faulted p99 {:.4}s within the structural ceiling {:.4}s (baseline {:.4}s)",
-            faulted_1.p99_response_s, ceiling, baseline.p99_response_s
-        ),
-    )?;
-    if plan.predict_fail_prob > 0.0 {
-        check(
-            faulted_1.breaker_opens > 0,
-            &format!("breaker tripped ({} opens)", faulted_1.breaker_opens),
-        )?;
-        check(
-            faulted_1.breaker_closes > 0,
-            &format!("breaker recovered ({} closes)", faulted_1.breaker_closes),
-        )?;
+    if let Some((flag, _)) = flags.iter().find(|(f, _)| !FLAGS.contains(f)) {
+        return Err(StcaError::usage(format!(
+            "unknown flag --{flag} (expected --{})",
+            FLAGS.join(", --")
+        )));
     }
-
-    // 4: traced runs — the flight recorder at its default 1/64 sampling
-    // must change nothing on the virtual clock and retain bit-identical
-    // trace sets at any thread count
-    let traced_cfg = ServeConfig {
-        trace: Some(stca_trace::TraceConfig {
-            seed: seed ^ 0x7ACE,
-            ..stca_trace::TraceConfig::default()
-        }),
-        ..cfg.clone()
-    };
-    let (traced_1, traced_1_wall) = run_once(&traced_cfg, &plan, &stream, n, 1, "traced@1t")?;
-    let (traced_8, _) = run_once(&traced_cfg, &plan, &stream, n, 8, "traced@8t")?;
-    check(
-        traced_1.trace_dump == traced_8.trace_dump,
-        "retained traces are bit-identical at 1 vs 8 threads",
-    )?;
-    check(
-        traced_1.decision_hash == faulted_1.decision_hash,
-        "decision hash is unchanged by tracing",
-    )?;
-    check(
-        traced_1.p50_response_s.to_bits() == faulted_1.p50_response_s.to_bits()
-            && traced_1.p99_response_s.to_bits() == faulted_1.p99_response_s.to_bits()
-            && traced_1.virtual_end_s.to_bits() == faulted_1.virtual_end_s.to_bits(),
-        "virtual p50/p99/end are bit-identical with tracing on",
-    )?;
-    // wall overhead is machine-dependent, so it is recorded (stdout +
-    // soak.trace_overhead_frac gauge), not asserted
-    let overhead = (traced_1_wall - faulted_1_wall) / faulted_1_wall.max(1e-9);
-    stca_obs::gauge("soak.trace_overhead_frac").set(overhead);
-    println!(
-        "  trace overhead at 1/64 sampling: {:+.1}% wall ({:.2}s -> {:.2}s; virtual clock unchanged)",
-        overhead * 100.0,
-        faulted_1_wall,
-        traced_1_wall
-    );
-
-    // 5: logged audit — every admitted request gets exactly one
-    // disposition, and every error-class decision a retained trace
-    let audit_cfg = ServeConfig {
-        keep_decision_log: true,
-        ..traced_cfg
-    };
-    let (audited, _) = run_once(&audit_cfg, &plan, &stream, audit, 8, "audit")?;
-    let mut seen = vec![0u8; audit as usize];
-    for line in &audited.decision_log {
-        let seq: u64 = line
-            .strip_prefix("seq=")
-            .and_then(|rest| rest.split_whitespace().next())
-            .and_then(|tok| tok.parse().ok())
-            .ok_or_else(|| StcaError::invalid_input(format!("unparseable log line {line:?}")))?;
-        let slot = seen
-            .get_mut(seq as usize)
-            .ok_or_else(|| StcaError::invalid_input(format!("log names unknown seq {seq}")))?;
-        *slot += 1;
+    let mut spec = stca_scenario::load_file(Path::new(flags.require("scenario")?))?;
+    if let Some(n) = flags.get("requests") {
+        spec.set("serve", "requests", &SpecValue::scalar(n))
+            .map_err(|kind| SpecError::new("flag --requests", kind))?;
     }
-    check(
-        seen.iter().all(|&c| c == 1),
-        &format!(
-            "every one of {audit} audited requests logged exactly once ({} lines)",
-            audited.decision_log.len()
-        ),
-    )?;
-    let dump = audited
-        .trace_dump
-        .as_ref()
-        .ok_or_else(|| StcaError::invalid_input("audit run lost its trace dump"))?;
-    let cc = stca_trace::report::cross_check(dump, audited.decision_log.iter().map(String::as_str));
-    check(
-        cc.holds(),
-        &format!(
-            "flight recorder retained an agreeing trace for every error-class \
-             decision ({} matched; {} missing, {} disagreeing)",
-            cc.error_matched,
-            cc.missing.len(),
-            cc.mismatched.len()
-        ),
-    )?;
-
-    if let Some(path) = flags.get("metrics-out") {
-        let path = std::path::PathBuf::from(path);
+    let decision_hash = stca_bench::soak::run(&spec, None)?;
+    if let Some(path) = flags.path("metrics-out") {
         stca_obs::write_metrics(stca_obs::registry(), &path)
             .map_err(|e| StcaError::io(path.display().to_string(), e))?;
         println!("wrote metrics to {}", path.display());
     }
-    println!("soak passed");
+    println!(
+        "soak passed: {} (decision hash {:016x})",
+        spec.scenario.name, decision_hash
+    );
     Ok(())
 }
 

@@ -4,14 +4,17 @@
 //! evaluation (see DESIGN.md for the experiment index) plus shared
 //! machinery — parallel profile-dataset construction, model-comparison
 //! scoring, policy evaluation backed by the real test environment, and
-//! plain-text table output.
+//! plain-text table output, plus the scenario-driven serving soak
+//! ([`soak`]).
 //!
-//! Every binary accepts `--scale quick|standard|full` (default `standard`)
-//! so the whole suite can be smoke-tested in seconds or run at paper scale.
+//! Every figure/table binary accepts `--scale quick|standard|full`
+//! (default `standard`) so the whole suite can be smoke-tested in seconds
+//! or run at paper scale.
 
 pub mod dataset;
 pub mod evalfig;
 pub mod policyeval;
+pub mod soak;
 pub mod table;
 
 pub use dataset::{build_pair_dataset, build_pair_dataset_checked, Dataset, LabeledRow, Scale};

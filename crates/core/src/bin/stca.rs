@@ -414,7 +414,7 @@ fn cmd_serve(args: &Args) -> Result<(), StcaError> {
         (!spec.artifacts.trace_svg.is_empty()).then(|| PathBuf::from(&spec.artifacts.trace_svg));
     let profiles_path = matches!(spec.serve.predictor, stca_scenario::PredictorKind::Trained)
         .then(|| PathBuf::from(&spec.profile.out));
-    let report = pipeline::run_serve(&spec, profiles_path.as_deref(), trace_out.as_deref())?;
+    let report = pipeline::run_serve(&spec, profiles_path.as_deref(), trace_out.as_deref(), false)?;
     print_serve_report(&report);
     if let Some(dump) = &report.trace_dump {
         emit_trace_artifacts(dump, trace_out.as_deref(), trace_svg.as_deref())?;

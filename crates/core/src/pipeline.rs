@@ -301,11 +301,11 @@ fn trace_dump_guard(
     }))
 }
 
-/// Resolve the spec's predictor and hand the serving loop a borrowed
+/// Resolve the spec's predictor once and hand it to `run` as a borrowed
 /// model: `trained` loads + trains on the profile store with the
 /// historical serve-seed derivation, `analytic` uses the closed-form EA
 /// tier.
-fn with_serve_model<T>(
+pub fn with_serve_model<T>(
     spec: &ScenarioSpec,
     profiles: Option<&Path>,
     run: impl FnOnce(&dyn stca_serve::EaModel) -> Result<T, StcaError>,
@@ -333,14 +333,18 @@ fn with_serve_model<T>(
 /// `profiles` supplies the trained-predictor dataset (required when
 /// `serve.predictor = trained`); `trace_error_path` is where in-flight
 /// traces dump if a fault unwinds mid-run (defaults to
-/// `stca-trace-error.json`). Callers must check [`FleetReport::balanced`].
+/// `stca-trace-error.json`). `keep_log` keeps the decision log in the
+/// report even when `[artifacts] decision_log` is unset. Callers must
+/// check [`FleetReport::balanced`].
 pub fn run_serve(
     spec: &ScenarioSpec,
     profiles: Option<&Path>,
     trace_error_path: Option<&Path>,
+    keep_log: bool,
 ) -> Result<FleetReport, StcaError> {
-    let cfg = stca_scenario::convert::fleet_config(spec)
+    let mut cfg = stca_scenario::convert::fleet_config(spec)
         .ok_or_else(|| StcaError::usage("[serve.fleet] shards must be >= 1"))?;
+    cfg.base.keep_decision_log |= keep_log;
     let stream = stca_scenario::convert::synthetic_stream(spec);
     let n = spec.serve.requests;
     let _dump_hook = trace_dump_guard(cfg.base.trace.is_some(), trace_error_path);
@@ -649,7 +653,9 @@ fn run_stage(
         Stage::Serve => {
             let profiles = matches!(spec.serve.predictor, PredictorKind::Trained)
                 .then(|| paths.profiles.as_path());
-            let report = run_serve(spec, profiles, paths.trace_json.as_deref())?;
+            // this stage writes the decision log, so it keeps it whether or
+            // not `[artifacts] decision_log` names the file
+            let report = run_serve(spec, profiles, paths.trace_json.as_deref(), true)?;
             if !report.balanced() {
                 return Err(StcaError::invalid_input(format!(
                     "accounting invariant violated: {report:?}"

@@ -378,6 +378,13 @@ fn scenario_run_is_thread_invariant_and_resumable() {
         scenario_hash(&t8),
         "--threads 1 vs 8 diverged:\n{t1}\n---\n{t8}"
     );
+    // the serve stage writes its full decision log, one line per request
+    let log = std::fs::read_to_string(dir.join("a/decisions.log")).expect("read decision log");
+    assert_eq!(
+        log.lines().filter(|l| l.starts_with("seq=")).count(),
+        5000,
+        "decisions.log is not the full log:\n{log:.200}"
+    );
 
     // Stop mid-pipeline, then finish: the first three stages must resume.
     let partial = stdout_of(

@@ -7,7 +7,7 @@
 //! flags produces the same `ServeConfig` bytes the old flag parser did.
 
 use crate::spec::ScenarioSpec;
-use stca_serve::{AdaptConfig, BreakerConfig, FleetConfig, ServeConfig, SyntheticStream};
+use stca_serve::{BreakerConfig, FleetConfig, ServeConfig, SyntheticStream};
 use stca_trace::TraceConfig;
 
 /// The flight-recorder config of the spec's `[trace]` section, or `None`
@@ -24,15 +24,10 @@ pub fn trace_config(spec: &ScenarioSpec) -> Option<TraceConfig> {
     })
 }
 
-/// The model-lifecycle config of the spec's `[serve.adapt]` section.
-/// With `enabled = false` (the default) the lifecycle never installs and
-/// serving output is byte-identical to pre-adapt builds.
-pub fn adapt_config(spec: &ScenarioSpec) -> AdaptConfig {
-    spec.adapt
-}
-
 /// The serving-loop config of the spec's `[serve]` (+ `[serve.adapt]`,
-/// `[trace]`, `[artifacts]`) sections.
+/// `[trace]`, `[artifacts]`) sections. `[serve.adapt]` is the engine's
+/// `AdaptConfig` itself; with `enabled = false` (the default) the
+/// lifecycle never installs.
 pub fn serve_config(spec: &ScenarioSpec) -> ServeConfig {
     ServeConfig {
         servers: spec.serve.servers as usize,
@@ -47,7 +42,7 @@ pub fn serve_config(spec: &ScenarioSpec) -> ServeConfig {
         },
         drain_grace_s: spec.serve.drain_grace_s,
         keep_decision_log: !spec.artifacts.decision_log.is_empty(),
-        adapt: adapt_config(spec),
+        adapt: spec.adapt,
         trace: trace_config(spec),
         ..ServeConfig::default()
     }
@@ -103,29 +98,18 @@ mod tests {
     }
 
     #[test]
-    fn adapt_config_defaults_to_disabled_engine_defaults() {
-        let spec = ScenarioSpec::default();
-        let a = adapt_config(&spec);
-        assert_eq!(a, AdaptConfig::default());
-        assert!(!a.enabled);
-        assert_eq!(serve_config(&spec).adapt, AdaptConfig::default());
-    }
-
-    #[test]
-    fn adapt_config_carries_spec_values() {
+    fn serve_config_carries_the_adapt_section() {
+        let default = ScenarioSpec::default();
+        assert_eq!(serve_config(&default).adapt, default.adapt);
+        assert!(!default.adapt.enabled);
         let mut spec = ScenarioSpec::default();
         spec.adapt.enabled = true;
         spec.adapt.epoch_s = 2.5;
         spec.adapt.window = 128;
         spec.adapt.drift_threshold = 3.0;
         spec.adapt.history = 2;
-        let a = adapt_config(&spec);
-        assert!(a.enabled);
-        assert_eq!(a.epoch_s, 2.5);
-        assert_eq!(a.window, 128);
-        assert_eq!(a.drift_threshold, 3.0);
-        assert_eq!(a.history, 2);
-        assert!(a.validate().is_ok());
+        assert!(spec.adapt.validate().is_ok());
+        assert_eq!(serve_config(&spec).adapt, spec.adapt);
     }
 
     #[test]
