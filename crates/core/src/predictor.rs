@@ -34,9 +34,10 @@
 
 use stca_baselines::{TabularKind, TabularModel};
 use stca_deepforest::{DeepForest, DeepForestConfig, Sample};
+use stca_fault::sanitize::all_finite;
 use stca_profiler::profile::{ProfileRow, ProfileSet, Target};
 use stca_queuesim::{QueueSim, StationConfig};
-use stca_util::Seconds;
+use stca_util::{Matrix, Seconds};
 use stca_workloads::{BenchmarkId, WorkloadSpec};
 
 /// Predictor hyperparameters.
@@ -193,7 +194,9 @@ pub struct ResponsePrediction {
 
 /// The trained predictor.
 pub struct Predictor {
-    ea_model: DeepForest,
+    /// The EA deep forest (crate-visible so the serving tests can run the
+    /// full per-request path as their reference).
+    pub(crate) ea_model: DeepForest,
     service_model: DeepForest,
     /// Scalar-only fallback models for rows with damaged traces.
     ea_scalar: TabularModel,
@@ -218,10 +221,6 @@ fn analytic_ea(allocation_ratio: f64) -> f64 {
     }
 }
 
-fn all_finite(xs: &[f64]) -> bool {
-    xs.iter().all(|x| x.is_finite())
-}
-
 fn fallback(tier: &str) {
     stca_obs::counter("fault.predictor_fallbacks_total").inc();
     stca_obs::counter(&format!("fault.predictor_fallback_{tier}_total")).inc();
@@ -243,7 +242,7 @@ impl Predictor {
             .collect();
         // scalar-only design matrix for the degraded-trace fallback models
         let k = profiles.rows[0].scalar_features().len();
-        let mut scalars = stca_util::Matrix::zeros(profiles.len(), k);
+        let mut scalars = Matrix::zeros(profiles.len(), k);
         for (i, row) in profiles.rows.iter().enumerate() {
             scalars.row_mut(i).copy_from_slice(&row.scalar_features());
         }
@@ -288,23 +287,38 @@ impl Predictor {
         }
     }
 
+    /// The EA forest's trace tail for `trace` (raw trace ++ MGS features):
+    /// what [`predict_ea_strict`] takes in place of a trace, so a caller
+    /// whose trace is fixed pays for the MGS transform once.
+    ///
+    /// [`predict_ea_strict`]: Predictor::predict_ea_strict
+    pub fn ea_trace_tail(&self, trace: &Matrix) -> Vec<f64> {
+        self.ea_model.trace_tail(trace)
+    }
+
     /// Forest-only EA prediction with **no fallback**: errors on damaged
     /// features or a non-finite forest output instead of degrading.
     ///
-    /// This is the primary tier the serving loop's circuit breaker wraps —
-    /// the breaker needs failures *surfaced* so it can count them and trip,
-    /// where [`predict_ea`] would silently absorb them into the chain.
+    /// The row arrives in parts: its static features, whether its trace is
+    /// all finite, and that trace's [`ea_trace_tail`]. This is the primary
+    /// tier the serving loop's circuit breaker wraps — the breaker needs
+    /// failures *surfaced* so it can count them and trip, where
+    /// [`predict_ea`] would silently absorb them into the chain.
     ///
+    /// [`ea_trace_tail`]: Predictor::ea_trace_tail
     /// [`predict_ea`]: Predictor::predict_ea
-    pub fn predict_ea_strict(&self, row: &ProfileRow) -> Result<f64, stca_fault::StcaError> {
-        if !all_finite(&row.static_features) || !all_finite(row.trace.as_slice()) {
+    pub fn predict_ea_strict(
+        &self,
+        static_features: &[f64],
+        trace_finite: bool,
+        tail: &[f64],
+    ) -> Result<f64, stca_fault::StcaError> {
+        if !all_finite(static_features) || !trace_finite {
             return Err(stca_fault::StcaError::invalid_input(
                 "predict_ea_strict: non-finite features",
             ));
         }
-        let raw = self
-            .ea_model
-            .predict_parts(&row.static_features, &row.trace);
+        let raw = self.ea_model.predict_tail(static_features, tail);
         if raw.is_finite() {
             Ok(raw.clamp(0.01, 2.0))
         } else {
@@ -315,16 +329,17 @@ impl Predictor {
     }
 
     /// The degraded tail of the fallback chain, skipping the deep forest:
-    /// the scalar tabular model when the scalars are finite (tier 1), else
-    /// the analytic EA floor (tier 2). Always finite in `[0.01, 2.0]`.
-    pub fn predict_ea_degraded(&self, row: &ProfileRow) -> (f64, u8) {
-        if all_finite(&row.static_features) {
-            let raw = self.ea_scalar.predict(&row.static_features);
+    /// the scalar tabular model when the static features are finite
+    /// (tier 1), else the analytic EA floor at `allocation_ratio`
+    /// (tier 2). Always finite in `[0.01, 2.0]`.
+    pub fn predict_ea_degraded(&self, static_features: &[f64], allocation_ratio: f64) -> (f64, u8) {
+        if all_finite(static_features) {
+            let raw = self.ea_scalar.predict(static_features);
             if raw.is_finite() {
                 return (raw.clamp(0.01, 2.0), 1);
             }
         }
-        (analytic_ea(row.allocation_ratio), 2)
+        (analytic_ea(allocation_ratio), 2)
     }
 
     /// Predict normalized base service time for a profile row, with the

@@ -4,11 +4,20 @@
 //! The serving loop speaks flat feature rows (seeded synthetic streams,
 //! `features[0]` = allocation ratio in `(0, 1]`); the predictor speaks
 //! [`ProfileRow`]s (Eq.-2 scalars plus a counter trace). The adapter
-//! bridges them with a *template row* taken from the training set: each
-//! request clones the template and overwrites its leading static features
-//! with the request's, so the deep forest sees inputs shaped exactly like
-//! its training data while the request still controls the EA-relevant
-//! conditions.
+//! bridges them with a *template row* taken from the training set: a
+//! request keeps the template's trace and conditions but writes its own
+//! features over the leading static slots, so the deep forest sees inputs
+//! shaped exactly like its training data while the request still controls
+//! the EA-relevant conditions.
+//!
+//! Only the static features change between requests, so the template's
+//! trace is spent at bind time: [`ServingPredictor::new`] checks it for
+//! finiteness once and computes its trace tail (raw trace ++ multi-grain
+//! scanning features) once. A request copies the template's static
+//! features into a reused thread-local buffer, overwrites its slots, and
+//! runs only the cascade over `static ++ tail`. Every float the cascade
+//! sees is the one the full per-request path would compute, so the result
+//! is bit-identical to it.
 //!
 //! The tier split mirrors the breaker contract:
 //!
@@ -18,53 +27,90 @@
 //!   the scalar-model → analytic tail that always answers.
 
 use crate::predictor::Predictor;
+use stca_fault::sanitize::all_finite;
 use stca_fault::StcaError;
 use stca_profiler::profile::ProfileRow;
 use stca_serve::EaModel;
+use std::cell::RefCell;
 
 /// A trained predictor bound to a template profile row, serving flat
 /// feature vectors.
 pub struct ServingPredictor {
     predictor: Predictor,
-    template: ProfileRow,
+    /// The template's static features; requests overwrite a copy.
+    static_features: Vec<f64>,
+    /// The template's allocation ratio (`l_a' / l_a >= 1`), used when a
+    /// request carries no usable ratio.
+    template_ratio: f64,
+    /// Whether the template's trace is all finite.
+    trace_finite: bool,
+    /// The EA forest's trace tail of the template's trace (empty when the
+    /// trace is not finite: the primary tier then never runs the forest).
+    tail: Vec<f64>,
 }
 
 impl ServingPredictor {
     /// Bind `predictor` to `template` (typically the first row of the
-    /// training set — any row with the right feature shape works).
+    /// training set — any row with the right feature shape works),
+    /// computing the template trace's finiteness and tail once.
     pub fn new(predictor: Predictor, template: ProfileRow) -> ServingPredictor {
+        let trace_finite = all_finite(template.trace.as_slice());
+        let tail = if trace_finite {
+            predictor.ea_trace_tail(&template.trace)
+        } else {
+            Vec::new()
+        };
         ServingPredictor {
             predictor,
-            template,
+            static_features: template.static_features,
+            template_ratio: template.allocation_ratio,
+            trace_finite,
+            tail,
         }
     }
 
-    /// Build a profile row for one request: template conditions with the
-    /// request's features written over the leading static slots, and the
-    /// serving allocation ratio (`l_a / l_a'` in `(0, 1]`) converted to
-    /// the profiler's `l_a' / l_a >= 1` convention.
-    fn fill_row(&self, features: &[f64]) -> ProfileRow {
-        let mut row = self.template.clone();
-        if let Some(&ratio) = features.first() {
-            if ratio.is_finite() && ratio > 0.0 {
-                row.allocation_ratio = (1.0 / ratio).max(1.0);
-            }
+    /// Run `f` on one request's static features: the template's with the
+    /// request's features written over the leading slots, assembled in a
+    /// reused thread-local buffer.
+    fn with_static_features<R>(&self, features: &[f64], f: impl FnOnce(&[f64]) -> R) -> R {
+        thread_local! {
+            static STATIC: RefCell<Vec<f64>> = const { RefCell::new(Vec::new()) };
         }
-        let n = row.static_features.len();
-        for (slot, &v) in row.static_features.iter_mut().zip(features.iter().take(n)) {
-            *slot = v;
+        STATIC.with(|buf| {
+            let mut buf = buf.borrow_mut();
+            buf.clear();
+            buf.extend_from_slice(&self.static_features);
+            let n = buf.len().min(features.len());
+            buf[..n].copy_from_slice(&features[..n]);
+            f(&buf)
+        })
+    }
+
+    /// The request's allocation ratio: the serving ratio (`l_a / l_a'` in
+    /// `(0, 1]`, `features[0]`) converted to the profiler's
+    /// `l_a' / l_a >= 1` convention, or the template's when it is missing
+    /// or unusable.
+    fn allocation_ratio(&self, features: &[f64]) -> f64 {
+        match features.first() {
+            Some(&ratio) if ratio.is_finite() && ratio > 0.0 => (1.0 / ratio).max(1.0),
+            _ => self.template_ratio,
         }
-        row
     }
 }
 
 impl EaModel for ServingPredictor {
     fn predict_primary(&self, features: &[f64]) -> Result<f64, StcaError> {
-        self.predictor.predict_ea_strict(&self.fill_row(features))
+        self.with_static_features(features, |s| {
+            self.predictor
+                .predict_ea_strict(s, self.trace_finite, &self.tail)
+        })
     }
 
     fn predict_degraded(&self, features: &[f64]) -> (f64, u8) {
-        self.predictor.predict_ea_degraded(&self.fill_row(features))
+        self.with_static_features(features, |s| {
+            self.predictor
+                .predict_ea_degraded(s, self.allocation_ratio(features))
+        })
     }
 }
 
@@ -79,7 +125,7 @@ mod tests {
     use stca_util::Rng64;
     use stca_workloads::{BenchmarkId, RuntimeCondition};
 
-    fn trained() -> ServingPredictor {
+    fn fixture() -> (Predictor, ProfileRow) {
         let mut rng = Rng64::new(5);
         let mut set = ProfileSet::new();
         for i in 0..4 {
@@ -96,8 +142,98 @@ mod tests {
             }
         }
         let template = set.rows[0].clone();
-        let predictor = Predictor::train(&set, &ModelConfig::quick(1));
+        (Predictor::train(&set, &ModelConfig::quick(1)), template)
+    }
+
+    fn trained() -> ServingPredictor {
+        let (predictor, template) = fixture();
         ServingPredictor::new(predictor, template)
+    }
+
+    /// The full profile row a request stands for: the template with the
+    /// request's ratio and static slots written in.
+    fn request_row(template: &ProfileRow, features: &[f64]) -> ProfileRow {
+        let mut row = template.clone();
+        if let Some(&ratio) = features.first() {
+            if ratio.is_finite() && ratio > 0.0 {
+                row.allocation_ratio = (1.0 / ratio).max(1.0);
+            }
+        }
+        for (slot, &v) in row.static_features.iter_mut().zip(features) {
+            *slot = v;
+        }
+        row
+    }
+
+    /// The primary tier recomputed from scratch: finiteness of the whole
+    /// row, then the full deep forest with MGS rerun over the trace.
+    fn reference_primary(predictor: &Predictor, row: &ProfileRow) -> Option<f64> {
+        if !all_finite(&row.static_features) || !all_finite(row.trace.as_slice()) {
+            return None;
+        }
+        let raw = predictor
+            .ea_model
+            .predict_parts(&row.static_features, &row.trace);
+        raw.is_finite().then(|| raw.clamp(0.01, 2.0))
+    }
+
+    /// Seeded request vectors, shorter than, as long as and longer than
+    /// the static slots, with NaN, ±Inf and non-positive ratios mixed in.
+    fn request_features(n_static: usize) -> Vec<Vec<f64>> {
+        let mut rng = Rng64::new(0x5E4E);
+        let specials = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 0.0, -0.5];
+        (0..96)
+            .map(|i| {
+                let len = i % (n_static + 3);
+                (0..len)
+                    .map(|_| {
+                        if rng.next_bool(0.2) {
+                            specials[rng.next_index(specials.len())]
+                        } else {
+                            rng.next_range(0.05, 2.0)
+                        }
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    fn assert_matches_reference(m: &ServingPredictor, template: &ProfileRow) {
+        for features in request_features(template.static_features.len()) {
+            let row = request_row(template, &features);
+            let primary = m.predict_primary(&features).ok().map(f64::to_bits);
+            let expect = reference_primary(&m.predictor, &row).map(f64::to_bits);
+            assert_eq!(primary, expect, "primary tier for {features:?}");
+            let (ea, tier) = m.predict_degraded(&features);
+            let (expect_ea, expect_tier) = m
+                .predictor
+                .predict_ea_degraded(&row.static_features, row.allocation_ratio);
+            assert_eq!(
+                (ea.to_bits(), tier),
+                (expect_ea.to_bits(), expect_tier),
+                "degraded tier for {features:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn bind_time_tail_is_bit_identical_to_the_per_request_path() {
+        let (predictor, template) = fixture();
+        let m = ServingPredictor::new(predictor, template.clone());
+        assert_matches_reference(&m, &template);
+    }
+
+    #[test]
+    fn a_non_finite_template_trace_fails_every_primary_call() {
+        let (predictor, mut template) = fixture();
+        template.trace.as_mut_slice()[3] = f64::NAN;
+        let m = ServingPredictor::new(predictor, template.clone());
+        for features in request_features(template.static_features.len()) {
+            assert!(m.predict_primary(&features).is_err(), "{features:?}");
+            let (ea, tier) = m.predict_degraded(&features);
+            assert!((0.01..=2.0).contains(&ea) && (tier == 1 || tier == 2));
+        }
+        assert_matches_reference(&m, &template);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! "580 original features" for a 29 x 20 trace) concatenated with the MGS
 //! representational features.
 
-use crate::cascade::{Cascade, CascadeConfig};
+use crate::cascade::{Cascade, CascadeConfig, CascadeScratch};
 use crate::mgs::{MgsConfig, MultiGrainScanner};
 use crate::scratch::PredictScratch;
 use stca_util::{Matrix, SeedStream};
@@ -147,17 +147,13 @@ impl DeepForest {
     /// callers that already hold scalars and a trace (the predictor hot
     /// path) avoid cloning either.
     pub fn predict_parts(&self, scalars: &[f64], trace: &Matrix) -> f64 {
-        thread_local! {
-            static SCRATCH: std::cell::RefCell<PredictScratch> =
-                std::cell::RefCell::new(PredictScratch::default());
-        }
-        SCRATCH.with(|s| self.predict_parts_with(scalars, trace, &mut s.borrow_mut()))
+        with_scratch(|s| self.predict_parts_with(scalars, trace, s))
     }
 
-    /// The allocation-free prediction path: assemble features into the
-    /// scratch's buffer (scalars ++ raw trace ++ MGS features, the Eq.-2
-    /// layout) and run the cascade over reused buffers. Bit-identical to
-    /// [`DeepForest::predict`].
+    /// The allocation-free prediction path: the trace tail (raw trace ++
+    /// MGS features) into the scratch, then the shared finish step
+    /// (scalars ++ tail through the cascade, the Eq.-2 layout) over reused
+    /// buffers. Bit-identical to [`DeepForest::predict`].
     pub fn predict_parts_with(
         &self,
         scalars: &[f64],
@@ -169,17 +165,53 @@ impl DeepForest {
         let _timer = stca_obs::StageTimer::with_histogram(metrics.predict_seconds.clone());
         let PredictScratch {
             features,
+            tail,
             window,
             cascade,
         } = scratch;
+        tail.clear();
+        extend_trace_tail(&self.mgs, self.include_raw_trace, trace, tail, window);
+        self.finish(scalars, tail, features, cascade)
+    }
+
+    /// The trace tail of the cascade input: the flattened raw trace (when
+    /// the model includes it) followed by the MGS features. A pure
+    /// function of `trace`, so a caller whose trace never changes computes
+    /// it once and predicts through [`DeepForest::predict_tail`].
+    pub fn trace_tail(&self, trace: &Matrix) -> Vec<f64> {
+        let mut tail = Vec::new();
+        extend_trace_tail(
+            &self.mgs,
+            self.include_raw_trace,
+            trace,
+            &mut tail,
+            &mut Vec::new(),
+        );
+        tail
+    }
+
+    /// Predict from scalars and a precomputed [`DeepForest::trace_tail`],
+    /// skipping the MGS transform. Bit-identical to
+    /// [`DeepForest::predict_parts`] over the trace the tail came from;
+    /// allocation-free after the first call on a thread.
+    pub fn predict_tail(&self, scalars: &[f64], tail: &[f64]) -> f64 {
+        let metrics = model_metrics();
+        metrics.predicts.inc();
+        let _timer = stca_obs::StageTimer::with_histogram(metrics.predict_seconds.clone());
+        with_scratch(|s| self.finish(scalars, tail, &mut s.features, &mut s.cascade))
+    }
+
+    /// The finish step every predict shares: scalars ++ tail → cascade.
+    fn finish(
+        &self,
+        scalars: &[f64],
+        tail: &[f64],
+        features: &mut Vec<f64>,
+        cascade: &mut CascadeScratch,
+    ) -> f64 {
         features.clear();
         features.extend_from_slice(scalars);
-        if self.include_raw_trace {
-            features.extend_from_slice(trace.as_slice());
-        }
-        if let Some(m) = &self.mgs {
-            m.transform_extend(trace, features, window);
-        }
+        features.extend_from_slice(tail);
         self.cascade.predict_with(features, cascade)
     }
 
@@ -205,18 +237,45 @@ impl DeepForest {
     }
 }
 
+/// Run `f` on this thread's prediction scratch.
+fn with_scratch<R>(f: impl FnOnce(&mut PredictScratch) -> R) -> R {
+    thread_local! {
+        static SCRATCH: std::cell::RefCell<PredictScratch> =
+            std::cell::RefCell::new(PredictScratch::default());
+    }
+    SCRATCH.with(|s| f(&mut s.borrow_mut()))
+}
+
+/// Append the trace tail (raw trace when included, then MGS features) to
+/// `out`, reusing `window` for the MGS window gathers.
+fn extend_trace_tail(
+    mgs: &Option<MultiGrainScanner>,
+    include_raw_trace: bool,
+    trace: &Matrix,
+    out: &mut Vec<f64>,
+    window: &mut Vec<f64>,
+) {
+    if include_raw_trace {
+        out.extend_from_slice(trace.as_slice());
+    }
+    if let Some(m) = mgs {
+        m.transform_extend(trace, out, window);
+    }
+}
+
 fn assemble_features(
     sample: &Sample,
     mgs: &Option<MultiGrainScanner>,
     include_raw_trace: bool,
 ) -> Vec<f64> {
     let mut f = sample.scalars.clone();
-    if include_raw_trace {
-        f.extend_from_slice(sample.trace.as_slice());
-    }
-    if let Some(m) = mgs {
-        f.extend(m.transform(&sample.trace));
-    }
+    extend_trace_tail(
+        mgs,
+        include_raw_trace,
+        &sample.trace,
+        &mut f,
+        &mut Vec::new(),
+    );
     f
 }
 
@@ -347,6 +406,11 @@ mod tests {
                 model
                     .predict_parts_with(&sample.scalars, &sample.trace, &mut scratch)
                     .to_bits()
+            );
+            let tail = model.trace_tail(&sample.trace);
+            assert_eq!(
+                plain.to_bits(),
+                model.predict_tail(&sample.scalars, &tail).to_bits()
             );
         }
     }

@@ -77,36 +77,54 @@ mod tests {
     use std::sync::atomic::AtomicUsize;
     use std::sync::Arc;
 
-    fn crash() -> StcaError {
+    // The registry is process-global and other tests exhaust retries in
+    // parallel, so every hook fires on their errors too. Each test crashes
+    // with its own run key and counts only exhaustions of that key.
+
+    fn crash(run_key: u64) -> StcaError {
         StcaError::InjectedCrash {
-            run_key: 1,
+            run_key,
             attempt: 0,
         }
     }
 
-    #[test]
-    fn hooks_fire_on_retry_exhaustion_with_the_terminal_error() {
+    fn is_own_exhaustion(err: &StcaError, key: u64) -> bool {
+        matches!(
+            err,
+            StcaError::RetriesExhausted { last, .. }
+                if matches!(**last, StcaError::InjectedCrash { run_key, .. } if run_key == key)
+        )
+    }
+
+    /// Register a hook counting exhaustions of `key`; returns the count
+    /// and the guard.
+    fn count_exhaustions(key: u64) -> (Arc<AtomicUsize>, HookGuard) {
         let seen = Arc::new(AtomicUsize::new(0));
         let seen2 = Arc::clone(&seen);
-        let _guard = register_error_dump_hook(move |err| {
-            assert!(matches!(err, StcaError::RetriesExhausted { .. }));
-            seen2.fetch_add(1, Ordering::SeqCst);
+        let guard = register_error_dump_hook(move |err| {
+            if is_own_exhaustion(err, key) {
+                seen2.fetch_add(1, Ordering::SeqCst);
+            }
         });
-        let out = with_retry::<()>(&RetryPolicy::none(), 3, |_| Err(crash()));
+        (seen, guard)
+    }
+
+    #[test]
+    fn hooks_fire_on_retry_exhaustion_with_the_terminal_error() {
+        const KEY: u64 = 0x400C_0001;
+        let (seen, _guard) = count_exhaustions(KEY);
+        let out = with_retry::<()>(&RetryPolicy::none(), 3, |_| Err(crash(KEY)));
         assert!(matches!(out, Err(StcaError::RetriesExhausted { .. })));
         assert_eq!(seen.load(Ordering::SeqCst), 1);
     }
 
     #[test]
     fn hooks_do_not_fire_on_recovery_or_non_transient_errors() {
-        let seen = Arc::new(AtomicUsize::new(0));
-        let seen2 = Arc::clone(&seen);
-        let _guard = register_error_dump_hook(move |_| {
-            seen2.fetch_add(1, Ordering::SeqCst);
-        });
+        const KEY: u64 = 0x400C_0002;
+        let (seen, _guard) = count_exhaustions(KEY);
         let ok = with_retry(&RetryPolicy::with_max_retries(2), 3, |attempt| {
             if attempt == 0 {
-                Err(crash())
+                Err(crash(KEY))
             } else {
                 Ok(attempt)
             }
@@ -121,25 +139,19 @@ mod tests {
 
     #[test]
     fn dropping_the_guard_unregisters() {
-        let seen = Arc::new(AtomicUsize::new(0));
-        let seen2 = Arc::clone(&seen);
-        let guard = register_error_dump_hook(move |_| {
-            seen2.fetch_add(1, Ordering::SeqCst);
-        });
+        const KEY: u64 = 0x400C_0003;
+        let (seen, guard) = count_exhaustions(KEY);
         drop(guard);
-        let _ = with_retry::<()>(&RetryPolicy::none(), 3, |_| Err(crash()));
+        let _ = with_retry::<()>(&RetryPolicy::none(), 3, |_| Err(crash(KEY)));
         assert_eq!(seen.load(Ordering::SeqCst), 0);
     }
 
     #[test]
     fn a_panicking_hook_is_contained() {
-        let seen = Arc::new(AtomicUsize::new(0));
-        let seen2 = Arc::clone(&seen);
+        const KEY: u64 = 0x400C_0004;
         let _bad = register_error_dump_hook(|_| panic!("boom"));
-        let _good = register_error_dump_hook(move |_| {
-            seen2.fetch_add(1, Ordering::SeqCst);
-        });
-        let out = with_retry::<()>(&RetryPolicy::none(), 3, |_| Err(crash()));
+        let (seen, _good) = count_exhaustions(KEY);
+        let out = with_retry::<()>(&RetryPolicy::none(), 3, |_| Err(crash(KEY)));
         assert!(matches!(out, Err(StcaError::RetriesExhausted { .. })));
         // later hooks still ran despite the earlier panic
         assert_eq!(seen.load(Ordering::SeqCst), 1);

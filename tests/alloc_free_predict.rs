@@ -4,8 +4,9 @@
 //! asserts that, after one warm-up call (scratch buffers growing to
 //! steady-state capacity), repeated predictions through the scratch APIs
 //! perform **zero** heap allocations. Policy search calls predict thousands
-//! of times per exploration; this test keeps allocator pressure out of that
-//! loop for good.
+//! of times per exploration, and the serving loop calls the bound trained
+//! model once per request; this test keeps allocator pressure out of both
+//! loops for good.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -41,10 +42,13 @@ fn allocations(f: impl FnOnce()) -> u64 {
     ALLOCS.with(|c| c.get()) - before
 }
 
+use stca_core::{ModelConfig, Predictor, ServingPredictor};
 use stca_deepforest::{
     Cascade, CascadeConfig, CascadeScratch, DeepForest, DeepForestConfig, Forest, ForestConfig,
     MgsConfig, PredictScratch, Sample,
 };
+use stca_profiler::profile::{ProfileRow, ProfileSet};
+use stca_serve::EaModel;
 use stca_util::{Matrix, Rng64, SeedStream};
 
 fn plane_data(n: usize, seed: u64) -> (Matrix, Vec<f64>) {
@@ -168,4 +172,57 @@ fn deepforest_predict_with_mgs_is_allocation_free_after_warmup() {
         }
     });
     assert_eq!(n, 0, "DeepForest::predict allocated {n} times");
+}
+
+#[test]
+fn serving_predictor_is_allocation_free_after_warmup() {
+    // synthetic profile rows shaped like the profiler's: a few static
+    // features and a 29 x 12 counter trace
+    let mut rng = Rng64::new(9);
+    let mut set = ProfileSet::new();
+    for _ in 0..40 {
+        let mut trace = Matrix::zeros(29, 12);
+        for v in trace.as_mut_slice() {
+            *v = rng.next_f64();
+        }
+        let static_features: Vec<f64> = (0..4).map(|_| rng.next_f64()).collect();
+        let ea = 0.3 + 0.5 * static_features[0] + 0.1 * trace.as_slice()[0];
+        set.push(ProfileRow {
+            static_features,
+            dynamic_features: vec![rng.next_f64(), rng.next_f64()],
+            trace,
+            ea,
+            base_service_norm: 1.0 + rng.next_f64(),
+            mean_response_norm: 1.5,
+            p95_response_norm: 3.0,
+            allocation_ratio: 2.0,
+        });
+    }
+    let template = set.rows[0].clone();
+    let model = ServingPredictor::new(Predictor::train(&set, &ModelConfig::quick(10)), template);
+    let requests: Vec<Vec<f64>> = (0..50)
+        .map(|i| (0..1 + i % 6).map(|_| rng.next_range(0.05, 1.0)).collect())
+        .collect();
+
+    model.predict_primary(&requests[0]).expect("finite request"); // warm-up
+    let n = allocations(|| {
+        for f in &requests {
+            std::hint::black_box(model.predict_primary(f).expect("finite request"));
+        }
+    });
+    assert_eq!(
+        n, 0,
+        "ServingPredictor::predict_primary allocated {n} times"
+    );
+
+    model.predict_degraded(&requests[0]); // warm-up
+    let n = allocations(|| {
+        for f in &requests {
+            std::hint::black_box(model.predict_degraded(f));
+        }
+    });
+    assert_eq!(
+        n, 0,
+        "ServingPredictor::predict_degraded allocated {n} times"
+    );
 }
