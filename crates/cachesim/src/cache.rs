@@ -7,13 +7,19 @@
 //! that survived a mask shrink still hits, which is why occupancy drains
 //! gradually rather than instantly when a boost is revoked (the effect the
 //! paper's short-term allocation exploits).
+//!
+//! Layout: lines sit in one flat `sets × ways` array and a per-set
+//! `valid_bits` word is the only record of which ways hold a line, so a
+//! tag search walks just the valid ways (`trailing_zeros`). Replacement
+//! state for all sets is one `Replacement` and per-workload occupancy is
+//! a vector indexed by workload id: an access never hashes, and allocates
+//! only when a new workload id first fills.
 
 use crate::address::{Address, AddressMapper};
 use crate::config::CacheGeometry;
 use crate::replacement::{Replacement, ReplacementKind};
 use crate::WorkloadId;
 use stca_util::Rng64;
-use std::collections::HashMap;
 
 /// Result of a lookup.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -41,31 +47,38 @@ pub struct Evicted {
     pub addr: Address,
 }
 
+/// One way's contents. Meaningful only while the way's bit is set in the
+/// set's `valid_bits` word.
 #[derive(Debug, Clone, Copy)]
 struct Line {
     tag: u64,
     owner: WorkloadId,
-    valid: bool,
     dirty: bool,
 }
 
-const INVALID_LINE: Line = Line {
+const EMPTY_LINE: Line = Line {
     tag: 0,
     owner: 0,
-    valid: false,
     dirty: false,
 };
 
-/// One cache level.
+/// One cache level. Every per-set structure is a flat array sized once at
+/// construction.
 #[derive(Debug)]
 pub struct CacheLevel {
     geometry: CacheGeometry,
     mapper: AddressMapper,
-    lines: Vec<Line>,       // sets * ways, row-major by set
-    repl: Vec<Replacement>, // per set
-    valid_bits: Vec<u64>,   // per set, bit i = way i valid
+    /// `sets × ways` lines, row-major by set.
+    lines: Vec<Line>,
+    /// Replacement state of every set.
+    repl: Replacement,
+    /// Per set, bit i = way i holds a valid line: the one record of
+    /// validity.
+    valid_bits: Vec<u64>,
     tick: u64,
-    occupancy: HashMap<WorkloadId, u64>,
+    /// Lines owned per workload, indexed by workload id (grown on first
+    /// fill by a new id).
+    occupancy: Vec<u64>,
     rng: Rng64,
 }
 
@@ -78,11 +91,11 @@ impl CacheLevel {
         CacheLevel {
             geometry,
             mapper: AddressMapper::new(geometry.line_size, sets),
-            lines: vec![INVALID_LINE; sets * ways],
-            repl: (0..sets).map(|_| Replacement::new(kind, ways)).collect(),
+            lines: vec![EMPTY_LINE; sets * ways],
+            repl: Replacement::new(kind, sets, ways),
             valid_bits: vec![0; sets],
             tick: 0,
-            occupancy: HashMap::new(),
+            occupancy: Vec::new(),
             rng: Rng64::new(seed),
         }
     }
@@ -92,42 +105,50 @@ impl CacheLevel {
         &self.geometry
     }
 
+    /// Way of `set` holding a valid line tagged `tag`. Only valid ways are
+    /// scanned, lowest first.
+    #[inline]
+    fn find(&self, set: usize, tag: u64) -> Option<usize> {
+        let row = &self.lines[set * self.geometry.ways..];
+        let mut valid = self.valid_bits[set];
+        while valid != 0 {
+            let way = valid.trailing_zeros() as usize;
+            if row[way].tag == tag {
+                return Some(way);
+            }
+            valid &= valid - 1;
+        }
+        None
+    }
+
     /// Look up `addr` for `workload`; updates recency on hit. `fill_mask`
     /// is only used to classify foreign-way hits.
     pub fn lookup(&mut self, addr: Address, fill_mask: u64) -> AccessOutcome {
         let set = self.mapper.set(addr);
-        let tag = self.mapper.tag(addr);
-        let ways = self.geometry.ways;
-        let base = set * ways;
         self.tick += 1;
-        for w in 0..ways {
-            let line = &self.lines[base + w];
-            if line.valid && line.tag == tag {
-                self.repl[set].touch(w, self.tick);
-                return AccessOutcome::Hit {
-                    way: w,
-                    foreign_way: (fill_mask >> w) & 1 == 0,
-                };
+        match self.find(set, self.mapper.tag(addr)) {
+            Some(way) => {
+                self.repl.touch(set, way, self.tick);
+                AccessOutcome::Hit {
+                    way,
+                    foreign_way: (fill_mask >> way) & 1 == 0,
+                }
             }
+            None => AccessOutcome::Miss,
         }
-        AccessOutcome::Miss
     }
 
     /// Mark the line holding `addr` dirty, if present. Returns whether the
     /// line was found.
     pub fn mark_dirty(&mut self, addr: Address) -> bool {
         let set = self.mapper.set(addr);
-        let tag = self.mapper.tag(addr);
-        let ways = self.geometry.ways;
-        let base = set * ways;
-        for w in 0..ways {
-            let line = &mut self.lines[base + w];
-            if line.valid && line.tag == tag {
-                line.dirty = true;
-                return true;
+        match self.find(set, self.mapper.tag(addr)) {
+            Some(way) => {
+                self.lines[set * self.geometry.ways + way].dirty = true;
+                true
             }
+            None => false,
         }
-        false
     }
 
     /// Install `addr` for `owner`, choosing a victim among `fill_mask` ways.
@@ -145,38 +166,33 @@ impl CacheLevel {
     ) -> Result<Option<Evicted>, ()> {
         let set = self.mapper.set(addr);
         let tag = self.mapper.tag(addr);
-        let ways = self.geometry.ways;
-        let base = set * ways;
         self.tick += 1;
-        let victim_way = self.repl[set]
-            .victim(fill_mask, self.valid_bits[set], ways, &mut self.rng)
+        let valid = self.valid_bits[set];
+        let way = self
+            .repl
+            .victim(set, fill_mask, valid, &mut self.rng)
             .ok_or(())?;
-        let slot = &mut self.lines[base + victim_way];
-        let evicted = if slot.valid {
-            let ev = Evicted {
-                owner: slot.owner,
-                dirty: slot.dirty,
-                addr: self.mapper.compose(slot.tag, set),
-            };
-            *self.occupancy.entry(slot.owner).or_insert(0) = self
-                .occupancy
-                .get(&slot.owner)
-                .copied()
-                .unwrap_or(0)
-                .saturating_sub(1);
-            Some(ev)
+        let slot = &mut self.lines[set * self.geometry.ways + way];
+        let evicted = if (valid >> way) & 1 == 1 {
+            let old = *slot;
+            let left = &mut self.occupancy[old.owner as usize];
+            *left = left.saturating_sub(1);
+            Some(Evicted {
+                owner: old.owner,
+                dirty: old.dirty,
+                addr: self.mapper.compose(old.tag, set),
+            })
         } else {
             None
         };
-        *slot = Line {
-            tag,
-            owner,
-            valid: true,
-            dirty,
-        };
-        self.valid_bits[set] |= 1 << victim_way;
-        *self.occupancy.entry(owner).or_insert(0) += 1;
-        self.repl[set].touch(victim_way, self.tick);
+        *slot = Line { tag, owner, dirty };
+        self.valid_bits[set] = valid | 1 << way;
+        let idx = owner as usize;
+        if idx >= self.occupancy.len() {
+            self.occupancy.resize(idx + 1, 0);
+        }
+        self.occupancy[idx] += 1;
+        self.repl.touch(set, way, self.tick);
         Ok(evicted)
     }
 
@@ -185,30 +201,21 @@ impl CacheLevel {
     /// writeback themselves when needed).
     pub fn invalidate(&mut self, addr: Address) -> bool {
         let set = self.mapper.set(addr);
-        let tag = self.mapper.tag(addr);
-        let ways = self.geometry.ways;
-        let base = set * ways;
-        for w in 0..ways {
-            let line = &mut self.lines[base + w];
-            if line.valid && line.tag == tag {
-                line.valid = false;
-                let owner = line.owner;
-                self.valid_bits[set] &= !(1 << w);
-                *self.occupancy.entry(owner).or_insert(0) = self
-                    .occupancy
-                    .get(&owner)
-                    .copied()
-                    .unwrap_or(0)
-                    .saturating_sub(1);
-                return true;
+        match self.find(set, self.mapper.tag(addr)) {
+            Some(way) => {
+                self.valid_bits[set] &= !(1 << way);
+                let owner = self.lines[set * self.geometry.ways + way].owner;
+                let left = &mut self.occupancy[owner as usize];
+                *left = left.saturating_sub(1);
+                true
             }
+            None => false,
         }
-        false
     }
 
     /// Lines currently owned by `workload`.
     pub fn occupancy_of(&self, workload: WorkloadId) -> u64 {
-        self.occupancy.get(&workload).copied().unwrap_or(0)
+        self.occupancy.get(workload as usize).copied().unwrap_or(0)
     }
 
     /// Total valid lines.
@@ -219,16 +226,20 @@ impl CacheLevel {
     /// Invalidate every line owned by `workload` (container teardown).
     pub fn flush_workload(&mut self, workload: WorkloadId) {
         let ways = self.geometry.ways;
-        for set in 0..self.geometry.sets() {
-            for w in 0..ways {
-                let line = &mut self.lines[set * ways + w];
-                if line.valid && line.owner == workload {
-                    line.valid = false;
-                    self.valid_bits[set] &= !(1 << w);
+        for (set, valid) in self.valid_bits.iter_mut().enumerate() {
+            let row = &self.lines[set * ways..(set + 1) * ways];
+            let mut rest = *valid;
+            while rest != 0 {
+                let way = rest.trailing_zeros() as usize;
+                if row[way].owner == workload {
+                    *valid &= !(1 << way);
                 }
+                rest &= rest - 1;
             }
         }
-        self.occupancy.insert(workload, 0);
+        if let Some(owned) = self.occupancy.get_mut(workload as usize) {
+            *owned = 0;
+        }
     }
 }
 

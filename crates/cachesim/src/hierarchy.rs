@@ -19,7 +19,6 @@ use crate::counters::{Counter, CounterBank, CounterSet};
 use crate::replacement::ReplacementKind;
 use crate::WorkloadId;
 use stca_cat::CapacityBitmask;
-use std::collections::HashMap;
 
 /// How LLC way masks are enforced.
 ///
@@ -59,6 +58,25 @@ struct PrivateCaches {
     l2: CacheLevel,
 }
 
+impl PrivateCaches {
+    fn new(config: &HierarchyConfig, seed: u64, w: WorkloadId) -> Self {
+        let seed = seed ^ ((w as u64) << 8);
+        PrivateCaches {
+            l1d: CacheLevel::new(config.l1d, ReplacementKind::Lru, seed | 1),
+            l1i: CacheLevel::new(config.l1i, ReplacementKind::Lru, seed | 2),
+            l2: CacheLevel::new(config.l2, ReplacementKind::Lru, seed | 3),
+        }
+    }
+
+    /// The L1 that serves `kind`.
+    fn l1(&mut self, kind: AccessKind) -> &mut CacheLevel {
+        match kind {
+            AccessKind::IFetch => &mut self.l1i,
+            _ => &mut self.l1d,
+        }
+    }
+}
+
 /// The simulated platform: shared LLC + per-workload private caches.
 /// Workload ids index dense vectors (experiment drivers assign small ids),
 /// keeping the per-access path free of hashing.
@@ -77,7 +95,10 @@ pub struct Hierarchy {
     config: HierarchyConfig,
     llc: CacheLevel,
     privates: Vec<Option<PrivateCaches>>,
-    fill_masks: HashMap<WorkloadId, u64>,
+    /// LLC fill mask per workload id; ids past the end, and entries reset
+    /// by `remove_workload`, hold the full mask.
+    fill_masks: Vec<u64>,
+    full_mask: u64,
     counters: CounterBank,
     mask_mode: MaskMode,
     seed: u64,
@@ -92,7 +113,12 @@ impl Hierarchy {
             llc: CacheLevel::new(config.llc, ReplacementKind::Lru, seed ^ 0x11c),
             config,
             privates: Vec::new(),
-            fill_masks: HashMap::new(),
+            fill_masks: Vec::new(),
+            full_mask: if config.llc.ways == 64 {
+                u64::MAX
+            } else {
+                (1u64 << config.llc.ways) - 1
+            },
             counters: CounterBank::new(),
             mask_mode: MaskMode::FillOnly,
             seed,
@@ -121,43 +147,19 @@ impl Hierarchy {
             self.config.llc.ways,
             "mask validated against a different LLC"
         );
-        self.fill_masks.insert(w, mask.bits());
+        let idx = w as usize;
+        if idx >= self.fill_masks.len() {
+            self.fill_masks.resize(idx + 1, self.full_mask);
+        }
+        self.fill_masks[idx] = mask.bits();
     }
 
     /// Current fill mask bits for a workload (full mask if never set).
     pub fn llc_mask_bits(&self, w: WorkloadId) -> u64 {
-        let full = if self.config.llc.ways == 64 {
-            u64::MAX
-        } else {
-            (1u64 << self.config.llc.ways) - 1
-        };
-        self.fill_masks.get(&w).copied().unwrap_or(full)
-    }
-
-    fn privates_of(&mut self, w: WorkloadId) -> &mut PrivateCaches {
-        let idx = w as usize;
-        if idx >= self.privates.len() {
-            self.privates.resize_with(idx + 1, || None);
-        }
-        let config = &self.config;
-        let seed = self.seed;
-        self.privates[idx].get_or_insert_with(|| PrivateCaches {
-            l1d: CacheLevel::new(
-                config.l1d,
-                ReplacementKind::Lru,
-                seed ^ ((w as u64) << 8) | 1,
-            ),
-            l1i: CacheLevel::new(
-                config.l1i,
-                ReplacementKind::Lru,
-                seed ^ ((w as u64) << 8) | 2,
-            ),
-            l2: CacheLevel::new(
-                config.l2,
-                ReplacementKind::Lru,
-                seed ^ ((w as u64) << 8) | 3,
-            ),
-        })
+        self.fill_masks
+            .get(w as usize)
+            .copied()
+            .unwrap_or(self.full_mask)
     }
 
     /// Perform one memory access for `workload`. Returns the deepest level
@@ -168,78 +170,67 @@ impl Hierarchy {
         let lat = self.config.latencies;
         let is_store = kind == AccessKind::Store;
 
+        // resolve the workload's private caches and counters once; the
+        // borrows are disjoint fields of `self`
+        let idx = w as usize;
+        if idx >= self.privates.len() {
+            self.privates.resize_with(idx + 1, || None);
+        }
+        let p = self.privates[idx]
+            .get_or_insert_with(|| PrivateCaches::new(&self.config, self.seed, w));
+        let c = self.counters.of_mut(w);
+        let llc = &mut self.llc;
+
         // ---- L1 ----
-        let l1_outcome = {
-            let p = self.privates_of(w);
-            let l1 = match kind {
-                AccessKind::IFetch => &mut p.l1i,
-                _ => &mut p.l1d,
-            };
-            l1.lookup(addr, PRIV_FULL)
-        };
-        {
-            let c = self.counters.of_mut(w);
-            match kind {
-                AccessKind::Load => c.bump(Counter::L1dLoads),
-                AccessKind::Store => c.bump(Counter::L1dStores),
-                AccessKind::IFetch => c.bump(Counter::L1iFetches),
-            }
+        let l1_outcome = p.l1(kind).lookup(addr, PRIV_FULL);
+        match kind {
+            AccessKind::Load => c.bump(Counter::L1dLoads),
+            AccessKind::Store => c.bump(Counter::L1dStores),
+            AccessKind::IFetch => c.bump(Counter::L1iFetches),
         }
         if let AccessOutcome::Hit { .. } = l1_outcome {
-            self.counters.of_mut(w).add(Counter::Cycles, lat.l1);
+            c.add(Counter::Cycles, lat.l1);
             if is_store {
                 // write-through dirty state to the LLC copy when present
-                self.llc.mark_dirty(addr);
+                llc.mark_dirty(addr);
             }
             return LevelHit::L1;
         }
-        {
-            let c = self.counters.of_mut(w);
-            match kind {
-                AccessKind::Load => c.bump(Counter::L1dLoadMisses),
-                AccessKind::Store => c.bump(Counter::L1dStoreMisses),
-                AccessKind::IFetch => c.bump(Counter::L1iFetchMisses),
-            }
+        match kind {
+            AccessKind::Load => c.bump(Counter::L1dLoadMisses),
+            AccessKind::Store => c.bump(Counter::L1dStoreMisses),
+            AccessKind::IFetch => c.bump(Counter::L1iFetchMisses),
         }
 
         // ---- L2 ----
-        let l2_outcome = self.privates_of(w).l2.lookup(addr, PRIV_FULL);
-        {
-            let c = self.counters.of_mut(w);
-            c.bump(Counter::L2Requests);
-            if is_store {
-                c.bump(Counter::L2Stores);
-            } else {
-                c.bump(Counter::L2Loads);
-            }
+        let l2_outcome = p.l2.lookup(addr, PRIV_FULL);
+        c.bump(Counter::L2Requests);
+        if is_store {
+            c.bump(Counter::L2Stores);
+        } else {
+            c.bump(Counter::L2Loads);
         }
         if let AccessOutcome::Hit { .. } = l2_outcome {
-            self.fill_l1(w, addr, kind);
-            self.counters.of_mut(w).add(Counter::Cycles, lat.l2);
+            fill_l1(p, c, w, addr, kind);
+            c.add(Counter::Cycles, lat.l2);
             if is_store {
-                self.llc.mark_dirty(addr);
+                llc.mark_dirty(addr);
             }
             return LevelHit::L2;
         }
-        {
-            let c = self.counters.of_mut(w);
-            if is_store {
-                c.bump(Counter::L2StoreMisses);
-            } else {
-                c.bump(Counter::L2LoadMisses);
-            }
+        if is_store {
+            c.bump(Counter::L2StoreMisses);
+        } else {
+            c.bump(Counter::L2LoadMisses);
         }
 
         // ---- LLC ----
-        let llc_outcome = self.llc.lookup(addr, llc_mask);
-        {
-            let c = self.counters.of_mut(w);
-            c.bump(Counter::LlcAccesses);
-            if is_store {
-                c.bump(Counter::LlcStores);
-            } else {
-                c.bump(Counter::LlcLoads);
-            }
+        let llc_outcome = llc.lookup(addr, llc_mask);
+        c.bump(Counter::LlcAccesses);
+        if is_store {
+            c.bump(Counter::LlcStores);
+        } else {
+            c.bump(Counter::LlcLoads);
         }
         // strict partitioning demotes foreign-way hits to misses: the
         // resident copy is invalidated and refetched into the partition
@@ -247,88 +238,55 @@ impl Hierarchy {
             AccessOutcome::Hit {
                 foreign_way: true, ..
             } if self.mask_mode == MaskMode::Strict => {
-                self.llc.invalidate(addr);
+                llc.invalidate(addr);
                 AccessOutcome::Miss
             }
             other => other,
         };
-        match llc_outcome {
-            AccessOutcome::Hit { foreign_way, .. } => {
-                if foreign_way {
-                    self.counters.of_mut(w).bump(Counter::LlcForeignWayHits);
-                }
-                if is_store {
-                    self.llc.mark_dirty(addr);
-                }
-                self.fill_l2(w, addr);
-                self.fill_l1(w, addr, kind);
-                self.counters.of_mut(w).add(Counter::Cycles, lat.llc);
-                LevelHit::Llc
+        if let AccessOutcome::Hit { foreign_way, .. } = llc_outcome {
+            if foreign_way {
+                c.bump(Counter::LlcForeignWayHits);
             }
-            AccessOutcome::Miss => {
-                {
-                    let c = self.counters.of_mut(w);
-                    c.bump(Counter::LlcMisses);
-                    if is_store {
-                        c.bump(Counter::LlcStoreMisses);
-                    } else {
-                        c.bump(Counter::LlcLoadMisses);
-                    }
-                    c.bump(Counter::MemReads);
+            if is_store {
+                llc.mark_dirty(addr);
+            }
+            fill_l2(p, c, w, addr);
+            fill_l1(p, c, w, addr, kind);
+            c.add(Counter::Cycles, lat.llc);
+            return LevelHit::Llc;
+        }
+
+        c.bump(Counter::LlcMisses);
+        if is_store {
+            c.bump(Counter::LlcStoreMisses);
+        } else {
+            c.bump(Counter::LlcLoadMisses);
+        }
+        c.bump(Counter::MemReads);
+        // fill LLC under the CAT mask; an empty mask (Err) makes the access
+        // bypass the LLC entirely
+        let mut victim_owner = None;
+        if let Ok(evicted) = llc.fill(addr, w, llc_mask, is_store) {
+            c.bump(Counter::LlcFills);
+            if let Some(ev) = evicted {
+                if ev.dirty {
+                    c.bump(Counter::MemWrites);
                 }
-                // fill LLC under the CAT mask
-                match self.llc.fill(addr, w, llc_mask, is_store) {
-                    Ok(evicted) => {
-                        self.counters.of_mut(w).bump(Counter::LlcFills);
-                        if let Some(ev) = evicted {
-                            if ev.dirty {
-                                self.counters.of_mut(w).bump(Counter::MemWrites);
-                            }
-                            if ev.owner != w {
-                                self.counters.of_mut(w).bump(Counter::LlcEvictionsCaused);
-                                self.counters
-                                    .of_mut(ev.owner)
-                                    .bump(Counter::LlcEvictionsSuffered);
-                            }
-                        }
-                    }
-                    Err(()) => {
-                        // empty mask: the access bypasses the LLC entirely
-                    }
+                if ev.owner != w {
+                    c.bump(Counter::LlcEvictionsCaused);
+                    victim_owner = Some(ev.owner);
                 }
-                self.fill_l2(w, addr);
-                self.fill_l1(w, addr, kind);
-                self.counters.of_mut(w).add(Counter::Cycles, lat.memory);
-                LevelHit::Memory
             }
         }
-    }
-
-    fn fill_l1(&mut self, w: WorkloadId, addr: Address, kind: AccessKind) {
-        let evicted = {
-            let p = self.privates_of(w);
-            let l1 = match kind {
-                AccessKind::IFetch => &mut p.l1i,
-                _ => &mut p.l1d,
-            };
-            // u64::MAX write-enable covers every way, so fill cannot report
-            // an empty-mask bypass; treat the impossible Err as "no eviction"
-            l1.fill(addr, w, u64::MAX, false).unwrap_or(None)
-        };
-        if evicted.is_some() && kind != AccessKind::IFetch {
-            self.counters.of_mut(w).bump(Counter::L1dEvictions);
+        fill_l2(p, c, w, addr);
+        fill_l1(p, c, w, addr, kind);
+        c.add(Counter::Cycles, lat.memory);
+        if let Some(owner) = victim_owner {
+            self.counters
+                .of_mut(owner)
+                .bump(Counter::LlcEvictionsSuffered);
         }
-    }
-
-    fn fill_l2(&mut self, w: WorkloadId, addr: Address) {
-        let evicted = self
-            .privates_of(w)
-            .l2
-            .fill(addr, w, u64::MAX, false)
-            .unwrap_or(None);
-        if evicted.is_some() {
-            self.counters.of_mut(w).bump(Counter::L2Evictions);
-        }
+        LevelHit::Memory
     }
 
     /// Charge retired instructions plus their base (non-memory) cycles.
@@ -363,7 +321,33 @@ impl Hierarchy {
             *slot = None;
         }
         self.llc.flush_workload(w);
-        self.fill_masks.remove(&w);
+        if let Some(mask) = self.fill_masks.get_mut(w as usize) {
+            *mask = self.full_mask;
+        }
+    }
+}
+
+/// Fill `addr` into the L1 serving `kind`, counting data-side evictions.
+fn fill_l1(
+    p: &mut PrivateCaches,
+    c: &mut CounterSet,
+    w: WorkloadId,
+    addr: Address,
+    kind: AccessKind,
+) {
+    // u64::MAX write-enable covers every way, so fill cannot report an
+    // empty-mask bypass; treat the impossible Err as "no eviction"
+    let evicted = p.l1(kind).fill(addr, w, u64::MAX, false).unwrap_or(None);
+    if evicted.is_some() && kind != AccessKind::IFetch {
+        c.bump(Counter::L1dEvictions);
+    }
+}
+
+/// Fill `addr` into the private L2, counting evictions.
+fn fill_l2(p: &mut PrivateCaches, c: &mut CounterSet, w: WorkloadId, addr: Address) {
+    let evicted = p.l2.fill(addr, w, u64::MAX, false).unwrap_or(None);
+    if evicted.is_some() {
+        c.bump(Counter::L2Evictions);
     }
 }
 

@@ -1,14 +1,63 @@
 //! Structural invariants of the 29 hardware counters: whatever the
 //! workload, the hierarchy's bookkeeping must stay internally consistent —
 //! each level's traffic is exactly the level above's misses, and the LLC's
-//! split counters sum to its totals.
+//! split counters sum to its totals — and the cycle count decomposes
+//! exactly into base cycles plus per-level latencies (EMAT).
 
-use stca_repro::cachesim::{Counter, CounterSet, Hierarchy, HierarchyConfig};
+use stca_repro::cachesim::{
+    AccessKind, Address, Counter, CounterSet, Hierarchy, HierarchyConfig, Latencies, LevelHit,
+};
 use stca_repro::cat::AllocationSetting;
 use stca_repro::util::Rng64;
 use stca_repro::workloads::{AccessGenerator, AccessPattern, BenchmarkId, WorkloadSpec};
 
-fn drive(pattern: AccessPattern, store_fraction: f64, n: u64, seed: u64) -> CounterSet {
+/// Accesses served per level, counted from `Hierarchy::access`'s returns,
+/// plus the base cycles retired alongside them.
+#[derive(Default)]
+struct Served {
+    l1: u64,
+    l2: u64,
+    llc: u64,
+    memory: u64,
+    base_cycles: u64,
+}
+
+impl Served {
+    fn access(&mut self, hier: &mut Hierarchy, addr: Address, kind: AccessKind) {
+        match hier.access(0, addr, kind) {
+            LevelHit::L1 => self.l1 += 1,
+            LevelHit::L2 => self.l2 += 1,
+            LevelHit::Llc => self.llc += 1,
+            LevelHit::Memory => self.memory += 1,
+        }
+    }
+
+    fn retire(&mut self, hier: &mut Hierarchy, instructions: u64, base_cycles: u64) {
+        hier.retire(0, instructions, base_cycles);
+        self.base_cycles += base_cycles;
+    }
+}
+
+/// Each access charges the latency of the deepest level it reached, so
+/// the cycle counter is exactly base cycles plus hits times latencies.
+fn check_emat(c: &CounterSet, served: &Served, lat: Latencies, label: &str) {
+    assert_eq!(
+        c.get(Counter::Cycles),
+        served.base_cycles
+            + served.l1 * lat.l1
+            + served.l2 * lat.l2
+            + served.llc * lat.llc
+            + served.memory * lat.memory,
+        "{label}: cycles decompose into base + per-level latencies"
+    );
+    assert_eq!(c.get(Counter::MemReads), served.memory, "{label}: memory");
+    assert!(
+        served.l1 > 0 && served.memory > 0,
+        "{label}: levels reached"
+    );
+}
+
+fn drive(pattern: AccessPattern, store_fraction: f64, n: u64, seed: u64) -> (CounterSet, Served) {
     let config = HierarchyConfig::experiment_default();
     let mut hier = Hierarchy::new(config, seed);
     hier.set_llc_mask(
@@ -19,15 +68,19 @@ fn drive(pattern: AccessPattern, store_fraction: f64, n: u64, seed: u64) -> Coun
     );
     let mut gen = AccessGenerator::new(pattern, 0, store_fraction, seed);
     let mut rng = Rng64::new(seed ^ 0xF0);
-    for _ in 0..n {
+    let mut served = Served::default();
+    for i in 0..n {
         let (a, k) = gen.next_access();
-        hier.access(0, a, k);
+        served.access(&mut hier, a, k);
         if rng.next_bool(0.4) {
             let (ai, ki) = gen.next_ifetch();
-            hier.access(0, ai, ki);
+            served.access(&mut hier, ai, ki);
+        }
+        if i % 64 == 63 {
+            served.retire(&mut hier, 128, 64 + i % 7);
         }
     }
-    hier.counters_of(0)
+    (hier.counters_of(0), served)
 }
 
 fn check_invariants(c: &CounterSet, label: &str) {
@@ -76,8 +129,9 @@ fn invariants_hold_for_every_benchmark_pattern() {
     let config = HierarchyConfig::experiment_default();
     for id in BenchmarkId::ALL {
         let spec = WorkloadSpec::for_benchmark(id);
-        let c = drive(spec.pattern_for(&config), spec.store_fraction, 20_000, 42);
+        let (c, served) = drive(spec.pattern_for(&config), spec.store_fraction, 20_000, 42);
         check_invariants(&c, id.short_name());
+        check_emat(&c, &served, config.latencies, id.short_name());
     }
 }
 
@@ -97,14 +151,18 @@ fn invariants_hold_under_mask_thrashing() {
         0.3,
         8,
     );
+    let mut served = Served::default();
     for i in 0..30_000u64 {
         if i % 512 == 0 {
             hier.set_llc_mask(0, if (i / 512) % 2 == 0 { narrow } else { wide });
+            served.retire(&mut hier, 1000, 700);
         }
         let (a, k) = gen.next_access();
-        hier.access(0, a, k);
+        served.access(&mut hier, a, k);
     }
-    check_invariants(&hier.counters_of(0), "mask-thrash");
+    let c = hier.counters_of(0);
+    check_invariants(&c, "mask-thrash");
+    check_emat(&c, &served, config.latencies, "mask-thrash");
 }
 
 #[test]
