@@ -451,7 +451,10 @@ fn main() {
     stca_obs::init_from_env();
     stca_exec::init_from_env_and_args();
     let args = stca_util::Args::from_env().unwrap_or_default();
-    let p = params(stca_bench::scale_from_args());
+    let p = params(
+        args.get_parsed("scale", Scale::Standard)
+            .unwrap_or(Scale::Standard),
+    );
     println!(
         "training microbenchmarks, scale {} (median of {} samples)\n",
         p.name, p.samples

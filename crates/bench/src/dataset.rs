@@ -52,6 +52,19 @@ impl Scale {
     }
 }
 
+impl std::str::FromStr for Scale {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Scale, String> {
+        match s {
+            "quick" => Ok(Scale::Quick),
+            "standard" => Ok(Scale::Standard),
+            "full" => Ok(Scale::Full),
+            _ => Err("expected quick, standard or full".into()),
+        }
+    }
+}
+
 /// One labeled observation.
 #[derive(Debug, Clone)]
 pub struct LabeledRow {
@@ -194,25 +207,23 @@ pub fn build_pair_dataset(
     let conditions: Vec<RuntimeCondition> = (0..n_conditions)
         .map(|_| RuntimeCondition::random_pair(pair.0, pair.1, &mut rng))
         .collect();
-    run_conditions(pair, &conditions, scale, ordering, seed)
+    run_conditions(&conditions, scale, ordering, seed)
 }
 
 /// Run an explicit list of conditions for a pair (used by the stratified
 /// profiling harness, which chooses its own conditions).
 pub fn run_conditions(
-    pair: (BenchmarkId, BenchmarkId),
     conditions: &[RuntimeCondition],
     scale: Scale,
     ordering: CounterOrdering,
     seed: u64,
 ) -> Dataset {
-    run_conditions_customized(pair, conditions, scale, ordering, seed, |spec| spec)
+    run_conditions_customized(conditions, scale, ordering, seed, |spec| spec)
 }
 
 /// Like [`run_conditions`] but with a hook to customize each experiment
 /// spec (alternate cache platforms, layouts — Figure 7b).
 pub fn run_conditions_customized(
-    _pair: (BenchmarkId, BenchmarkId),
     conditions: &[RuntimeCondition],
     scale: Scale,
     ordering: CounterOrdering,

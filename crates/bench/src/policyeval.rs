@@ -7,8 +7,21 @@
 
 use crate::dataset::Scale;
 use stca_cat::ShortTermPolicy;
-use stca_profiler::executor::TestEnvironment;
+use stca_profiler::executor::{ExperimentSpec, TestEnvironment};
 use stca_workloads::{BenchmarkId, RuntimeCondition, WorkloadSpec};
+
+/// Run one experiment under explicit policies; returns normalized p95
+/// response per workload (p95 / expected service).
+fn normalized_p95(spec: ExperimentSpec, policies: &[ShortTermPolicy]) -> Vec<f64> {
+    let out = TestEnvironment::new(spec).run_with_policies(Some(policies.to_vec()));
+    out.workloads
+        .iter()
+        .map(|w| {
+            let es = WorkloadSpec::for_benchmark(w.benchmark).mean_service_time;
+            w.p95_response() / es
+        })
+        .collect()
+}
 
 /// Run a pair under explicit policies at a utilization; returns normalized
 /// p95 response per workload (p95 / expected service).
@@ -21,15 +34,7 @@ pub fn run_pair_with_policies(
 ) -> Vec<f64> {
     // condition timeouts are placeholders — the explicit policies govern
     let cond = RuntimeCondition::pair(pair.0, utilization, 6.0, pair.1, utilization, 6.0);
-    let spec = scale.experiment_spec(cond, seed);
-    let out = TestEnvironment::new(spec).run_with_policies(Some(policies.to_vec()));
-    out.workloads
-        .iter()
-        .map(|w| {
-            let es = WorkloadSpec::for_benchmark(w.benchmark).mean_service_time;
-            w.p95_response() / es
-        })
-        .collect()
+    normalized_p95(scale.experiment_spec(cond, seed), policies)
 }
 
 /// Low-variance scoring for final Figure-8 comparisons: a longer run,
@@ -50,14 +55,7 @@ pub fn score_policies_paired(
         let mut spec = scale.experiment_spec(cond.clone(), seed);
         // p95 needs more samples than profiling runs collect
         spec.measured_queries = spec.measured_queries.max(500);
-        let out = TestEnvironment::new(spec).run_with_policies(Some(policies.to_vec()));
-        out.workloads
-            .iter()
-            .map(|w| {
-                let es = WorkloadSpec::for_benchmark(w.benchmark).mean_service_time;
-                w.p95_response() / es
-            })
-            .collect::<Vec<f64>>()
+        normalized_p95(spec, policies)
     });
     let mut acc = [0.0; 2];
     for scores in &per_seed {

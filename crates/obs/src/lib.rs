@@ -46,7 +46,9 @@ pub use metrics::{
     counter, current_trace_id, gauge, histogram, registry, set_current_trace_id, Counter, Gauge,
     Histogram, Registry,
 };
-pub use report::{emit_run_report, metrics_out_from_args, summary_table, write_metrics};
+pub use report::{
+    emit_run_report, emit_run_report_to, metrics_out_from_args, summary_table, write_metrics,
+};
 pub use timer::StageTimer;
 
 /// Log at an explicit level. Prefer the per-level macros.
