@@ -1,127 +1,136 @@
-//! Microbenchmarks for the performance-critical substrates: cache-hierarchy
-//! access throughput (the hot loop of every experiment), queueing
-//! simulation, tree/forest training, multi-grain scanning — and the
-//! observability fast paths (disabled log call sites, counter increments,
-//! histogram records), which must stay in the low-nanosecond range so
-//! instrumented hot loops pay nothing when logging is off.
+//! The workspace's microbenchmarks: the paths `perf` (perfbench/) does not
+//! time, and the training-engine speed gate.
+//!
+//! * observability fast paths (disabled log call sites, counter
+//!   increments, histogram records), which must stay in the
+//!   low-nanosecond range so instrumented hot loops pay nothing when
+//!   logging is off;
+//! * an LLC mask switch, MGS fit + transform and the exec pool's
+//!   dispatch overhead;
+//! * reference-vs-optimized training pairs: each optimized split engine
+//!   against `TreeConfig::reference` on the same data and seeds. Three
+//!   pairs are gated: the run exits 1 when an engine's speedup over the
+//!   reference falls below its floor in [`FLOORS`].
+//!
+//! Forest and cascade predict, hierarchy access and queuesim throughput
+//! are `perf --traced` metrics (`deepforest.forest_predict_ns`,
+//! `deepforest.cascade_predict_us`, `cachesim.hier_access_ns.*`,
+//! `queuesim.events_per_s`) and are not repeated here.
 //!
 //! The harness is hand-rolled on `std::time::Instant` because the build
 //! environment is offline (no `criterion`): each benchmark runs a warm-up,
-//! then `SAMPLES` timed batches, and reports the median, min, and max
-//! per-iteration time. Run with `cargo bench -p stca-bench`.
+//! then times a few batches and reports the median, min and max
+//! per-iteration time. Run with
+//! `cargo bench -p stca-bench --bench microbench`.
 
 use stca_cachesim::{AccessKind, Hierarchy, HierarchyConfig};
 use stca_cat::AllocationSetting;
 use stca_deepforest::forest::{Forest, ForestConfig};
 use stca_deepforest::mgs::{MgsConfig, MultiGrainScanner};
-use stca_queuesim::{QueueSim, StationConfig};
-use stca_util::{Distribution, Matrix, Rng64, SeedStream};
-use stca_workloads::{AccessGenerator, AccessPattern};
+use stca_deepforest::tree::{RegressionTree, SplitStrategy, TreeConfig};
+use stca_util::{Matrix, Rng64, SeedStream};
 use std::hint::black_box;
 use std::time::Instant;
 
+/// Timed batches per benchmark outside the training gate.
 const SAMPLES: usize = 15;
+/// Timed single fits per training benchmark.
+const TRAIN_SAMPLES: usize = 5;
 
-/// Run `f` (a batch of `iters` iterations) `SAMPLES` times and report
-/// per-iteration timings.
-fn bench(name: &str, iters: u64, mut f: impl FnMut(u64)) {
-    // warm-up
+/// Minimum speedup over the reference engine of each gated training
+/// bench: the quick-scale speedups recorded at one worker thread on a
+/// 1-core container (1.007, 1.156, 1.621), divided by the 1.25 slowdown
+/// the gate tolerates.
+const FLOORS: [(&str, f64); 3] = [
+    ("forest_fit_exact", 0.806),
+    ("forest_fit_narrow_exact", 0.925),
+    ("tree_fit_all_presorted", 1.297),
+];
+/// Above this relative spread (max − min over median) in a gated bench
+/// the run is too noisy to judge, and the gate is skipped.
+const MAX_SPREAD: f64 = 0.35;
+
+/// One benchmark's per-iteration timings, in seconds.
+struct Stats {
+    median: f64,
+    min: f64,
+    max: f64,
+}
+
+impl Stats {
+    fn spread(&self) -> f64 {
+        (self.max - self.min) / self.median
+    }
+}
+
+/// Warm up once, then time `samples` batches of `iters` iterations and
+/// report per-iteration timings.
+fn bench(name: &str, samples: usize, iters: u64, mut f: impl FnMut(u64)) -> Stats {
     f(iters);
-    let mut per_iter: Vec<f64> = (0..SAMPLES)
+    let mut per_iter: Vec<f64> = (0..samples)
         .map(|_| {
             let start = Instant::now();
             f(iters);
             start.elapsed().as_secs_f64() / iters as f64
         })
         .collect();
-    per_iter.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
-    let median = per_iter[SAMPLES / 2];
-    let (unit, scale) = if median < 1e-6 {
+    per_iter.sort_by(f64::total_cmp);
+    let stats = Stats {
+        median: per_iter[samples / 2],
+        min: per_iter[0],
+        max: per_iter[samples - 1],
+    };
+    let (unit, scale) = if stats.median < 1e-6 {
         ("ns", 1e9)
-    } else if median < 1e-3 {
+    } else if stats.median < 1e-3 {
         ("us", 1e6)
     } else {
         ("ms", 1e3)
     };
     println!(
-        "{name:<40} {:>9.2} {unit}/iter  (min {:>9.2}, max {:>9.2}, {SAMPLES} samples x {iters} iters)",
-        median * scale,
-        per_iter[0] * scale,
-        per_iter[SAMPLES - 1] * scale,
+        "{name:<40} {:>9.2} {unit}/iter  (min {:>9.2}, max {:>9.2}, {samples} samples x {iters} iters)",
+        stats.median * scale,
+        stats.min * scale,
+        stats.max * scale,
     );
+    stats
 }
 
 fn bench_obs_fast_paths() {
     // logging fully disabled: the default LogConfig filters everything off
     stca_obs::init_with(stca_obs::LogConfig::default());
-    bench("obs/disabled_trace_call_site", 10_000_000, |n| {
+    bench("obs/disabled_trace_call_site", SAMPLES, 10_000_000, |n| {
         for i in 0..n {
             // the macro must reduce to one relaxed atomic load; the
             // format arguments must never be evaluated
             stca_obs::trace!("event {} processed", black_box(i));
         }
     });
-    bench("obs/disabled_debug_call_site", 10_000_000, |n| {
+    bench("obs/disabled_debug_call_site", SAMPLES, 10_000_000, |n| {
         for i in 0..n {
             stca_obs::debug!("queue depth {}", black_box(i));
         }
     });
     let counter = stca_obs::counter("bench.obs.counter_total");
-    bench("obs/counter_inc", 10_000_000, |n| {
+    bench("obs/counter_inc", SAMPLES, 10_000_000, |n| {
         for _ in 0..n {
             counter.inc();
         }
     });
     let hist = stca_obs::histogram("bench.obs.histogram_values");
-    bench("obs/histogram_record", 1_000_000, |n| {
+    bench("obs/histogram_record", SAMPLES, 1_000_000, |n| {
         for i in 0..n {
             hist.record(black_box(i as f64 * 1e-6));
         }
     });
 }
 
-fn queuesim_config() -> StationConfig {
-    StationConfig {
-        inter_arrival: Distribution::Exponential { mean: 0.6 },
-        service: Distribution::LogNormal {
-            mean: 1.0,
-            sigma: 0.4,
-        },
-        expected_service: 1.0,
-        timeout_ratio: 1.0,
-        boost_rate: 1.8,
-        servers: 2,
-        shared_boost: true,
-        measured_queries: 2000,
-        warmup_queries: 200,
-    }
-}
-
-fn bench_hierarchy_access() {
-    let config = HierarchyConfig::experiment_default();
-    let mut hier = Hierarchy::new(config, 1);
-    hier.set_llc_mask(0, AllocationSetting::new(0, 4).to_cbm(20).expect("valid"));
-    let mut gen = AccessGenerator::new(
-        AccessPattern::ZipfReuse {
-            footprint_lines: 4096,
-            theta: 0.8,
-        },
-        0,
-        0.2,
-        2,
-    );
-    bench("cachesim/hierarchy_access", 100_000, |n| {
-        for _ in 0..n {
-            let (a, k) = gen.next_access();
-            black_box(hier.access(0, a, k));
-        }
-    });
-
-    let mut hier = Hierarchy::new(config, 3);
+fn bench_llc_mask_switch() {
+    let mut hier = Hierarchy::new(HierarchyConfig::experiment_default(), 3);
     let narrow = AllocationSetting::new(0, 2).to_cbm(20).expect("valid");
     let wide = AllocationSetting::new(0, 4).to_cbm(20).expect("valid");
     let mut flip = false;
-    bench("cachesim/llc_mask_switch", 100_000, |n| {
+    bench("cachesim/llc_mask_switch", SAMPLES, 100_000, |n| {
         for _ in 0..n {
             flip = !flip;
             hier.set_llc_mask(0, if flip { narrow } else { wide });
@@ -130,43 +139,7 @@ fn bench_hierarchy_access() {
     });
 }
 
-fn bench_queuesim() {
-    // whole-run granularity: one iteration = 2200 simulated queries. This
-    // is the loop the obs instrumentation must not slow down — compare
-    // against the seed before/after instrumenting.
-    bench("queuesim/ggk_stap_2200_queries", 20, |n| {
-        for i in 0..n {
-            let mut sim = QueueSim::new(queuesim_config(), 7 + i);
-            black_box(sim.run());
-        }
-    });
-}
-
-fn training_data(n: usize, f: usize, seed: u64) -> (Matrix, Vec<f64>) {
-    let mut rng = Rng64::new(seed);
-    let mut x = Matrix::zeros(0, 0);
-    let mut y = Vec::with_capacity(n);
-    for _ in 0..n {
-        let row: Vec<f64> = (0..f).map(|_| rng.next_f64()).collect();
-        y.push(row[0] * 2.0 - row[1] + rng.next_gaussian() * 0.1);
-        x.push_row(&row);
-    }
-    (x, y)
-}
-
-fn bench_deepforest() {
-    let (x, y) = training_data(200, 50, 1);
-    bench("deepforest/forest_fit_200x50", 5, |n| {
-        for _ in 0..n {
-            black_box(Forest::fit(
-                &x,
-                &y,
-                ForestConfig::random(20),
-                &SeedStream::new(2),
-            ));
-        }
-    });
-
+fn bench_mgs() {
     let mut rng = Rng64::new(3);
     let traces: Vec<Matrix> = (0..40)
         .map(|_| {
@@ -178,7 +151,7 @@ fn bench_deepforest() {
         })
         .collect();
     let y: Vec<f64> = (0..40).map(|i| (i % 4) as f64 / 4.0).collect();
-    bench("deepforest/mgs_fit_transform_29x20", 3, |n| {
+    bench("deepforest/mgs_fit_transform_29x20", SAMPLES, 3, |n| {
         for _ in 0..n {
             let mgs = MultiGrainScanner::fit(
                 &traces,
@@ -210,39 +183,193 @@ fn bench_exec() {
         }
         acc
     };
-    bench("exec/par_map_range_64_empty_tasks", 200, |n| {
+    bench("exec/par_map_range_64_empty_tasks", SAMPLES, 200, |n| {
         for _ in 0..n {
             black_box(stca_exec::par_map_range(64, |i| i));
         }
     });
-    bench("exec/par_map_64_small_tasks", 50, |n| {
+    bench("exec/par_map_64_small_tasks", SAMPLES, 50, |n| {
         for _ in 0..n {
             black_box(stca_exec::par_map_range(64, |i| busy(i as u64, 1_000)));
         }
     });
-    bench("exec/serial_64_small_tasks", 50, |n| {
+    bench("exec/serial_64_small_tasks", SAMPLES, 50, |n| {
         for _ in 0..n {
             black_box((0..64).map(|i| busy(i as u64, 1_000)).collect::<Vec<_>>());
         }
     });
-    bench("exec/par_map_64_large_tasks", 3, |n| {
+    bench("exec/par_map_64_large_tasks", SAMPLES, 3, |n| {
         for _ in 0..n {
             black_box(stca_exec::par_map_range(64, |i| busy(i as u64, 400_000)));
         }
     });
-    bench("exec/serial_64_large_tasks", 3, |n| {
+    bench("exec/serial_64_large_tasks", SAMPLES, 3, |n| {
         for _ in 0..n {
             black_box((0..64).map(|i| busy(i as u64, 400_000)).collect::<Vec<_>>());
         }
     });
 }
 
+/// Tie-heavy synthetic training data (quantized counters next to continuous
+/// ones, like the profiler's feature rows).
+fn training_data(n: usize, f: usize, seed: u64) -> (Matrix, Vec<f64>) {
+    let mut rng = Rng64::new(seed);
+    let mut x = Matrix::zeros(0, 0);
+    let mut y = Vec::with_capacity(n);
+    let mut row = vec![0.0; f];
+    for _ in 0..n {
+        for (j, v) in row.iter_mut().enumerate() {
+            let u = rng.next_f64();
+            // every third feature quantized: ties are the hard case for
+            // both the stable partition and the histogram edges
+            *v = if j % 3 == 0 {
+                (u * 8.0).floor() / 8.0
+            } else {
+                u
+            };
+        }
+        y.push(2.0 * row[0] - row[1] + 0.5 * row[2] + 0.1 * rng.next_gaussian());
+        x.push_row(&row);
+    }
+    (x, y)
+}
+
+/// Time one training run: a warm-up, then `TRAIN_SAMPLES` single fits.
+fn bench_fit<T>(name: &str, mut fit: impl FnMut() -> T) -> Stats {
+    bench(name, TRAIN_SAMPLES, 1, |_| {
+        black_box(fit());
+    })
+}
+
+/// An optimized training bench against the reference on the same fit.
+struct Pair {
+    name: &'static str,
+    speedup: f64,
+    /// The larger of the two benches' spreads.
+    spread: f64,
+}
+
+fn pair(name: &'static str, reference: &Stats, fast: &Stats) -> Pair {
+    Pair {
+        name,
+        speedup: reference.median / fast.median,
+        spread: reference.spread().max(fast.spread()),
+    }
+}
+
+/// Time every reference-vs-optimized training pair at one worker thread,
+/// the thread count the floors were recorded at.
+fn bench_training() -> Vec<Pair> {
+    stca_exec::set_threads(1);
+    println!(
+        "\ntraining pairs (1 worker thread, the baseline's; median of {TRAIN_SAMPLES} samples)"
+    );
+
+    // Forest::fit on a wide matrix (the fig6 EA shape): hist64 shares one
+    // binned matrix across all trees; exact shows the adaptive engine never
+    // regressing the default path
+    let (x, y) = training_data(500, 32, 1);
+    let fit = |reference, bins| {
+        let config = ForestConfig {
+            reference,
+            bins,
+            ..ForestConfig::random(8)
+        };
+        Forest::fit(&x, &y, config, &SeedStream::new(2))
+    };
+    let reference = bench_fit("forest_fit_reference", || fit(true, None));
+    let exact = bench_fit("forest_fit_exact", || fit(false, None));
+    let hist64 = bench_fit("forest_fit_hist64", || fit(false, Some(64)));
+
+    // Forest::fit on a narrow matrix, where BestOfSqrt picks presorted
+    let (x, y) = training_data(800, 6, 4);
+    let fit = |reference| {
+        let config = ForestConfig {
+            reference,
+            ..ForestConfig::random(10)
+        };
+        Forest::fit(&x, &y, config, &SeedStream::new(5))
+    };
+    let narrow_reference = bench_fit("forest_fit_narrow_reference", || fit(true));
+    let narrow_exact = bench_fit("forest_fit_narrow_exact", || fit(false));
+
+    // one BestOfAll tree (every node consults every feature): presorting's
+    // best case
+    let (x, y) = training_data(1500, 24, 6);
+    let fit = |reference| {
+        let config = TreeConfig {
+            strategy: SplitStrategy::BestOfAll,
+            reference,
+            ..TreeConfig::default()
+        };
+        RegressionTree::fit(&x, &y, config, &mut Rng64::new(7))
+    };
+    let all_reference = bench_fit("tree_fit_all_reference", || fit(true));
+    let all_presorted = bench_fit("tree_fit_all_presorted", || fit(false));
+
+    vec![
+        pair("forest_fit_exact", &reference, &exact),
+        pair("forest_fit_hist64", &reference, &hist64),
+        pair("forest_fit_narrow_exact", &narrow_reference, &narrow_exact),
+        pair("tree_fit_all_presorted", &all_reference, &all_presorted),
+    ]
+}
+
+/// Judge the gated pairs against [`FLOORS`]; false when one regressed.
+fn gate(pairs: &[Pair]) -> bool {
+    println!();
+    for p in pairs {
+        println!("speedup {:<28} {:.2}x vs reference", p.name, p.speedup);
+    }
+    let gated: Vec<(&Pair, f64)> = FLOORS
+        .iter()
+        .map(|&(name, floor)| {
+            let p = pairs.iter().find(|p| p.name == name);
+            (p.expect("every floor names a timed pair"), floor)
+        })
+        .collect();
+    if let Some((p, _)) = gated.iter().find(|(p, _)| p.spread > MAX_SPREAD) {
+        println!(
+            "\ngate skipped: {} too noisy to judge (spread {:.3} > {MAX_SPREAD}); \
+             not failing on an overloaded host",
+            p.name, p.spread
+        );
+        return true;
+    }
+    println!();
+    let mut passed = true;
+    for (p, floor) in gated {
+        let verdict = if p.speedup >= floor {
+            "ok"
+        } else {
+            passed = false;
+            "REGRESSED"
+        };
+        println!(
+            "gate {:<28} {:.3}x vs floor {floor:.3}x  {verdict}",
+            p.name, p.speedup
+        );
+    }
+    if passed {
+        println!("\ngate passed");
+    } else {
+        println!("\ngate FAILED: an optimized engine fell below its speedup floor");
+    }
+    passed
+}
+
 fn main() {
-    stca_exec::init_from_env_and_args();
-    println!("stca microbenchmarks (hand-rolled harness; median of {SAMPLES} samples)\n");
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    println!(
+        "stca microbenchmarks (hand-rolled harness; median of {SAMPLES} samples; \
+         {} worker threads on {cores} cores)\n",
+        stca_exec::threads()
+    );
     bench_obs_fast_paths();
-    bench_hierarchy_access();
-    bench_queuesim();
-    bench_deepforest();
+    bench_llc_mask_switch();
+    bench_mgs();
     bench_exec();
+    if !gate(&bench_training()) {
+        std::process::exit(1);
+    }
 }

@@ -28,10 +28,7 @@ fn real_main() -> Result<(), StcaError> {
     }
     let scale: Scale = flags.get_parsed("scale", Scale::Standard)?;
     if let Some(n) = flags.get("threads") {
-        let n = n.parse().ok().filter(|&n: &usize| n >= 1).ok_or_else(|| {
-            StcaError::usage(format!("bad --threads {n:?}: expected a positive integer"))
-        })?;
-        stca_exec::set_threads(n);
+        stca_exec::set_threads(stca_exec::parse_threads(n).map_err(StcaError::usage)?);
     }
     let only = flags.get("only");
     let selected: Vec<_> = FIGURES

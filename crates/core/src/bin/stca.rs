@@ -719,9 +719,10 @@ fn main() -> ExitCode {
         eprintln!("error: {e}");
         return ExitCode::from(2);
     }
-    stca_exec::init_from_env_and_args();
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    let result = real_main(&argv);
+    let result = stca_exec::init_from_env_and_args()
+        .map_err(StcaError::usage)
+        .and_then(|()| real_main(&argv));
     stca_obs::emit_run_report();
     match result {
         Ok(()) => ExitCode::SUCCESS,

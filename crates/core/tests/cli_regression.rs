@@ -256,6 +256,26 @@ fn unknown_flags_and_keys_exit_2() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A `--threads` value that is not a positive integer is a usage error
+/// (exit 2) with the same message `figures` prints, not a silent fallback
+/// to every core.
+#[test]
+fn bad_threads_exit_2() {
+    let dir = temp_dir("threads");
+    for bad in ["0", "zero", "-3"] {
+        let out = run_in(
+            &dir,
+            &["characterize", "--accesses", "2000", "--threads", bad],
+        );
+        assert_eq!(out.status.code(), Some(2), "--threads {bad} must exit 2");
+        let err = String::from_utf8_lossy(&out.stderr);
+        let want =
+            format!("error: usage error: bad --threads {bad:?}: expected a positive integer");
+        assert!(err.starts_with(&want), "bad error: {err}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// Out-of-range sizes fail cleanly instead of aborting on allocation: a
 /// huge adapt window grows with the traffic rather than being reserved up
 /// front, and `serve.servers` is bounded like `serve.fleet.shards`.

@@ -27,8 +27,8 @@
 //!   per node, the LightGBM device for the large MGS window forests.
 //! * **Reference** ([`TreeConfig::reference`]): the original implementation
 //!   that re-collects and re-sorts `(feature, target)` pairs at every node.
-//!   Kept as the golden baseline for bit-identity tests and for
-//!   before/after training benchmarks (`microbench_train`).
+//!   Kept as the golden baseline for bit-identity tests and for the
+//!   before/after training pairs of `cargo bench -p stca-bench`.
 //!
 //! All engines share one sample-index array partitioned in place as the
 //! tree grows; no per-node index vectors are allocated.
@@ -136,7 +136,8 @@ enum EngineKind {
 /// (`k = F`), but for [`BestOfSqrt`] only on narrow or deep data (wide
 /// matrices consult too few of the columns being maintained). Both engines
 /// produce bit-identical trees, so this is purely a cost decision; the
-/// constant is calibrated with `microbench_train`.
+/// constant is calibrated with the training pairs of
+/// `cargo bench -p stca-bench`.
 ///
 /// [`BestOfAll`]: SplitStrategy::BestOfAll
 /// [`BestOfSqrt`]: SplitStrategy::BestOfSqrt

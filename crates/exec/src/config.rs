@@ -64,8 +64,19 @@ pub fn threads() -> usize {
     n
 }
 
-/// Scan an argv-style list for `--threads N` (or `--threads=N`).
-pub fn threads_from_args<S: AsRef<str>>(args: &[S]) -> Option<usize> {
+/// Parse a `--threads` value: a positive integer, else the usage message
+/// every binary prints for it.
+pub fn parse_threads(value: &str) -> Result<usize, String> {
+    value
+        .parse()
+        .ok()
+        .filter(|&n: &usize| n >= 1)
+        .ok_or_else(|| format!("bad --threads {value:?}: expected a positive integer"))
+}
+
+/// Scan an argv-style list for `--threads N` (or `--threads=N`). A value
+/// that is not a positive integer is an error, not a silent fallback.
+fn threads_from_args<S: AsRef<str>>(args: &[S]) -> Result<Option<usize>, String> {
     let mut iter = args.iter().map(|s| s.as_ref());
     while let Some(arg) = iter.next() {
         let value = if arg == "--threads" {
@@ -74,27 +85,23 @@ pub fn threads_from_args<S: AsRef<str>>(args: &[S]) -> Option<usize> {
             arg.strip_prefix("--threads=")
         };
         if let Some(v) = value {
-            return match v.parse::<usize>() {
-                Ok(n) if n >= 1 => Some(n),
-                _ => {
-                    stca_obs::warn!("ignoring invalid --threads {v:?} (want a positive integer)");
-                    None
-                }
-            };
+            return parse_threads(v).map(Some);
         }
     }
-    None
+    Ok(None)
 }
 
 /// Binary entry-point hook: honor `--threads N` from the process arguments
 /// (falling back to `STCA_THREADS` / core count) and record the effective
-/// count in the `exec.threads` gauge.
-pub fn init_from_env_and_args() {
+/// count in the `exec.threads` gauge. Errs with the usage message on a bad
+/// `--threads` value.
+pub fn init_from_env_and_args() -> Result<(), String> {
     let args: Vec<String> = std::env::args().collect();
-    if let Some(n) = threads_from_args(&args) {
+    if let Some(n) = threads_from_args(&args)? {
         set_threads(n);
     }
     stca_obs::debug!("exec: {} worker threads", threads());
+    Ok(())
 }
 
 /// Serializes tests that touch the process-global [`OVERRIDE`].
@@ -110,12 +117,17 @@ mod tests {
 
     #[test]
     fn parses_threads_flag() {
-        assert_eq!(threads_from_args(&["--scale", "quick"]), None);
-        assert_eq!(threads_from_args(&["--threads", "4"]), Some(4));
-        assert_eq!(threads_from_args(&["--threads=12"]), Some(12));
-        assert_eq!(threads_from_args(&["--threads", "zero"]), None);
-        assert_eq!(threads_from_args(&["--threads", "0"]), None);
-        assert_eq!(threads_from_args(&["--threads"]), None);
+        assert_eq!(threads_from_args(&["--scale", "quick"]), Ok(None));
+        assert_eq!(threads_from_args(&["--threads", "4"]), Ok(Some(4)));
+        assert_eq!(threads_from_args(&["--threads=12"]), Ok(Some(12)));
+        assert_eq!(threads_from_args(&["--threads"]), Ok(None));
+        for bad in ["zero", "0", "-3"] {
+            let err = threads_from_args(&["--threads", bad]).unwrap_err();
+            assert_eq!(
+                err,
+                format!("bad --threads {bad:?}: expected a positive integer")
+            );
+        }
     }
 
     #[test]

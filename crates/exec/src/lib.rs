@@ -35,7 +35,7 @@
 mod config;
 mod pool;
 
-pub use config::{init_from_env_and_args, set_threads, threads, threads_from_args};
+pub use config::{init_from_env_and_args, parse_threads, set_threads, threads};
 pub use pool::{
     par_map_indexed, par_map_indexed_caught, par_map_range, par_map_range_caught, run_caught,
 };
