@@ -4,17 +4,16 @@
 //! condition of a collocation pair, one row per workload, carrying the
 //! Eq.-2 features and the measured ground truth (EA and response times).
 //! Experiments are embarrassingly parallel and each condition carries its
-//! own deterministic seed, so `stca_exec::par_map_indexed` runs them on the
-//! shared pool and returns rows in condition order at any thread count.
+//! own deterministic seed, so the profiler's one loop
+//! (`stca_profiler::executor::profile_each`) runs them on the shared pool
+//! and returns rows in condition order at any thread count.
 
-use stca_fault::{Checkpoint, FaultPlan, RetryPolicy, StcaError};
-use stca_profiler::executor::{run_experiment_checked, ExperimentSpec, TestEnvironment};
+use stca_fault::{FaultPlan, RetryPolicy};
+use stca_profiler::executor::{profile_each, ExperimentSpec};
 use stca_profiler::profile::{ProfileRow, ProfileSet};
 use stca_profiler::sampler::CounterOrdering;
-use stca_profiler::storage;
 use stca_util::Rng64;
 use stca_workloads::{BenchmarkId, RuntimeCondition};
-use std::path::Path;
 
 /// How big an experiment run should be.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -149,49 +148,6 @@ impl Dataset {
     }
 }
 
-/// Validate a freshly built row before it enters a dataset: every feature,
-/// target, and trace value must be finite and the EA non-negative.
-/// Corrupted measurements (fault injection, stuck sensors) would otherwise
-/// poison training; rejected rows tick `fault.rows_rejected_total`.
-fn validate_row(row: &ProfileRow) -> Result<(), String> {
-    if !row.ea.is_finite() || row.ea < 0.0 {
-        return Err(format!("EA {} out of range", row.ea));
-    }
-    for (name, v) in [
-        ("base_service_norm", row.base_service_norm),
-        ("mean_response_norm", row.mean_response_norm),
-        ("p95_response_norm", row.p95_response_norm),
-        ("allocation_ratio", row.allocation_ratio),
-    ] {
-        if !v.is_finite() {
-            return Err(format!("{name} is {v}"));
-        }
-    }
-    if !row.static_features.iter().all(|v| v.is_finite()) {
-        return Err("non-finite static feature".into());
-    }
-    if !row.trace.as_slice().iter().all(|v| v.is_finite()) {
-        return Err("non-finite trace value".into());
-    }
-    Ok(())
-}
-
-/// Apply [`validate_row`] to each built row, dropping invalid ones.
-fn keep_valid_rows(rows: Vec<LabeledRow>) -> Vec<LabeledRow> {
-    rows.into_iter()
-        .filter(|r| match validate_row(&r.row) {
-            Ok(()) => true,
-            Err(reason) => {
-                stca_fault::sanitize::reject_row(
-                    &format!("dataset row ({})", r.benchmark),
-                    &reason,
-                );
-                false
-            }
-        })
-        .collect()
-}
-
 /// Build a dataset for one collocation pair: `n_conditions` random Table-2
 /// conditions, each run through the test environment with a deterministic
 /// per-condition seed, in parallel.
@@ -223,159 +179,50 @@ pub fn run_conditions(
 
 /// Like [`run_conditions`] but with a hook to customize each experiment
 /// spec (alternate cache platforms, layouts — Figure 7b).
+///
+/// Runs the profiler's one loop with no faults, the default retry policy
+/// and no checkpoint; it never reads `STCA_FAULT_PLAN`. A figure needs
+/// every row of every condition, so a failed condition or a rejected row
+/// panics with its reason instead of being skipped.
 pub fn run_conditions_customized(
     conditions: &[RuntimeCondition],
     scale: Scale,
     ordering: CounterOrdering,
     seed: u64,
-    customize: impl Fn(stca_profiler::executor::ExperimentSpec) -> stca_profiler::executor::ExperimentSpec
-        + Sync,
+    customize: impl Fn(ExperimentSpec) -> ExperimentSpec + Sync,
 ) -> Dataset {
     stca_obs::time_scope!("bench.dataset.build_seconds");
-    let conditions_run = stca_obs::counter("bench.dataset.conditions_total");
-    let per_condition = stca_exec::par_map_indexed(conditions, |i, cond| {
-        stca_obs::debug!("condition {i}: running experiment");
-        let spec = customize(scale.experiment_spec(cond.clone(), seed ^ ((i as u64) << 20)));
-        let out = TestEnvironment::new(spec).run();
-        let n = out.workloads.len();
-        let rows: Vec<LabeledRow> = out
-            .workloads
-            .iter()
-            .enumerate()
-            .map(|(j, w)| LabeledRow {
-                benchmark: w.benchmark,
-                // partner = the next workload along the chain
-                pair: (w.benchmark, out.workloads[(j + 1) % n].benchmark),
-                row: ProfileRow::from_outcome(cond, j, w, ordering),
-            })
-            .collect();
-        conditions_run.inc();
-        rows
-    });
-    Dataset {
-        rows: keep_valid_rows(per_condition.into_iter().flatten().collect()),
-    }
-}
-
-/// Fault-tolerant [`build_pair_dataset`]: experiments run under `plan` with
-/// retry, conditions that exhaust their retries are skipped (counted in
-/// `fault.conditions_failed_total`), rows are validated before entering the
-/// dataset, and — when `checkpoint` is given — each finished condition is
-/// persisted so a killed build resumes bit-identically.
-#[allow(clippy::too_many_arguments)]
-pub fn build_pair_dataset_checked(
-    pair: (BenchmarkId, BenchmarkId),
-    n_conditions: usize,
-    scale: Scale,
-    ordering: CounterOrdering,
-    seed: u64,
-    plan: &FaultPlan,
-    retry: &RetryPolicy,
-    checkpoint: Option<&Path>,
-) -> Result<Dataset, StcaError> {
-    stca_obs::time_scope!("bench.dataset.build_seconds");
-    let mut rng = Rng64::new(seed);
-    let conditions: Vec<RuntimeCondition> = (0..n_conditions)
-        .map(|_| RuntimeCondition::random_pair(pair.0, pair.1, &mut rng))
-        .collect();
-    let meta = format!(
-        "dataset/{}-{}/n{n_conditions}/seed{seed}/plan{:016x}",
-        pair.0, pair.1, plan.seed
-    );
-    let mut ckpt = match checkpoint {
-        Some(path) => Some(Checkpoint::load_or_new(path, &meta)?),
-        None => None,
-    };
-    // decode resumed conditions up front: Some(rows) = finished (possibly
-    // a recorded failure, which stays failed — same plan seed, same faults)
-    let cached: Vec<Option<Vec<ProfileRow>>> = (0..n_conditions)
-        .map(|i| {
-            let ck = ckpt.as_ref()?;
-            match ck.get(&format!("cond.{i}")) {
-                Some(stca_obs::json::Value::Array(rows)) => rows
-                    .iter()
-                    .map(|v| storage::row_from_json(v).ok())
-                    .collect(),
-                Some(stca_obs::json::Value::String(s)) if s.starts_with("failed") => {
-                    Some(Vec::new())
-                }
-                _ => None,
-            }
-        })
-        .collect();
-    let conditions_run = stca_obs::counter("bench.dataset.conditions_total");
-    let results = stca_exec::par_map_indexed_caught(&conditions, |i, cond| {
-        if let Some(rows) = &cached[i] {
-            return Ok(rows.clone());
-        }
-        let spec = scale.experiment_spec(cond.clone(), seed ^ ((i as u64) << 20));
-        run_experiment_checked(spec, plan, retry).map(|out| {
-            conditions_run.inc();
-            out.workloads
-                .iter()
-                .enumerate()
-                .map(|(j, w)| ProfileRow::from_outcome(cond, j, w, ordering))
-                .collect::<Vec<ProfileRow>>()
-        })
-    });
-    let failed_counter = stca_obs::counter("fault.conditions_failed_total");
+    let results = profile_each(
+        conditions,
+        |i, cond| customize(scale.experiment_spec(cond.clone(), seed ^ ((i as u64) << 20))),
+        ordering,
+        &FaultPlan::none(),
+        &RetryPolicy::default(),
+        None,
+    )
+    .expect("no checkpoint, no checkpoint error");
+    stca_obs::counter("bench.dataset.conditions_total").add(conditions.len() as u64);
     let mut dataset = Dataset::default();
     for (i, (cond, result)) in conditions.iter().zip(results).enumerate() {
-        let flattened = match result {
-            Ok(inner) => inner.map_err(|e| e.to_string()),
-            Err(panic_msg) => Err(format!("panicked: {panic_msg}")),
+        let n = cond.workloads.len();
+        let rows = match result {
+            Ok(rows) if rows.len() == n => rows,
+            Ok(_) => panic!("condition {i}: a damaged row was rejected"),
+            Err(reason) => panic!("condition {i} failed: {reason}"),
         };
-        match flattened {
-            Ok(rows) => {
-                if let Some(ck) = ckpt.as_mut() {
-                    if cached[i].is_none() {
-                        ck.put(
-                            format!("cond.{i}"),
-                            stca_obs::json::Value::Array(
-                                rows.iter().map(storage::row_to_json).collect(),
-                            ),
-                        );
-                    }
+        dataset
+            .rows
+            .extend(rows.into_iter().enumerate().map(|(j, row)| {
+                // partner = the next workload along the chain
+                let benchmark = cond.workloads[j].benchmark;
+                LabeledRow {
+                    benchmark,
+                    pair: (benchmark, cond.workloads[(j + 1) % n].benchmark),
+                    row,
                 }
-                let n = rows.len();
-                let labeled: Vec<LabeledRow> = rows
-                    .into_iter()
-                    .enumerate()
-                    .map(|(j, row)| {
-                        let bench = cond.workloads[j].benchmark;
-                        let partner = cond.workloads[(j + 1) % n.max(1)].benchmark;
-                        LabeledRow {
-                            benchmark: bench,
-                            pair: (bench, partner),
-                            row,
-                        }
-                    })
-                    .collect();
-                dataset.rows.extend(keep_valid_rows(labeled));
-            }
-            Err(reason) => {
-                failed_counter.inc();
-                stca_obs::warn!("dataset condition {i} failed, skipping: {reason}");
-                if let Some(ck) = ckpt.as_mut() {
-                    if cached[i].is_none() {
-                        ck.put(
-                            format!("cond.{i}"),
-                            stca_obs::json::Value::String(format!("failed: {reason}")),
-                        );
-                    }
-                }
-            }
-        }
+            }));
     }
-    if let Some(ck) = ckpt.as_mut() {
-        ck.save()?;
-    }
-    if dataset.is_empty() {
-        return Err(StcaError::invalid_input(format!(
-            "all {n_conditions} dataset conditions failed under the fault plan"
-        )));
-    }
-    Ok(dataset)
+    dataset
 }
 
 #[cfg(test)]
@@ -400,97 +247,15 @@ mod tests {
     }
 
     #[test]
-    fn invalid_rows_are_rejected() {
-        let pair = (BenchmarkId::Knn, BenchmarkId::Bfs);
-        let d = build_pair_dataset(pair, 1, Scale::Quick, CounterOrdering::Grouped, 3);
-        let mut rows = d.rows.clone();
-        rows[0].row.ea = f64::NAN;
-        rows[1].row.trace.as_mut_slice()[0] = f64::INFINITY;
-        let before = stca_fault::sanitize::rows_rejected_total();
-        let kept = keep_valid_rows(rows);
-        assert!(kept.is_empty(), "both damaged rows rejected");
-        assert_eq!(stca_fault::sanitize::rows_rejected_total(), before + 2);
-        // negative EA also rejected
-        let mut rows = d.rows.clone();
-        rows[0].row.ea = -0.5;
-        assert_eq!(keep_valid_rows(rows).len(), 1);
-    }
-
-    #[test]
-    fn checked_build_without_faults_matches_plain() {
-        let pair = (BenchmarkId::Knn, BenchmarkId::Bfs);
-        let plain = build_pair_dataset(pair, 2, Scale::Quick, CounterOrdering::Grouped, 5);
-        let checked = build_pair_dataset_checked(
-            pair,
-            2,
-            Scale::Quick,
-            CounterOrdering::Grouped,
-            5,
-            &FaultPlan::none(),
-            &RetryPolicy::default(),
-            None,
-        )
-        .expect("no faults");
-        assert_eq!(plain.len(), checked.len());
-        for (a, b) in plain.rows.iter().zip(&checked.rows) {
-            assert_eq!(a.row.ea.to_bits(), b.row.ea.to_bits());
-            assert_eq!(a.pair, b.pair);
-        }
-    }
-
-    #[test]
-    fn checked_build_resumes_from_checkpoint_bit_identically() {
-        let pair = (BenchmarkId::Knn, BenchmarkId::Bfs);
-        let path =
-            std::env::temp_dir().join(format!("stca-dataset-ckpt-{}.json", std::process::id()));
-        std::fs::remove_file(&path).ok();
-        let build = |ckpt: Option<&std::path::Path>| {
-            build_pair_dataset_checked(
-                pair,
-                3,
-                Scale::Quick,
-                CounterOrdering::Grouped,
-                17,
-                &FaultPlan::ci_default(),
-                &RetryPolicy::default(),
-                ckpt,
-            )
-            .expect("survivable plan")
-        };
-        let uninterrupted = build(None);
-        let full = build(Some(&path));
-        assert_eq!(uninterrupted.len(), full.len());
-
-        // simulate a mid-run kill: keep only the first condition's entry
-        let text = std::fs::read_to_string(&path).expect("checkpoint written");
-        let mut doc = stca_obs::json::Value::parse(&text).expect("valid json");
-        if let stca_obs::json::Value::Object(ref mut top) = doc {
-            if let Some(stca_obs::json::Value::Object(entries)) = top.get_mut("entries") {
-                entries.retain(|k, _| k == "cond.0");
-                assert_eq!(entries.len(), 1);
+    #[should_panic(expected = "condition 0 failed")]
+    fn failed_condition_aborts_the_build() {
+        let cond = RuntimeCondition::pair(BenchmarkId::Knn, 0.7, 1.0, BenchmarkId::Bfs, 0.7, 1.0);
+        run_conditions_customized(&[cond], Scale::Quick, CounterOrdering::Grouped, 1, |spec| {
+            ExperimentSpec {
+                layout: stca_cat::layout::ExperimentLayout::pair_symmetric(64, 64),
+                ..spec
             }
-        }
-        std::fs::write(&path, doc.to_string()).expect("write partial");
-        let resumed = build(Some(&path));
-        assert_eq!(uninterrupted.len(), resumed.len());
-        for (a, b) in uninterrupted.rows.iter().zip(&resumed.rows) {
-            assert_eq!(a.row.ea.to_bits(), b.row.ea.to_bits());
-            assert_eq!(
-                a.row
-                    .trace
-                    .as_slice()
-                    .iter()
-                    .map(|x| x.to_bits())
-                    .collect::<Vec<_>>(),
-                b.row
-                    .trace
-                    .as_slice()
-                    .iter()
-                    .map(|x| x.to_bits())
-                    .collect::<Vec<_>>()
-            );
-        }
-        std::fs::remove_file(&path).ok();
+        });
     }
 
     #[test]

@@ -15,7 +15,7 @@ use crate::{Dataset, Scale};
 use stca_core::pipeline::model_config;
 use stca_core::Predictor;
 use stca_profiler::sampler::CounterOrdering;
-use stca_profiler::stratified::{stratified_sample_with, StratifiedConfig};
+use stca_profiler::stratified::{stratified_sample, StratifiedConfig};
 use stca_scenario::ModelKind;
 use stca_util::Rng64;
 use stca_workloads::{BenchmarkId, RuntimeCondition};
@@ -89,15 +89,16 @@ pub fn run(scale: Scale) {
     // the profiled rows ride along as the evaluator payload; collecting
     // them after the fact (in draw order) keeps the evaluator Fn + Sync so
     // each batch of conditions can run in parallel
-    let evaluated = stratified_sample_with(pair, strat_cfg, &mut srng, |cond| {
+    let evaluated = stratified_sample(pair, strat_cfg, &mut srng, |_, cond| {
         let ds = run_conditions(
             std::slice::from_ref(cond),
             scale,
             CounterOrdering::Grouped,
             0x90B,
         );
-        (ds.rows[0].row.ea, ds)
-    });
+        Ok((ds.rows[0].row.ea, ds))
+    })
+    .expect("stratified sampling");
     let mut strat_rows = Dataset::default();
     for e in &evaluated {
         strat_rows.extend(e.payload.clone());

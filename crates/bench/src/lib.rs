@@ -18,4 +18,4 @@ pub mod policyeval;
 pub mod soak;
 pub mod table;
 
-pub use dataset::{build_pair_dataset, build_pair_dataset_checked, Dataset, LabeledRow, Scale};
+pub use dataset::{build_pair_dataset, Dataset, LabeledRow, Scale};

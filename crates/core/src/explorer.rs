@@ -18,7 +18,9 @@
 
 use crate::predictor::Predictor;
 use stca_cat::{PairLayout, ShortTermPolicy};
-use stca_fault::checkpoint::{f64s_to_value, fingerprint_f64s, value_to_f64s, Checkpoint};
+use stca_fault::checkpoint::{
+    f64s_to_value, fingerprint, fingerprint_f64s, value_to_f64s, Checkpoint,
+};
 use stca_fault::StcaError;
 use stca_profiler::profile::{ProfileRow, ProfileSet};
 use stca_workloads::BenchmarkId;
@@ -163,8 +165,9 @@ impl<'a> PolicyExplorer<'a> {
     /// batch (one grid row) completes. A re-run after a kill reloads the
     /// finished cells and computes only the remainder, yielding a result
     /// bit-identical to an uninterrupted run. The checkpoint meta
-    /// fingerprints the pair, utilization, grid, and profile set, so a
-    /// checkpoint from different inputs is discarded rather than mixed in.
+    /// fingerprints the pair, utilization, grid, profile set and model
+    /// config, so a checkpoint from different inputs is discarded rather
+    /// than mixed in.
     ///
     /// [`explore_with_grid`]: PolicyExplorer::explore_with_grid
     pub fn explore_with_grid_checkpointed(
@@ -219,7 +222,8 @@ impl<'a> PolicyExplorer<'a> {
         Ok(self.select_from_cells(grid_points, cells))
     }
 
-    /// Meta string tying a checkpoint to its exact inputs.
+    /// Meta string tying a checkpoint to its exact inputs: the pair,
+    /// utilization, grid, profiles and the predictor's model config.
     fn checkpoint_meta(&self, grid_points: &[f64]) -> String {
         let mut words: Vec<f64> = vec![self.utilization];
         words.extend_from_slice(grid_points);
@@ -227,14 +231,16 @@ impl<'a> PolicyExplorer<'a> {
             words.push(row.ea);
             words.extend_from_slice(&row.static_features);
         }
+        let model = format!("{:?}", self.predictor.config);
         format!(
-            "explore/{}-{}/u{:.4}/g{}/p{}/{:016x}",
+            "explore/{}-{}/u{:.4}/g{}/p{}/{:016x}/m{:016x}",
             self.benchmark_a,
             self.benchmark_b,
             self.utilization,
             grid_points.len(),
             self.profiles.len(),
-            fingerprint_f64s(&words)
+            fingerprint_f64s(&words),
+            fingerprint(model.bytes().map(u64::from))
         )
     }
 
@@ -431,6 +437,38 @@ mod tests {
             .explore_with_grid_checkpointed(&TIMEOUT_GRID, &path)
             .expect("fully resumed run");
         grids_match(&plain, &again);
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn explore_checkpoint_covers_the_model() {
+        let (profiles, seed5) = build_explorer_fixture();
+        let seed8 = Predictor::train(&profiles, &ModelConfig::quick(8));
+        let explore = |predictor: &Predictor, path: Option<&Path>| {
+            let explorer = PolicyExplorer::new(
+                predictor,
+                &profiles,
+                BenchmarkId::Redis,
+                BenchmarkId::Social,
+                0.9,
+            );
+            let result = match path {
+                Some(path) => explorer.explore_with_grid_checkpointed(&TIMEOUT_GRID, path),
+                None => Ok(explorer.explore_with_grid(&TIMEOUT_GRID)),
+            };
+            let result = result.expect("explore");
+            let cells = result.grid.iter().flatten();
+            cells
+                .flat_map(|&(a, b)| [a.to_bits(), b.to_bits()])
+                .collect::<Vec<_>>()
+        };
+        let path =
+            std::env::temp_dir().join(format!("stca-explore-model-{}.json", std::process::id()));
+        std::fs::remove_file(&path).ok();
+        let stale = explore(&seed5, Some(&path));
+        let fresh = explore(&seed8, None);
+        assert_ne!(stale, fresh, "the seeds train different models");
+        assert_eq!(explore(&seed8, Some(&path)), fresh, "stale cells resumed");
         std::fs::remove_file(&path).ok();
     }
 

@@ -17,8 +17,8 @@ use crate::{ExplorationResult, ModelConfig, PolicyExplorer, Predictor};
 use stca_cachesim::{CacheGeometry, HierarchyConfig};
 use stca_cat::layout::ExperimentLayout;
 use stca_fault::{Checkpoint, RetryPolicy, StcaError};
-use stca_profiler::executor::{run_experiment_checked, ExperimentSpec};
-use stca_profiler::profile::{ProfileRow, ProfileSet};
+use stca_profiler::executor::{profile_each, ExperimentSpec};
+use stca_profiler::profile::ProfileSet;
 use stca_profiler::sampler::CounterOrdering;
 use stca_profiler::storage;
 use stca_scenario::{fnv1a, ModelKind, PredictorKind, ScenarioSpec, Stage};
@@ -51,32 +51,6 @@ pub fn experiment_layout(spec: &ScenarioSpec) -> ExperimentLayout {
     )
 }
 
-fn profile_meta(spec: &ScenarioSpec) -> String {
-    let pair = spec.workloads.pair;
-    let n = spec.profile.conditions;
-    let seed = spec.profile.seed;
-    let mut meta = format!(
-        "profile/{}-{}/n{n}/seed{seed}/plan{:016x}",
-        pair.0, pair.1, spec.fault.plan.seed
-    );
-    // the historical meta covers the historical defaults; non-default
-    // experiment shape must invalidate checkpoints taken under another
-    let p = &spec.profile;
-    if (p.measured_queries, p.warmup_queries, p.accesses_per_query) != (200, 30, 1500) {
-        meta.push_str(&format!(
-            "/m{}w{}a{}",
-            p.measured_queries, p.warmup_queries, p.accesses_per_query
-        ));
-    }
-    if (spec.cat.ways, spec.cat.default_span, spec.cat.boosted_span) != (0, 2, 2) {
-        meta.push_str(&format!(
-            "/cat{}-{}-{}",
-            spec.cat.ways, spec.cat.default_span, spec.cat.boosted_span
-        ));
-    }
-    meta
-}
-
 /// Profile `[profile].conditions` random conditions of the spec's pair
 /// under its fault plan, skipping conditions that exhaust their retries
 /// and checkpointing finished ones when asked.
@@ -87,114 +61,51 @@ pub fn profile_conditions(
     let pair = spec.workloads.pair;
     let n = spec.profile.conditions as usize;
     let seed = spec.profile.seed;
-    let plan = &spec.fault.plan;
-    let retry = RetryPolicy::with_max_retries(spec.fault.max_retries);
-    let config = hierarchy_config(spec);
-    let layout = experiment_layout(spec);
+    let (config, layout) = (hierarchy_config(spec), experiment_layout(spec));
+    let p = &spec.profile;
     let mut rng = Rng64::new(seed);
     // conditions are drawn serially; the experiments (the expensive part)
     // run in parallel, each with its original per-condition seed
     let conditions: Vec<RuntimeCondition> = (0..n)
         .map(|_| RuntimeCondition::random_pair(pair.0, pair.1, &mut rng))
         .collect();
-    let meta = profile_meta(spec);
-    let mut ckpt = match checkpoint {
-        Some(path) => Some(Checkpoint::load_or_new(path, &meta)?),
-        None => None,
-    };
-    let cached: Vec<Option<Vec<ProfileRow>>> = (0..n)
-        .map(|i| {
-            let ck = ckpt.as_ref()?;
-            match ck.get(&format!("cond.{i}")) {
-                Some(stca_obs::json::Value::Array(rows)) => rows
-                    .iter()
-                    .map(|v| storage::row_from_json(v).ok())
-                    .collect(),
-                Some(stca_obs::json::Value::String(s)) if s.starts_with("failed") => {
-                    // a condition that failed in the previous run stays
-                    // failed on resume (same plan seed ⇒ same faults)
-                    Some(Vec::new())
-                }
-                _ => None,
-            }
-        })
-        .collect();
-    let accesses = match spec.profile.accesses_per_query {
-        0 => None,
-        v => Some(v),
-    };
-    let results = stca_exec::par_map_indexed_caught(&conditions, |i, condition| {
-        if let Some(rows) = &cached[i] {
-            return Ok(rows.clone());
-        }
-        stca_obs::info!(
-            "[{}/{}] util=({:.2},{:.2}) T=({:.2},{:.2})",
-            i + 1,
-            n,
-            condition.workloads[0].utilization,
-            condition.workloads[1].utilization,
-            condition.workloads[0].timeout_ratio,
-            condition.workloads[1].timeout_ratio
-        );
-        let exp = ExperimentSpec {
+    // the loop adds the fault plan and retry budget to this meta
+    let meta = format!(
+        "profile/{}-{}/n{n}/seed{seed}/m{}w{}a{}/cat{}-{}-{}",
+        pair.0,
+        pair.1,
+        p.measured_queries,
+        p.warmup_queries,
+        p.accesses_per_query,
+        spec.cat.ways,
+        spec.cat.default_span,
+        spec.cat.boosted_span
+    );
+    let results = profile_each(
+        &conditions,
+        |i, condition| ExperimentSpec {
             config,
             layout: layout.clone(),
-            measured_queries: spec.profile.measured_queries as usize,
-            warmup_queries: spec.profile.warmup_queries as usize,
-            accesses_per_query: accesses,
+            measured_queries: p.measured_queries as usize,
+            warmup_queries: p.warmup_queries as usize,
+            accesses_per_query: (p.accesses_per_query != 0).then_some(p.accesses_per_query),
             ..ExperimentSpec::standard(condition.clone(), seed ^ ((i as u64) << 16))
-        };
-        run_experiment_checked(exp, plan, &retry).map(|out| {
-            out.workloads
-                .iter()
-                .enumerate()
-                .map(|(j, w)| ProfileRow::from_outcome(condition, j, w, CounterOrdering::Grouped))
-                .collect::<Vec<ProfileRow>>()
-        })
-    });
+        },
+        CounterOrdering::Grouped,
+        &spec.fault.plan,
+        &RetryPolicy::with_max_retries(spec.fault.max_retries),
+        checkpoint.map(|path| (path, meta.as_str())),
+    )?;
     let mut set = ProfileSet::new();
     let mut failed = 0usize;
-    for (i, result) in results.into_iter().enumerate() {
-        let flattened = match result {
-            Ok(inner) => inner.map_err(|e| e.to_string()),
-            Err(panic_msg) => Err(format!("panicked: {panic_msg}")),
-        };
-        match flattened {
-            Ok(rows) => {
-                if rows.is_empty() {
-                    failed += 1; // resumed failure marker
-                } else if let Some(ck) = ckpt.as_mut() {
-                    if cached[i].is_none() {
-                        ck.put(
-                            format!("cond.{i}"),
-                            stca_obs::json::Value::Array(
-                                rows.iter().map(storage::row_to_json).collect(),
-                            ),
-                        );
-                    }
-                }
-                for row in rows {
-                    set.push(row);
-                }
-            }
-            Err(reason) => {
-                failed += 1;
-                stca_obs::counter("fault.conditions_failed_total").inc();
-                stca_obs::warn!("condition {i} failed, skipping: {reason}");
-                if let Some(ck) = ckpt.as_mut() {
-                    ck.put(
-                        format!("cond.{i}"),
-                        stca_obs::json::Value::String(format!("failed: {reason}")),
-                    );
-                }
-            }
+    for result in results {
+        match result {
+            Ok(rows) => rows.into_iter().for_each(|row| set.push(row)),
+            Err(_) => failed += 1,
         }
     }
-    if let Some(ck) = ckpt.as_mut() {
-        ck.save()?;
-    }
     if failed > 0 {
-        stca_obs::warn!("{failed}/{n} conditions failed under the fault plan");
+        stca_obs::warn!("{failed}/{n} conditions failed under the fault plan, skipped");
     }
     if set.is_empty() {
         return Err(StcaError::invalid_input(format!(
@@ -722,4 +633,49 @@ pub fn check_runnable(spec: &ScenarioSpec, dir_override: Option<&Path>) -> Resul
     // setter already guaranteed that, so only cross-field rules live here
     let _ = WorkloadSpec::for_benchmark(spec.workloads.pair.0);
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use stca_fault::FaultPlan;
+    use stca_workloads::BenchmarkId;
+
+    fn small_spec(plan: &str, max_retries: u32) -> ScenarioSpec {
+        let mut spec = ScenarioSpec::default();
+        spec.workloads.pair = (BenchmarkId::Knn, BenchmarkId::Bfs);
+        spec.profile.conditions = 4;
+        spec.profile.measured_queries = 60;
+        spec.profile.warmup_queries = 10;
+        spec.profile.accesses_per_query = 400;
+        spec.fault.plan = FaultPlan::parse(plan).expect("valid plan");
+        spec.fault.max_retries = max_retries;
+        spec
+    }
+
+    fn ea_bits(set: &ProfileSet) -> Vec<u64> {
+        set.rows.iter().map(|r| r.ea.to_bits()).collect()
+    }
+
+    #[test]
+    fn profile_checkpoint_covers_the_fault_plan_and_retry_budget() {
+        let path =
+            std::env::temp_dir().join(format!("stca-profile-meta-{}.json", std::process::id()));
+        std::fs::remove_file(&path).ok();
+        let heavy_no_retry = small_spec("heavy,seed=7", 0);
+        let skipped = profile_conditions(&heavy_no_retry, Some(&path)).expect("survivors");
+        assert!(skipped.len() < 8, "a condition fails without retries");
+        for edited in [small_spec("heavy,seed=7", 8), small_spec("none,seed=7", 0)] {
+            profile_conditions(&heavy_no_retry, Some(&path)).expect("survivors");
+            let fresh = profile_conditions(&edited, None).expect("fresh run");
+            let resumed = profile_conditions(&edited, Some(&path)).expect("rerun");
+            assert_eq!(fresh.len(), 8, "every condition profiled");
+            assert_eq!(
+                ea_bits(&fresh),
+                ea_bits(&resumed),
+                "stale checkpoint reused"
+            );
+        }
+        std::fs::remove_file(&path).ok();
+    }
 }

@@ -201,7 +201,9 @@ pub struct Predictor {
     /// Scalar-only fallback models for rows with damaged traces.
     ea_scalar: TabularModel,
     service_scalar: TabularModel,
-    config: ModelConfig,
+    /// The hyperparameters it was trained with (the explorer's checkpoint
+    /// meta fingerprints them).
+    pub(crate) config: ModelConfig,
 }
 
 fn to_sample(row: &ProfileRow) -> Sample {

@@ -17,14 +17,21 @@
 //! service time equals the Table-1 baseline; at run time, contention and
 //! boosts change cycles-per-access and therefore realized service times.
 
+use crate::profile::ProfileRow;
 use crate::proxy::ProxyService;
+use crate::sampler::CounterOrdering;
+use crate::storage;
 use stca_cachesim::{Counter, CounterSet, Hierarchy, HierarchyConfig, MaskMode};
 use stca_cat::layout::ExperimentLayout;
 use stca_cat::ShortTermPolicy;
+use stca_fault::checkpoint::{fingerprint, Checkpoint};
 use stca_fault::{with_retry, FaultPlan, RetryPolicy, StcaError};
+use stca_obs::json::Value;
 use stca_util::{Distribution, Percentiles, Rng64, Seconds};
+use stca_workloads::conditions::WorkloadCondition;
 use stca_workloads::{AccessGenerator, RuntimeCondition, WorkloadSpec};
 use std::collections::VecDeque;
+use std::path::Path;
 use std::sync::{Arc, OnceLock};
 
 /// Full description of one experiment run.
@@ -726,14 +733,120 @@ impl TestEnvironment {
 }
 
 /// One-shot checked experiment: validate the spec, then run it under the
-/// fault plan and retry policy. This is the entry point the CLI and the
-/// bench dataset builder use on the fault-tolerant path.
+/// fault plan and retry policy. [`profile_each`] runs every profiled
+/// condition through it.
 pub fn run_experiment_checked(
     spec: ExperimentSpec,
     plan: &FaultPlan,
     retry: &RetryPolicy,
 ) -> Result<ExperimentOutcome, StcaError> {
     TestEnvironment::try_new(spec)?.run_with_retry(plan, retry)
+}
+
+/// The profiling loop: run the experiment `spec_of(i, condition)`
+/// describes for every condition, in parallel, under `plan` and `retry`,
+/// and turn each station into a [`ProfileRow`]. Rows that fail
+/// [`ProfileRow::validate`] are dropped (`fault.rows_rejected_total`).
+///
+/// Returns one result per condition, in input order, bit-identical at any
+/// thread count. `Err` holds why the condition failed (retries exhausted,
+/// invalid spec, panic) and ticks `fault.conditions_failed_total`; the
+/// caller decides whether to skip it or abort.
+///
+/// With `checkpoint = Some((path, meta))`, every finished condition, failed
+/// ones included, is saved to a [`Checkpoint`], and a re-run resumes it
+/// instead of running it again. The checkpoint's meta is `meta` (which must
+/// fingerprint the conditions and `spec_of`) plus the whole plan and the
+/// retry budget, so a run under another plan or budget starts afresh.
+pub fn profile_each(
+    conditions: &[RuntimeCondition],
+    spec_of: impl Fn(usize, &RuntimeCondition) -> ExperimentSpec + Sync,
+    ordering: CounterOrdering,
+    plan: &FaultPlan,
+    retry: &RetryPolicy,
+    checkpoint: Option<(&Path, &str)>,
+) -> Result<Vec<Result<Vec<ProfileRow>, String>>, StcaError> {
+    let mut ckpt = match checkpoint {
+        Some((path, meta)) => {
+            let plan_print = fingerprint(format!("{plan:?}").bytes().map(u64::from));
+            let meta = format!("{meta}/plan{plan_print:016x}/r{}", retry.max_retries);
+            Some(Checkpoint::load_or_new(path, &meta)?)
+        }
+        None => None,
+    };
+    // resumed conditions, decoded up front; a recorded failure stays
+    // failed (same plan, same faults)
+    let cached: Vec<Option<Result<Vec<ProfileRow>, String>>> = (0..conditions.len())
+        .map(|i| match ckpt.as_ref()?.get(&format!("cond.{i}"))? {
+            Value::Array(rows) => rows
+                .iter()
+                .map(|v| storage::row_from_json(v).ok())
+                .collect::<Option<_>>()
+                .map(Ok),
+            Value::String(s) => s.strip_prefix("failed: ").map(|r| Err(r.to_string())),
+            _ => None,
+        })
+        .collect();
+    let n = conditions.len();
+    let results = stca_exec::par_map_indexed_caught(conditions, |i, condition| {
+        if let Some(done) = &cached[i] {
+            return done.clone();
+        }
+        let list = |field: fn(&WorkloadCondition) -> f64| {
+            let v: Vec<String> = condition
+                .workloads
+                .iter()
+                .map(|w| format!("{:.2}", field(w)))
+                .collect();
+            v.join(",")
+        };
+        stca_obs::info!(
+            "[{}/{n}] util=({}) T=({})",
+            i + 1,
+            list(|w| w.utilization),
+            list(|w| w.timeout_ratio)
+        );
+        run_experiment_checked(spec_of(i, condition), plan, retry)
+            .map(|out| {
+                out.workloads
+                    .iter()
+                    .enumerate()
+                    .map(|(j, w)| ProfileRow::from_outcome(condition, j, w, ordering))
+                    .collect()
+            })
+            .map_err(|e| e.to_string())
+    });
+    let mut profiled = Vec::with_capacity(n);
+    for (i, (result, cached)) in results.into_iter().zip(cached).enumerate() {
+        let mut result = result.unwrap_or_else(|panic| Err(format!("panicked: {panic}")));
+        if cached.is_none() {
+            match &mut result {
+                Ok(rows) => rows.retain(|row| match row.validate() {
+                    Ok(()) => true,
+                    Err(reason) => {
+                        stca_fault::sanitize::reject_row(&format!("condition {i}"), &reason);
+                        false
+                    }
+                }),
+                Err(reason) => {
+                    stca_obs::counter("fault.conditions_failed_total").inc();
+                    stca_obs::warn!("condition {i} failed: {reason}");
+                }
+            }
+            if let Some(ck) = ckpt.as_mut() {
+                let entry = match &result {
+                    Ok(rows) => Value::Array(rows.iter().map(storage::row_to_json).collect()),
+                    Err(reason) => Value::String(format!("failed: {reason}")),
+                };
+                ck.put(format!("cond.{i}"), entry);
+            }
+        }
+        profiled.push(result);
+    }
+    if let Some(ck) = ckpt.as_mut() {
+        ck.save()?;
+    }
+    Ok(profiled)
 }
 
 #[cfg(test)]
@@ -976,6 +1089,54 @@ mod tests {
         assert_eq!(a.workloads[0].trace, b.workloads[0].trace);
         assert_eq!(a.workloads[1].trace, b.workloads[1].trace);
         assert_eq!(a.workloads[0].response_times, b.workloads[0].response_times);
+    }
+
+    #[test]
+    fn profile_each_resumes_from_checkpoint_bit_identically() {
+        let mut rng = Rng64::new(17);
+        let conditions: Vec<RuntimeCondition> = (0..3)
+            .map(|_| RuntimeCondition::random_pair(BenchmarkId::Knn, BenchmarkId::Bfs, &mut rng))
+            .collect();
+        // per condition: the `Err` text, or every row's bits
+        let profile = |checkpoint: Option<&Path>| -> Vec<Result<Vec<u64>, String>> {
+            let results = profile_each(
+                &conditions,
+                |i, c| ExperimentSpec::quick(c.clone(), 17 ^ ((i as u64) << 20)),
+                CounterOrdering::Grouped,
+                &FaultPlan::ci_default(),
+                &RetryPolicy::default(),
+                checkpoint.map(|path| (path, "test")),
+            )
+            .expect("checkpoint io");
+            let bits = |rows: Vec<ProfileRow>| {
+                let values = rows.iter().flat_map(|row| {
+                    let trace = row.trace.as_slice().iter();
+                    std::iter::once(&row.ea)
+                        .chain(trace)
+                        .chain(&row.static_features)
+                });
+                values.map(|x| x.to_bits()).collect()
+            };
+            results.into_iter().map(|r| r.map(bits)).collect()
+        };
+        let path =
+            std::env::temp_dir().join(format!("stca-profile-each-{}.json", std::process::id()));
+        std::fs::remove_file(&path).ok();
+        let uninterrupted = profile(None);
+        assert_eq!(uninterrupted, profile(Some(&path)));
+
+        // simulate a mid-run kill: keep only the first condition's entry
+        let text = std::fs::read_to_string(&path).expect("checkpoint written");
+        let mut doc = Value::parse(&text).expect("valid json");
+        if let Value::Object(ref mut top) = doc {
+            if let Some(Value::Object(entries)) = top.get_mut("entries") {
+                entries.retain(|k, _| k == "cond.0");
+                assert_eq!(entries.len(), 1);
+            }
+        }
+        std::fs::write(&path, doc.to_string()).expect("write partial");
+        assert_eq!(uninterrupted, profile(Some(&path)));
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]

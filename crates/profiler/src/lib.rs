@@ -25,11 +25,14 @@
 //! * [`stratified`] — the stratified condition-sampling procedure of §4
 //!   (seed experiments → cluster by EA → refine near centroids).
 //!
-//! The profiler is the first stage of the fault-tolerant path (`stca-fault`):
-//! [`executor::run_experiment_checked`] runs experiments under a
-//! [`stca_fault::FaultPlan`] with retry, [`sampler::sanitize_trace`] repairs
-//! or rejects damaged traces, and [`stratified::stratified_sample_checked`]
-//! skips failed conditions instead of aborting the sweep.
+//! The profiler is the first stage of the fault-tolerant path (`stca-fault`).
+//! [`executor::profile_each`] is the one profiling loop: it runs each
+//! condition through [`executor::run_experiment_checked`] under a
+//! [`stca_fault::FaultPlan`] with retry, rejects damaged rows
+//! ([`ProfileRow::validate`]) and checkpoints finished conditions.
+//! [`sampler::sanitize_trace`] repairs or rejects damaged traces, and
+//! [`stratified::stratified_sample`] skips failed conditions instead of
+//! aborting the sweep.
 
 #![warn(clippy::unwrap_used)]
 
@@ -43,9 +46,10 @@ pub mod stratified;
 
 pub use ea::effective_allocation;
 pub use executor::{
-    run_experiment_checked, ExperimentOutcome, ExperimentSpec, TestEnvironment, WorkloadOutcome,
+    profile_each, run_experiment_checked, ExperimentOutcome, ExperimentSpec, TestEnvironment,
+    WorkloadOutcome,
 };
 pub use profile::{ProfileRow, ProfileSet};
 pub use proxy::ProxyService;
 pub use sampler::{apply_faults, sanitize_trace, TraceSanitizeReport};
-pub use stratified::{stratified_sample_checked, EvaluatedCondition};
+pub use stratified::{stratified_sample, EvaluatedCondition};

@@ -100,6 +100,33 @@ impl ProfileRow {
         f.extend_from_slice(self.trace.as_slice());
         f
     }
+
+    /// Check a freshly measured row before it enters a dataset: every
+    /// feature, target and trace value must be finite and the EA
+    /// non-negative. Corrupted measurements (fault injection, stuck
+    /// sensors) would otherwise poison training.
+    pub fn validate(&self) -> Result<(), String> {
+        if !self.ea.is_finite() || self.ea < 0.0 {
+            return Err(format!("EA {} out of range", self.ea));
+        }
+        for (name, v) in [
+            ("base_service_norm", self.base_service_norm),
+            ("mean_response_norm", self.mean_response_norm),
+            ("p95_response_norm", self.p95_response_norm),
+            ("allocation_ratio", self.allocation_ratio),
+        ] {
+            if !v.is_finite() {
+                return Err(format!("{name} is {v}"));
+            }
+        }
+        if !self.static_features.iter().all(|v| v.is_finite()) {
+            return Err("non-finite static feature".into());
+        }
+        if !self.trace.as_slice().iter().all(|v| v.is_finite()) {
+            return Err("non-finite trace value".into());
+        }
+        Ok(())
+    }
 }
 
 /// A set of profile rows with train/test utilities.
@@ -199,6 +226,26 @@ mod tests {
         let cond = RuntimeCondition::pair(BenchmarkId::Knn, 0.6, 1.0, BenchmarkId::Bfs, 0.7, 2.0);
         let out = TestEnvironment::new(ExperimentSpec::quick(cond.clone(), 11)).run();
         (cond, out)
+    }
+
+    #[test]
+    fn validate_rejects_damaged_rows() {
+        let (cond, out) = tiny_outcome();
+        let row = ProfileRow::from_outcome(&cond, 0, &out.workloads[0], CounterOrdering::Grouped);
+        assert_eq!(row.validate(), Ok(()));
+        let mut nan_ea = row.clone();
+        nan_ea.ea = f64::NAN;
+        let mut negative_ea = row.clone();
+        negative_ea.ea = -0.5;
+        let mut bad_trace = row.clone();
+        bad_trace.trace.as_mut_slice()[0] = f64::INFINITY;
+        let mut bad_target = row.clone();
+        bad_target.p95_response_norm = f64::NAN;
+        let mut bad_static = row;
+        bad_static.static_features[1] = f64::NEG_INFINITY;
+        for damaged in [nan_ea, negative_ea, bad_trace, bad_target, bad_static] {
+            assert!(damaged.validate().is_err());
+        }
     }
 
     #[test]

@@ -80,123 +80,22 @@ fn jittered_near(c: &RuntimeCondition, jitter: f64, rng: &mut Rng64) -> RuntimeC
 }
 
 /// Run the stratified sampling procedure for a collocation pair. The
-/// returned list contains every evaluated condition (seeds + refinements),
-/// which becomes the profiling dataset.
+/// returned list holds every evaluated condition (seeds + refinements) in
+/// draw order, which becomes the profiling dataset.
 ///
-/// Thin wrapper over [`stratified_sample_with`] for evaluators that only
-/// return the measured EA.
-pub fn stratified_sample(
-    pair: (BenchmarkId, BenchmarkId),
-    config: StratifiedConfig,
-    rng: &mut Rng64,
-    evaluate: impl Fn(&RuntimeCondition) -> f64 + Sync,
-) -> Vec<EvaluatedCondition> {
-    stratified_sample_with(pair, config, rng, |c| (evaluate(c), ()))
-}
-
-/// Stratified sampling with an evaluator that returns `(ea, payload)`.
+/// `evaluate(i, condition)` runs one condition and returns its measured EA
+/// plus any payload (e.g. the profiled rows); `i` is the condition's global
+/// draw index, so per-condition seeds stay stable. Conditions are drawn
+/// serially from `rng` (each round clusters everything evaluated so far),
+/// but each batch is evaluated in parallel, so the evaluator must be
+/// `Fn + Sync` and must not share mutable state. Results are identical at
+/// any thread count.
 ///
-/// Conditions are drawn serially from `rng` (the procedure is inherently
-/// sequential: each round clusters everything evaluated so far), but each
-/// batch of drawn conditions is *evaluated* in parallel. The evaluator must
-/// therefore be `Fn + Sync`; any internal randomness should be derived from
-/// the condition itself or a per-condition seed, not shared mutable state.
-/// Results are returned in draw order at any thread count.
-pub fn stratified_sample_with<T: Send>(
-    pair: (BenchmarkId, BenchmarkId),
-    config: StratifiedConfig,
-    rng: &mut Rng64,
-    evaluate: impl Fn(&RuntimeCondition) -> (f64, T) + Sync,
-) -> Vec<EvaluatedCondition<T>> {
-    assert!(
-        config.seeds >= config.clusters,
-        "need at least one seed per cluster"
-    );
-    stca_obs::time_scope!("profiler.stratified.run_seconds");
-    stca_obs::debug!(
-        "stratified sampling {}({}): {} seeds, {} clusters x {} x {} rounds",
-        pair.0,
-        pair.1,
-        config.seeds,
-        config.clusters,
-        config.per_cluster,
-        config.rounds
-    );
-    let eval_batch =
-        |conditions: Vec<RuntimeCondition>, phase_counter: &str| -> Vec<EvaluatedCondition<T>> {
-            let results = stca_exec::par_map_indexed(&conditions, |_, c| evaluate(c));
-            conditions
-                .into_iter()
-                .zip(results)
-                .map(|(condition, (ea, payload))| {
-                    record_sample(phase_counter, ea);
-                    EvaluatedCondition {
-                        condition,
-                        ea,
-                        payload,
-                    }
-                })
-                .collect()
-        };
-
-    // seed phase
-    let seeds: Vec<RuntimeCondition> = (0..config.seeds)
-        .map(|_| RuntimeCondition::random_pair(pair.0, pair.1, rng))
-        .collect();
-    let mut evaluated = eval_batch(seeds, "profiler.stratified.seed_samples_total");
-
-    for _ in 0..config.rounds {
-        // cluster by EA (1-D)
-        let points: Vec<Vec<f64>> = evaluated.iter().map(|e| vec![e.ea]).collect();
-        let km = kmeans(&points, config.clusters, 50, rng);
-        // per cluster: find the member closest to the centroid and generate
-        // neighbours around its *condition* (settings near the centroid
-        // setting, per §4). The whole round's neighbours are drawn first,
-        // then evaluated as one parallel batch and appended after the
-        // cluster loop so cluster assignments stay index-aligned.
-        let mut staged: Vec<RuntimeCondition> = Vec::new();
-        for c in 0..km.centroids.len() {
-            let centroid_ea = km.centroids[c][0];
-            let representative = evaluated
-                .iter()
-                .enumerate()
-                .filter(|(i, _)| km.assignment[*i] == c)
-                .min_by(|(_, a), (_, b)| {
-                    (a.ea - centroid_ea)
-                        .abs()
-                        .partial_cmp(&(b.ea - centroid_ea).abs())
-                        .expect("finite EA")
-                })
-                .map(|(_, e)| e.condition.clone());
-            let Some(rep) = representative else { continue };
-            for _ in 0..config.per_cluster {
-                staged.push(jittered_near(&rep, config.jitter, rng));
-            }
-        }
-        evaluated.extend(eval_batch(
-            staged,
-            "profiler.stratified.refine_samples_total",
-        ));
-    }
-    stca_obs::debug!(
-        "stratified sampling done: {} conditions evaluated",
-        evaluated.len()
-    );
-    evaluated
-}
-
-/// Fault-tolerant stratified sampling.
-///
-/// Like [`stratified_sample_with`], but the evaluator is fallible and may
-/// panic: conditions whose evaluation fails (or panics — isolated via the
-/// exec pool's catch-unwind path) are *skipped* with a warning and counted
-/// in `fault.conditions_failed_total`, and clustering proceeds over the
-/// survivors. The evaluator also receives the condition's global draw index
-/// so per-condition seeds can be derived deterministically.
-///
-/// Errors only when the procedure cannot continue: fewer seeds than
-/// clusters requested, or every seed condition failed.
-pub fn stratified_sample_checked<T: Send>(
+/// A condition whose evaluation fails or panics is skipped with a warning
+/// and counted in `fault.conditions_failed_total`; clustering proceeds over
+/// the survivors. Errors only when the procedure cannot continue: fewer
+/// seeds than clusters, or every seed condition failed.
+pub fn stratified_sample<T: Send>(
     pair: (BenchmarkId, BenchmarkId),
     config: StratifiedConfig,
     rng: &mut Rng64,
@@ -209,6 +108,15 @@ pub fn stratified_sample_checked<T: Send>(
         )));
     }
     stca_obs::time_scope!("profiler.stratified.run_seconds");
+    stca_obs::debug!(
+        "stratified sampling {}({}): {} seeds, {} clusters x {} x {} rounds",
+        pair.0,
+        pair.1,
+        config.seeds,
+        config.clusters,
+        config.per_cluster,
+        config.rounds
+    );
     let failed = stca_obs::counter("fault.conditions_failed_total");
     // `drawn` is the global draw index offset for the current batch, so the
     // evaluator sees a stable per-condition index regardless of how many
@@ -263,10 +171,16 @@ pub fn stratified_sample_checked<T: Send>(
     }
 
     for _ in 0..config.rounds {
+        // cluster by EA (1-D); survivors may number fewer than the
+        // requested clusters
         let points: Vec<Vec<f64>> = evaluated.iter().map(|e| vec![e.ea]).collect();
-        // survivors may number fewer than the requested clusters
         let k = config.clusters.min(points.len());
         let km = kmeans(&points, k, 50, rng);
+        // per cluster: find the member closest to the centroid and generate
+        // neighbours around its *condition* (settings near the centroid
+        // setting, per §4). The whole round's neighbours are drawn first,
+        // then evaluated as one parallel batch and appended after the
+        // cluster loop so cluster assignments stay index-aligned.
         let mut staged: Vec<RuntimeCondition> = Vec::new();
         for c in 0..km.centroids.len() {
             let centroid_ea = km.centroids[c][0];
@@ -290,38 +204,11 @@ pub fn stratified_sample_checked<T: Send>(
         evaluated.extend(refined);
     }
     stca_obs::debug!(
-        "stratified (checked) done: {} of {} drawn conditions evaluated",
+        "stratified sampling done: {} of {} drawn conditions evaluated",
         evaluated.len(),
         drawn
     );
     Ok(evaluated)
-}
-
-/// Plain uniform sampling of `n` conditions (the comparison point the paper
-/// abandoned for over-sampling). Conditions are drawn serially, evaluated
-/// in parallel, and returned in draw order.
-pub fn uniform_sample(
-    pair: (BenchmarkId, BenchmarkId),
-    n: usize,
-    rng: &mut Rng64,
-    evaluate: impl Fn(&RuntimeCondition) -> f64 + Sync,
-) -> Vec<EvaluatedCondition> {
-    let conditions: Vec<RuntimeCondition> = (0..n)
-        .map(|_| RuntimeCondition::random_pair(pair.0, pair.1, rng))
-        .collect();
-    let eas = stca_exec::par_map_indexed(&conditions, |_, c| evaluate(c));
-    conditions
-        .into_iter()
-        .zip(eas)
-        .map(|(condition, ea)| {
-            record_sample("profiler.uniform.samples_total", ea);
-            EvaluatedCondition {
-                condition,
-                ea,
-                payload: (),
-            }
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -336,6 +223,18 @@ mod tests {
         cliff + 0.1 * w.utilization
     }
 
+    /// The infallible evaluator: the surface, no payload.
+    fn on_surface(_: usize, c: &RuntimeCondition) -> Result<(f64, ()), StcaError> {
+        Ok((surface(c), ()))
+    }
+
+    fn crash(i: usize) -> StcaError {
+        StcaError::InjectedCrash {
+            run_key: i as u64,
+            attempt: 0,
+        }
+    }
+
     #[test]
     fn produces_expected_count() {
         let mut rng = Rng64::new(1);
@@ -346,12 +245,8 @@ mod tests {
             rounds: 2,
             jitter: 0.1,
         };
-        let out = stratified_sample(
-            (BenchmarkId::Redis, BenchmarkId::Social),
-            cfg,
-            &mut rng,
-            surface,
-        );
+        let pair = (BenchmarkId::Redis, BenchmarkId::Social);
+        let out = stratified_sample(pair, cfg, &mut rng, on_surface).expect("no failures");
         // 10 seeds + 2 rounds x 3 clusters x 2 = 22
         assert_eq!(out.len(), 22);
         assert!(out.iter().all(|e| e.condition.in_bounds()));
@@ -367,7 +262,8 @@ mod tests {
             rounds: 1,
             jitter: 0.05,
         };
-        let out = stratified_sample((BenchmarkId::Knn, BenchmarkId::Bfs), cfg, &mut rng, surface);
+        let pair = (BenchmarkId::Knn, BenchmarkId::Bfs);
+        let out = stratified_sample(pair, cfg, &mut rng, on_surface).expect("no failures");
         let refinements = &out[16..];
         // both sides of the EA cliff get refined (low-EA and high-EA regions)
         let low = refinements.iter().filter(|e| e.ea < 0.5).count();
@@ -376,20 +272,6 @@ mod tests {
             low > 0 && high > 0,
             "both strata sampled: low={low} high={high}"
         );
-    }
-
-    #[test]
-    fn uniform_sampling_covers_space() {
-        let mut rng = Rng64::new(3);
-        let out = uniform_sample((BenchmarkId::Knn, BenchmarkId::Bfs), 50, &mut rng, surface);
-        assert_eq!(out.len(), 50);
-        let utils: Vec<f64> = out
-            .iter()
-            .map(|e| e.condition.workloads[0].utilization)
-            .collect();
-        let min = utils.iter().cloned().fold(f64::INFINITY, f64::min);
-        let max = utils.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-        assert!(min < 0.4 && max > 0.8, "uniform spread: {min}..{max}");
     }
 
     #[test]
@@ -402,115 +284,13 @@ mod tests {
             (BenchmarkId::Jacobi, BenchmarkId::Spstream),
             cfg,
             &mut rng,
-            |c| {
+            |i, c| {
                 calls.fetch_add(1, Ordering::Relaxed);
-                surface(c)
+                on_surface(i, c)
             },
-        );
+        )
+        .expect("no failures");
         assert_eq!(calls.load(Ordering::Relaxed), out.len());
-    }
-
-    #[test]
-    fn checked_sampler_skips_failed_conditions() {
-        let mut rng = Rng64::new(6);
-        let cfg = StratifiedConfig {
-            seeds: 10,
-            clusters: 3,
-            per_cluster: 2,
-            rounds: 1,
-            jitter: 0.1,
-        };
-        let out = stratified_sample_checked(
-            (BenchmarkId::Knn, BenchmarkId::Bfs),
-            cfg,
-            &mut rng,
-            |i, c| {
-                if i % 3 == 0 {
-                    Err(StcaError::InjectedCrash {
-                        run_key: i as u64,
-                        attempt: 0,
-                    })
-                } else {
-                    Ok((surface(c), ()))
-                }
-            },
-        )
-        .expect("survivors remain");
-        // 10 seeds + 3x2 refinements drawn = 16, every 3rd fails
-        assert!(!out.is_empty());
-        assert!(out.len() < 16, "failed conditions are dropped");
-        assert!(out.iter().all(|e| e.ea.is_finite()));
-    }
-
-    #[test]
-    fn checked_sampler_isolates_panics() {
-        let mut rng = Rng64::new(7);
-        let cfg = StratifiedConfig {
-            seeds: 6,
-            clusters: 2,
-            per_cluster: 1,
-            rounds: 1,
-            jitter: 0.1,
-        };
-        let out = stratified_sample_checked(
-            (BenchmarkId::Knn, BenchmarkId::Bfs),
-            cfg,
-            &mut rng,
-            |i, c| {
-                if i == 2 {
-                    panic!("synthetic evaluator panic");
-                }
-                Ok((surface(c), ()))
-            },
-        )
-        .expect("panics are contained");
-        assert!(!out.is_empty());
-    }
-
-    #[test]
-    fn checked_sampler_errors_when_everything_fails() {
-        let mut rng = Rng64::new(8);
-        let cfg = StratifiedConfig {
-            seeds: 4,
-            clusters: 2,
-            per_cluster: 1,
-            rounds: 1,
-            jitter: 0.1,
-        };
-        let err = stratified_sample_checked::<()>(
-            (BenchmarkId::Knn, BenchmarkId::Bfs),
-            cfg,
-            &mut rng,
-            |i, _| {
-                Err(StcaError::InjectedCrash {
-                    run_key: i as u64,
-                    attempt: 0,
-                })
-            },
-        )
-        .expect_err("no survivors");
-        assert!(matches!(err, StcaError::InvalidInput { .. }));
-    }
-
-    #[test]
-    fn checked_sampler_rejects_bad_config() {
-        let mut rng = Rng64::new(9);
-        let cfg = StratifiedConfig {
-            seeds: 2,
-            clusters: 5,
-            per_cluster: 1,
-            rounds: 1,
-            jitter: 0.1,
-        };
-        assert!(matches!(
-            stratified_sample_checked(
-                (BenchmarkId::Knn, BenchmarkId::Bfs),
-                cfg,
-                &mut rng,
-                |_, c| Ok((surface(c), ())),
-            ),
-            Err(StcaError::InvalidInput { .. })
-        ));
     }
 
     #[test]
@@ -523,14 +303,115 @@ mod tests {
             rounds: 1,
             jitter: 0.1,
         };
-        let out =
-            stratified_sample_with((BenchmarkId::Knn, BenchmarkId::Bfs), cfg, &mut rng, |c| {
-                let ea = surface(c);
-                (ea, format!("{ea:.6}"))
-            });
+        let out = stratified_sample(
+            (BenchmarkId::Knn, BenchmarkId::Bfs),
+            cfg,
+            &mut rng,
+            |i, c| Ok((surface(c), (i, surface(c)))),
+        )
+        .expect("no failures");
         assert_eq!(out.len(), 8 + 2 * 2);
-        for e in &out {
-            assert_eq!(e.payload, format!("{:.6}", e.ea), "payload matches its row");
+        for (i, e) in out.iter().enumerate() {
+            assert_eq!(
+                e.payload,
+                (i, e.ea),
+                "payload matches its row, in draw order"
+            );
         }
+    }
+
+    #[test]
+    fn sampler_skips_failed_conditions() {
+        let mut rng = Rng64::new(6);
+        let cfg = StratifiedConfig {
+            seeds: 10,
+            clusters: 3,
+            per_cluster: 2,
+            rounds: 1,
+            jitter: 0.1,
+        };
+        let out = stratified_sample(
+            (BenchmarkId::Knn, BenchmarkId::Bfs),
+            cfg,
+            &mut rng,
+            |i, c| {
+                if i % 3 == 0 {
+                    Err(crash(i))
+                } else {
+                    on_surface(i, c)
+                }
+            },
+        )
+        .expect("survivors remain");
+        // 10 seeds + 3x2 refinements drawn = 16, every 3rd fails
+        assert!(!out.is_empty());
+        assert!(out.len() < 16, "failed conditions are dropped");
+        assert!(out.iter().all(|e| e.ea.is_finite()));
+    }
+
+    #[test]
+    fn sampler_isolates_panics() {
+        let mut rng = Rng64::new(7);
+        let cfg = StratifiedConfig {
+            seeds: 6,
+            clusters: 2,
+            per_cluster: 1,
+            rounds: 1,
+            jitter: 0.1,
+        };
+        let out = stratified_sample(
+            (BenchmarkId::Knn, BenchmarkId::Bfs),
+            cfg,
+            &mut rng,
+            |i, c| {
+                if i == 2 {
+                    panic!("synthetic evaluator panic");
+                }
+                on_surface(i, c)
+            },
+        )
+        .expect("panics are contained");
+        assert!(!out.is_empty());
+    }
+
+    #[test]
+    fn sampler_errors_when_everything_fails() {
+        let mut rng = Rng64::new(8);
+        let cfg = StratifiedConfig {
+            seeds: 4,
+            clusters: 2,
+            per_cluster: 1,
+            rounds: 1,
+            jitter: 0.1,
+        };
+        let err = stratified_sample::<()>(
+            (BenchmarkId::Knn, BenchmarkId::Bfs),
+            cfg,
+            &mut rng,
+            |i, _| Err(crash(i)),
+        )
+        .expect_err("no survivors");
+        assert!(matches!(err, StcaError::InvalidInput { .. }));
+    }
+
+    #[test]
+    fn sampler_rejects_bad_config() {
+        let mut rng = Rng64::new(9);
+        let cfg = StratifiedConfig {
+            seeds: 2,
+            clusters: 5,
+            per_cluster: 1,
+            rounds: 1,
+            jitter: 0.1,
+        };
+        assert!(matches!(
+            stratified_sample(
+                (BenchmarkId::Knn, BenchmarkId::Bfs),
+                cfg,
+                &mut rng,
+                on_surface
+            ),
+            Err(StcaError::InvalidInput { .. })
+        ));
     }
 }

@@ -8,12 +8,13 @@
 //! (retry exhaustion, sanitization, predictor fallbacks) are covered by the
 //! crates' own unit tests; this file exercises the composed pipeline.
 
-use stca_bench::dataset::build_pair_dataset_checked;
-use stca_bench::Scale;
 use stca_core::{ModelConfig, PolicyExplorer, Predictor};
 use stca_fault::{FaultPlan, RetryPolicy, StcaError};
-use stca_profiler::executor::{run_experiment_checked, ExperimentSpec};
+use stca_profiler::executor::{profile_each, run_experiment_checked, ExperimentSpec};
+use stca_profiler::profile::ProfileSet;
 use stca_profiler::sampler::CounterOrdering;
+use stca_scenario::ScenarioSpec;
+use stca_util::Rng64;
 use stca_workloads::{BenchmarkId, RuntimeCondition};
 
 /// Serialize thread-count-sensitive tests (shared with determinism.rs's
@@ -41,25 +42,31 @@ fn pipeline_survives_heavy_fault_plan() {
 
     // Stage 1: profiling under the plan — skips unlucky conditions but
     // never panics and never returns a damaged row
-    let dataset = build_pair_dataset_checked(
-        pair,
-        8,
-        Scale::Quick,
+    let mut rng = Rng64::new(0xFA117);
+    let conditions: Vec<RuntimeCondition> = (0..8)
+        .map(|_| RuntimeCondition::random_pair(pair.0, pair.1, &mut rng))
+        .collect();
+    let results = profile_each(
+        &conditions,
+        |i, c| ExperimentSpec::quick(c.clone(), 0xFA117 ^ ((i as u64) << 20)),
         CounterOrdering::Grouped,
-        0xFA117,
         &plan,
         &retry,
         None,
     )
-    .expect("heavy plan is survivable with retries");
-    assert!(!dataset.is_empty());
-    for r in &dataset.rows {
-        assert!(r.row.ea.is_finite() && r.row.ea >= 0.0);
-        assert!(r.row.trace.as_slice().iter().all(|v| v.is_finite()));
+    .expect("no checkpoint");
+    let mut profiles = ProfileSet::new();
+    for row in results.into_iter().flatten().flatten() {
+        assert!(row.ea.is_finite() && row.ea >= 0.0);
+        assert!(row.trace.as_slice().iter().all(|v| v.is_finite()));
+        profiles.push(row);
     }
+    assert!(
+        !profiles.is_empty(),
+        "heavy plan is survivable with retries"
+    );
 
     // Stage 2 + 3: training and policy search on the surviving rows
-    let profiles = dataset.profile_set();
     let predictor = Predictor::train(&profiles, &ModelConfig::quick(1));
     let explorer = PolicyExplorer::new(&predictor, &profiles, pair.0, pair.1, 0.9);
     let result = explorer.explore();
@@ -98,19 +105,14 @@ fn retry_exhaustion_surfaces_typed_error_end_to_end() {
 #[test]
 fn all_conditions_failing_is_an_error_not_a_panic() {
     let _guard = exec_lock();
-    let mut plan = FaultPlan::none();
-    plan.seed = 2;
-    plan.crash_prob = 1.0;
-    let err = build_pair_dataset_checked(
-        (BenchmarkId::Knn, BenchmarkId::Bfs),
-        2,
-        Scale::Quick,
-        CounterOrdering::Grouped,
-        7,
-        &plan,
-        &RetryPolicy::none(),
-        None,
-    )
-    .expect_err("every condition crashes on every attempt");
+    let mut spec = ScenarioSpec::default();
+    spec.workloads.pair = (BenchmarkId::Knn, BenchmarkId::Bfs);
+    spec.profile.conditions = 2;
+    spec.fault.plan = FaultPlan::none();
+    spec.fault.plan.seed = 2;
+    spec.fault.plan.crash_prob = 1.0;
+    spec.fault.max_retries = 0;
+    let err = stca_core::pipeline::profile_conditions(&spec, None)
+        .expect_err("every condition crashes on every attempt");
     assert!(matches!(err, StcaError::InvalidInput { .. }));
 }
