@@ -426,9 +426,7 @@ fn cmd_serve(args: &Args) -> Result<(), StcaError> {
     }
     if !spec.artifacts.decision_log.is_empty() {
         let path = PathBuf::from(&spec.artifacts.decision_log);
-        let mut text = report.decision_log.join("\n");
-        text.push('\n');
-        std::fs::write(&path, text).map_err(|e| StcaError::io(path.display().to_string(), e))?;
+        stca_serve::write_decision_log(&path, &report)?;
         println!("wrote decision log to {}", path.display());
     }
     if !spec.artifacts.health.is_empty() {

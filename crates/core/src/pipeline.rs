@@ -572,9 +572,7 @@ fn run_stage(
                     "accounting invariant violated: {report:?}"
                 )));
             }
-            let mut log = report.decision_log.join("\n");
-            log.push('\n');
-            write_text(&paths.decision_log, &log)?;
+            stca_serve::write_decision_log(&paths.decision_log, &report)?;
             stca_serve::write_health(&paths.health, &report)?;
             if let Some(dump) = &report.trace_dump {
                 if let Some(path) = &paths.trace_json {

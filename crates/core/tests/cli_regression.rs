@@ -339,6 +339,79 @@ fn trace_and_adapt_flags_imply_enable() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A serve-only fleet under the heavy plan and shard faults: the shape of
+/// the fleet-faults benchmark, at 20 000 requests.
+const FLEET_LOG_SCENARIO: &str = "\
+[scenario]
+name = \"fleet-log\"
+pipeline = [\"serve\"]
+
+[fault]
+plan = \"heavy,shard_crash=0.25,shard_stall=0.2,shard_flap=0.2,seed=2022\"
+
+[serve]
+requests = 20000
+rate = 1200
+deadline_s = 0.25
+queue_capacity = 16
+seed = 2022
+predictor = \"analytic\"
+
+[serve.fleet]
+shards = 8
+";
+
+/// The FNV-1a of every written `decisions.log` is the serve decision hash
+/// printed for the same run, from `stca scenario run` and from
+/// `stca serve --decision-log`.
+#[test]
+fn decision_log_bytes_hash_to_the_printed_decision_hash() {
+    let dir = temp_dir("decision-log");
+    let spec = dir.join("fleet-log.stca");
+    std::fs::write(&spec, FLEET_LOG_SCENARIO).expect("write scenario");
+    let spec = spec.to_str().expect("utf8 path");
+    let out = stdout_of(
+        &dir,
+        &[
+            "scenario",
+            "run",
+            spec,
+            "--artifacts",
+            "a",
+            "--threads",
+            "2",
+        ],
+    );
+    let printed = out
+        .lines()
+        .find_map(|l| l.split_once(", decision hash ").map(|(_, h)| h.trim()))
+        .unwrap_or_else(|| panic!("no serve decision hash in:\n{out}"));
+    let log = std::fs::read(dir.join("a/decisions.log")).expect("read decision log");
+    let lines = log.iter().filter(|&&b| b == b'\n').count();
+    assert!(lines >= 20_000, "{lines} lines: not the full log");
+    assert_eq!(format!("{:016x}", fnv1a(&log)), printed, "scenario run");
+
+    let out = stdout_of(
+        &dir,
+        &[
+            "serve",
+            "--spec",
+            spec,
+            "--decision-log",
+            "d.log",
+            "--threads",
+            "2",
+        ],
+    );
+    let log = std::fs::read(dir.join("d.log")).expect("read decision log");
+    let want = format!("decision hash {:016x}", fnv1a(&log));
+    assert!(
+        out.contains(&want),
+        "no `{want}` in stca serve stdout:\n{out}"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 const MINI_SCENARIO: &str = "\
 [scenario]
 name = \"mini\"

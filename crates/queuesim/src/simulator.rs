@@ -7,6 +7,19 @@
 //! to event — there is no fixed time step — matching §3.3's "jumps multiple
 //! steps at a time to the next execution event".
 //!
+//! The loop neither hashes nor clones per event: outstanding triggers
+//! are a count (each query has one boost timer, so it triggers at most
+//! once), a shared-boost flip reschedules `in_service` by index, and the
+//! per-event `trace!` filter is read once per run. The event heap stays a
+//! `BinaryHeap`; a sorted `Vec` is faster on short queues but goes O(n)
+//! per insert when the queue grows at high utilisation.
+//! `tests/engine_pin.rs` pins every output bit of the loop.
+//!
+//! Runs are independent, so callers run them in parallel: the explorer's
+//! grid and the serving fleet's batched policy-validation sims. The
+//! `queuesim.server_utilization` gauge is then last-writer-wins, and its
+//! final value depends on thread timing at more than one thread.
+//!
 //! **Boost scope.** The paper's implementation switches the *service's*
 //! class of service: while any outstanding query has crossed the timeout,
 //! every in-flight query of that service runs boosted, and the class reverts
@@ -20,7 +33,7 @@ use crate::metrics::SimResult;
 use stca_fault::StcaError;
 use stca_util::{Distribution, Rng64, Seconds};
 use std::cmp::Ordering;
-use std::collections::{BinaryHeap, HashSet, VecDeque};
+use std::collections::{BinaryHeap, VecDeque};
 use std::sync::{Arc, OnceLock};
 
 /// Global simulator metrics, resolved once (hot-loop counts are
@@ -182,8 +195,10 @@ struct Engine {
     fifo: VecDeque<usize>,
     in_service: Vec<usize>,
     free_servers: usize,
-    /// Outstanding triggered queries (shared-boost scope).
-    triggered: HashSet<usize>,
+    /// Outstanding triggered queries (shared-boost scope). A count, not a
+    /// set: each query has exactly one boost timer, so it triggers at most
+    /// once, and it leaves the count only at its own departure.
+    triggered: usize,
     /// Events whose time was non-finite, quarantined instead of scheduled.
     quarantined: u64,
 }
@@ -207,7 +222,7 @@ impl Engine {
     }
 
     fn boost_active(&self) -> bool {
-        self.boost_enabled && !self.triggered.is_empty()
+        self.boost_enabled && self.triggered > 0
     }
 
     /// The processing rate a query should run at right now.
@@ -270,8 +285,9 @@ impl Engine {
 
     /// Rate switch for every in-service query (shared-boost flips).
     fn reschedule_all(&mut self, now: Seconds) {
-        let serving = self.in_service.clone();
-        for id in serving {
+        // by index: `reschedule` never touches `in_service`
+        for i in 0..self.in_service.len() {
+            let id = self.in_service[i];
             self.reschedule(id, now, false);
         }
     }
@@ -280,7 +296,7 @@ impl Engine {
     fn trigger(&mut self, id: usize) -> bool {
         let was_active = self.boost_active();
         self.queries[id].triggered = true;
-        self.triggered.insert(id);
+        self.triggered += 1;
         self.boost_active() && !was_active
     }
 
@@ -422,7 +438,7 @@ impl QueueSim {
             fifo: VecDeque::new(),
             in_service: Vec::new(),
             free_servers: cfg.servers,
-            triggered: HashSet::new(),
+            triggered: 0,
             quarantined: 0,
             cfg,
         };
@@ -447,6 +463,8 @@ impl QueueSim {
         let t0 = cfg.inter_arrival.sample(&mut self.rng);
         eng.push_event(t0, EventKind::Arrival);
 
+        // per-event trace lines: the filter is read once per run
+        let trace_events = stca_obs::logger::enabled(stca_obs::Level::Trace, module_path!());
         let mut exhausted = false;
         while let Some(ev) = eng.heap.pop() {
             if budget.max_events.is_some_and(|m| events_processed >= m)
@@ -457,7 +475,9 @@ impl QueueSim {
             }
             let now = ev.time;
             events_processed += 1;
-            stca_obs::trace!("t={now:.6} event {:?}", ev.kind);
+            if trace_events {
+                stca_obs::trace!("t={now:.6} event {:?}", ev.kind);
+            }
             match ev.kind {
                 EventKind::Arrival => {
                     let id = eng.queries.len();
@@ -526,7 +546,7 @@ impl QueueSim {
                     eng.free_servers += 1;
                     if was_triggered {
                         let was_active = eng.boost_active();
-                        eng.triggered.remove(&query);
+                        eng.triggered -= 1;
                         if cfg.shared_boost && was_active && !eng.boost_active() {
                             // class of service reverts: remaining queries
                             // drop back to the default rate

@@ -27,6 +27,17 @@
 //!    overload shedding, deadline budgets, the circuit breakers,
 //!    hysteresis, the watchdog retry path, and the decision log.
 //!
+//! A third step runs off the replay: **batched validation**. Each policy
+//! apply queues a budgeted `QueueSim` run whose station and seed are fixed
+//! at apply time. Once `VALIDATION_BATCH` runs wait at a chunk boundary,
+//! and once more after the drain, the queue runs on the worker pool and
+//! each result is credited to its shard in queue order. Only the
+//! `policy_validations` and `sim_budget_exhausted` counters and the
+//! `serve.policy_validation_mean_response_s` gauge read a result, so no
+//! decision, log entry, span, route or breaker can depend on when the
+//! sims ran. The last value of `queuesim.server_utilization` does: with
+//! more than one thread it is whichever sim in a batch finished last.
+//!
 //! ## One shard
 //!
 //! `shards = 1` is the plain serving loop ([`crate::serve`] and
@@ -85,6 +96,7 @@ use stca_fault::{FaultInjector, FaultPlan, StcaError};
 use stca_obs::json::Value;
 use stca_trace::{AttrValue, Disposition, FlightRecorder, Stage, TraceDump};
 use std::collections::BTreeMap;
+use std::io::Write as _;
 use std::path::Path;
 use std::sync::{Arc, Mutex};
 
@@ -422,6 +434,24 @@ pub fn write_health(path: &Path, report: &FleetReport) -> Result<(), StcaError> 
     std::fs::write(path, json).map_err(|e| StcaError::io(path.display().to_string(), e))
 }
 
+/// Write the retained decision log, one entry per line, streamed through
+/// a buffer rather than joined into one string first. The bytes are the
+/// entries joined by `\n` plus a final `\n`, so for a non-empty log their
+/// FNV-1a is [`FleetReport::decision_hash`]. An empty log writes a lone
+/// `\n`.
+pub fn write_decision_log(path: &Path, report: &FleetReport) -> Result<(), StcaError> {
+    let io_err = |e| StcaError::io(path.display().to_string(), e);
+    let mut out = std::io::BufWriter::new(std::fs::File::create(path).map_err(io_err)?);
+    if report.decision_log.is_empty() {
+        out.write_all(b"\n").map_err(io_err)?;
+    }
+    for line in &report.decision_log {
+        out.write_all(line.as_bytes()).map_err(io_err)?;
+        out.write_all(b"\n").map_err(io_err)?;
+    }
+    out.flush().map_err(io_err)
+}
+
 /// `(mean, p50, p99)` of a response set; all zero for an empty set (a
 /// shard that completed nothing still gets a summary).
 fn response_summary(responses: &mut [f64]) -> (f64, f64, f64) {
@@ -449,6 +479,26 @@ struct Slot<'a> {
 /// Routing salt: keeps rendezvous scores decoupled from the stream's own
 /// per-request randomness.
 const ROUTE_SALT: u64 = 0x000F_1EE7;
+
+/// Validation sims per batch: the queue is flushed at the first chunk
+/// boundary where this many wait, and once after the drain. Policy flips
+/// come in bursts, so flushing every chunk would mostly run batches of
+/// zero or one sim and keep the pool idle.
+const VALIDATION_BATCH: usize = 64;
+
+/// Run the queued validation sims on the worker pool and credit each one
+/// to its shard in queue order, so every shard counter and the final
+/// value of `serve.policy_validation_mean_response_s` match running them
+/// inline at apply time.
+fn run_validations(slots: &mut [Slot<'_>], sink: &mut DecisionSink) {
+    let jobs = sink.take_validations();
+    let outcomes = stca_exec::par_map_indexed(&jobs, |_, job| job.run());
+    for (job, outcome) in jobs.iter().zip(outcomes) {
+        if let Some(outcome) = outcome {
+            slots[job.shard].core.record_validation(&outcome);
+        }
+    }
+}
 
 /// Health-gated shard selection for request `seq` at virtual `now`.
 /// Tiered fallback: fully healthy shards first, then breaker-open, then
@@ -511,7 +561,7 @@ fn apply_epoch(
         if crashed {
             if !was_crashed {
                 slot.crashes += 1;
-                sink.push(format!("event=shard_crash shard={id} epoch={epoch}"));
+                sink.push(format_args!("event=shard_crash shard={id} epoch={epoch}"));
                 for p in slot.core.flush_waiting() {
                     slot.rerouted_out += 1;
                     flushed.push((id, p));
@@ -523,16 +573,16 @@ fn apply_epoch(
         }
         if was_crashed {
             slot.recoveries += 1;
-            sink.push(format!("event=shard_recover shard={id} epoch={epoch}"));
+            sink.push(format_args!("event=shard_recover shard={id} epoch={epoch}"));
         }
         if slot.flapped {
             slot.flaps += 1;
-            sink.push(format!("event=shard_flap shard={id} epoch={epoch}"));
+            sink.push(format_args!("event=shard_flap shard={id} epoch={epoch}"));
         }
         let stall = plan.shard_stall_s(id, epoch, epoch_s);
         if stall > 0.0 {
             slot.stalls += 1;
-            sink.push(format!(
+            sink.push(format_args!(
                 "event=shard_stall shard={id} epoch={epoch} dur={:016x}",
                 stall.to_bits()
             ));
@@ -684,7 +734,7 @@ pub fn serve_fleet(
                     match target {
                         Some(to) => {
                             rerouted += 1;
-                            sink.push(format!(
+                            sink.push(format_args!(
                                 "seq={} disp=reroute from={} to={} hops={}",
                                 p.seq, from, to, p.hops
                             ));
@@ -700,7 +750,10 @@ pub fn serve_fleet(
                         }
                         None => {
                             router_shed += 1;
-                            sink.push(format!("seq={} disp=router_shed hops={}", p.seq, p.hops));
+                            sink.push(format_args!(
+                                "seq={} disp=router_shed hops={}",
+                                p.seq, p.hops
+                            ));
                             if let Some(ctx) = p.ctx.as_mut() {
                                 let span = ctx.push_span(Stage::Route, boundary, boundary);
                                 span.args
@@ -745,7 +798,7 @@ pub fn serve_fleet(
                 }
                 None => {
                     router_shed += 1;
-                    sink.push(format!("seq={} disp=router_shed hops=0", r.seq));
+                    sink.push(format_args!("seq={} disp=router_shed hops=0", r.seq));
                     if let Some(rec) = router_rec.as_ref() {
                         if let Ok(mut rec) = rec.lock() {
                             let mut ctx = rec.begin(r.seq, r.arrival_s);
@@ -761,6 +814,9 @@ pub fn serve_fleet(
         seq += count as u64;
         let depth: usize = slots.iter().map(|s| s.core.queue_depth()).sum();
         depth_gauge.set(depth as f64);
+        if sink.queued_validations() >= VALIDATION_BATCH {
+            run_validations(&mut slots, &mut sink);
+        }
     }
     // coordinated graceful drain: close every probe gate fleet-wide
     // first, then drain shard by shard in id order
@@ -774,6 +830,8 @@ pub fn serve_fleet(
             virtual_end = end;
         }
     }
+    // drain completions can apply policies too
+    run_validations(&mut slots, &mut sink);
     stca_obs::clear_virtual_now();
     timer.stop();
 

@@ -54,7 +54,9 @@ pub mod watchdog;
 
 pub use adapt::{AdaptConfig, AdaptStats};
 pub use breaker::{BreakerConfig, BreakerState, CircuitBreaker, Verdict};
-pub use fleet::{serve_fleet, write_health, FleetConfig, FleetReport, ShardStats};
+pub use fleet::{
+    serve_fleet, write_decision_log, write_health, FleetConfig, FleetReport, ShardStats,
+};
 pub use hysteresis::Hysteresis;
 pub use model::{decide, AnalyticEa, EaModel, StationModel, TIMEOUT_GRID};
 pub use request::{Request, SyntheticStream};

@@ -11,7 +11,9 @@
 //! Decision-log entries flow through a caller-owned [`DecisionSink`]: one
 //! sink per run, shared by every shard in a fleet, so the fleet decision
 //! hash covers shard entries and router entries in one deterministic
-//! serial order.
+//! serial order. The sink also queues each policy apply's validation sim
+//! ([`ValidationJob`]); the driver runs them in batches on the worker pool
+//! and credits each one back to its shard in queue order.
 
 use crate::adapt::{AdaptEvent, Completion, Lifecycle};
 use crate::breaker::CircuitBreaker;
@@ -26,6 +28,7 @@ use stca_queuesim::{QueueSim, RunBudget, StationConfig};
 use stca_trace::{AttrValue, Disposition, FlightRecorder, Stage, TraceCtx};
 use stca_util::Distribution;
 use std::collections::VecDeque;
+use std::fmt::{self, Write as _};
 
 /// A per-shard metric name: `serve.<name>` in a one-shard run,
 /// `serve.shardN.<name>` for fleet shard N.
@@ -39,7 +42,8 @@ pub(crate) fn shard_metric(shard: Option<u32>, name: &str) -> String {
 pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 pub(crate) const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
-/// Rolling FNV-1a decision-log hash plus the (optional) retained log.
+/// Rolling FNV-1a decision-log hash plus the (optional) retained log, and
+/// the queue of validation sims not yet run.
 /// Entries are hashed as `entry + "\n"` so the hash equals the FNV-1a of
 /// the decision-log file bytes.
 #[derive(Debug)]
@@ -47,6 +51,9 @@ pub(crate) struct DecisionSink {
     hash: u64,
     log: Vec<String>,
     keep: bool,
+    /// Each entry is formatted here, so only a retained entry allocates.
+    buf: String,
+    validations: Vec<ValidationJob>,
 }
 
 impl DecisionSink {
@@ -55,19 +62,36 @@ impl DecisionSink {
             hash: FNV_OFFSET,
             log: Vec::new(),
             keep,
+            buf: String::new(),
+            validations: Vec::new(),
         }
     }
 
-    pub(crate) fn push(&mut self, entry: String) {
-        for b in entry.as_bytes() {
-            self.hash ^= u64::from(*b);
+    pub(crate) fn push(&mut self, entry: fmt::Arguments<'_>) {
+        self.buf.clear();
+        self.buf
+            .write_fmt(entry)
+            .expect("formatting a log entry into a String cannot fail");
+        for b in self.buf.bytes() {
+            self.hash ^= u64::from(b);
             self.hash = self.hash.wrapping_mul(FNV_PRIME);
         }
         self.hash ^= u64::from(b'\n');
         self.hash = self.hash.wrapping_mul(FNV_PRIME);
         if self.keep {
-            self.log.push(entry);
+            self.log.push(self.buf.clone());
         }
+    }
+
+    /// Validation sims queued since the last [`DecisionSink::take_validations`].
+    pub(crate) fn queued_validations(&self) -> usize {
+        self.validations.len()
+    }
+
+    /// Take the queued validation sims, in the serial order they were
+    /// queued.
+    pub(crate) fn take_validations(&mut self) -> Vec<ValidationJob> {
+        std::mem::take(&mut self.validations)
     }
 
     pub(crate) fn hash(&self) -> u64 {
@@ -232,11 +256,11 @@ impl<'a> ShardCore<'a> {
     }
 
     /// Push one decision-log entry, stamped with this shard's suffix.
-    fn log_entry(&self, sink: &mut DecisionSink, entry: String) {
+    fn log_entry(&self, sink: &mut DecisionSink, entry: fmt::Arguments<'_>) {
         if self.suffix.is_empty() {
             sink.push(entry);
         } else {
-            sink.push(entry + &self.suffix);
+            sink.push(format_args!("{entry}{}", self.suffix));
         }
     }
 
@@ -314,7 +338,7 @@ impl<'a> ShardCore<'a> {
             }
             self.log_entry(
                 sink,
-                format!("seq={} disp=shed_deadline stage=queue", p.seq),
+                format_args!("seq={} disp=shed_deadline stage=queue", p.seq),
             );
             self.record_trace(p.ctx.take(), Disposition::ShedDeadline, start);
             return true;
@@ -364,7 +388,10 @@ impl<'a> ShardCore<'a> {
         if !predict_ok {
             self.servers[si] = start + predict_cost;
             self.acct.shed_failed += 1;
-            self.log_entry(sink, format!("seq={} disp=failed stage=predict", p.seq));
+            self.log_entry(
+                sink,
+                format_args!("seq={} disp=failed stage=predict", p.seq),
+            );
             if let Some(ctx) = p.ctx.as_mut() {
                 ctx.push_span(Stage::Predict, start, start + predict_cost)
                     .args
@@ -439,7 +466,7 @@ impl<'a> ShardCore<'a> {
             }
             self.log_entry(
                 sink,
-                format!("seq={} disp=shed_deadline stage=predict", p.seq),
+                format_args!("seq={} disp=shed_deadline stage=predict", p.seq),
             );
             self.record_trace(
                 p.ctx.take(),
@@ -460,7 +487,7 @@ impl<'a> ShardCore<'a> {
         if !decide_ok {
             self.servers[si] = start + total;
             self.acct.shed_failed += 1;
-            self.log_entry(sink, format!("seq={} disp=failed stage=decide", p.seq));
+            self.log_entry(sink, format_args!("seq={} disp=failed stage=decide", p.seq));
             if let Some(ctx) = p.ctx.as_mut() {
                 ctx.push_span(Stage::Decide, start + predict_cost, start + total)
                     .args
@@ -478,7 +505,7 @@ impl<'a> ShardCore<'a> {
                 .push(("timeout_s", AttrValue::Num(TIMEOUT_GRID[idx])));
         }
         if let Some(new_idx) = self.hyst.observe(idx) {
-            self.validate_policy(new_idx);
+            self.validate_policy(new_idx, sink);
             if let Some(ctx) = p.ctx.as_mut() {
                 ctx.push_span(Stage::ValidatePolicy, completion, completion)
                     .args
@@ -503,19 +530,19 @@ impl<'a> ShardCore<'a> {
         if p.ctx.is_some() {
             stca_obs::set_current_trace_id(0);
         }
-        let mut entry = format!(
-            "seq={} disp=ok tier={} ea={:016x} t={} applied={} resp={:016x}",
-            p.seq,
-            tier,
-            ea.to_bits(),
-            idx,
-            self.hyst.applied(),
-            resp.to_bits(),
+        self.log_entry(
+            sink,
+            format_args!(
+                "seq={} disp=ok tier={} ea={:016x} t={} applied={} resp={:016x}{}",
+                p.seq,
+                tier,
+                ea.to_bits(),
+                idx,
+                self.hyst.applied(),
+                resp.to_bits(),
+                ServedVersion(served_version),
+            ),
         );
-        if served_version > 0 {
-            entry.push_str(&format!(" v={served_version}"));
-        }
-        self.log_entry(sink, entry);
         // advance the model lifecycle with this completion; any drift,
         // retrain, shadow, promotion, or rollback it produces is logged
         // (and traced) at this request's completion time
@@ -555,12 +582,15 @@ impl<'a> ShardCore<'a> {
         for ev in events {
             match ev {
                 AdaptEvent::Drift { score } => {
-                    self.log_entry(sink, format!("event=drift score={:016x}", score.to_bits()));
+                    self.log_entry(
+                        sink,
+                        format_args!("event=drift score={:016x}", score.to_bits()),
+                    );
                 }
                 AdaptEvent::Retrain { version, rows } => {
                     self.log_entry(
                         sink,
-                        format!("event=retrain version={version} rows={rows} outcome=ok"),
+                        format_args!("event=retrain version={version} rows={rows} outcome=ok"),
                     );
                     if let Some(ctx) = ctx.as_deref_mut() {
                         let span = ctx.push_span(Stage::Retrain, now, now);
@@ -572,7 +602,7 @@ impl<'a> ShardCore<'a> {
                 AdaptEvent::RetrainFail { version } => {
                     self.log_entry(
                         sink,
-                        format!("event=retrain version={version} outcome=fail"),
+                        format_args!("event=retrain version={version} outcome=fail"),
                     );
                     if let Some(ctx) = ctx.as_deref_mut() {
                         let span = ctx.push_span(Stage::Retrain, now, now);
@@ -584,7 +614,7 @@ impl<'a> ShardCore<'a> {
                 AdaptEvent::RetrainSlow { version } => {
                     self.log_entry(
                         sink,
-                        format!("event=retrain version={version} outcome=slow"),
+                        format_args!("event=retrain version={version} outcome=slow"),
                     );
                     if let Some(ctx) = ctx.as_deref_mut() {
                         let span = ctx.push_span(Stage::Retrain, now, now);
@@ -610,13 +640,13 @@ impl<'a> ShardCore<'a> {
                 } => {
                     self.log_entry(
                         sink,
-                        format!(
+                        format_args!(
                             "event=shadow_done version={version} agree={agree} scored={scored}"
                         ),
                     );
                 }
                 AdaptEvent::Promote { version } => {
-                    self.log_entry(sink, format!("event=promote version={version}"));
+                    self.log_entry(sink, format_args!("event=promote version={version}"));
                     if let Some(ctx) = ctx.as_deref_mut() {
                         let span = ctx.push_span(Stage::Promote, now, now);
                         span.args.push(("version", AttrValue::Num(*version as f64)));
@@ -625,14 +655,14 @@ impl<'a> ShardCore<'a> {
                 AdaptEvent::PromoteRefused { version, reason } => {
                     self.log_entry(
                         sink,
-                        format!("event=promote_refused version={version} reason={reason}"),
+                        format_args!("event=promote_refused version={version} reason={reason}"),
                     );
                 }
                 AdaptEvent::GuardPass { version } => {
-                    self.log_entry(sink, format!("event=guard_pass version={version}"));
+                    self.log_entry(sink, format_args!("event=guard_pass version={version}"));
                 }
                 AdaptEvent::Rollback { from, to } => {
-                    self.log_entry(sink, format!("event=rollback from={from} to={to}"));
+                    self.log_entry(sink, format_args!("event=rollback from={from} to={to}"));
                     if let Some(ctx) = ctx.as_deref_mut() {
                         let span = ctx.push_span(Stage::Rollback, now, now);
                         span.args.push(("from", AttrValue::Num(*from as f64)));
@@ -643,10 +673,13 @@ impl<'a> ShardCore<'a> {
         }
     }
 
-    /// Budgeted validation sim for a freshly applied timeout: replays the
-    /// station under the new policy with a hard event budget, so a policy
-    /// flip can never stall the control loop.
-    fn validate_policy(&mut self, new_idx: usize) {
+    /// Queue the budgeted validation sim for a freshly applied timeout: it
+    /// replays the station under the new policy with a hard event budget,
+    /// so a policy flip can never stall the control loop. The config and
+    /// seed are fixed here, at apply time, so the deferred run is the same
+    /// simulation an inline one would be; nothing in the replay reads its
+    /// result (see [`ShardCore::record_validation`]).
+    fn validate_policy(&mut self, new_idx: usize, sink: &mut DecisionSink) {
         if self.cfg.sim_budget_events == 0 {
             return;
         }
@@ -665,17 +698,25 @@ impl<'a> ShardCore<'a> {
             measured_queries: 2000,
             warmup_queries: 200,
         };
-        let seed = self.seed ^ self.hyst.applies.wrapping_mul(0x9E37_79B9);
-        if let Ok(mut sim) = QueueSim::try_new(sim_cfg, seed) {
-            let run = sim.run_budgeted(RunBudget::events(self.cfg.sim_budget_events));
-            self.policy_validations += 1;
-            if run.exhausted {
-                self.sim_budget_exhausted += 1;
-            }
-            if run.result.completed() > 0 {
-                stca_obs::gauge("serve.policy_validation_mean_response_s")
-                    .set(run.result.mean_response());
-            }
+        sink.validations.push(ValidationJob {
+            shard: self.shard.map_or(0, |id| id as usize),
+            config: sim_cfg,
+            seed: self.seed ^ self.hyst.applies.wrapping_mul(0x9E37_79B9),
+            budget_events: self.cfg.sim_budget_events,
+        });
+    }
+
+    /// Credit one finished validation sim to this shard. Only these two
+    /// counters and the `serve.policy_validation_mean_response_s` gauge
+    /// see a sim's result: no decision, log entry, span, route or breaker
+    /// does, which is why the sims can run off the serial replay.
+    pub(crate) fn record_validation(&mut self, outcome: &ValidationOutcome) {
+        self.policy_validations += 1;
+        if outcome.exhausted {
+            self.sim_budget_exhausted += 1;
+        }
+        if let Some(mean) = outcome.mean_response_s {
+            stca_obs::gauge("serve.policy_validation_mean_response_s").set(mean);
         }
     }
 
@@ -689,14 +730,14 @@ impl<'a> ShardCore<'a> {
             match self.cfg.overload {
                 OverloadPolicy::ShedNewest => {
                     self.acct.shed_overload += 1;
-                    self.log_entry(sink, format!("seq={} disp=shed_overload", p.seq));
+                    self.log_entry(sink, format_args!("seq={} disp=shed_overload", p.seq));
                     self.record_trace(p.ctx.take(), Disposition::ShedOverload, now);
                     return;
                 }
                 OverloadPolicy::ShedOldest => {
                     if let Some(mut old) = self.waiting.pop_front() {
                         self.acct.shed_overload += 1;
-                        self.log_entry(sink, format!("seq={} disp=shed_overload", old.seq));
+                        self.log_entry(sink, format_args!("seq={} disp=shed_overload", old.seq));
                         if let Some(ctx) = old.ctx.as_mut() {
                             ctx.push_span(Stage::QueueWait, old.arrival_s, now);
                         }
@@ -725,7 +766,7 @@ impl<'a> ShardCore<'a> {
             match self.waiting.pop_front() {
                 Some(mut p) => {
                     self.acct.drained += 1;
-                    self.log_entry(sink, format!("seq={} disp=drained", p.seq));
+                    self.log_entry(sink, format_args!("seq={} disp=drained", p.seq));
                     if let Some(ctx) = p.ctx.as_mut() {
                         ctx.push_span(Stage::QueueWait, p.arrival_s, deadline);
                         ctx.push_span(Stage::Drain, deadline, deadline);
@@ -738,6 +779,51 @@ impl<'a> ShardCore<'a> {
         self.servers
             .iter()
             .fold(last_arrival_s, |m, &f| if f > m { f } else { m })
+    }
+}
+
+/// ` v=N` after a decision entry served by promoted model version `N`;
+/// nothing for the base model (version 0).
+struct ServedVersion(u64);
+
+impl fmt::Display for ServedVersion {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        if self.0 > 0 {
+            write!(f, " v={}", self.0)
+        } else {
+            Ok(())
+        }
+    }
+}
+
+/// One queued policy-validation sim: the station and seed fixed at apply
+/// time, and the index of the shard it is credited to (0 in a one-shard
+/// run).
+#[derive(Debug)]
+pub(crate) struct ValidationJob {
+    pub(crate) shard: usize,
+    config: StationConfig,
+    seed: u64,
+    budget_events: u64,
+}
+
+/// What a validation sim reports back to its shard.
+pub(crate) struct ValidationOutcome {
+    exhausted: bool,
+    /// Mean response of the completed queries (`None` if none completed).
+    mean_response_s: Option<f64>,
+}
+
+impl ValidationJob {
+    /// Run the sim. `None` when the station is malformed: such an apply
+    /// counts no validation, as before.
+    pub(crate) fn run(&self) -> Option<ValidationOutcome> {
+        let mut sim = QueueSim::try_new(self.config.clone(), self.seed).ok()?;
+        let run = sim.run_budgeted(RunBudget::events(self.budget_events));
+        Some(ValidationOutcome {
+            exhausted: run.exhausted,
+            mean_response_s: (run.result.completed() > 0).then(|| run.result.mean_response()),
+        })
     }
 }
 
