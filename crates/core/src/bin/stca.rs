@@ -58,8 +58,9 @@ profile -> dataset -> train -> explore -> serve pipeline (see the
   check FILE            parse + validate strictly (unknown keys exit 2)
                         and print the canonical resolved form
   run FILE              run the spec's pipeline; each stage checkpoints
-                        into the artifact dir, a re-run resumes, and the
-                        result is bit-identical at any --threads
+                        into the artifact dir, a re-run keeps every stage
+                        whose spec keys and input artifacts are unchanged,
+                        and the result is bit-identical at any --threads
   --artifacts DIR       artifact dir (default [artifacts].dir, else runs/<name>)
   --until STAGE         stop after STAGE (profile|dataset|train|explore|serve)
 
@@ -371,7 +372,11 @@ fn cmd_explore(args: &Args) -> Result<(), StcaError> {
         spec.explore.utilization,
     );
     let result = match args.path("checkpoint") {
-        Some(path) => explorer.explore_with_grid_checkpointed(&spec.explore.grid, &path)?,
+        Some(path) => {
+            let store = pipeline::file_hash(Path::new(&spec.profile.out))?;
+            let meta = format!("{:016x}", spec.stage_key(Stage::Explore, &[store]));
+            explorer.explore_with_grid_checkpointed(&spec.explore.grid, &path, &meta)?
+        }
         None => explorer.explore_with_grid(&spec.explore.grid),
     };
     println!("{}", pipeline::render_explore(&spec, &result));

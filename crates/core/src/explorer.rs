@@ -18,9 +18,7 @@
 
 use crate::predictor::Predictor;
 use stca_cat::{PairLayout, ShortTermPolicy};
-use stca_fault::checkpoint::{
-    f64s_to_value, fingerprint, fingerprint_f64s, value_to_f64s, Checkpoint,
-};
+use stca_fault::checkpoint::{f64s_to_value, value_to_f64s, Checkpoint};
 use stca_fault::StcaError;
 use stca_profiler::profile::{ProfileRow, ProfileSet};
 use stca_workloads::BenchmarkId;
@@ -164,24 +162,24 @@ impl<'a> PolicyExplorer<'a> {
     /// prediction is persisted to a [`Checkpoint`] at `path` as soon as its
     /// batch (one grid row) completes. A re-run after a kill reloads the
     /// finished cells and computes only the remainder, yielding a result
-    /// bit-identical to an uninterrupted run. The checkpoint meta
-    /// fingerprints the pair, utilization, grid, profile set and model
-    /// config, so a checkpoint from different inputs is discarded rather
-    /// than mixed in.
+    /// bit-identical to an uninterrupted run. `meta` is the caller's key of
+    /// every input — the explore stage key of the spec rows the search
+    /// reads and the profile store's hash — so a checkpoint from other
+    /// inputs is discarded rather than mixed in.
     ///
     /// [`explore_with_grid`]: PolicyExplorer::explore_with_grid
     pub fn explore_with_grid_checkpointed(
         &self,
         grid_points: &[f64],
         path: &Path,
+        meta: &str,
     ) -> Result<ExplorationResult, StcaError> {
         if grid_points.is_empty() {
             return Err(StcaError::invalid_input("empty timeout grid"));
         }
         stca_obs::time_scope!("core.explorer.explore_seconds");
         let n = grid_points.len();
-        let meta = self.checkpoint_meta(grid_points);
-        let mut ckpt = Checkpoint::load_or_new(path, &meta)?;
+        let mut ckpt = Checkpoint::load_or_new(path, meta)?;
         let mut cells: Vec<Option<(f64, f64)>> = (0..n * n)
             .map(|k| {
                 let pair = value_to_f64s(ckpt.get(&format!("cell.{k}"))?)?;
@@ -220,28 +218,6 @@ impl<'a> PolicyExplorer<'a> {
             .map(|c| c.expect("every cell computed or resumed"))
             .collect();
         Ok(self.select_from_cells(grid_points, cells))
-    }
-
-    /// Meta string tying a checkpoint to its exact inputs: the pair,
-    /// utilization, grid, profiles and the predictor's model config.
-    fn checkpoint_meta(&self, grid_points: &[f64]) -> String {
-        let mut words: Vec<f64> = vec![self.utilization];
-        words.extend_from_slice(grid_points);
-        for row in &self.profiles.rows {
-            words.push(row.ea);
-            words.extend_from_slice(&row.static_features);
-        }
-        let model = format!("{:?}", self.predictor.config);
-        format!(
-            "explore/{}-{}/u{:.4}/g{}/p{}/{:016x}/m{:016x}",
-            self.benchmark_a,
-            self.benchmark_b,
-            self.utilization,
-            grid_points.len(),
-            self.profiles.len(),
-            fingerprint_f64s(&words),
-            fingerprint(model.bytes().map(u64::from))
-        )
     }
 
     /// SLO matching (step 1 + step 2) over a fully evaluated grid.
@@ -410,7 +386,7 @@ mod tests {
 
         // fresh checkpointed run matches the plain path bit-for-bit
         let full = explorer
-            .explore_with_grid_checkpointed(&TIMEOUT_GRID, &path)
+            .explore_with_grid_checkpointed(&TIMEOUT_GRID, &path, "test")
             .expect("fresh run");
         grids_match(&plain, &full);
 
@@ -428,47 +404,15 @@ mod tests {
         }
         std::fs::write(&path, doc.to_string()).expect("write partial");
         let resumed = explorer
-            .explore_with_grid_checkpointed(&TIMEOUT_GRID, &path)
+            .explore_with_grid_checkpointed(&TIMEOUT_GRID, &path, "test")
             .expect("resumed run");
         grids_match(&plain, &resumed);
 
         // a third run resumes everything without recomputation
         let again = explorer
-            .explore_with_grid_checkpointed(&TIMEOUT_GRID, &path)
+            .explore_with_grid_checkpointed(&TIMEOUT_GRID, &path, "test")
             .expect("fully resumed run");
         grids_match(&plain, &again);
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn explore_checkpoint_covers_the_model() {
-        let (profiles, seed5) = build_explorer_fixture();
-        let seed8 = Predictor::train(&profiles, &ModelConfig::quick(8));
-        let explore = |predictor: &Predictor, path: Option<&Path>| {
-            let explorer = PolicyExplorer::new(
-                predictor,
-                &profiles,
-                BenchmarkId::Redis,
-                BenchmarkId::Social,
-                0.9,
-            );
-            let result = match path {
-                Some(path) => explorer.explore_with_grid_checkpointed(&TIMEOUT_GRID, path),
-                None => Ok(explorer.explore_with_grid(&TIMEOUT_GRID)),
-            };
-            let result = result.expect("explore");
-            let cells = result.grid.iter().flatten();
-            cells
-                .flat_map(|&(a, b)| [a.to_bits(), b.to_bits()])
-                .collect::<Vec<_>>()
-        };
-        let path =
-            std::env::temp_dir().join(format!("stca-explore-model-{}.json", std::process::id()));
-        std::fs::remove_file(&path).ok();
-        let stale = explore(&seed5, Some(&path));
-        let fresh = explore(&seed8, None);
-        assert_ne!(stale, fresh, "the seeds train different models");
-        assert_eq!(explore(&seed8, Some(&path)), fresh, "stale cells resumed");
         std::fs::remove_file(&path).ok();
     }
 

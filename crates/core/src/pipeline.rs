@@ -1,12 +1,16 @@
 //! The scenario pipeline: profile → dataset → train → explore → serve,
 //! driven by a [`stca_scenario::ScenarioSpec`].
 //!
-//! Each stage writes its artifact into the scenario's artifact directory
-//! and records an FNV-1a hash in `scenario.ckpt.json`; a re-run (same
-//! spec, any `--threads`) skips finished stages whose artifacts are still
-//! on disk and reproduces the remaining ones bit-identically. The
-//! checkpoint meta is the spec fingerprint, so editing the spec
-//! invalidates stale stage state instead of resuming into it.
+//! Each stage writes its artifacts into the scenario's artifact directory
+//! and records two numbers in `scenario.ckpt.json`: its resume key and the
+//! FNV-1a hash of its result. One rule gives every key: a stage's key is
+//! [`ScenarioSpec::stage_key`], the FNV-1a of the canonical lines of the
+//! spec rows the stage reads followed by the hashes of the artifacts it
+//! reads (the profile store is the only such artifact). A re-run at any
+//! `--threads` keeps a stage whose stored key matches and whose output
+//! files all exist, and reruns the rest bit-identically — so an edit to
+//! `[serve] rate` reruns serve alone. The profile and explore stages key
+//! their per-item checkpoints by the same stage key.
 //!
 //! The module also hosts the spec-driven building blocks the `stca`
 //! subcommands share with the runner ([`profile_conditions`],
@@ -69,18 +73,7 @@ pub fn profile_conditions(
     let conditions: Vec<RuntimeCondition> = (0..n)
         .map(|_| RuntimeCondition::random_pair(pair.0, pair.1, &mut rng))
         .collect();
-    // the loop adds the fault plan and retry budget to this meta
-    let meta = format!(
-        "profile/{}-{}/n{n}/seed{seed}/m{}w{}a{}/cat{}-{}-{}",
-        pair.0,
-        pair.1,
-        p.measured_queries,
-        p.warmup_queries,
-        p.accesses_per_query,
-        spec.cat.ways,
-        spec.cat.default_span,
-        spec.cat.boosted_span
-    );
+    let meta = hex(spec.stage_key(Stage::Profile, &[]));
     let results = profile_each(
         &conditions,
         |i, condition| ExperimentSpec {
@@ -297,7 +290,7 @@ pub struct RunPaths {
     pub health: PathBuf,
     /// Chrome trace JSON (when tracing is enabled).
     pub trace_json: Option<PathBuf>,
-    /// SVG trace waterfall (when requested).
+    /// SVG trace waterfall (when requested and tracing is enabled).
     pub trace_svg: Option<PathBuf>,
 }
 
@@ -333,12 +326,25 @@ impl RunPaths {
                 .trace
                 .enabled
                 .then(|| in_dir(&art.trace_json, "trace.json")),
-            trace_svg: if art.trace_svg.is_empty() {
-                None
-            } else {
-                Some(dir.join(&art.trace_svg))
-            },
+            trace_svg: (spec.trace.enabled && !art.trace_svg.is_empty())
+                .then(|| dir.join(&art.trace_svg)),
             dir,
+        }
+    }
+
+    /// The files `stage` writes. A stage resumes only when all exist.
+    pub fn outputs(&self, stage: Stage) -> Vec<&Path> {
+        match stage {
+            Stage::Profile => vec![&self.profiles],
+            Stage::Dataset => vec![&self.dataset],
+            Stage::Train => vec![&self.train],
+            Stage::Explore => vec![&self.explore],
+            Stage::Serve => [&self.trace_json, &self.trace_svg]
+                .into_iter()
+                .flatten()
+                .chain([&self.decision_log, &self.health])
+                .map(PathBuf::as_path)
+                .collect(),
         }
     }
 }
@@ -350,8 +356,8 @@ pub struct StageOutcome {
     pub stage: Stage,
     /// FNV-1a hash of the stage artifact (the decision hash for serve).
     pub hash: u64,
-    /// Whether the stage was skipped because the checkpoint already held
-    /// its hash and the artifact was still on disk.
+    /// Whether the stage was skipped because the checkpoint held its
+    /// current key and every file it writes was still on disk.
     pub resumed: bool,
     /// One human line about the stage result.
     pub detail: String,
@@ -369,7 +375,8 @@ pub struct RunSummary {
     pub dir: PathBuf,
 }
 
-fn file_hash(path: &Path) -> Result<u64, StcaError> {
+/// FNV-1a of a file's bytes: the hash of an artifact.
+pub fn file_hash(path: &Path) -> Result<u64, StcaError> {
     let bytes = std::fs::read(path).map_err(|e| StcaError::io(path.display().to_string(), e))?;
     Ok(fnv1a(&bytes))
 }
@@ -382,42 +389,52 @@ fn hex(h: u64) -> String {
     format!("{h:016x}")
 }
 
+/// Whether `stage` reads the profile store, the one artifact a stage reads
+/// from another.
+fn reads_profiles(spec: &ScenarioSpec, stage: Stage) -> bool {
+    match stage {
+        Stage::Profile => false,
+        Stage::Dataset | Stage::Train | Stage::Explore => true,
+        Stage::Serve => spec.serve.predictor == PredictorKind::Trained,
+    }
+}
+
+/// The meta of `scenario.ckpt.json`. Each entry carries its own stage key,
+/// so the meta names only the entry layout.
+const SCENARIO_CKPT_META: &str = "scenario/stage-keys";
+
 /// Run a scenario's pipeline. Stages execute in order; each records its
-/// artifact hash in the scenario checkpoint so an interrupted or
-/// truncated (`until`) run resumes without recomputing finished stages.
-/// Bit-identical at any thread count.
+/// key and its artifact hash in the scenario checkpoint, so an
+/// interrupted, truncated (`until`) or edited run reruns only the stages
+/// whose key or output files changed. Bit-identical at any thread count.
 pub fn run_scenario(
     spec: &ScenarioSpec,
     dir_override: Option<&Path>,
     until: Option<Stage>,
 ) -> Result<RunSummary, StcaError> {
+    use stca_obs::json::Value;
     let paths = RunPaths::resolve(spec, dir_override);
     std::fs::create_dir_all(&paths.dir)
         .map_err(|e| StcaError::io(paths.dir.display().to_string(), e))?;
-    let meta = format!(
-        "scenario/{}/{:016x}",
-        spec.scenario.name,
-        spec.fingerprint()
-    );
-    let mut ckpt = Checkpoint::load_or_new(&paths.scenario_ckpt, &meta)?;
+    let mut ckpt = Checkpoint::load_or_new(&paths.scenario_ckpt, SCENARIO_CKPT_META)?;
     let mut stages = Vec::new();
     for &stage in &spec.scenario.pipeline {
-        if let Some(limit) = until {
-            if stage > limit {
-                break;
-            }
+        if until.is_some_and(|limit| stage > limit) {
+            break;
         }
-        let key = format!("stage.{}", stage.name());
-        let artifact = match stage {
-            Stage::Profile => Some(paths.profiles.clone()),
-            Stage::Dataset => Some(paths.dataset.clone()),
-            Stage::Train => Some(paths.train.clone()),
-            Stage::Explore => Some(paths.explore.clone()),
-            Stage::Serve => Some(paths.decision_log.clone()),
+        let profiles = reads_profiles(spec, stage)
+            .then(|| file_hash(&paths.profiles))
+            .transpose()?;
+        let key = spec.stage_key(stage, profiles.as_slice());
+        let entry = format!("stage.{}", stage.name());
+        let stored = match ckpt.get(&entry) {
+            Some(Value::Array(pair)) => pair.as_slice(),
+            _ => &[],
         };
-        let cached = match (ckpt.get(&key), &artifact) {
-            (Some(stca_obs::json::Value::String(s)), Some(path)) if path.exists() => {
-                u64::from_str_radix(s, 16).ok()
+        let written = paths.outputs(stage).iter().all(|p| p.exists());
+        let cached = match stored {
+            [Value::String(k), Value::String(h)] if *k == hex(key) && written => {
+                u64::from_str_radix(h, 16).ok()
             }
             _ => None,
         };
@@ -431,8 +448,9 @@ pub fn run_scenario(
             });
             continue;
         }
-        let outcome = run_stage(spec, &paths, stage)?;
-        ckpt.put(key, stca_obs::json::Value::String(hex(outcome.hash)));
+        let outcome = run_stage(spec, &paths, stage, key)?;
+        let pair = [hex(key), hex(outcome.hash)].map(Value::String);
+        ckpt.put(entry, Value::Array(pair.to_vec()));
         ckpt.save()?;
         stages.push(outcome);
     }
@@ -446,10 +464,12 @@ pub fn run_scenario(
     })
 }
 
+/// Run one stage; `key` is its stage key.
 fn run_stage(
     spec: &ScenarioSpec,
     paths: &RunPaths,
     stage: Stage,
+    key: u64,
 ) -> Result<StageOutcome, StcaError> {
     let outcome = match stage {
         Stage::Profile => {
@@ -546,8 +566,11 @@ fn run_stage(
                 spec.workloads.pair.1,
                 spec.explore.utilization,
             );
-            let result =
-                explorer.explore_with_grid_checkpointed(&spec.explore.grid, &paths.explore_ckpt)?;
+            let result = explorer.explore_with_grid_checkpointed(
+                &spec.explore.grid,
+                &paths.explore_ckpt,
+                &hex(key),
+            )?;
             let mut text = render_explore(spec, &result);
             text.push('\n');
             write_text(&paths.explore, &text)?;
@@ -613,10 +636,7 @@ pub fn check_runnable(spec: &ScenarioSpec, dir_override: Option<&Path>) -> Resul
     if pipeline.is_empty() {
         return Err(StcaError::usage("scenario pipeline is empty"));
     }
-    let needs_profiles = pipeline.iter().any(|s| {
-        matches!(s, Stage::Dataset | Stage::Train | Stage::Explore)
-            || (matches!(s, Stage::Serve) && matches!(spec.serve.predictor, PredictorKind::Trained))
-    });
+    let needs_profiles = pipeline.iter().any(|&s| reads_profiles(spec, s));
     let produces_profiles = pipeline.contains(&Stage::Profile);
     if needs_profiles && !produces_profiles {
         let paths = RunPaths::resolve(spec, dir_override);

@@ -201,9 +201,7 @@ pub struct Predictor {
     /// Scalar-only fallback models for rows with damaged traces.
     ea_scalar: TabularModel,
     service_scalar: TabularModel,
-    /// The hyperparameters it was trained with (the explorer's checkpoint
-    /// meta fingerprints them).
-    pub(crate) config: ModelConfig,
+    config: ModelConfig,
 }
 
 fn to_sample(row: &ProfileRow) -> Sample {

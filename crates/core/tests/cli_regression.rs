@@ -178,6 +178,40 @@ fn profile_explore_predict_trained_serve_match_goldens() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// `stca explore --checkpoint` keys its cells by the profile store it
+/// loaded: a store whose trace differs in one value, with every EA and
+/// static feature kept, trains another model, so no cell may resume.
+#[test]
+fn explore_checkpoint_covers_the_whole_profile_store() {
+    let dir = temp_dir("explore-key");
+    let profile = [
+        "profile",
+        "--pair",
+        "kmeans,bfs",
+        "-n",
+        "4",
+        "--seed",
+        "2022",
+        "-o",
+        "prof.stca",
+    ];
+    stdout_of(&dir, &profile);
+    let explore = ["explore", "--profiles", "prof.stca", "--pair", "kmeans,bfs"];
+    let checkpointed = [&explore[..], &["--checkpoint", "explore.ckpt.json"]].concat();
+    let before = stdout_of(&dir, &checkpointed);
+
+    let path = dir.join("prof.stca");
+    let mut set = stca_profiler::storage::load(&path).expect("load profile store");
+    set.rows[1].trace[(5, 5)] += 1.0e6;
+    stca_profiler::storage::save(&set, &path).expect("save profile store");
+
+    let fresh = stdout_of(&dir, &explore);
+    assert_ne!(fresh, before, "the edited trace changed nothing");
+    let resumed = stdout_of(&dir, &checkpointed);
+    assert_eq!(resumed, fresh, "explore resumed cells of another store");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn characterize_stdout_matches_golden() {
     let dir = temp_dir("char");

@@ -11,10 +11,12 @@
 //! * **Floats are stored as hex bit patterns** (`"3fe0000000000000"`), not
 //!   decimal numbers — resume must reproduce `f64`s to the bit, including
 //!   NaN payloads, which JSON numbers cannot carry.
-//! * **The `meta` string fingerprints the inputs** (grid, profiles, fault
-//!   plan…). A checkpoint whose meta does not match is stale — it is
-//!   discarded with a warning rather than silently mixing results from
-//!   different inputs.
+//! * **The `meta` string is the caller's key of every input.** The
+//!   scenario pipeline derives one rule for it: a stage's key hashes the
+//!   spec rows the stage reads plus the hashes of the artifacts it reads
+//!   (`ScenarioSpec::stage_key`). A checkpoint whose meta does not match
+//!   is stale — it is discarded with a warning rather than silently mixing
+//!   results from different inputs.
 //!
 //! Saves write to `<path>.tmp` and rename, so a kill mid-save leaves the
 //! previous complete checkpoint intact.
@@ -81,11 +83,6 @@ pub fn fingerprint(words: impl IntoIterator<Item = u64>) -> u64 {
         }
     }
     h
-}
-
-/// Fingerprint a slice of floats by their bit patterns.
-pub fn fingerprint_f64s(xs: &[f64]) -> u64 {
-    fingerprint(xs.iter().map(|x| x.to_bits()))
 }
 
 /// A keyed, resumable store of completed work units.
@@ -298,7 +295,5 @@ mod tests {
     #[test]
     fn fingerprint_is_order_sensitive() {
         assert_ne!(fingerprint([1, 2, 3]), fingerprint([3, 2, 1]));
-        assert_eq!(fingerprint_f64s(&[1.0, 2.0]), fingerprint_f64s(&[1.0, 2.0]));
-        assert_ne!(fingerprint_f64s(&[1.0, 2.0]), fingerprint_f64s(&[1.0, 2.5]));
     }
 }

@@ -17,14 +17,14 @@
 //! service time equals the Table-1 baseline; at run time, contention and
 //! boosts change cycles-per-access and therefore realized service times.
 
-use crate::profile::ProfileRow;
+use crate::profile::{ProfileRow, ProfileSet};
 use crate::proxy::ProxyService;
 use crate::sampler::CounterOrdering;
 use crate::storage;
 use stca_cachesim::{Counter, CounterSet, Hierarchy, HierarchyConfig, MaskMode};
 use stca_cat::layout::ExperimentLayout;
 use stca_cat::ShortTermPolicy;
-use stca_fault::checkpoint::{fingerprint, Checkpoint};
+use stca_fault::checkpoint::Checkpoint;
 use stca_fault::{with_retry, FaultPlan, RetryPolicy, StcaError};
 use stca_obs::json::Value;
 use stca_util::{Distribution, Percentiles, Rng64, Seconds};
@@ -754,10 +754,10 @@ pub fn run_experiment_checked(
 /// caller decides whether to skip it or abort.
 ///
 /// With `checkpoint = Some((path, meta))`, every finished condition, failed
-/// ones included, is saved to a [`Checkpoint`], and a re-run resumes it
-/// instead of running it again. The checkpoint's meta is `meta` (which must
-/// fingerprint the conditions and `spec_of`) plus the whole plan and the
-/// retry budget, so a run under another plan or budget starts afresh.
+/// ones included, is saved to a [`Checkpoint`] under `meta`, and a re-run
+/// resumes it instead of running it again. `meta` must key every input of
+/// the run: the conditions, `spec_of`, the plan and the retry budget. A
+/// condition's rows are stored in the profile store's line format.
 pub fn profile_each(
     conditions: &[RuntimeCondition],
     spec_of: impl Fn(usize, &RuntimeCondition) -> ExperimentSpec + Sync,
@@ -767,23 +767,17 @@ pub fn profile_each(
     checkpoint: Option<(&Path, &str)>,
 ) -> Result<Vec<Result<Vec<ProfileRow>, String>>, StcaError> {
     let mut ckpt = match checkpoint {
-        Some((path, meta)) => {
-            let plan_print = fingerprint(format!("{plan:?}").bytes().map(u64::from));
-            let meta = format!("{meta}/plan{plan_print:016x}/r{}", retry.max_retries);
-            Some(Checkpoint::load_or_new(path, &meta)?)
-        }
+        Some((path, meta)) => Some(Checkpoint::load_or_new(path, meta)?),
         None => None,
     };
     // resumed conditions, decoded up front; a recorded failure stays
     // failed (same plan, same faults)
     let cached: Vec<Option<Result<Vec<ProfileRow>, String>>> = (0..conditions.len())
         .map(|i| match ckpt.as_ref()?.get(&format!("cond.{i}"))? {
-            Value::Array(rows) => rows
-                .iter()
-                .map(|v| storage::row_from_json(v).ok())
-                .collect::<Option<_>>()
-                .map(Ok),
-            Value::String(s) => s.strip_prefix("failed: ").map(|r| Err(r.to_string())),
+            Value::String(s) => match s.strip_prefix("failed: ") {
+                Some(reason) => Some(Err(reason.to_string())),
+                None => storage::from_string(s).ok().map(|set| Ok(set.rows)),
+            },
             _ => None,
         })
         .collect();
@@ -835,10 +829,10 @@ pub fn profile_each(
             }
             if let Some(ck) = ckpt.as_mut() {
                 let entry = match &result {
-                    Ok(rows) => Value::Array(rows.iter().map(storage::row_to_json).collect()),
-                    Err(reason) => Value::String(format!("failed: {reason}")),
+                    Ok(rows) => storage::to_string(&ProfileSet { rows: rows.clone() }),
+                    Err(reason) => format!("failed: {reason}"),
                 };
-                ck.put(format!("cond.{i}"), entry);
+                ck.put(format!("cond.{i}"), Value::String(entry));
             }
         }
         profiled.push(result);

@@ -1,6 +1,5 @@
 //! Profile persistence — save/load profile sets as a versioned,
-//! line-oriented text format, plus the JSON row encoding shared by the
-//! checkpoint files.
+//! line-oriented text format.
 //!
 //! Profiling is the expensive stage (the paper budgets 30 minutes per
 //! collocation); persisting profiles lets the modeling stages iterate
@@ -20,17 +19,12 @@
 //! <cols floats per line, one line per trace row>
 //! ```
 //!
-//! Checkpoint entries instead store rows as [`stca_obs::json::Value`]
-//! objects with every float bit-encoded as 16 hex chars (see
-//! [`row_to_json`] / [`row_from_json`]), because JSON `Number` cannot
-//! represent NaN and loses low bits; checkpoint resume must be bit-exact.
+//! The profiling checkpoint stores each finished condition's rows in this
+//! same format, so resume is as bit-exact as a save/load cycle.
 
 use crate::profile::{ProfileRow, ProfileSet};
-use stca_fault::checkpoint::{f64s_to_value, value_to_f64s};
 use stca_fault::StcaError;
-use stca_obs::json::Value;
 use stca_util::Matrix;
-use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::path::Path;
 
@@ -199,90 +193,6 @@ pub fn load(path: &Path) -> Result<ProfileSet, StcaError> {
     from_string(&text)
 }
 
-/// Encode a profile row as a checkpoint-safe JSON value. Floats are stored
-/// as bit strings so resume reproduces the row bit-for-bit (including NaN
-/// payloads, which JSON numbers cannot carry).
-pub fn row_to_json(row: &ProfileRow) -> Value {
-    let mut obj = BTreeMap::new();
-    obj.insert("static".to_string(), f64s_to_value(&row.static_features));
-    obj.insert("dynamic".to_string(), f64s_to_value(&row.dynamic_features));
-    obj.insert(
-        "targets".to_string(),
-        f64s_to_value(&[
-            row.ea,
-            row.base_service_norm,
-            row.mean_response_norm,
-            row.p95_response_norm,
-            row.allocation_ratio,
-        ]),
-    );
-    obj.insert(
-        "trace_dims".to_string(),
-        Value::Array(vec![
-            Value::Number(row.trace.rows() as f64),
-            Value::Number(row.trace.cols() as f64),
-        ]),
-    );
-    obj.insert("trace".to_string(), f64s_to_value(row.trace.as_slice()));
-    Value::Object(obj)
-}
-
-/// Decode a profile row written by [`row_to_json`].
-pub fn row_from_json(value: &Value) -> Result<ProfileRow, StcaError> {
-    let field = |name: &str| -> Result<&Value, StcaError> {
-        value
-            .get(name)
-            .ok_or_else(|| format_err(format!("checkpoint row missing field {name:?}")))
-    };
-    let floats = |name: &str| -> Result<Vec<f64>, StcaError> {
-        value_to_f64s(field(name)?)
-            .ok_or_else(|| format_err(format!("checkpoint row field {name:?} malformed")))
-    };
-    let static_features = floats("static")?;
-    let dynamic_features = floats("dynamic")?;
-    let targets = floats("targets")?;
-    if targets.len() != 5 {
-        return Err(format_err(format!(
-            "checkpoint row has {} targets, expected 5",
-            targets.len()
-        )));
-    }
-    let dims = match field("trace_dims")? {
-        Value::Array(a) if a.len() == 2 => a,
-        other => {
-            return Err(format_err(format!(
-                "checkpoint row trace_dims malformed: {other}"
-            )))
-        }
-    };
-    let rows = dims[0]
-        .as_f64()
-        .ok_or_else(|| format_err("trace_dims[0] not a number"))? as usize;
-    let cols = dims[1]
-        .as_f64()
-        .ok_or_else(|| format_err("trace_dims[1] not a number"))? as usize;
-    let flat = value_to_f64s(field("trace")?)
-        .ok_or_else(|| format_err("checkpoint row field \"trace\" malformed"))?;
-    if flat.len() != rows * cols {
-        return Err(format_err(format!(
-            "checkpoint row trace has {} values for {rows}x{cols}",
-            flat.len()
-        )));
-    }
-    let mut trace = Matrix::zeros(rows, cols);
-    trace.as_mut_slice().copy_from_slice(&flat);
-    Ok(ProfileRow {
-        static_features,
-        dynamic_features,
-        trace,
-        ea: targets[0],
-        base_service_norm: targets[1],
-        mean_response_norm: targets[2],
-        p95_response_norm: targets[3],
-        allocation_ratio: targets[4],
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -396,32 +306,5 @@ mod tests {
             back.rows[0].p95_response_norm,
             set.rows[0].p95_response_norm
         );
-    }
-
-    #[test]
-    fn json_row_roundtrip_is_bit_exact() {
-        let set = sample_set();
-        for row in &set.rows {
-            let encoded = row_to_json(row);
-            // force a full serialize/parse cycle like a real checkpoint file
-            let text = encoded.to_string();
-            let parsed = Value::parse(&text).expect("valid json");
-            let back = row_from_json(&parsed).expect("decodes");
-            assert_eq!(back.static_features, row.static_features);
-            assert_eq!(back.trace.as_slice(), row.trace.as_slice());
-            assert_eq!(back.ea.to_bits(), row.ea.to_bits());
-            assert_eq!(
-                back.allocation_ratio.to_bits(),
-                row.allocation_ratio.to_bits()
-            );
-        }
-    }
-
-    #[test]
-    fn json_row_rejects_malformed_values() {
-        assert!(row_from_json(&Value::Null).is_err());
-        let mut obj = BTreeMap::new();
-        obj.insert("static".to_string(), f64s_to_value(&[1.0]));
-        assert!(row_from_json(&Value::Object(obj)).is_err());
     }
 }

@@ -8,10 +8,12 @@
 //!
 //! * **One row per key.** Every key is declared once, as one [`Row`] of
 //!   the schema: section, key, value [`Codec`] (type plus range), the field
-//!   it reads and writes, and its `stca serve` flag if it has one.
-//!   [`keys_of`], [`ScenarioSpec::set`], [`ScenarioSpec::canonical`] and
-//!   the CLI flag surface are all derived from the rows; `[fault]` takes
-//!   its override rows from [`FaultPlan`]'s own table.
+//!   it reads and writes, the pipeline stages that read it ([`Readers`]),
+//!   and its `stca serve` flag if it has one. [`keys_of`],
+//!   [`ScenarioSpec::set`], [`ScenarioSpec::canonical`],
+//!   [`ScenarioSpec::stage_key`] and the CLI flag surface are all derived
+//!   from the rows; `[fault]` takes its override rows from [`FaultPlan`]'s
+//!   own table.
 //! * **One setter.** [`ScenarioSpec::set`] is the only way a key gets a
 //!   value — the file parser and the CLI flag-override layer both go
 //!   through it, so a flag and a spec line cannot disagree about types,
@@ -432,6 +434,31 @@ impl Codec {
     }
 }
 
+/// The pipeline stages that read a key: one bit per [`Stage`], plus
+/// `TRAINED` for a key serve reads only when it serves the trained
+/// predictor. A row that only names an output file is read by no stage;
+/// the stage that writes the file reruns when it is missing.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Readers(u8);
+
+impl Readers {
+    const NONE: Readers = Readers(0);
+    const PROFILE: Readers = Readers::of(Stage::Profile);
+    const TRAIN: Readers = Readers::of(Stage::Train);
+    const EXPLORE: Readers = Readers::of(Stage::Explore);
+    const SERVE: Readers = Readers::of(Stage::Serve);
+    /// Read by the serve stage when `serve.predictor = "trained"`.
+    const TRAINED: Readers = Readers(1 << Stage::ALL.len());
+
+    const fn of(stage: Stage) -> Readers {
+        Readers(1 << stage as u8)
+    }
+
+    fn has(self, readers: Readers) -> bool {
+        self.0 & readers.0 != 0
+    }
+}
+
 /// One key of the schema, declared once.
 #[derive(Clone, Copy)]
 pub struct Row {
@@ -443,6 +470,8 @@ pub struct Row {
     pub codec: Codec,
     /// The `stca serve` flag that sets it, if any.
     pub flag: Option<&'static str>,
+    /// The stages whose resume key covers it.
+    pub reads: Readers,
     write: fn(&mut ScenarioSpec, &Row, &SpecValue) -> Result<(), SpecErrorKind>,
     read: fn(&ScenarioSpec, &Row) -> Option<String>,
 }
@@ -471,16 +500,28 @@ macro_rules! or_given {
     };
 }
 
-/// One section's rows: `key`, `key: bound` for a bounded number, and
-/// `=> "flag"` for a key `stca serve` sets by flag. The key names the
-/// field of the section's struct it reads and writes.
+/// A [`Readers`] set from `(A | B | ...)`.
+macro_rules! readers {
+    ($($reader:ident)|+) => {
+        Readers(0 $(| Readers::$reader.0)+)
+    };
+}
+
+/// One section's rows. `reads (A | B)` after the section names the stages
+/// that read its keys; a key may name its own set the same way. Then
+/// `key: bound` for a bounded number and `=> "flag"` for a key `stca
+/// serve` sets by flag. The key names the field of the section's struct it
+/// reads and writes.
 macro_rules! section {
-    ($name:literal, $sec:ident { $($key:ident $(: $bound:expr)? $(=> $flag:literal)?),* $(,)? }) => {
+    ($name:literal, $sec:ident reads $readers:tt {
+        $($key:ident $(reads $own:tt)? $(: $bound:expr)? $(=> $flag:literal)?),* $(,)?
+    }) => {
         &[$(Row {
             section: $name,
             key: stringify!($key),
             codec: or_given!(codec_of(|s| &s.$sec.$key) $(, Codec::Num($bound))?),
             flag: or_given!(None $(, Some($flag))?),
+            reads: or_given!(readers! $readers $(, readers! $own)?),
             write: |s, row, v| {
                 s.$sec.$key = Value::decode(row, v)?;
                 Ok(())
@@ -490,27 +531,30 @@ macro_rules! section {
     };
 }
 
-/// The schema: every section's rows, in canonical order.
+/// The schema: every section's rows, in canonical order, each with the
+/// stages that read it.
 const SCHEMA: &[&[Row]] = &[
-    section! { "scenario", scenario { name, pipeline } },
-    section! { "workloads", workloads { pair, accesses } },
-    section! { "cat", cat {
+    section! { "scenario", scenario reads (NONE) { name, pipeline } },
+    section! { "workloads", workloads reads (NONE) { pair reads (PROFILE | TRAIN | EXPLORE), accesses } },
+    section! { "cat", cat reads (PROFILE) {
         ways,
         default_span: Bound::at_least(1, "way"),
         boosted_span: Bound::at_least(1, "way"),
     } },
     &FAULT_ROWS,
-    section! { "profile", profile {
-        conditions, seed, out, measured_queries, warmup_queries, accesses_per_query,
+    section! { "profile", profile reads (PROFILE) {
+        conditions, seed, out reads (NONE), measured_queries, warmup_queries, accesses_per_query,
     } },
-    section! { "train", train { model, seed } },
-    section! { "explore", explore { utilization: Bound::Positive, grid } },
-    section! { "predict", predict {
+    // trained serve trains with `serve.seed`, not `train.seed`
+    section! { "train", train reads (TRAIN | EXPLORE) { model reads (TRAIN | EXPLORE | TRAINED), seed } },
+    // the train stage's probe reads the explore point too
+    section! { "explore", explore reads (TRAIN | EXPLORE) { utilization: Bound::Positive, grid } },
+    section! { "predict", predict reads (NONE) {
         utilization: Bound::Positive,
         timeout_a: Bound::NonNegative,
         timeout_b: Bound::NonNegative,
     } },
-    section! { "serve", serve {
+    section! { "serve", serve reads (SERVE) {
         requests => "requests",
         rate: Bound::Positive => "rate",
         deadline_s: Bound::Positive => "deadline",
@@ -524,12 +568,12 @@ const SCHEMA: &[&[Row]] = &[
         seed => "seed",
         predictor,
     } },
-    section! { "serve.fleet", fleet {
+    section! { "serve.fleet", fleet reads (SERVE) {
         shards: Bound::within(1, 1024, "shards") => "shards",
         router => "router",
         reroute_max => "reroute-max",
     } },
-    section! { "serve.adapt", adapt {
+    section! { "serve.adapt", adapt reads (SERVE) {
         enabled => "adapt",
         epoch_s: Bound::Positive => "adapt-epoch",
         window: Bound::at_least(2, "rows") => "adapt-window",
@@ -543,8 +587,11 @@ const SCHEMA: &[&[Row]] = &[
         history: Bound::at_least(1, "version") => "adapt-history",
         retrain_budget_s: Bound::Positive => "adapt-budget",
     } },
-    section! { "trace", trace { enabled, sample_every => "trace-sample", ring_capacity => "trace-ring" } },
-    section! { "artifacts", artifacts {
+    section! { "trace", trace reads (SERVE) {
+        enabled, sample_every => "trace-sample", ring_capacity => "trace-ring",
+    } },
+    // output file names: a stage reruns when a file it writes is missing
+    section! { "artifacts", artifacts reads (NONE) {
         dir,
         decision_log => "decision-log",
         health => "health-out",
@@ -556,8 +603,9 @@ const SCHEMA: &[&[Row]] = &[
 
 /// `[fault]`: the `plan` sugar, the retry budget, then one row per
 /// [`FaultPlan`] override key — the fault plan's own table declares those.
+/// Profiling and serving both run under the plan.
 const FAULT_ROWS: [Row; 2 + FaultPlan::KEYS.len()] = {
-    let [plan, max_retries] = *section! { "fault", fault {
+    let [plan, max_retries] = *section! { "fault", fault reads (PROFILE | SERVE) {
         plan,
         max_retries: Bound::within(0, u32::MAX as u64, "retries"),
     } };
@@ -570,6 +618,7 @@ const FAULT_ROWS: [Row; 2 + FaultPlan::KEYS.len()] = {
             key: FaultPlan::KEYS[i],
             codec: Codec::Num(FaultPlan::BOUNDS[i]),
             flag: None,
+            reads: plan.reads,
             write: |s, row, v| s.fault.plan.set(row.key, v.expect_scalar(row.key)?),
             read: |s, row| s.fault.plan.get(row.key),
         };
@@ -828,6 +877,33 @@ impl ScenarioSpec {
     /// not survive — their effects do). Parsing the canonical form yields
     /// an equal spec, and canonicalizing is idempotent byte-for-byte.
     pub fn canonical(&self) -> String {
+        self.encode(|_| true)
+    }
+
+    /// FNV-1a fingerprint of the canonical form.
+    pub fn fingerprint(&self) -> u64 {
+        fnv1a(self.canonical().as_bytes())
+    }
+
+    /// The resume key of `stage`: FNV-1a over the canonical lines of the
+    /// rows the stage reads, then over `inputs`, the hashes of the
+    /// artifacts it reads. A stage whose key is unchanged computes the
+    /// same output, so a rerun may keep it.
+    pub fn stage_key(&self, stage: Stage, inputs: &[u64]) -> u64 {
+        let mut bytes = self.encode(|row| self.reads(stage, row)).into_bytes();
+        bytes.extend(inputs.iter().flat_map(|h| h.to_le_bytes()));
+        fnv1a(&bytes)
+    }
+
+    /// Whether `stage` of this spec reads `row`.
+    pub fn reads(&self, stage: Stage, row: &Row) -> bool {
+        let trained = stage == Stage::Serve && self.serve.predictor == PredictorKind::Trained;
+        row.reads.has(Readers::of(stage)) || (trained && row.reads.has(Readers::TRAINED))
+    }
+
+    /// Every section header, then each `keep` row that has a value as a
+    /// `key = value` line, in schema order.
+    fn encode(&self, keep: impl Fn(&Row) -> bool) -> String {
         let mut out = String::with_capacity(2048);
         for rows in SCHEMA {
             if !out.is_empty() {
@@ -836,7 +912,7 @@ impl ScenarioSpec {
             out.push('[');
             out.push_str(rows[0].section);
             out.push_str("]\n");
-            for row in rows.iter() {
+            for row in rows.iter().filter(|row| keep(row)) {
                 if let Some(value) = (row.read)(self, row) {
                     out.push_str(row.key);
                     out.push_str(" = ");
@@ -846,12 +922,6 @@ impl ScenarioSpec {
             }
         }
         out
-    }
-
-    /// FNV-1a fingerprint of the canonical form — the checkpoint meta
-    /// component that ties resumable pipeline state to the exact spec.
-    pub fn fingerprint(&self) -> u64 {
-        fnv1a(self.canonical().as_bytes())
     }
 }
 
