@@ -5,7 +5,7 @@
 //! purity). Cascade levels mix both kinds to keep the ensemble diverse.
 
 use crate::binned::BinnedMatrix;
-use crate::tree::{RegressionTree, SplitStrategy, TreeConfig};
+use crate::tree::{Nodes, RegressionTree, SplitStrategy, TreeConfig};
 use stca_util::{Matrix, SeedStream};
 use std::sync::{Arc, OnceLock};
 
@@ -99,10 +99,33 @@ impl ForestConfig {
     }
 }
 
-/// A fitted forest.
+/// Trees one lane walks in lockstep.
+const LANE: usize = 16;
+/// Trees whose leaf values `Forest::predict` buffers on the stack before
+/// adding them up in tree order. Lanes never straddle a block, so a full
+/// block holds exactly `BLOCK / LANE` lanes.
+const BLOCK: usize = 64;
+// lanes tile a block exactly, and a `u8` slot indexes any tree in it
+const _: () = assert!(BLOCK.is_multiple_of(LANE) && BLOCK <= 256);
+
+/// Up to [`LANE`] trees of one block, stepped together for the depth of
+/// the deepest. Fixed at fit.
+#[derive(Debug, Clone)]
+struct Lane {
+    /// Each tree's position within its block.
+    slot: [u8; LANE],
+    len: u8,
+    depth: u32,
+}
+
+/// A fitted forest: every tree's nodes in one structure-of-arrays arena.
 #[derive(Debug, Clone)]
 pub struct Forest {
-    trees: Vec<RegressionTree>,
+    nodes: Nodes,
+    /// Root node of each tree, in tree order.
+    root: Vec<u32>,
+    /// Lockstep lanes, block by block.
+    lanes: Vec<Lane>,
 }
 
 impl Forest {
@@ -149,12 +172,62 @@ impl Forest {
         });
         metrics.forest_fits.inc();
         metrics.trees_fitted.add(config.trees as u64);
-        Forest { trees }
+        Forest::from_trees(&trees)
     }
 
-    /// Mean prediction across trees.
+    /// Pack `trees` into one arena. Within each block of [`BLOCK`] trees,
+    /// trees of similar depth share a lane: the block is sorted by depth
+    /// (stably) and cut into lanes of [`LANE`], so a shallow tree does not
+    /// idle through a deep neighbour's steps.
+    fn from_trees(trees: &[RegressionTree]) -> Self {
+        let mut nodes = Nodes::default();
+        let root = trees.iter().map(|t| nodes.append(t.nodes())).collect();
+        let mut lanes = Vec::new();
+        for block in trees.chunks(BLOCK) {
+            let mut by_depth: Vec<usize> = (0..block.len()).collect();
+            by_depth.sort_by_key(|&t| block[t].depth());
+            for members in by_depth.chunks(LANE) {
+                let mut slot = [0u8; LANE];
+                for (s, &t) in slot.iter_mut().zip(members) {
+                    *s = t as u8;
+                }
+                lanes.push(Lane {
+                    slot,
+                    len: members.len() as u8,
+                    depth: members.iter().map(|&t| block[t].depth()).max().unwrap_or(0),
+                });
+            }
+        }
+        Forest { nodes, root, lanes }
+    }
+
+    /// Mean prediction across trees. Lanes walk their trees in lockstep
+    /// so the trees' dependent loads overlap; the leaf values are then
+    /// added in tree order, exactly as `trees.map(predict).sum::<f64>()`
+    /// would add them. Allocates nothing.
     pub fn predict(&self, features: &[f64]) -> f64 {
-        self.trees.iter().map(|t| t.predict(features)).sum::<f64>() / self.trees.len() as f64
+        let mut leaf = [0.0; BLOCK];
+        // std's f64 `Sum` folds from -0.0: an all-(-0.0) sum stays -0.0
+        let mut sum = -0.0;
+        for (b, lanes) in self.lanes.chunks(BLOCK / LANE).enumerate() {
+            let roots = &self.root[b * BLOCK..self.root.len().min((b + 1) * BLOCK)];
+            for lane in lanes {
+                let slots = &lane.slot[..lane.len as usize];
+                let mut at = [0u32; LANE];
+                let at = &mut at[..slots.len()];
+                for (a, &s) in at.iter_mut().zip(slots) {
+                    *a = roots[s as usize];
+                }
+                self.nodes.walk(at, lane.depth, features);
+                for (&a, &s) in at.iter().zip(slots) {
+                    leaf[s as usize] = self.nodes.value(a);
+                }
+            }
+            for &v in &leaf[..roots.len()] {
+                sum += v;
+            }
+        }
+        sum / self.root.len() as f64
     }
 
     /// Predict every row of a matrix.
@@ -164,26 +237,7 @@ impl Forest {
 
     /// Number of trees.
     pub fn tree_count(&self) -> usize {
-        self.trees.len()
-    }
-
-    /// Split-frequency feature importance: the fraction of all splits in
-    /// the forest that test each feature (sums to 1 for a non-stump
-    /// forest). Cheap, standard, and good enough to see which counters the
-    /// EA model leans on.
-    pub fn feature_importance(&self, n_features: usize) -> Vec<f64> {
-        let mut counts = vec![0u64; n_features];
-        for t in &self.trees {
-            t.count_feature_splits(&mut counts);
-        }
-        let total: u64 = counts.iter().sum();
-        if total == 0 {
-            return vec![0.0; n_features];
-        }
-        counts
-            .into_iter()
-            .map(|c| c as f64 / total as f64)
-            .collect()
+        self.root.len()
     }
 }
 
@@ -257,17 +311,6 @@ mod tests {
     }
 
     #[test]
-    fn feature_importance_finds_signal() {
-        let (x, y) = noisy_plane(300, 20);
-        let f = Forest::fit(&x, &y, ForestConfig::random(30), &SeedStream::new(21));
-        let imp = f.feature_importance(3);
-        assert!((imp.iter().sum::<f64>() - 1.0).abs() < 1e-9);
-        // features 0 and 1 carry the plane; feature 2 is noise
-        assert!(imp[0] > imp[2], "{imp:?}");
-        assert!(imp[1] > imp[2], "{imp:?}");
-    }
-
-    #[test]
     fn presorted_forest_is_bit_identical_to_reference() {
         let (x, y) = noisy_plane(150, 30);
         let fast = Forest::fit(&x, &y, ForestConfig::random(12), &SeedStream::new(31));
@@ -311,5 +354,73 @@ mod tests {
         let y = vec![7.0];
         let f = Forest::fit(&x, &y, ForestConfig::random(5), &SeedStream::new(12));
         assert_eq!(f.predict(&[0.0, 0.0]), 7.0);
+    }
+
+    /// The reference `Forest::predict` must match: one tree at a time,
+    /// summed in tree order.
+    fn one_at_a_time(trees: &[RegressionTree], x: &[f64]) -> f64 {
+        trees.iter().map(|t| t.predict(x)).sum::<f64>() / trees.len() as f64
+    }
+
+    #[test]
+    fn lockstep_predict_is_bit_identical_to_one_tree_at_a_time() {
+        let (x, y) = noisy_plane(120, 40);
+        let mut rng = Rng64::new(41);
+        let special = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 0.0, -0.0];
+        for count in [1, 15, 16, 17, 40, 130] {
+            // both tree kinds under random depth caps, so lanes mix trees
+            // of unequal depth; every seventh tree is a single leaf
+            let trees: Vec<RegressionTree> = (0..count)
+                .map(|t| {
+                    let config = TreeConfig {
+                        strategy: if t % 2 == 0 {
+                            SplitStrategy::BestOfSqrt
+                        } else {
+                            SplitStrategy::CompletelyRandom
+                        },
+                        max_depth: if t % 7 == 3 {
+                            0
+                        } else {
+                            1 + rng.next_index(12) as u32
+                        },
+                        ..TreeConfig::default()
+                    };
+                    RegressionTree::fit(&x, &y, config, &mut rng)
+                })
+                .collect();
+            assert!(trees.iter().any(|t| t.node_count() == 1) || count < 4);
+            let forest = Forest::from_trees(&trees);
+            for _ in 0..300 {
+                let p: Vec<f64> = (0..3)
+                    .map(|_| match rng.next_index(3) {
+                        0 => special[rng.next_index(special.len())],
+                        _ => rng.next_f64() * 1.4 - 0.2,
+                    })
+                    .collect();
+                assert_eq!(
+                    forest.predict(&p).to_bits(),
+                    one_at_a_time(&trees, &p).to_bits(),
+                    "{count} trees at {p:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn negative_zero_leaves_keep_their_sign() {
+        // a fold that starts at +0.0 would turn this sum into +0.0
+        let x = Matrix::from_rows(&[vec![1.0], vec![2.0], vec![3.0]]);
+        let y = [-0.0; 3];
+        for count in [1, 17, 130] {
+            let trees: Vec<RegressionTree> = (0..count)
+                .map(|t| RegressionTree::fit(&x, &y, TreeConfig::default(), &mut Rng64::new(t)))
+                .collect();
+            let forest = Forest::from_trees(&trees);
+            for p in [[2.0], [f64::NAN], [-0.0]] {
+                let got = forest.predict(&p);
+                assert!(got == 0.0 && got.is_sign_negative(), "{count} trees: {got}");
+                assert_eq!(got.to_bits(), one_at_a_time(&trees, &p).to_bits());
+            }
+        }
     }
 }

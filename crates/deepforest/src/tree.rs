@@ -87,23 +87,80 @@ impl Default for TreeConfig {
     }
 }
 
-#[derive(Debug, Clone)]
-enum Node {
-    Split {
-        feature: u32,
-        threshold: f64,
-        left: u32,
-        right: u32,
-    },
-    Leaf {
-        value: f64,
-    },
+/// Structure-of-arrays node storage, one array per field, indexed by node
+/// id. A split at `i` sends `x` to `child[i][0]` when
+/// `x[feature[i]] <= threshold[i]` and to `child[i][1]` otherwise, so NaN
+/// goes right. A leaf's two children are the leaf itself: a walk that
+/// steps past its leaf stays there, and no step tests for "is a leaf".
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Nodes {
+    feature: Vec<u32>,
+    threshold: Vec<f64>,
+    child: Vec<[u32; 2]>,
+    value: Vec<f64>,
 }
 
-/// A fitted regression tree.
+impl Nodes {
+    /// Append a leaf of value 0; returns its id.
+    fn push_leaf(&mut self) -> u32 {
+        let id = self.value.len() as u32;
+        self.feature.push(0);
+        self.threshold.push(0.0);
+        self.child.push([id, id]);
+        self.value.push(0.0);
+        id
+    }
+
+    /// Turn node `id` into a split.
+    fn set_split(&mut self, id: u32, feature: usize, threshold: f64, left: u32, right: u32) {
+        let i = id as usize;
+        self.feature[i] = feature as u32;
+        self.threshold[i] = threshold;
+        self.child[i] = [left, right];
+    }
+
+    /// Append every node of `other`, shifting its child ids past the
+    /// nodes already here; returns that shift (`other`'s root, moved).
+    pub(crate) fn append(&mut self, other: &Nodes) -> u32 {
+        let offset = self.value.len() as u32;
+        self.feature.extend_from_slice(&other.feature);
+        self.threshold.extend_from_slice(&other.threshold);
+        self.child
+            .extend(other.child.iter().map(|&[l, r]| [l + offset, r + offset]));
+        self.value.extend_from_slice(&other.value);
+        offset
+    }
+
+    /// Walk every node id in `at` `steps` levels down, in lockstep: one
+    /// step of each walk per round, so the walks' dependent loads overlap.
+    #[inline(always)]
+    pub(crate) fn walk(&self, at: &mut [u32], steps: u32, x: &[f64]) {
+        // equal-length views let the compiler share one bounds check
+        let n = self.value.len();
+        let (feature, threshold, child) =
+            (&self.feature[..n], &self.threshold[..n], &self.child[..n]);
+        for _ in 0..steps {
+            for a in at.iter_mut() {
+                let i = *a as usize;
+                let go_left = x[feature[i] as usize] <= threshold[i];
+                *a = child[i][usize::from(!go_left)];
+            }
+        }
+    }
+
+    /// Value of node `i` (meaningful at leaves).
+    #[inline(always)]
+    pub(crate) fn value(&self, i: u32) -> f64 {
+        self.value[i as usize]
+    }
+}
+
+/// A fitted regression tree: its nodes (root first) and its depth, the
+/// number of steps from the root to its deepest leaf.
 #[derive(Debug, Clone)]
 pub struct RegressionTree {
-    nodes: Vec<Node>,
+    nodes: Nodes,
+    depth: u32,
 }
 
 /// The split-finding machinery a builder carries. Only best-split
@@ -174,7 +231,9 @@ struct Builder<'a> {
     x: &'a Matrix,
     y: &'a [f64],
     config: TreeConfig,
-    nodes: Vec<Node>,
+    nodes: Nodes,
+    /// Depth of the deepest leaf so far.
+    depth: u32,
     rng: Rng64,
     /// The tree's sample rows (bootstrap order at the root). Every node
     /// owns a contiguous range; splits partition it stably in place.
@@ -429,25 +488,20 @@ impl<'a> Builder<'a> {
     }
 
     fn build(&mut self, lo: usize, hi: usize, depth: u32) -> u32 {
-        let node_id = self.nodes.len() as u32;
-        self.nodes.push(Node::Leaf { value: 0.0 }); // placeholder
+        let node_id = self.nodes.push_leaf(); // a leaf until it splits
         let n = hi - lo;
         if n < 2 * self.config.min_samples_leaf
             || depth >= self.config.max_depth
             || self.is_pure(lo, hi)
         {
-            let v = self.leaf_value(lo, hi);
-            self.nodes[node_id as usize] = Node::Leaf { value: v };
-            return node_id;
+            return self.leaf(node_id, lo, hi, depth);
         }
         let split = match self.config.strategy {
             SplitStrategy::CompletelyRandom => self.completely_random_split(lo, hi),
             SplitStrategy::BestOfSqrt | SplitStrategy::BestOfAll => self.best_split(lo, hi),
         };
         let Some((feature, threshold)) = split else {
-            let v = self.leaf_value(lo, hi);
-            self.nodes[node_id as usize] = Node::Leaf { value: v };
-            return node_id;
+            return self.leaf(node_id, lo, hi, depth);
         };
         // count the left group (same predicate as the partition below); a
         // degenerate side — possible when midpoint rounding collapses onto a
@@ -468,9 +522,7 @@ impl<'a> Builder<'a> {
                 .count()
         };
         if nl == 0 || nl == n {
-            let v = self.leaf_value(lo, hi);
-            self.nodes[node_id as usize] = Node::Leaf { value: v };
-            return node_id;
+            return self.leaf(node_id, lo, hi, depth);
         }
         // stable in-place partition of the node's sample range — and, for
         // the presorted engine, of every feature column's matching range
@@ -491,13 +543,16 @@ impl<'a> Builder<'a> {
         }
         let left = self.build(lo, lo + nl, depth + 1);
         let right = self.build(lo + nl, hi, depth + 1);
-        self.nodes[node_id as usize] = Node::Split {
-            feature: feature as u32,
-            threshold,
-            left,
-            right,
-        };
+        self.nodes
+            .set_split(node_id, feature, threshold, left, right);
         node_id
+    }
+
+    /// Finish node `id` (at `depth`) as a leaf over samples `lo..hi`.
+    fn leaf(&mut self, id: u32, lo: usize, hi: usize, depth: u32) -> u32 {
+        self.nodes.value[id as usize] = self.leaf_value(lo, hi);
+        self.depth = self.depth.max(depth);
+        id
     }
 }
 
@@ -573,7 +628,8 @@ impl RegressionTree {
             x,
             y,
             config,
-            nodes: Vec::new(),
+            nodes: Nodes::default(),
+            depth: 0,
             rng: rng.derive_stream(0x7EE),
             order,
             scratch: Vec::with_capacity(n),
@@ -582,7 +638,10 @@ impl RegressionTree {
             hist: HistScratch::new(hist_buckets),
         };
         b.build(0, n, 0);
-        RegressionTree { nodes: b.nodes }
+        RegressionTree {
+            nodes: b.nodes,
+            depth: b.depth,
+        }
     }
 
     /// Fit on all rows.
@@ -593,52 +652,24 @@ impl RegressionTree {
 
     /// Predict one feature vector.
     pub fn predict(&self, features: &[f64]) -> f64 {
-        let mut node = 0usize;
-        loop {
-            match &self.nodes[node] {
-                Node::Leaf { value } => return *value,
-                Node::Split {
-                    feature,
-                    threshold,
-                    left,
-                    right,
-                } => {
-                    node = if features[*feature as usize] <= *threshold {
-                        *left as usize
-                    } else {
-                        *right as usize
-                    };
-                }
-            }
-        }
+        let mut at = [0];
+        self.nodes.walk(&mut at, self.depth, features);
+        self.nodes.value(at[0])
     }
 
     /// Number of nodes (size diagnostic).
     pub fn node_count(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// Accumulate per-feature split counts into `counts` (length must cover
-    /// every feature index the tree was trained on).
-    pub fn count_feature_splits(&self, counts: &mut [u64]) {
-        for node in &self.nodes {
-            if let Node::Split { feature, .. } = node {
-                counts[*feature as usize] += 1;
-            }
-        }
+        self.nodes.value.len()
     }
 
     /// Maximum depth of the fitted tree.
     pub fn depth(&self) -> u32 {
-        fn walk(nodes: &[Node], id: usize) -> u32 {
-            match &nodes[id] {
-                Node::Leaf { .. } => 0,
-                Node::Split { left, right, .. } => {
-                    1 + walk(nodes, *left as usize).max(walk(nodes, *right as usize))
-                }
-            }
-        }
-        walk(&self.nodes, 0)
+        self.depth
+    }
+
+    /// The tree's nodes, root first.
+    pub(crate) fn nodes(&self) -> &Nodes {
+        &self.nodes
     }
 }
 
@@ -920,25 +951,6 @@ mod tests {
         let tree = RegressionTree::fit(&x, &y, TreeConfig::default(), &mut rng);
         assert_eq!(tree.node_count(), 1);
         assert!((tree.predict(&[1.0]) - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn split_counts_identify_informative_feature() {
-        let (x, y) = step_data(300);
-        let mut rng = Rng64::new(9);
-        let tree = RegressionTree::fit(
-            &x,
-            &y,
-            TreeConfig {
-                strategy: SplitStrategy::BestOfAll,
-                ..Default::default()
-            },
-            &mut rng,
-        );
-        let mut counts = vec![0u64; 2];
-        tree.count_feature_splits(&mut counts);
-        assert!(counts[0] >= 1, "x0 carries the signal");
-        assert!(counts[0] >= counts[1]);
     }
 
     #[test]

@@ -300,6 +300,61 @@ enum Phase {
     },
 }
 
+/// Sliding retrain window: the last `cap` feature rows in one flat ring
+/// of `cap × width` values, with each row's observed target in the same
+/// slot of `y`. Once full, each push overwrites the oldest row.
+#[derive(Debug)]
+struct Window {
+    cap: usize,
+    /// Row width, fixed by the first row pushed.
+    width: usize,
+    x: Vec<f64>,
+    y: Vec<f64>,
+    /// Slot of the oldest row (0 until the ring is full).
+    head: usize,
+}
+
+impl Window {
+    fn new(cap: usize) -> Self {
+        Window {
+            cap,
+            width: 0,
+            x: Vec::new(),
+            y: Vec::new(),
+            head: 0,
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.y.len()
+    }
+
+    fn push(&mut self, features: &[f64], observed: f64) {
+        if self.y.is_empty() {
+            self.width = features.len();
+        }
+        let width = self.width;
+        assert_eq!(features.len(), width, "ragged rows");
+        if self.y.len() < self.cap {
+            self.x.extend_from_slice(features);
+            self.y.push(observed);
+        } else {
+            let h = self.head;
+            self.x[h * width..(h + 1) * width].copy_from_slice(features);
+            self.y[h] = observed;
+            self.head = (h + 1) % self.cap;
+        }
+    }
+
+    /// The window as a design matrix and targets, oldest row first.
+    fn to_matrix(&self) -> (Matrix, Vec<f64>) {
+        let (new_x, old_x) = self.x.split_at(self.head * self.width);
+        let (new_y, old_y) = self.y.split_at(self.head);
+        let x = Matrix::from_vec(self.len(), self.width, [old_x, new_x].concat());
+        (x, [old_y, new_y].concat())
+    }
+}
+
 /// Per-shard model lifecycle state machine. Lives inside the shard core
 /// and advances only from the serial replay phase.
 #[derive(Debug)]
@@ -308,8 +363,8 @@ pub(crate) struct Lifecycle {
     plan: FaultPlan,
     shard_id: u32,
     seed: u64,
-    /// Sliding retrain window: `(feature row, observed target)`.
-    window: VecDeque<(Vec<f64>, f64)>,
+    /// Sliding retrain window.
+    window: Window,
     // Page-Hinkley state over residuals.
     ph_n: u64,
     ph_mean: f64,
@@ -343,7 +398,7 @@ impl Lifecycle {
             plan,
             shard_id: shard.unwrap_or(0),
             seed,
-            window: VecDeque::new(),
+            window: Window::new(cfg.window),
             ph_n: 0,
             ph_mean: 0.0,
             ph_m: 0.0,
@@ -418,10 +473,7 @@ impl Lifecycle {
     /// Push one observation into the sliding window and update the
     /// drift statistics. Returns the combined drift score.
     fn observe_stats(&mut self, features: &[f64], observed: f64, residual: f64) -> f64 {
-        if self.window.len() == self.cfg.window {
-            self.window.pop_front();
-        }
-        self.window.push_back((features.to_vec(), observed));
+        self.window.push(features, observed);
 
         let ratio = features.first().copied().unwrap_or(1.0);
         if self.ratios.len() == self.cfg.window {
@@ -469,12 +521,10 @@ impl Lifecycle {
     /// active version when one exists so an unchanged window reuses it
     /// wholesale.
     fn retrain(&mut self, version: u64) -> Option<CandidateModel> {
-        let rows: Vec<Vec<f64>> = self.window.iter().map(|(f, _)| f.clone()).collect();
-        let y: Vec<f64> = self.window.iter().map(|(_, t)| *t).collect();
-        if rows.len() < 2 {
+        if self.window.len() < 2 {
             return None;
         }
-        let x = Matrix::from_rows(&rows);
+        let (x, y) = self.window.to_matrix();
         let stream = SeedStream::new(self.seed ^ TAG_RETRAIN).derive(version);
         let timer = stca_obs::StageTimer::with_histogram(self.retrain_hist.clone());
         let model = match self.active.as_ref() {
@@ -724,6 +774,27 @@ mod tests {
             }));
         }
         all
+    }
+
+    #[test]
+    fn window_keeps_the_last_rows_oldest_first() {
+        let mut w = Window::new(3);
+        for i in 0..5 {
+            let i = i as f64;
+            w.push(&[i, 10.0 * i], 100.0 + i);
+        }
+        let (x, y) = w.to_matrix();
+        assert_eq!((x.rows(), x.cols()), (3, 2));
+        assert_eq!(x.as_slice(), &[2.0, 20.0, 3.0, 30.0, 4.0, 40.0]);
+        assert_eq!(y, vec![102.0, 103.0, 104.0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "ragged rows")]
+    fn window_rejects_ragged_rows() {
+        let mut w = Window::new(4);
+        w.push(&[0.5, 0.2], 1.0);
+        w.push(&[0.5], 1.0);
     }
 
     fn cfg() -> AdaptConfig {

@@ -67,13 +67,17 @@ fn plane_data(n: usize, seed: u64) -> (Matrix, Vec<f64>) {
 #[test]
 fn forest_predict_never_allocates() {
     let (x, y) = plane_data(150, 1);
-    let forest = Forest::fit(&x, &y, ForestConfig::random(20), &SeedStream::new(2));
-    let n = allocations(|| {
-        for r in 0..x.rows() {
-            std::hint::black_box(forest.predict(x.row(r)));
-        }
-    });
-    assert_eq!(n, 0, "Forest::predict allocated {n} times");
+    // 130 trees outgrow any fixed lane or stack block, so a heap fallback
+    // for large forests would show here
+    for trees in [20, 130] {
+        let forest = Forest::fit(&x, &y, ForestConfig::random(trees), &SeedStream::new(2));
+        let n = allocations(|| {
+            for r in 0..x.rows() {
+                std::hint::black_box(forest.predict(x.row(r)));
+            }
+        });
+        assert_eq!(n, 0, "Forest::predict ({trees} trees) allocated {n} times");
+    }
 }
 
 #[test]
