@@ -4,15 +4,23 @@
 //!
 //! Every compute-heavy stage of the reproduction is embarrassingly parallel:
 //! profiling experiments (Stage 1), per-tree / per-level / per-window forest
-//! training (Stage 2), queueing replications (Stage 3), and the timeout-grid
-//! policy search. This crate is the single place that schedules threads for
-//! all of them, built around one primitive:
+//! training (Stage 2), and the timeout-grid policy search; the serving
+//! fleet's per-request compute and validation sims run beside its serial
+//! replay. This crate is the single place that schedules threads for all
+//! of them, with two primitives:
 //!
 //! * [`par_map_indexed`] / [`par_map_range`] — run a function over every
 //!   index of a slice (or range) on a scoped worker pool and return the
 //!   results **in input order**. Workers claim adaptive chunks from a shared
 //!   injector, so load balances like a work-stealing pool, but the output
 //!   is position-keyed and therefore independent of scheduling.
+//! * [`with_helpers`] — for a loop that maps many small batches, such as
+//!   the serving fleet's chunked replay: `threads() − 1` helper threads
+//!   live for the whole loop instead of being spawned per batch. The
+//!   caller and idle helpers share each batch ([`Helpers::map`], input
+//!   order out), and helpers run [`Helpers::defer`]red jobs whenever no
+//!   batch item is unclaimed. The caller is the last worker, so there are
+//!   never more runnable threads than [`threads`].
 //!
 //! Determinism is a contract shared with callers: tasks must not share
 //! mutable state, and any randomness must come from a tagged stream
@@ -33,9 +41,11 @@
 //! [`Rng64::derive_stream`]: stca_util::Rng64::derive_stream
 
 mod config;
+mod helpers;
 mod pool;
 
 pub use config::{init_from_env_and_args, parse_threads, set_threads, threads};
+pub use helpers::{with_helpers, Helpers};
 pub use pool::{
     par_map_indexed, par_map_indexed_caught, par_map_range, par_map_range_caught, run_caught,
 };

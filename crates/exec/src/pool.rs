@@ -12,15 +12,15 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 /// Per-pool metric handles, resolved once.
-struct PoolMetrics {
-    par_maps: Arc<stca_obs::Counter>,
-    tasks: Arc<stca_obs::Counter>,
+pub(crate) struct PoolMetrics {
+    pub(crate) par_maps: Arc<stca_obs::Counter>,
+    pub(crate) tasks: Arc<stca_obs::Counter>,
     task_panics: Arc<stca_obs::Counter>,
     queue_depth: Arc<stca_obs::Gauge>,
-    wall_seconds: Arc<stca_obs::Histogram>,
+    pub(crate) wall_seconds: Arc<stca_obs::Histogram>,
 }
 
-fn pool_metrics() -> &'static PoolMetrics {
+pub(crate) fn pool_metrics() -> &'static PoolMetrics {
     static METRICS: OnceLock<PoolMetrics> = OnceLock::new();
     METRICS.get_or_init(|| PoolMetrics {
         par_maps: stca_obs::counter("exec.par_maps_total"),
@@ -43,10 +43,11 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 }
 
 thread_local! {
-    /// Set while this thread is a pool worker: nested parallel calls run
-    /// inline so fan-out never multiplies across layers (a cascade level
-    /// fitting forests in parallel must not also fan out per tree).
-    static IN_POOL: Cell<bool> = const { Cell::new(false) };
+    /// Set while this thread is a pool worker, or a helper or the caller
+    /// inside [`crate::with_helpers`]: nested parallel calls run inline so
+    /// fan-out never multiplies across layers (a cascade level fitting
+    /// forests in parallel must not also fan out per tree).
+    pub(crate) static IN_POOL: Cell<bool> = const { Cell::new(false) };
 }
 
 /// Map `f` over `0..n` on the worker pool; `out[i] = f(i)`, always.

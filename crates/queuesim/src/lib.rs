@@ -29,8 +29,6 @@
 pub mod analytic;
 pub mod metrics;
 pub mod simulator;
-pub mod slo;
 
 pub use metrics::SimResult;
-pub use simulator::{run_replications, BudgetedRun, QueueSim, RunBudget, StationConfig};
-pub use slo::SloSpec;
+pub use simulator::{BudgetedRun, QueueSim, RunBudget, StationConfig};

@@ -599,18 +599,6 @@ impl QueueSim {
     }
 }
 
-/// Run `reps` independent replications of the same station in parallel.
-///
-/// Replication `i` seeds its simulator from the tagged stream derived from
-/// `base_seed`, so results are statistically independent of each other,
-/// identical at any thread count, and returned in replication order.
-pub fn run_replications(config: &StationConfig, base_seed: u64, reps: usize) -> Vec<SimResult> {
-    let stream = stca_util::SeedStream::new(base_seed);
-    stca_exec::par_map_range(reps, |i| {
-        QueueSim::new(config.clone(), stream.rng(i as u64).next_u64()).run()
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -627,27 +615,6 @@ mod tests {
             measured_queries: 5000,
             warmup_queries: 500,
         }
-    }
-
-    #[test]
-    fn replications_are_independent_and_deterministic() {
-        let cfg = {
-            let mut c = base_config();
-            c.measured_queries = 500;
-            c.warmup_queries = 50;
-            c
-        };
-        let a = run_replications(&cfg, 0xBEEF, 4);
-        let b = run_replications(&cfg, 0xBEEF, 4);
-        assert_eq!(a.len(), 4);
-        for (x, y) in a.iter().zip(&b) {
-            assert_eq!(
-                x.response_times, y.response_times,
-                "same seed, same results"
-            );
-        }
-        // different replications see different arrival sequences
-        assert_ne!(a[0].response_times, a[1].response_times);
     }
 
     #[test]

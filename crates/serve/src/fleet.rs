@@ -12,31 +12,36 @@
 //!
 //! ## Execution model
 //!
-//! The replayed arrival stream is processed in fixed-size chunks. Each
-//! chunk runs two phases:
+//! A run holds `threads() − 1` helper threads for its whole length
+//! ([`stca_exec::with_helpers`]; none at one thread, none when called
+//! from a pool worker). The thread that calls [`serve_fleet`] is the
+//! replay thread. The replayed arrival stream is processed in fixed-size
+//! chunks, and each chunk runs two phases:
 //!
-//! 1. **Parallel compute** — for every request in the chunk, the pure
-//!    per-request work runs on the worker pool: the primary model call,
-//!    the degraded fallback, the injected predictor fault, and the
-//!    injected stage stalls. All of it is a pure function of the request
-//!    (seed, features, sequence number), so input-order results are
-//!    bit-identical at any `--threads`.
-//! 2. **Serial replay** — in arrival order, requests are routed, admitted,
-//!    queued, dispatched to virtual servers, and completed. Everything
-//!    stateful lives here: shard faults, routing, queue occupancy,
-//!    overload shedding, deadline budgets, the circuit breakers,
-//!    hysteresis, the watchdog retry path, and the decision log.
+//! 1. **Shared compute** — for every request in the chunk, the pure
+//!    per-request work: the primary model call, the degraded fallback,
+//!    the injected predictor fault, and the injected stage stalls. The
+//!    replay thread and every idle helper claim requests in blocks off
+//!    one cursor, and the results are assembled in input order. All of it
+//!    is a pure function of the request (seed, features, sequence
+//!    number), so the results are bit-identical at any `--threads`.
+//! 2. **Serial replay** — on the replay thread, in arrival order, requests
+//!    are routed, admitted, queued, dispatched to virtual servers, and
+//!    completed. Everything stateful lives here: shard faults, routing,
+//!    queue occupancy, overload shedding, deadline budgets, the circuit
+//!    breakers, hysteresis, the watchdog retry path, and the decision log.
 //!
-//! A third step runs off the replay: **batched validation**. Each policy
-//! apply queues a budgeted `QueueSim` run whose station and seed are fixed
-//! at apply time. Once `VALIDATION_BATCH` runs wait at a chunk boundary,
-//! and once more after the drain, the queue runs on the worker pool and
-//! each result is credited to its shard in queue order. Only the
-//! `policy_validations` and `sim_budget_exhausted` counters and the
+//! **Validation sims run beside the replay.** Each policy apply queues a
+//! budgeted `QueueSim` run whose station and seed are fixed at apply time.
+//! At every chunk boundary the queued runs go to the helpers, which run
+//! them whenever no request of a chunk is unclaimed, so chunk compute
+//! always comes first. After the drain, the replay thread runs what is
+//! left and then credits every result to its shard in queue order. Only
+//! the `policy_validations` and `sim_budget_exhausted` counters and the
 //! `serve.policy_validation_mean_response_s` gauge read a result, so no
-//! decision, log entry, span, route or breaker can depend on when the
-//! sims ran. The last value of `queuesim.server_utilization` does: with
-//! more than one thread it is whichever sim in a batch finished last.
+//! decision, log entry, span, route or breaker can depend on when or where
+//! the sims ran. The last value of `queuesim.server_utilization` does:
+//! with helpers it is whichever sim finished last.
 //!
 //! ## One shard
 //!
@@ -88,10 +93,12 @@
 
 use crate::adapt::AdaptStats;
 use crate::model::{EaModel, TIMEOUT_GRID};
-use crate::request::SyntheticStream;
+use crate::request::{Request, SyntheticStream};
 use crate::router::{route, Candidate, RouterKind};
 use crate::server::{Accounting, ServeConfig};
-use crate::shard::{compute_request, shard_metric, DecisionSink, Pending, ShardCore};
+use crate::shard::{
+    compute_request, shard_metric, DecisionSink, Pending, ShardCore, ValidationJob,
+};
 use stca_fault::{FaultInjector, FaultPlan, StcaError};
 use stca_obs::json::Value;
 use stca_trace::{AttrValue, Disposition, FlightRecorder, Stage, TraceDump};
@@ -480,26 +487,6 @@ struct Slot<'a> {
 /// per-request randomness.
 const ROUTE_SALT: u64 = 0x000F_1EE7;
 
-/// Validation sims per batch: the queue is flushed at the first chunk
-/// boundary where this many wait, and once after the drain. Policy flips
-/// come in bursts, so flushing every chunk would mostly run batches of
-/// zero or one sim and keep the pool idle.
-const VALIDATION_BATCH: usize = 64;
-
-/// Run the queued validation sims on the worker pool and credit each one
-/// to its shard in queue order, so every shard counter and the final
-/// value of `serve.policy_validation_mean_response_s` match running them
-/// inline at apply time.
-fn run_validations(slots: &mut [Slot<'_>], sink: &mut DecisionSink) {
-    let jobs = sink.take_validations();
-    let outcomes = stca_exec::par_map_indexed(&jobs, |_, job| job.run());
-    for (job, outcome) in jobs.iter().zip(outcomes) {
-        if let Some(outcome) = outcome {
-            slots[job.shard].core.record_validation(&outcome);
-        }
-    }
-}
-
 /// Health-gated shard selection for request `seq` at virtual `now`.
 /// Tiered fallback: fully healthy shards first, then breaker-open, then
 /// flapped; crashed shards are never candidates. `None` means every shard
@@ -686,152 +673,163 @@ pub fn serve_fleet(
     let mut seq = 0u64;
     let mut t_cursor = 0.0f64;
     let mut last_arrival = 0.0f64;
-    while seq < n_requests {
-        let count = ((n_requests - seq).min(cfg.base.chunk as u64)) as usize;
-        let (reqs, new_t) = stream.chunk(seq, count, t_cursor);
-        t_cursor = new_t;
-        last_arrival = new_t;
-        // phase 1: pure per-request compute, input-order results. When
-        // tracing, each worker tags its thread with the request's trace
-        // id so histograms recorded inside the model call (e.g.
-        // `deepforest.predict.seconds`) pick up exemplars.
-        let trace_cfg = cfg.base.trace;
-        let computed = stca_exec::par_map_indexed(&reqs, |_, r| {
-            if let Some(tc) = &trace_cfg {
-                stca_obs::set_current_trace_id(tc.trace_id(r.seq));
-            }
-            let comp = compute_request(model, &injectors, r);
-            if trace_cfg.is_some() {
-                stca_obs::set_current_trace_id(0);
-            }
-            comp
-        });
-        // phase 2: serial replay — epochs advance lazily, one at a time,
-        // with crash-flushed requests rerouted at each boundary before the
-        // arrival that crossed it is admitted
-        for (r, comp) in reqs.into_iter().zip(computed) {
-            let arrival_epoch = (r.arrival_s / cfg.epoch_s).floor() as i64;
-            while fleet && cur_epoch < arrival_epoch {
-                cur_epoch += 1;
-                let boundary = cur_epoch as f64 * cfg.epoch_s;
-                let flushed =
-                    apply_epoch(&mut slots, plan, cur_epoch as u64, cfg.epoch_s, &mut sink);
-                for (from, mut p) in flushed {
-                    p.hops += 1;
-                    let target = if p.hops > cfg.reroute_max {
-                        None
-                    } else {
-                        pick_target(
-                            &slots,
-                            cfg.router,
-                            route_seed,
-                            p.seq,
-                            boundary,
-                            Some(from),
-                            &mut candidates,
-                        )
-                    };
-                    match target {
-                        Some(to) => {
-                            rerouted += 1;
-                            sink.push(format_args!(
-                                "seq={} disp=reroute from={} to={} hops={}",
-                                p.seq, from, to, p.hops
-                            ));
-                            if let Some(ctx) = p.ctx.as_mut() {
-                                let span = ctx.push_span(Stage::Route, boundary, boundary);
-                                span.args
-                                    .push(("from_shard", AttrValue::Num(f64::from(from))));
-                                span.args.push(("to_shard", AttrValue::Num(f64::from(to))));
-                                span.args.push(("hops", AttrValue::Num(f64::from(p.hops))));
+    // phase 1: pure per-request compute, input-order results. When
+    // tracing, each request tags its thread with its trace id so
+    // histograms recorded inside the model call (e.g.
+    // `deepforest.predict.seconds`) pick up exemplars.
+    let trace_cfg = cfg.base.trace;
+    let compute = |r: &Request| {
+        if let Some(tc) = &trace_cfg {
+            stca_obs::set_current_trace_id(tc.trace_id(r.seq));
+        }
+        let comp = compute_request(model, &injectors, r);
+        if trace_cfg.is_some() {
+            stca_obs::set_current_trace_id(0);
+        }
+        comp
+    };
+    let validate = |job: ValidationJob| (job.shard, job.run());
+    let (virtual_end, validations) = stca_exec::with_helpers(compute, validate, |helpers| {
+        while seq < n_requests {
+            let count = ((n_requests - seq).min(cfg.base.chunk as u64)) as usize;
+            let (reqs, new_t) = stream.chunk(seq, count, t_cursor);
+            t_cursor = new_t;
+            last_arrival = new_t;
+            let (reqs, computed) = helpers.map(reqs);
+            // phase 2: serial replay — epochs advance lazily, one at a time,
+            // with crash-flushed requests rerouted at each boundary before the
+            // arrival that crossed it is admitted
+            for (r, comp) in reqs.into_iter().zip(computed) {
+                let arrival_epoch = (r.arrival_s / cfg.epoch_s).floor() as i64;
+                while fleet && cur_epoch < arrival_epoch {
+                    cur_epoch += 1;
+                    let boundary = cur_epoch as f64 * cfg.epoch_s;
+                    let flushed =
+                        apply_epoch(&mut slots, plan, cur_epoch as u64, cfg.epoch_s, &mut sink);
+                    for (from, mut p) in flushed {
+                        p.hops += 1;
+                        let target = if p.hops > cfg.reroute_max {
+                            None
+                        } else {
+                            pick_target(
+                                &slots,
+                                cfg.router,
+                                route_seed,
+                                p.seq,
+                                boundary,
+                                Some(from),
+                                &mut candidates,
+                            )
+                        };
+                        match target {
+                            Some(to) => {
+                                rerouted += 1;
+                                sink.push(format_args!(
+                                    "seq={} disp=reroute from={} to={} hops={}",
+                                    p.seq, from, to, p.hops
+                                ));
+                                if let Some(ctx) = p.ctx.as_mut() {
+                                    let span = ctx.push_span(Stage::Route, boundary, boundary);
+                                    span.args
+                                        .push(("from_shard", AttrValue::Num(f64::from(from))));
+                                    span.args.push(("to_shard", AttrValue::Num(f64::from(to))));
+                                    span.args.push(("hops", AttrValue::Num(f64::from(p.hops))));
+                                }
+                                p.ready_s = boundary;
+                                slots[to as usize].core.arrive(p, &mut sink);
                             }
-                            p.ready_s = boundary;
-                            slots[to as usize].core.arrive(p, &mut sink);
-                        }
-                        None => {
-                            router_shed += 1;
-                            sink.push(format_args!(
-                                "seq={} disp=router_shed hops={}",
-                                p.seq, p.hops
-                            ));
-                            if let Some(ctx) = p.ctx.as_mut() {
-                                let span = ctx.push_span(Stage::Route, boundary, boundary);
-                                span.args
-                                    .push(("from_shard", AttrValue::Num(f64::from(from))));
-                                span.args.push(("hops", AttrValue::Num(f64::from(p.hops))));
-                            }
-                            if let (Some(rec), Some(ctx)) = (router_rec.as_ref(), p.ctx.take()) {
-                                if let Ok(mut rec) = rec.lock() {
-                                    rec.record(ctx.finish(Disposition::RouterShed, boundary));
+                            None => {
+                                router_shed += 1;
+                                sink.push(format_args!(
+                                    "seq={} disp=router_shed hops={}",
+                                    p.seq, p.hops
+                                ));
+                                if let Some(ctx) = p.ctx.as_mut() {
+                                    let span = ctx.push_span(Stage::Route, boundary, boundary);
+                                    span.args
+                                        .push(("from_shard", AttrValue::Num(f64::from(from))));
+                                    span.args.push(("hops", AttrValue::Num(f64::from(p.hops))));
+                                }
+                                if let (Some(rec), Some(ctx)) = (router_rec.as_ref(), p.ctx.take())
+                                {
+                                    if let Ok(mut rec) = rec.lock() {
+                                        rec.record(ctx.finish(Disposition::RouterShed, boundary));
+                                    }
                                 }
                             }
                         }
                     }
                 }
-            }
-            let target = pick_target(
-                &slots,
-                cfg.router,
-                route_seed,
-                r.seq,
-                r.arrival_s,
-                None,
-                &mut candidates,
-            );
-            match target {
-                Some(id) => {
-                    let core = &mut slots[id as usize].core;
-                    let ctx = core.begin_trace(r.seq, r.arrival_s);
-                    core.arrive(
-                        Pending {
-                            seq: r.seq,
-                            arrival_s: r.arrival_s,
-                            ready_s: r.arrival_s,
-                            deadline_s: r.deadline_s,
-                            hops: 0,
-                            features: r.features,
-                            comp,
-                            ctx,
-                        },
-                        &mut sink,
-                    );
-                }
-                None => {
-                    router_shed += 1;
-                    sink.push(format_args!("seq={} disp=router_shed hops=0", r.seq));
-                    if let Some(rec) = router_rec.as_ref() {
-                        if let Ok(mut rec) = rec.lock() {
-                            let mut ctx = rec.begin(r.seq, r.arrival_s);
-                            ctx.push_span(Stage::Route, r.arrival_s, r.arrival_s)
-                                .args
-                                .push(("hops", AttrValue::Num(0.0)));
-                            rec.record(ctx.finish(Disposition::RouterShed, r.arrival_s));
+                let target = pick_target(
+                    &slots,
+                    cfg.router,
+                    route_seed,
+                    r.seq,
+                    r.arrival_s,
+                    None,
+                    &mut candidates,
+                );
+                match target {
+                    Some(id) => {
+                        let core = &mut slots[id as usize].core;
+                        let ctx = core.begin_trace(r.seq, r.arrival_s);
+                        core.arrive(
+                            Pending {
+                                seq: r.seq,
+                                arrival_s: r.arrival_s,
+                                ready_s: r.arrival_s,
+                                deadline_s: r.deadline_s,
+                                hops: 0,
+                                features: r.features,
+                                comp,
+                                ctx,
+                            },
+                            &mut sink,
+                        );
+                    }
+                    None => {
+                        router_shed += 1;
+                        sink.push(format_args!("seq={} disp=router_shed hops=0", r.seq));
+                        if let Some(rec) = router_rec.as_ref() {
+                            if let Ok(mut rec) = rec.lock() {
+                                let mut ctx = rec.begin(r.seq, r.arrival_s);
+                                ctx.push_span(Stage::Route, r.arrival_s, r.arrival_s)
+                                    .args
+                                    .push(("hops", AttrValue::Num(0.0)));
+                                rec.record(ctx.finish(Disposition::RouterShed, r.arrival_s));
+                            }
                         }
                     }
                 }
             }
+            seq += count as u64;
+            let depth: usize = slots.iter().map(|s| s.core.queue_depth()).sum();
+            depth_gauge.set(depth as f64);
+            // the chunk's policy applies hand their sims to the helpers
+            helpers.defer(sink.take_validations());
         }
-        seq += count as u64;
-        let depth: usize = slots.iter().map(|s| s.core.queue_depth()).sum();
-        depth_gauge.set(depth as f64);
-        if sink.queued_validations() >= VALIDATION_BATCH {
-            run_validations(&mut slots, &mut sink);
+        // coordinated graceful drain: close every probe gate fleet-wide
+        // first, then drain shard by shard in id order
+        for slot in slots.iter_mut() {
+            slot.core.begin_drain();
+        }
+        let mut virtual_end = last_arrival;
+        for slot in slots.iter_mut() {
+            let end = slot.core.drain(last_arrival, &mut sink);
+            if end > virtual_end {
+                virtual_end = end;
+            }
+        }
+        // drain completions can apply policies too
+        helpers.defer(sink.take_validations());
+        (virtual_end, helpers.finish_deferred())
+    });
+    // credit each sim to its shard in queue order, as if it ran inline
+    for (shard, outcome) in validations {
+        if let Some(outcome) = outcome {
+            slots[shard].core.record_validation(&outcome);
         }
     }
-    // coordinated graceful drain: close every probe gate fleet-wide
-    // first, then drain shard by shard in id order
-    for slot in slots.iter_mut() {
-        slot.core.begin_drain();
-    }
-    let mut virtual_end = last_arrival;
-    for slot in slots.iter_mut() {
-        let end = slot.core.drain(last_arrival, &mut sink);
-        if end > virtual_end {
-            virtual_end = end;
-        }
-    }
-    // drain completions can apply policies too
-    run_validations(&mut slots, &mut sink);
     stca_obs::clear_virtual_now();
     timer.stop();
 

@@ -12,8 +12,9 @@
 //! sink per run, shared by every shard in a fleet, so the fleet decision
 //! hash covers shard entries and router entries in one deterministic
 //! serial order. The sink also queues each policy apply's validation sim
-//! ([`ValidationJob`]); the driver runs them in batches on the worker pool
-//! and credits each one back to its shard in queue order.
+//! ([`ValidationJob`]); `serve_fleet` hands them to its helper threads at
+//! each chunk boundary and credits each one back to its shard in queue
+//! order.
 
 use crate::adapt::{AdaptEvent, Completion, Lifecycle};
 use crate::breaker::CircuitBreaker;
@@ -81,11 +82,6 @@ impl DecisionSink {
         if self.keep {
             self.log.push(self.buf.clone());
         }
-    }
-
-    /// Validation sims queued since the last [`DecisionSink::take_validations`].
-    pub(crate) fn queued_validations(&self) -> usize {
-        self.validations.len()
     }
 
     /// Take the queued validation sims, in the serial order they were

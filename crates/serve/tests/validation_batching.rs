@@ -1,11 +1,13 @@
-//! Policy-validation sims run in batches on the worker pool, off the
-//! serial replay. The batching must be invisible: every shard's
-//! validation counters, the decision hash and the final value of the
-//! `serve.policy_validation_mean_response_s` gauge are the same at 1 and
-//! 4 threads, and every policy apply, including those made while the
-//! fleet drains, is validated exactly once. The final gauge value is also
-//! pinned to the one the sims produced when they ran inline at apply
-//! time, which fails if results are credited out of queue order.
+//! Policy-validation sims run on the fleet's helper threads, beside the
+//! serial replay, and every chunk's per-request compute is shared with
+//! those helpers. Neither may show: every shard's stats (validation
+//! counters included), the decision hash and the final value of the
+//! `serve.policy_validation_mean_response_s` gauge are the same at 1, 2,
+//! 3 and 8 threads (0, 1, 2 and 7 helpers), and every policy apply,
+//! including those made while the fleet drains, is validated exactly
+//! once. The final gauge value is also pinned to the one the sims
+//! produced when they ran inline at apply time, which fails if results
+//! are credited out of queue order.
 //!
 //! This is its own test binary with one test, so no other test writes the
 //! process-global gauge while it runs.
@@ -28,8 +30,10 @@ fn run_at(threads: usize) -> (FleetReport, f64) {
             queue_capacity: 16,
             hysteresis_k: 2,
             sim_budget_events: 1500,
-            // small chunks: many chunk boundaries, so batches flush mid-run
-            chunk: 256,
+            // small chunks, not a multiple of a 64-request claim: many
+            // chunk boundaries hand sims over mid-run, and every chunk
+            // ends in a short claim
+            chunk: 250,
             ..ServeConfig::default()
         },
         shards: 4,
@@ -47,8 +51,8 @@ fn run_at(threads: usize) -> (FleetReport, f64) {
         &AnalyticEa::default(),
         &FaultPlan::none(),
         &stream,
-        // 11 600 leaves 34 sims for the post-drain batch, so a batch
-        // credited out of order changes the gauge's final value
+        // the last chunk is short (100 requests), and the drain applies
+        // policies whose sims are only handed over after it
         11_600,
     )
     .expect("fleet runs");
@@ -56,39 +60,47 @@ fn run_at(threads: usize) -> (FleetReport, f64) {
 }
 
 #[test]
-fn batched_validation_matches_across_thread_counts() {
+fn validation_and_shared_compute_match_across_thread_counts() {
     let (one, gauge_one) = run_at(1);
-    let (four, gauge_four) = run_at(4);
     let applies: u64 = one.shards.iter().map(|s| s.policy_applies).sum();
-    assert!(
-        applies > 2 * 64,
-        "only {applies} policy applies: too few to fill more than one batch"
-    );
-    for (a, b) in one.shards.iter().zip(&four.shards) {
+    assert!(applies > 2 * 64, "only {applies} policy applies");
+    for a in &one.shards {
         assert_eq!(
             a.policy_validations, a.policy_applies,
             "shard {}: every apply, drain included, is validated once",
             a.id
         );
         assert!(a.sim_budget_exhausted > 0, "shard {}: budget 1500", a.id);
-        assert_eq!(a.policy_applies, b.policy_applies, "shard {}", a.id);
-        assert_eq!(a.policy_validations, b.policy_validations, "shard {}", a.id);
-        assert_eq!(
-            a.sim_budget_exhausted, b.sim_budget_exhausted,
-            "shard {}",
-            a.id
-        );
     }
-    assert_eq!(one.decision_hash, four.decision_hash);
     assert_eq!(
         gauge_one.to_bits(),
         INLINE_FINAL_GAUGE_BITS,
         "final gauge {gauge_one} differs from the inline sims' {}",
         f64::from_bits(INLINE_FINAL_GAUGE_BITS)
     );
-    assert_eq!(
-        gauge_one.to_bits(),
-        gauge_four.to_bits(),
-        "final gauge {gauge_one} at 1 thread vs {gauge_four} at 4"
-    );
+    for threads in [2, 3, 8] {
+        let (other, gauge) = run_at(threads);
+        for (a, b) in one.shards.iter().zip(&other.shards) {
+            assert_eq!(a.policy_applies, b.policy_applies, "shard {}", a.id);
+            assert_eq!(a.policy_validations, b.policy_validations, "shard {}", a.id);
+            assert_eq!(
+                a.sim_budget_exhausted, b.sim_budget_exhausted,
+                "shard {}",
+                a.id
+            );
+            assert_eq!(
+                format!("{a:?}"),
+                format!("{b:?}"),
+                "shard {} at {threads} threads",
+                a.id
+            );
+        }
+        assert_eq!(one.decision_hash, other.decision_hash, "{threads} threads");
+        assert_eq!(
+            gauge.to_bits(),
+            INLINE_FINAL_GAUGE_BITS,
+            "final gauge {gauge} at {threads} threads differs from the inline sims' {}",
+            f64::from_bits(INLINE_FINAL_GAUGE_BITS)
+        );
+    }
 }
