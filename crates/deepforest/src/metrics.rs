@@ -1,11 +1,8 @@
-//! Evaluation utilities: error metrics and K-fold cross-validation.
+//! Evaluation utilities: error metrics.
 //!
-//! The paper reports accuracy as absolute percent error (median and p95)
-//! and stresses rigorous K-fold validation when comparing deep-forest
-//! representations against simple models (§3.2).
+//! The paper reports accuracy as absolute percent error (median and p95).
 
-use crate::model::{DeepForest, DeepForestConfig, Sample};
-use stca_util::{absolute_percent_error, Rng64};
+use stca_util::absolute_percent_error;
 
 /// Absolute-percent-error summary of a prediction set.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -34,42 +31,9 @@ pub fn ape_summary(predicted: &[f64], observed: &[f64]) -> ApeSummary {
     ApeSummary { median, p95, mean }
 }
 
-/// K-fold cross-validated APE of a deep forest on a dataset. Folds are
-/// assigned round-robin after a shuffle; each fold is predicted by a model
-/// trained on the others.
-pub fn kfold_ape(
-    samples: &[Sample],
-    y: &[f64],
-    config: &DeepForestConfig,
-    k: usize,
-    rng: &mut Rng64,
-) -> ApeSummary {
-    assert_eq!(samples.len(), y.len());
-    let n = samples.len();
-    let k = k.clamp(2, n);
-    let mut fold_of: Vec<usize> = (0..n).map(|i| i % k).collect();
-    rng.shuffle(&mut fold_of);
-    let mut pred = vec![0.0; n];
-    for fold in 0..k {
-        let train_idx: Vec<usize> = (0..n).filter(|&i| fold_of[i] != fold).collect();
-        let test_idx: Vec<usize> = (0..n).filter(|&i| fold_of[i] == fold).collect();
-        let train_s: Vec<Sample> = train_idx.iter().map(|&i| samples[i].clone()).collect();
-        let train_y: Vec<f64> = train_idx.iter().map(|&i| y[i]).collect();
-        let mut cfg = config.clone();
-        cfg.seed = config.seed ^ (fold as u64) << 32;
-        let model = DeepForest::fit(&train_s, &train_y, &cfg);
-        for &i in &test_idx {
-            pred[i] = model.predict(&samples[i]);
-        }
-    }
-    ape_summary(&pred, y)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cascade::CascadeConfig;
-    use stca_util::Matrix;
 
     #[test]
     fn ape_summary_values() {
@@ -77,35 +41,5 @@ mod tests {
         assert!((s.median - 10.0).abs() < 1e-9);
         assert!((s.mean - 40.0 / 3.0).abs() < 1e-9);
         assert!(s.p95 <= 20.0 && s.p95 >= s.median);
-    }
-
-    #[test]
-    fn kfold_runs_all_samples() {
-        let mut rng = Rng64::new(1);
-        let samples: Vec<Sample> = (0..40)
-            .map(|i| Sample {
-                scalars: vec![i as f64 / 40.0],
-                trace: Matrix::zeros(0, 0),
-            })
-            .collect();
-        let y: Vec<f64> = samples.iter().map(|s| 1.0 + s.scalars[0]).collect();
-        let cfg = DeepForestConfig {
-            mgs: None,
-            cascade: CascadeConfig {
-                levels: 1,
-                forests_per_level: 2,
-                trees_per_forest: 10,
-                folds: 2,
-                ..CascadeConfig::default()
-            },
-            include_raw_trace: false,
-            seed: 2,
-        };
-        let s = kfold_ape(&samples, &y, &cfg, 4, &mut rng);
-        assert!(
-            s.median < 15.0,
-            "linear target is easy: median {}",
-            s.median
-        );
     }
 }

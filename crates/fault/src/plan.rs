@@ -301,13 +301,19 @@ impl FaultPlan {
     /// identify the experiment (its spec seed); `attempt` is the 0-based
     /// retry attempt, so each retry re-rolls every fault independently.
     pub fn injector(&self, run_key: u64, attempt: u32) -> FaultInjector {
+        let stream = SeedStream::new(self.seed)
+            .derive(run_key)
+            .derive(attempt as u64);
         FaultInjector {
             plan: self.clone(),
             run_key,
             attempt,
-            stream: SeedStream::new(self.seed)
-                .derive(run_key)
-                .derive(attempt as u64),
+            sample: stream.derive(TAG_SAMPLE),
+            corrupt: stream.derive(TAG_CORRUPT),
+            noise: stream.derive(TAG_NOISE),
+            predict: stream.derive(TAG_PREDICT),
+            stall: stream.derive(TAG_STALL),
+            stream,
         }
     }
 
@@ -505,7 +511,15 @@ pub struct FaultInjector {
     plan: FaultPlan,
     run_key: u64,
     attempt: u32,
+    /// The attempt's stream: run-level faults draw from it directly.
     stream: SeedStream,
+    // Per-sample component streams (`stream.derive(TAG_*)`), derived once
+    // here so a roll is one `rng(tag)` on its component.
+    sample: SeedStream,
+    corrupt: SeedStream,
+    noise: SeedStream,
+    predict: SeedStream,
+    stall: SeedStream,
 }
 
 impl FaultInjector {
@@ -568,7 +582,7 @@ impl FaultInjector {
         if p.dropout_prob <= 0.0 && p.corrupt_prob <= 0.0 && p.stuck_prob <= 0.0 {
             return SampleFault::None;
         }
-        let u = self.sample_rng(TAG_SAMPLE, tag).next_f64();
+        let u = self.sample.rng(tag).next_f64();
         if u < p.dropout_prob {
             inject_metrics().drops.inc();
             SampleFault::Drop
@@ -586,7 +600,7 @@ impl FaultInjector {
     /// Garbage counter values for a corrupted sample: `n` values, each far
     /// above [`COUNTER_PLAUSIBLE_MAX`] so sanitization can detect them.
     pub fn corrupt_row(&self, tag: u64, n: usize) -> Vec<u64> {
-        let mut rng = self.sample_rng(TAG_CORRUPT, tag);
+        let mut rng = self.corrupt.rng(tag);
         (0..n)
             .map(|_| COUNTER_PLAUSIBLE_MAX.wrapping_mul(4) | rng.next_u64())
             .collect()
@@ -598,7 +612,7 @@ impl FaultInjector {
         if self.plan.noise_rel <= 0.0 {
             return vec![1.0; n];
         }
-        let mut rng = self.sample_rng(TAG_NOISE, tag);
+        let mut rng = self.noise.rng(tag);
         (0..n)
             .map(|_| (1.0 + self.plan.noise_rel * rng.next_gaussian()).max(0.0))
             .collect()
@@ -606,15 +620,14 @@ impl FaultInjector {
 
     /// Whether the primary predictor fails for the call identified by
     /// `tag` (callers use the request sequence number). A `true` roll is
-    /// counted in `fault.injected_predict_failures_total`; the serving
-    /// layer is expected to fall through the degraded predictor chain.
+    /// counted in `fault.injected_predict_failures_total`, so callers roll
+    /// it only where it takes effect; the serving layer then falls
+    /// through the degraded predictor chain.
     pub fn predict_fault(&self, tag: u64) -> bool {
         if self.plan.predict_fail_prob <= 0.0 {
             return false;
         }
-        let hit = self
-            .sample_rng(TAG_PREDICT, tag)
-            .next_bool(self.plan.predict_fail_prob);
+        let hit = self.predict.rng(tag).next_bool(self.plan.predict_fail_prob);
         if hit {
             inject_metrics().predict_failures.inc();
         }
@@ -622,24 +635,22 @@ impl FaultInjector {
     }
 
     /// Virtual seconds of injected stage stall for the stage identified by
-    /// `tag`, or `0.0` when the stage proceeds normally. Stalled stages
-    /// overshoot the watchdog budget by 2–12x its latency scale so the
-    /// watchdog reliably classifies them as stuck.
+    /// `tag`, or `0.0` when the stage proceeds normally. A stall is
+    /// counted in `fault.injected_stalls_total`, so callers roll it only
+    /// when the stage attempt runs. Stalled stages overshoot the watchdog
+    /// budget by 2–12x its latency scale so the watchdog reliably
+    /// classifies them as stuck.
     pub fn stage_stall_s(&self, tag: u64) -> f64 {
         if self.plan.stall_prob <= 0.0 {
             return 0.0;
         }
-        let mut rng = self.sample_rng(TAG_STALL, tag);
+        let mut rng = self.stall.rng(tag);
         if !rng.next_bool(self.plan.stall_prob) {
             return 0.0;
         }
         inject_metrics().stalls.inc();
         let scale = self.plan.latency_mean_s.max(0.1);
         scale * (2.0 + 10.0 * rng.next_f64())
-    }
-
-    fn sample_rng(&self, component: u64, tag: u64) -> Rng64 {
-        self.stream.derive(component).rng(tag)
     }
 }
 

@@ -237,11 +237,33 @@ pub(crate) enum AdaptEvent {
     /// Candidate `version` promoted to serving.
     Promote { version: u64 },
     /// Promotion refused.
-    PromoteRefused { version: u64, reason: &'static str },
+    PromoteRefused { version: u64, reason: RefuseReason },
     /// Guard window passed; `version` is confirmed.
     GuardPass { version: u64 },
     /// Guard regressed: rolled back from `from` to `to` (0 = base).
     Rollback { from: u64, to: u64 },
+}
+
+/// Why a candidate that finished its shadow window was not promoted.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum RefuseReason {
+    /// Graceful drain had begun.
+    Draining,
+    /// The shard's breaker was open.
+    BreakerOpen,
+    /// Shadow agreement fell below `promote_agreement`.
+    Agreement,
+}
+
+impl RefuseReason {
+    /// The reason as the decision log spells it.
+    pub(crate) fn as_str(self) -> &'static str {
+        match self {
+            RefuseReason::Draining => "draining",
+            RefuseReason::BreakerOpen => "breaker_open",
+            RefuseReason::Agreement => "agreement",
+        }
+    }
 }
 
 /// One completed request as the lifecycle observes it. `served_ea` is
@@ -649,11 +671,11 @@ impl Lifecycle {
                             scored,
                         });
                         let refusal = if draining {
-                            Some("draining")
+                            Some(RefuseReason::Draining)
                         } else if breaker_open {
-                            Some("breaker_open")
+                            Some(RefuseReason::BreakerOpen)
                         } else if agreement < self.cfg.promote_agreement {
-                            Some("agreement")
+                            Some(RefuseReason::Agreement)
                         } else {
                             None
                         };

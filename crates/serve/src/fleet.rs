@@ -19,17 +19,26 @@
 //! chunks, and each chunk runs two phases:
 //!
 //! 1. **Shared compute** — for every request in the chunk, the pure
-//!    per-request work: the primary model call, the degraded fallback,
-//!    the injected predictor fault, and the injected stage stalls. The
-//!    replay thread and every idle helper claim requests in blocks off
-//!    one cursor, and the results are assembled in input order. All of it
-//!    is a pure function of the request (seed, features, sequence
-//!    number), so the results are bit-identical at any `--threads`.
+//!    per-request work: the primary model call and the degraded fallback.
+//!    The replay thread and every idle helper claim requests in blocks
+//!    off one cursor, and the results are assembled in input order. All
+//!    of it is a pure function of the request (seed, features), so the
+//!    results are bit-identical at any `--threads`.
 //! 2. **Serial replay** — on the replay thread, in arrival order, requests
 //!    are routed, admitted, queued, dispatched to virtual servers, and
 //!    completed. Everything stateful lives here: shard faults, routing,
 //!    queue occupancy, overload shedding, deadline budgets, the circuit
 //!    breakers, hysteresis, the watchdog retry path, and the decision log.
+//!    The injected stage stalls and predictor faults are rolled here too,
+//!    where they take effect: a stall when its stage attempt runs, the
+//!    predictor fault when the breaker admits a primary answer. Each draw
+//!    is pure in `(injector, seq)`, so rolling it late changes no
+//!    decision, and the `fault.injected_*` counters count only applied
+//!    faults.
+//!
+//! Each decision-log line is one typed `Entry`, encoded by hand (decimal
+//! and 16-digit hex, no `core::fmt`) into a reused buffer and folded into
+//! the FNV-1a decision hash (DESIGN §5f has the format table).
 //!
 //! **Validation sims run beside the replay.** Each policy apply queues a
 //! budgeted `QueueSim` run whose station and seed are fixed at apply time.
@@ -92,6 +101,7 @@
 //! ```
 
 use crate::adapt::AdaptStats;
+use crate::decision_log::Entry;
 use crate::model::{EaModel, TIMEOUT_GRID};
 use crate::request::{Request, SyntheticStream};
 use crate::router::{route, Candidate, RouterKind};
@@ -548,7 +558,7 @@ fn apply_epoch(
         if crashed {
             if !was_crashed {
                 slot.crashes += 1;
-                sink.push(format_args!("event=shard_crash shard={id} epoch={epoch}"));
+                sink.push(Entry::ShardCrash { shard: id, epoch }, None);
                 for p in slot.core.flush_waiting() {
                     slot.rerouted_out += 1;
                     flushed.push((id, p));
@@ -560,19 +570,23 @@ fn apply_epoch(
         }
         if was_crashed {
             slot.recoveries += 1;
-            sink.push(format_args!("event=shard_recover shard={id} epoch={epoch}"));
+            sink.push(Entry::ShardRecover { shard: id, epoch }, None);
         }
         if slot.flapped {
             slot.flaps += 1;
-            sink.push(format_args!("event=shard_flap shard={id} epoch={epoch}"));
+            sink.push(Entry::ShardFlap { shard: id, epoch }, None);
         }
         let stall = plan.shard_stall_s(id, epoch, epoch_s);
         if stall > 0.0 {
             slot.stalls += 1;
-            sink.push(format_args!(
-                "event=shard_stall shard={id} epoch={epoch} dur={:016x}",
-                stall.to_bits()
-            ));
+            sink.push(
+                Entry::ShardStall {
+                    shard: id,
+                    epoch,
+                    dur: stall,
+                },
+                None,
+            );
             slot.core.freeze_until(boundary + stall);
         }
     }
@@ -634,7 +648,7 @@ pub fn serve_fleet(
         .zip(0u32..)
         .map(|(c, id)| {
             let seed = stream.seed ^ (u64::from(id) << 24);
-            let mut core = ShardCore::new(c, seed, fleet.then_some(id));
+            let mut core = ShardCore::new(c, &injectors, seed, fleet.then_some(id));
             core.install_adapt(plan);
             Slot {
                 core,
@@ -682,7 +696,7 @@ pub fn serve_fleet(
         if let Some(tc) = &trace_cfg {
             stca_obs::set_current_trace_id(tc.trace_id(r.seq));
         }
-        let comp = compute_request(model, &injectors, r);
+        let comp = compute_request(model, r);
         if trace_cfg.is_some() {
             stca_obs::set_current_trace_id(0);
         }
@@ -724,10 +738,15 @@ pub fn serve_fleet(
                         match target {
                             Some(to) => {
                                 rerouted += 1;
-                                sink.push(format_args!(
-                                    "seq={} disp=reroute from={} to={} hops={}",
-                                    p.seq, from, to, p.hops
-                                ));
+                                sink.push(
+                                    Entry::Reroute {
+                                        seq: p.seq,
+                                        from,
+                                        to,
+                                        hops: p.hops,
+                                    },
+                                    None,
+                                );
                                 if let Some(ctx) = p.ctx.as_mut() {
                                     let span = ctx.push_span(Stage::Route, boundary, boundary);
                                     span.args
@@ -740,10 +759,13 @@ pub fn serve_fleet(
                             }
                             None => {
                                 router_shed += 1;
-                                sink.push(format_args!(
-                                    "seq={} disp=router_shed hops={}",
-                                    p.seq, p.hops
-                                ));
+                                sink.push(
+                                    Entry::RouterShed {
+                                        seq: p.seq,
+                                        hops: p.hops,
+                                    },
+                                    None,
+                                );
                                 if let Some(ctx) = p.ctx.as_mut() {
                                     let span = ctx.push_span(Stage::Route, boundary, boundary);
                                     span.args
@@ -789,7 +811,13 @@ pub fn serve_fleet(
                     }
                     None => {
                         router_shed += 1;
-                        sink.push(format_args!("seq={} disp=router_shed hops=0", r.seq));
+                        sink.push(
+                            Entry::RouterShed {
+                                seq: r.seq,
+                                hops: 0,
+                            },
+                            None,
+                        );
                         if let Some(rec) = router_rec.as_ref() {
                             if let Ok(mut rec) = rec.lock() {
                                 let mut ctx = rec.begin(r.seq, r.arrival_s);

@@ -33,9 +33,9 @@
 //! - [`request`] — the seeded, chunkable arrival stream.
 //!
 //! Everything is deterministic at any thread count: parallel work is pure
-//! per-request compute via `stca_exec::par_map_indexed`, all stateful
-//! decisions replay serially in arrival order, and fault injection is
-//! keyed by request sequence number. The soak bench asserts bit-identical
+//! per-request compute shared with `stca_exec::with_helpers` threads, all
+//! stateful decisions replay serially in arrival order, and fault
+//! injection is keyed by request sequence number. The soak bench asserts bit-identical
 //! decision logs at `--threads 1` vs `8` under the heavy fault plan.
 
 #![warn(missing_docs)]
@@ -43,6 +43,7 @@
 
 pub mod adapt;
 pub mod breaker;
+mod decision_log;
 pub mod fleet;
 pub mod hysteresis;
 pub mod model;

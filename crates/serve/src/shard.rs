@@ -8,16 +8,17 @@
 //! shard id, which keeps its log, metric names, and traces in the
 //! pre-fleet format (see `fleet.rs` for the one-shard rules).
 //!
-//! Decision-log entries flow through a caller-owned [`DecisionSink`]: one
-//! sink per run, shared by every shard in a fleet, so the fleet decision
-//! hash covers shard entries and router entries in one deterministic
-//! serial order. The sink also queues each policy apply's validation sim
-//! ([`ValidationJob`]); `serve_fleet` hands them to its helper threads at
-//! each chunk boundary and credits each one back to its shard in queue
-//! order.
+//! Decision-log entries ([`Entry`], encoded without `core::fmt`) flow
+//! through a caller-owned [`DecisionSink`]: one sink per run, shared by
+//! every shard in a fleet, so the fleet decision hash covers shard entries
+//! and router entries in one deterministic serial order. The sink also
+//! queues each policy apply's validation sim ([`ValidationJob`]);
+//! `serve_fleet` hands them to its helper threads at each chunk boundary
+//! and credits each one back to its shard in queue order.
 
 use crate::adapt::{AdaptEvent, Completion, Lifecycle};
 use crate::breaker::CircuitBreaker;
+use crate::decision_log::{Entry, LogStage};
 use crate::hysteresis::Hysteresis;
 use crate::model::{decide, EaModel, TIMEOUT_GRID};
 use crate::request::Request;
@@ -29,7 +30,6 @@ use stca_queuesim::{QueueSim, RunBudget, StationConfig};
 use stca_trace::{AttrValue, Disposition, FlightRecorder, Stage, TraceCtx};
 use stca_util::Distribution;
 use std::collections::VecDeque;
-use std::fmt::{self, Write as _};
 
 /// A per-shard metric name: `serve.<name>` in a one-shard run,
 /// `serve.shardN.<name>` for fleet shard N.
@@ -52,8 +52,8 @@ pub(crate) struct DecisionSink {
     hash: u64,
     log: Vec<String>,
     keep: bool,
-    /// Each entry is formatted here, so only a retained entry allocates.
-    buf: String,
+    /// Each entry is encoded here, so only a retained entry allocates.
+    buf: Vec<u8>,
     validations: Vec<ValidationJob>,
 }
 
@@ -63,24 +63,28 @@ impl DecisionSink {
             hash: FNV_OFFSET,
             log: Vec::new(),
             keep,
-            buf: String::new(),
+            buf: Vec::new(),
             validations: Vec::new(),
         }
     }
 
-    pub(crate) fn push(&mut self, entry: fmt::Arguments<'_>) {
+    /// Log one entry; `shard` is the pushing fleet shard's id, which the
+    /// line ends with (`None` for router and shard-fault entries and in a
+    /// one-shard run).
+    pub(crate) fn push(&mut self, entry: Entry, shard: Option<u32>) {
         self.buf.clear();
-        self.buf
-            .write_fmt(entry)
-            .expect("formatting a log entry into a String cannot fail");
-        for b in self.buf.bytes() {
-            self.hash ^= u64::from(b);
-            self.hash = self.hash.wrapping_mul(FNV_PRIME);
+        entry.encode(shard, &mut self.buf);
+        self.buf.push(b'\n');
+        let mut hash = self.hash;
+        for &b in &self.buf {
+            hash ^= u64::from(b);
+            hash = hash.wrapping_mul(FNV_PRIME);
         }
-        self.hash ^= u64::from(b'\n');
-        self.hash = self.hash.wrapping_mul(FNV_PRIME);
+        self.hash = hash;
         if self.keep {
-            self.log.push(self.buf.clone());
+            let line = &self.buf[..self.buf.len() - 1];
+            let line = String::from_utf8(line.to_vec()).expect("log entries are ASCII");
+            self.log.push(line);
         }
     }
 
@@ -102,15 +106,11 @@ impl DecisionSink {
 /// Pure per-request compute: everything the parallel phase produces.
 #[derive(Debug, Clone)]
 pub(crate) struct Computed {
-    /// Injected primary-predictor fault for this request.
-    pub(crate) fault: bool,
     /// Primary EA, if the model returned one.
     pub(crate) primary: Option<f64>,
     /// Degraded EA and its tier.
     pub(crate) degraded_ea: f64,
     pub(crate) degraded_tier: u8,
-    /// Injected stall per stage (0 = predict, 1 = decide) and attempt.
-    pub(crate) stall: [[f64; 2]; 2],
 }
 
 /// A request waiting in (or entering) the admission queue.
@@ -137,6 +137,10 @@ pub(crate) struct Pending {
 /// Serial replay state for one shard (phase 2 of each chunk).
 pub(crate) struct ShardCore<'a> {
     pub(crate) cfg: &'a ServeConfig,
+    /// The run's fault injectors for retry attempts 0 and 1. The predict
+    /// fault and the stage stalls are rolled where they take effect, so
+    /// the injected-fault counters count only applied faults.
+    inj: &'a [FaultInjector; 2],
     pub(crate) breaker: CircuitBreaker,
     pub(crate) hyst: Hysteresis,
     watchdog: Watchdog,
@@ -156,10 +160,8 @@ pub(crate) struct ShardCore<'a> {
     /// drain traffic on probe recovery: probe verdicts are gated to
     /// rejects.
     draining: bool,
-    /// Appended to every decision-log entry (`" shard=N"` in a fleet,
-    /// empty in a one-shard run so its log stays byte-identical).
-    suffix: String,
-    /// Shard id this core was created as (`None` in a one-shard run).
+    /// Shard id this core was created as (`None` in a one-shard run). Every
+    /// decision-log entry it pushes ends in `" shard=N"` when set.
     shard: Option<u32>,
     /// Drift-aware model lifecycle (`Some` once [`ShardCore::install_adapt`]
     /// ran with adaptation enabled).
@@ -178,11 +180,17 @@ impl<'a> ShardCore<'a> {
     /// (`serve.shardN.*`), a `" shard=N"` decision-log suffix, and a
     /// `shard` admission attribute; `None` (one shard) keeps the `serve.*`
     /// names and the pre-fleet byte format.
-    pub(crate) fn new(cfg: &'a ServeConfig, seed: u64, shard: Option<u32>) -> Self {
+    pub(crate) fn new(
+        cfg: &'a ServeConfig,
+        inj: &'a [FaultInjector; 2],
+        seed: u64,
+        shard: Option<u32>,
+    ) -> Self {
         let initial = decide(&cfg.station, 1.0);
         let resp_hist = stca_obs::histogram(&shard_metric(shard, "response_seconds"));
         ShardCore {
             cfg,
+            inj,
             breaker: CircuitBreaker::new(cfg.breaker),
             hyst: Hysteresis::new(cfg.hysteresis_k, initial),
             watchdog: Watchdog {
@@ -200,7 +208,6 @@ impl<'a> ShardCore<'a> {
             last_ea: 1.0,
             seed,
             draining: false,
-            suffix: shard.map(|id| format!(" shard={id}")).unwrap_or_default(),
             shard,
             lifecycle: None,
             resp_hist,
@@ -248,15 +255,6 @@ impl<'a> ShardCore<'a> {
             if let Ok(mut rec) = rec.lock() {
                 rec.record(ctx.finish(disposition, end_s));
             }
-        }
-    }
-
-    /// Push one decision-log entry, stamped with this shard's suffix.
-    fn log_entry(&self, sink: &mut DecisionSink, entry: fmt::Arguments<'_>) {
-        if self.suffix.is_empty() {
-            sink.push(entry);
-        } else {
-            sink.push(format_args!("{entry}{}", self.suffix));
         }
     }
 
@@ -332,9 +330,12 @@ impl<'a> ShardCore<'a> {
             if let Some(lc) = self.lifecycle.as_mut() {
                 lc.note_deadline_event();
             }
-            self.log_entry(
-                sink,
-                format_args!("seq={} disp=shed_deadline stage=queue", p.seq),
+            sink.push(
+                Entry::ShedDeadline {
+                    seq: p.seq,
+                    stage: LogStage::Queue,
+                },
+                self.shard,
             );
             self.record_trace(p.ctx.take(), Disposition::ShedDeadline, start);
             return true;
@@ -347,16 +348,25 @@ impl<'a> ShardCore<'a> {
         while self.dispatch_one(now, sink) {}
     }
 
-    /// Run one stage under the watchdog with its retry path. Returns the
-    /// virtual cost charged, whether the stage ultimately succeeded, and
-    /// whether the watchdog had to retry it.
-    fn run_stage(&mut self, base_cost_s: f64, stalls: [f64; 2]) -> (f64, bool, bool) {
-        match self.watchdog.supervise(base_cost_s, stalls[0]) {
+    /// Run stage `stage` (0 = predict, 1 = decide) of request `seq` under
+    /// the watchdog with its retry path. Returns the virtual cost charged,
+    /// whether the stage ultimately succeeded, and whether the watchdog
+    /// had to retry it. Each attempt's injected stall is rolled when that
+    /// attempt runs, keyed `seq * 2 + stage` on the attempt's injector.
+    fn run_stage(&mut self, base_cost_s: f64, seq: u64, stage: u64) -> (f64, bool, bool) {
+        let tag = seq * 2 + stage;
+        match self
+            .watchdog
+            .supervise(base_cost_s, self.inj[0].stage_stall_s(tag))
+        {
             StageRun::Ok { cost_s } => (cost_s, true, false),
             StageRun::Stuck { wasted_s } => {
                 self.watchdog_trips += 1;
                 self.retries += 1;
-                match self.watchdog.supervise(base_cost_s, stalls[1]) {
+                match self
+                    .watchdog
+                    .supervise(base_cost_s, self.inj[1].stage_stall_s(tag))
+                {
                     StageRun::Ok { cost_s } => (wasted_s + cost_s, true, true),
                     StageRun::Stuck { wasted_s: w2 } => {
                         self.watchdog_trips += 1;
@@ -375,7 +385,7 @@ impl<'a> ShardCore<'a> {
         stca_obs::set_virtual_now(start);
         // ---- predict stage (primary behind the breaker) ----
         let (predict_cost, predict_ok, predict_retried) =
-            self.run_stage(self.cfg.predict_cost_s, p.comp.stall[0]);
+            self.run_stage(self.cfg.predict_cost_s, p.seq, 0);
         if predict_retried {
             if let Some(ctx) = p.ctx.as_mut() {
                 ctx.flag_watchdog_retry();
@@ -384,9 +394,12 @@ impl<'a> ShardCore<'a> {
         if !predict_ok {
             self.servers[si] = start + predict_cost;
             self.acct.shed_failed += 1;
-            self.log_entry(
-                sink,
-                format_args!("seq={} disp=failed stage=predict", p.seq),
+            sink.push(
+                Entry::Failed {
+                    seq: p.seq,
+                    stage: LogStage::Predict,
+                },
+                self.shard,
             );
             if let Some(ctx) = p.ctx.as_mut() {
                 ctx.push_span(Stage::Predict, start, start + predict_cost)
@@ -398,9 +411,11 @@ impl<'a> ShardCore<'a> {
         }
         let breaker_counters = (self.breaker.opens, self.breaker.closes);
         let verdict = self.breaker.decide_gated(start, p.seq, !self.draining);
+        // the injected predictor fault is rolled only for a primary answer
+        // the breaker admitted: it takes effect nowhere else
         let (mut ea, tier) = match verdict {
-            Verdict::Admit | Verdict::Probe => match (p.comp.fault, p.comp.primary) {
-                (false, Some(ea)) => {
+            Verdict::Admit | Verdict::Probe => match p.comp.primary {
+                Some(ea) if !self.inj[0].predict_fault(p.seq) => {
                     self.breaker.record_success(start);
                     (ea, 0u8)
                 }
@@ -460,9 +475,12 @@ impl<'a> ShardCore<'a> {
             if let Some(lc) = self.lifecycle.as_mut() {
                 lc.note_deadline_event();
             }
-            self.log_entry(
-                sink,
-                format_args!("seq={} disp=shed_deadline stage=predict", p.seq),
+            sink.push(
+                Entry::ShedDeadline {
+                    seq: p.seq,
+                    stage: LogStage::Predict,
+                },
+                self.shard,
             );
             self.record_trace(
                 p.ctx.take(),
@@ -473,7 +491,7 @@ impl<'a> ShardCore<'a> {
         }
         // ---- decide stage ----
         let (decide_cost, decide_ok, decide_retried) =
-            self.run_stage(self.cfg.decide_cost_s, p.comp.stall[1]);
+            self.run_stage(self.cfg.decide_cost_s, p.seq, 1);
         if decide_retried {
             if let Some(ctx) = p.ctx.as_mut() {
                 ctx.flag_watchdog_retry();
@@ -483,7 +501,13 @@ impl<'a> ShardCore<'a> {
         if !decide_ok {
             self.servers[si] = start + total;
             self.acct.shed_failed += 1;
-            self.log_entry(sink, format_args!("seq={} disp=failed stage=decide", p.seq));
+            sink.push(
+                Entry::Failed {
+                    seq: p.seq,
+                    stage: LogStage::Decide,
+                },
+                self.shard,
+            );
             if let Some(ctx) = p.ctx.as_mut() {
                 ctx.push_span(Stage::Decide, start + predict_cost, start + total)
                     .args
@@ -526,18 +550,17 @@ impl<'a> ShardCore<'a> {
         if p.ctx.is_some() {
             stca_obs::set_current_trace_id(0);
         }
-        self.log_entry(
-            sink,
-            format_args!(
-                "seq={} disp=ok tier={} ea={:016x} t={} applied={} resp={:016x}{}",
-                p.seq,
+        sink.push(
+            Entry::Ok {
+                seq: p.seq,
                 tier,
-                ea.to_bits(),
-                idx,
-                self.hyst.applied(),
-                resp.to_bits(),
-                ServedVersion(served_version),
-            ),
+                ea,
+                t: idx,
+                applied: self.hyst.applied(),
+                resp,
+                version: served_version,
+            },
+            self.shard,
         );
         // advance the model lifecycle with this completion; any drift,
         // retrain, shadow, promotion, or rollback it produces is logged
@@ -575,46 +598,33 @@ impl<'a> ShardCore<'a> {
         now: f64,
         sink: &mut DecisionSink,
     ) {
+        let shard = self.shard;
         for ev in events {
-            match ev {
-                AdaptEvent::Drift { score } => {
-                    self.log_entry(
-                        sink,
-                        format_args!("event=drift score={:016x}", score.to_bits()),
-                    );
-                }
+            match *ev {
+                AdaptEvent::Drift { score } => sink.push(Entry::Drift { score }, shard),
                 AdaptEvent::Retrain { version, rows } => {
-                    self.log_entry(
-                        sink,
-                        format_args!("event=retrain version={version} rows={rows} outcome=ok"),
-                    );
+                    sink.push(Entry::Retrain { version, rows }, shard);
                     if let Some(ctx) = ctx.as_deref_mut() {
                         let span = ctx.push_span(Stage::Retrain, now, now);
-                        span.args.push(("version", AttrValue::Num(*version as f64)));
+                        span.args.push(("version", AttrValue::Num(version as f64)));
                         span.args
                             .push(("outcome", AttrValue::Text("ok".to_string())));
                     }
                 }
                 AdaptEvent::RetrainFail { version } => {
-                    self.log_entry(
-                        sink,
-                        format_args!("event=retrain version={version} outcome=fail"),
-                    );
+                    sink.push(Entry::RetrainFail { version }, shard);
                     if let Some(ctx) = ctx.as_deref_mut() {
                         let span = ctx.push_span(Stage::Retrain, now, now);
-                        span.args.push(("version", AttrValue::Num(*version as f64)));
+                        span.args.push(("version", AttrValue::Num(version as f64)));
                         span.args
                             .push(("outcome", AttrValue::Text("fail".to_string())));
                     }
                 }
                 AdaptEvent::RetrainSlow { version } => {
-                    self.log_entry(
-                        sink,
-                        format_args!("event=retrain version={version} outcome=slow"),
-                    );
+                    sink.push(Entry::RetrainSlow { version }, shard);
                     if let Some(ctx) = ctx.as_deref_mut() {
                         let span = ctx.push_span(Stage::Retrain, now, now);
-                        span.args.push(("version", AttrValue::Num(*version as f64)));
+                        span.args.push(("version", AttrValue::Num(version as f64)));
                         span.args
                             .push(("outcome", AttrValue::Text("slow".to_string())));
                     }
@@ -624,45 +634,42 @@ impl<'a> ShardCore<'a> {
                     // the window verdict lands in `shadow_done`
                     if let Some(ctx) = ctx.as_deref_mut() {
                         let span = ctx.push_span(Stage::Shadow, now, now);
-                        span.args.push(("version", AttrValue::Num(*version as f64)));
+                        span.args.push(("version", AttrValue::Num(version as f64)));
                         span.args
-                            .push(("agree", AttrValue::Num(f64::from(u8::from(*agree)))));
+                            .push(("agree", AttrValue::Num(f64::from(u8::from(agree)))));
                     }
                 }
                 AdaptEvent::ShadowDone {
                     version,
                     agree,
                     scored,
-                } => {
-                    self.log_entry(
-                        sink,
-                        format_args!(
-                            "event=shadow_done version={version} agree={agree} scored={scored}"
-                        ),
-                    );
-                }
+                } => sink.push(
+                    Entry::ShadowDone {
+                        version,
+                        agree,
+                        scored,
+                    },
+                    shard,
+                ),
                 AdaptEvent::Promote { version } => {
-                    self.log_entry(sink, format_args!("event=promote version={version}"));
+                    sink.push(Entry::Promote { version }, shard);
                     if let Some(ctx) = ctx.as_deref_mut() {
                         let span = ctx.push_span(Stage::Promote, now, now);
-                        span.args.push(("version", AttrValue::Num(*version as f64)));
+                        span.args.push(("version", AttrValue::Num(version as f64)));
                     }
                 }
                 AdaptEvent::PromoteRefused { version, reason } => {
-                    self.log_entry(
-                        sink,
-                        format_args!("event=promote_refused version={version} reason={reason}"),
-                    );
+                    sink.push(Entry::PromoteRefused { version, reason }, shard);
                 }
                 AdaptEvent::GuardPass { version } => {
-                    self.log_entry(sink, format_args!("event=guard_pass version={version}"));
+                    sink.push(Entry::GuardPass { version }, shard);
                 }
                 AdaptEvent::Rollback { from, to } => {
-                    self.log_entry(sink, format_args!("event=rollback from={from} to={to}"));
+                    sink.push(Entry::Rollback { from, to }, shard);
                     if let Some(ctx) = ctx.as_deref_mut() {
                         let span = ctx.push_span(Stage::Rollback, now, now);
-                        span.args.push(("from", AttrValue::Num(*from as f64)));
-                        span.args.push(("to", AttrValue::Num(*to as f64)));
+                        span.args.push(("from", AttrValue::Num(from as f64)));
+                        span.args.push(("to", AttrValue::Num(to as f64)));
                     }
                 }
             }
@@ -726,14 +733,14 @@ impl<'a> ShardCore<'a> {
             match self.cfg.overload {
                 OverloadPolicy::ShedNewest => {
                     self.acct.shed_overload += 1;
-                    self.log_entry(sink, format_args!("seq={} disp=shed_overload", p.seq));
+                    sink.push(Entry::ShedOverload { seq: p.seq }, self.shard);
                     self.record_trace(p.ctx.take(), Disposition::ShedOverload, now);
                     return;
                 }
                 OverloadPolicy::ShedOldest => {
                     if let Some(mut old) = self.waiting.pop_front() {
                         self.acct.shed_overload += 1;
-                        self.log_entry(sink, format_args!("seq={} disp=shed_overload", old.seq));
+                        sink.push(Entry::ShedOverload { seq: old.seq }, self.shard);
                         if let Some(ctx) = old.ctx.as_mut() {
                             ctx.push_span(Stage::QueueWait, old.arrival_s, now);
                         }
@@ -762,7 +769,7 @@ impl<'a> ShardCore<'a> {
             match self.waiting.pop_front() {
                 Some(mut p) => {
                     self.acct.drained += 1;
-                    self.log_entry(sink, format_args!("seq={} disp=drained", p.seq));
+                    sink.push(Entry::Drained { seq: p.seq }, self.shard);
                     if let Some(ctx) = p.ctx.as_mut() {
                         ctx.push_span(Stage::QueueWait, p.arrival_s, deadline);
                         ctx.push_span(Stage::Drain, deadline, deadline);
@@ -775,20 +782,6 @@ impl<'a> ShardCore<'a> {
         self.servers
             .iter()
             .fold(last_arrival_s, |m, &f| if f > m { f } else { m })
-    }
-}
-
-/// ` v=N` after a decision entry served by promoted model version `N`;
-/// nothing for the base model (version 0).
-struct ServedVersion(u64);
-
-impl fmt::Display for ServedVersion {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.0 > 0 {
-            write!(f, " v={}", self.0)
-        } else {
-            Ok(())
-        }
     }
 }
 
@@ -824,14 +817,10 @@ impl ValidationJob {
 }
 
 /// Pure per-request compute (phase 1): the primary model call under panic
-/// isolation, the degraded fallback, and the injected faults — all a pure
-/// function of the request, bit-identical at any thread count.
-pub(crate) fn compute_request(
-    model: &dyn EaModel,
-    inj: &[FaultInjector; 2],
-    r: &Request,
-) -> Computed {
-    let fault = inj[0].predict_fault(r.seq);
+/// isolation and the degraded fallback — a pure function of the request,
+/// bit-identical at any thread count. The injected faults are rolled in
+/// the serial replay, where they take effect.
+pub(crate) fn compute_request(model: &dyn EaModel, r: &Request) -> Computed {
     // run the primary under panic isolation: a wedged model must become a
     // breaker failure, not tear down the loop
     let primary = match stca_exec::run_caught(|| model.predict_primary(&r.features)) {
@@ -844,22 +833,10 @@ pub(crate) fn compute_request(
     } else {
         1.0
     };
-    let stall = [
-        [
-            inj[0].stage_stall_s(r.seq * 2),
-            inj[1].stage_stall_s(r.seq * 2),
-        ],
-        [
-            inj[0].stage_stall_s(r.seq * 2 + 1),
-            inj[1].stage_stall_s(r.seq * 2 + 1),
-        ],
-    ];
     Computed {
-        fault,
         primary,
         degraded_ea,
         degraded_tier,
-        stall,
     }
 }
 
@@ -867,7 +844,27 @@ pub(crate) fn compute_request(
 mod tests {
     use super::*;
     use crate::breaker::BreakerConfig;
+    use stca_fault::StcaError;
     use stca_util::Rng64;
+
+    /// A primary that always errors, so every admitted call is a breaker
+    /// failure without any injected fault.
+    struct Erroring;
+
+    impl EaModel for Erroring {
+        fn predict_primary(&self, _features: &[f64]) -> Result<f64, StcaError> {
+            Err(StcaError::invalid_input("primary down"))
+        }
+
+        fn predict_degraded(&self, _features: &[f64]) -> (f64, u8) {
+            (1.0, 2)
+        }
+    }
+
+    fn no_faults() -> [FaultInjector; 2] {
+        let plan = FaultPlan::none();
+        [plan.injector(0, 0), plan.injector(0, 1)]
+    }
 
     fn pending(seq: u64, arrival_s: f64, comp: Computed) -> Pending {
         Pending {
@@ -882,14 +879,14 @@ mod tests {
         }
     }
 
-    fn failing_comp() -> Computed {
-        Computed {
-            fault: true,
-            primary: None,
-            degraded_ea: 1.0,
-            degraded_tier: 2,
-            stall: [[0.0; 2]; 2],
-        }
+    fn failing_comp(seq: u64) -> Computed {
+        let r = Request {
+            seq,
+            arrival_s: 0.0,
+            deadline_s: 10.0,
+            features: vec![1.0],
+        };
+        compute_request(&Erroring, &r)
     }
 
     /// Satellite: a half-open breaker during graceful drain must not admit
@@ -898,6 +895,7 @@ mod tests {
     #[test]
     fn drain_never_admits_breaker_probes_for_arbitrary_configs() {
         let mut rng = Rng64::new(0x0DAB_5EED);
+        let inj = no_faults();
         for case in 0..200u64 {
             let bcfg = BreakerConfig {
                 failure_threshold: 1 + (rng.next_u64() % 8) as u32,
@@ -911,19 +909,22 @@ mod tests {
                 drain_grace_s: 5.0,
                 ..ServeConfig::default()
             };
-            let mut core = ShardCore::new(&cfg, case, None);
+            let mut core = ShardCore::new(&cfg, &inj, case, None);
             let mut sink = DecisionSink::new(false);
             // Fail enough requests to trip the breaker open, then stop
             // arrivals just past the cooldown so the drain window overlaps
             // the half-open period.
             let n = bcfg.failure_threshold as u64 + 4;
             for seq in 0..n {
-                core.arrive(pending(seq, 0.001 * seq as f64, failing_comp()), &mut sink);
+                core.arrive(
+                    pending(seq, 0.001 * seq as f64, failing_comp(seq)),
+                    &mut sink,
+                );
             }
             let last = 0.001 * n as f64 + bcfg.cooldown_s;
             // Queue a burst that can only dispatch during drain.
             for seq in n..n + 64 {
-                core.arrive(pending(seq, last, failing_comp()), &mut sink);
+                core.arrive(pending(seq, last, failing_comp(seq)), &mut sink);
             }
             let probes_before = core.breaker.probes;
             core.drain(last, &mut sink);
@@ -939,17 +940,16 @@ mod tests {
     #[test]
     fn rerouted_ready_time_floors_dispatch_start() {
         let cfg = ServeConfig::default();
-        let mut core = ShardCore::new(&cfg, 0, Some(3));
+        let inj = no_faults();
+        let mut core = ShardCore::new(&cfg, &inj, 0, Some(3));
         let mut sink = DecisionSink::new(true);
         let mut p = pending(
             9,
             1.0,
             Computed {
-                fault: false,
                 primary: Some(1.0),
                 degraded_ea: 1.0,
                 degraded_tier: 1,
-                stall: [[0.0; 2]; 2],
             },
         );
         p.ready_s = 4.0; // rerouted at t=4: cannot start earlier

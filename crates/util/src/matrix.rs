@@ -116,20 +116,6 @@ impl Matrix {
         out
     }
 
-    /// New matrix with columns reordered per `perm` (`perm[i]` = source col).
-    pub fn permute_cols(&self, perm: &[usize]) -> Matrix {
-        assert_eq!(perm.len(), self.cols);
-        let mut out = Matrix::zeros(self.rows, self.cols);
-        for r in 0..self.rows {
-            let src = self.row(r);
-            let dst = out.row_mut(r);
-            for (i, &p) in perm.iter().enumerate() {
-                dst[i] = src[p];
-            }
-        }
-        out
-    }
-
     /// Horizontally concatenate two matrices with equal row counts.
     pub fn hcat(&self, other: &Matrix) -> Matrix {
         assert_eq!(self.rows, other.rows, "row count mismatch in hcat");
@@ -240,13 +226,6 @@ mod tests {
         let s = m.select_rows(&[2, 0]);
         assert_eq!(s.row(0), &[2.0]);
         assert_eq!(s.row(1), &[0.0]);
-    }
-
-    #[test]
-    fn permute_cols_roundtrip() {
-        let m = Matrix::from_rows(&[vec![1.0, 2.0, 3.0]]);
-        let p = m.permute_cols(&[2, 0, 1]);
-        assert_eq!(p.row(0), &[3.0, 1.0, 2.0]);
     }
 
     #[test]
