@@ -102,18 +102,6 @@ impl Dataset {
         set
     }
 
-    /// Rows whose target workload belongs to `pair` (ordered).
-    pub fn for_pair(&self, pair: (BenchmarkId, BenchmarkId)) -> Dataset {
-        Dataset {
-            rows: self
-                .rows
-                .iter()
-                .filter(|r| r.pair == pair)
-                .cloned()
-                .collect(),
-        }
-    }
-
     /// Random index split (train, test).
     pub fn split(&self, train_fraction: f64, rng: &mut Rng64) -> (Dataset, Dataset) {
         let n = self.rows.len();
@@ -265,7 +253,6 @@ mod tests {
         let mut rng = Rng64::new(1);
         let (train, test) = d.split(0.5, &mut rng);
         assert_eq!(train.len() + test.len(), d.len());
-        let knn_rows = d.for_pair((BenchmarkId::Knn, BenchmarkId::Redis));
-        assert_eq!(knn_rows.len(), 4);
+        assert_eq!(d.rows.iter().filter(|r| r.pair == pair).count(), 4);
     }
 }

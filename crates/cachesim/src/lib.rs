@@ -39,5 +39,5 @@ pub use config::{CacheGeometry, HierarchyConfig, Latencies};
 pub use counters::{Counter, CounterSet, COUNTER_COUNT};
 pub use hierarchy::{Hierarchy, LevelHit, MaskMode};
 
-/// Identifier of a workload driving accesses (matches `stca_cat::cos::WorkloadId`).
+/// Identifier of a workload driving accesses.
 pub type WorkloadId = u32;

@@ -111,40 +111,10 @@ impl CapacityBitmask {
         w < 64 && (self.bits >> w) & 1 == 1
     }
 
-    /// Whether the two masks share any way.
-    #[inline]
-    pub fn overlaps(&self, other: &CapacityBitmask) -> bool {
-        self.bits & other.bits != 0
-    }
-
-    /// Number of ways shared with `other`.
-    #[inline]
-    pub fn overlap_ways(&self, other: &CapacityBitmask) -> usize {
-        (self.bits & other.bits).count_ones() as usize
-    }
-
     /// Whether `other` is entirely contained in this mask.
     #[inline]
     pub fn contains(&self, other: &CapacityBitmask) -> bool {
         self.bits & other.bits == other.bits
-    }
-
-    /// Iterator over covered way indices, ascending.
-    pub fn iter_ways(&self) -> impl Iterator<Item = usize> + '_ {
-        let bits = self.bits;
-        (0..self.ways as usize).filter(move |&w| (bits >> w) & 1 == 1)
-    }
-
-    /// Hex rendering as used by `resctrl` schemata (lowercase, no prefix).
-    pub fn to_hex(&self) -> String {
-        format!("{:x}", self.bits)
-    }
-
-    /// Parse a hex schemata token and validate against `ways`.
-    pub fn from_hex(s: &str, ways: usize) -> Result<Self, CatError> {
-        let bits = u64::from_str_radix(s.trim(), 16)
-            .map_err(|e| CatError::Parse(format!("bad mask {s:?}: {e}")))?;
-        CapacityBitmask::new(bits, ways)
     }
 }
 
@@ -206,18 +176,6 @@ mod tests {
     }
 
     #[test]
-    fn overlap_logic() {
-        let a = CapacityBitmask::from_span(0, 4, 8).expect("valid");
-        let b = CapacityBitmask::from_span(2, 4, 8).expect("valid");
-        let c = CapacityBitmask::from_span(6, 2, 8).expect("valid");
-        assert!(a.overlaps(&b));
-        assert_eq!(a.overlap_ways(&b), 2);
-        assert!(!a.overlaps(&c));
-        assert!(!b.overlaps(&c), "b covers 2..=5, c covers 6..=7");
-        assert_eq!(b.overlap_ways(&c), 0);
-    }
-
-    #[test]
     fn contains_logic() {
         let big = CapacityBitmask::from_span(0, 6, 8).expect("valid");
         let small = CapacityBitmask::from_span(1, 3, 8).expect("valid");
@@ -230,29 +188,6 @@ mod tests {
         let m = CapacityBitmask::full(20);
         assert_eq!(m.length(), 20);
         assert_eq!(m.offset(), 0);
-    }
-
-    #[test]
-    fn hex_roundtrip() {
-        let m = CapacityBitmask::from_span(4, 4, 16).expect("valid");
-        assert_eq!(m.to_hex(), "f0");
-        let parsed = CapacityBitmask::from_hex("f0", 16).expect("parses");
-        assert_eq!(parsed, m);
-    }
-
-    #[test]
-    fn hex_parse_errors() {
-        assert!(matches!(
-            CapacityBitmask::from_hex("zz", 8),
-            Err(CatError::Parse(_))
-        ));
-        assert_eq!(CapacityBitmask::from_hex("0", 8), Err(CatError::EmptyMask));
-    }
-
-    #[test]
-    fn iter_ways_ascending() {
-        let m = CapacityBitmask::from_span(3, 3, 8).expect("valid");
-        assert_eq!(m.iter_ways().collect::<Vec<_>>(), vec![3, 4, 5]);
     }
 
     #[test]

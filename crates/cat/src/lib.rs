@@ -1,43 +1,37 @@
 //! # stca-cat
 //!
-//! A faithful, in-memory model of Intel Cache Allocation Technology (CAT) as
-//! used by the paper (§2). Real deployments program MSRs (or Linux `resctrl`)
-//! to install *capacity bitmasks* (CBMs) per *class of service* (COS); this
-//! crate reproduces that interface and its rules so the policy layer above it
-//! exercises the same code path it would against hardware:
+//! An in-memory model of Intel Cache Allocation Technology (CAT) as used by
+//! the paper (§2). Real deployments program MSRs (or Linux `resctrl`) to
+//! install *capacity bitmasks* (CBMs) per *class of service*; this crate
+//! keeps the rules the paper's policies depend on, and the profiler installs
+//! the resulting masks as `stca-cachesim` fill masks:
 //!
-//! * [`cbm::CapacityBitmask`] — per-COS way mask, **contiguous** as CAT
-//!   requires, with validation;
+//! * [`cbm::CapacityBitmask`] — a way mask, **contiguous** as CAT requires,
+//!   with validation;
 //! * [`allocation::AllocationSetting`] — the paper's `(offset, length)` pair;
-//! * [`cos::CosTable`] — COS id → CBM table plus workload → COS bindings;
 //! * [`stap::ShortTermPolicy`] — the paper's `(a, a', t)` triple: a default
 //!   setting, a boosted setting, and a timeout expressed relative to mean
 //!   service time (Eq. 4);
 //! * [`layout::PairLayout`] — the pairwise private/shared way layout the
 //!   evaluation uses (private #1–2, shared #3–4, private #5–6), with checks
 //!   for the two conjectures in §2 (private regions are disjoint; a setting
-//!   shares cache with at most two others);
-//! * [`resctrl`] — a simulated `resctrl` filesystem binding (schemata strings)
-//!   so tooling written against the kernel interface can be tested offline.
+//!   shares cache with at most two others).
 
 #![warn(clippy::unwrap_used)]
 
 pub mod allocation;
 pub mod cbm;
-pub mod cos;
 pub mod layout;
-pub mod resctrl;
 pub mod stap;
 
 pub use allocation::AllocationSetting;
 pub use cbm::CapacityBitmask;
-pub use cos::{CosId, CosTable};
 pub use layout::PairLayout;
 pub use stap::ShortTermPolicy;
 
 /// Errors surfaced by the CAT model. Mirrors the failure modes of the real
-/// interface: non-contiguous masks, empty masks, masks wider than the cache,
-/// and COS ids beyond the hardware-supported count.
+/// interface: non-contiguous masks, empty masks and masks wider than the
+/// cache, plus layout lookups past the last workload.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CatError {
     /// The bitmask had zero bits set. CAT requires at least one way.
@@ -46,12 +40,6 @@ pub enum CatError {
     NonContiguous,
     /// The mask referenced ways beyond the cache's way count.
     OutOfRange { ways: usize, highest_bit: usize },
-    /// COS id not provisioned in the table.
-    UnknownCos(u16),
-    /// COS id exceeds the supported class count.
-    CosOutOfRange { max: u16, requested: u16 },
-    /// A schemata string failed to parse.
-    Parse(String),
     /// A workload index beyond the layout's workload count.
     WorkloadIndex { index: usize, workloads: usize },
 }
@@ -64,11 +52,6 @@ impl std::fmt::Display for CatError {
             CatError::OutOfRange { ways, highest_bit } => {
                 write!(f, "bit {highest_bit} out of range for {ways}-way cache")
             }
-            CatError::UnknownCos(id) => write!(f, "class of service {id} not provisioned"),
-            CatError::CosOutOfRange { max, requested } => {
-                write!(f, "COS {requested} exceeds supported classes ({max})")
-            }
-            CatError::Parse(msg) => write!(f, "schemata parse error: {msg}"),
             CatError::WorkloadIndex { index, workloads } => {
                 write!(
                     f,

@@ -77,11 +77,6 @@ impl ShortTermPolicy {
     pub fn allocation_ratio(&self) -> f64 {
         self.default.allocation_ratio(&self.boosted)
     }
-
-    /// Number of ways gained during a boost.
-    pub fn boost_ways(&self) -> usize {
-        self.boosted.length.saturating_sub(self.default.length)
-    }
 }
 
 #[cfg(test)]
@@ -129,10 +124,9 @@ mod tests {
     }
 
     #[test]
-    fn allocation_ratio_and_boost_ways() {
+    fn allocation_ratio_of_a_doubling_boost() {
         let p = policy(1.0);
         assert!((p.allocation_ratio() - 2.0).abs() < 1e-12);
-        assert_eq!(p.boost_ways(), 2);
     }
 
     #[test]

@@ -55,6 +55,25 @@ pub fn experiment_layout(spec: &ScenarioSpec) -> ExperimentLayout {
     )
 }
 
+/// Reject a `[cat]` pair layout wider than the LLC it is installed on.
+/// The spans have no upper bound, so the width is computed checked.
+fn check_layout_fits(spec: &ScenarioSpec, llc_ways: usize) -> Result<(), StcaError> {
+    let cat = &spec.cat;
+    let width = cat
+        .default_span
+        .checked_mul(2)
+        .and_then(|w| w.checked_add(cat.boosted_span));
+    if width.is_some_and(|w| w <= llc_ways as u64) {
+        return Ok(());
+    }
+    let width = width.map_or_else(|| "at least 2^64".to_string(), |w| w.to_string());
+    Err(StcaError::usage(format!(
+        "[cat] default_span = {} and boosted_span = {} need {width} ways \
+         (2 x default_span + boosted_span), but the LLC has {llc_ways} ([cat] ways = {})",
+        cat.default_span, cat.boosted_span, cat.ways
+    )))
+}
+
 /// Profile `[profile].conditions` random conditions of the spec's pair
 /// under its fault plan, skipping conditions that exhaust their retries
 /// and checkpointing finished ones when asked.
@@ -65,7 +84,9 @@ pub fn profile_conditions(
     let pair = spec.workloads.pair;
     let n = spec.profile.conditions as usize;
     let seed = spec.profile.seed;
-    let (config, layout) = (hierarchy_config(spec), experiment_layout(spec));
+    let config = hierarchy_config(spec);
+    check_layout_fits(spec, config.llc.ways)?;
+    let layout = experiment_layout(spec);
     let p = &spec.profile;
     let mut rng = Rng64::new(seed);
     // conditions are drawn serially; the experiments (the expensive part)

@@ -345,6 +345,32 @@ fn huge_adapt_window_serves_and_huge_server_count_exits_2() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A `[cat]` way count past 64 (a way mask is a `u64`) or too narrow for
+/// the pair layout is a usage error (exit 2) naming the `[cat]` keys, not
+/// a panic inside the cache simulator reported as failed conditions.
+#[test]
+fn bad_cat_ways_exit_2() {
+    let dir = temp_dir("cat-ways");
+    for (ways, cmd, want) in [
+        ("100", "profile", "ways=100: out of range"),
+        ("100", "characterize", "ways=100: out of range"),
+        (
+            "3",
+            "profile",
+            "[cat] default_span = 2 and boosted_span = 2 need 6 ways",
+        ),
+    ] {
+        let spec = dir.join(format!("ways-{ways}.stca"));
+        let text = format!("[cat]\nways = {ways}\n\n[profile]\nconditions = 1\n");
+        std::fs::write(&spec, text).expect("write spec");
+        let out = run_in(&dir, &[cmd, "--spec", spec.to_str().expect("utf8 path")]);
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{cmd} ways = {ways}: {err}");
+        assert!(err.contains(want), "{cmd} ways = {ways}: bad error: {err}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// Any `--trace-*` flag enables the recorder and any `--adapt-*` tuning
 /// flag enables the lifecycle, unless `--adapt` says otherwise.
 #[test]

@@ -325,11 +325,6 @@ impl Cascade {
     pub fn concept_vector(&self, features: &[f64]) -> Vec<f64> {
         self.concept_trajectory(features).concat()
     }
-
-    /// Level count.
-    pub fn level_count(&self) -> usize {
-        self.levels.len()
-    }
 }
 
 #[cfg(test)]

@@ -234,11 +234,6 @@ impl Forest {
     pub fn predict_matrix(&self, x: &Matrix) -> Vec<f64> {
         (0..x.rows()).map(|r| self.predict(x.row(r))).collect()
     }
-
-    /// Number of trees.
-    pub fn tree_count(&self) -> usize {
-        self.root.len()
-    }
 }
 
 #[cfg(test)]

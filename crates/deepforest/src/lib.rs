@@ -18,9 +18,9 @@
 //! which is why the paper found them far more stable on small profiling
 //! datasets (Figure 5) — a property the Figure-5 harness reproduces.
 //!
-//! The crate is self-contained (trees, forests, MGS, cascades, K-fold CV)
-//! and independent of the profiling substrate: inputs are [`Sample`]s
-//! (scalar features + an optional trace matrix).
+//! The crate is self-contained (trees, forests, MGS, cascades with 3-fold
+//! out-of-fold fitting) and independent of the profiling substrate: inputs
+//! are [`Sample`]s (scalar features + an optional trace matrix).
 
 pub mod binned;
 pub mod cascade;

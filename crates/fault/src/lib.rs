@@ -21,7 +21,8 @@
 //! * [`retry`] — bounded retry with exponential backoff on a *virtual*
 //!   clock (no wall-clock sleeping, so retried pipelines stay deterministic
 //!   and fast) and seeded jitter.
-//! * [`sanitize`] — scrubbing helpers for non-finite feature values.
+//! * [`sanitize`] — non-finite checks for feature values, the counter
+//!   plausibility bound and the rejected-row counter.
 //! * [`checkpoint`] — a JSON checkpoint store so long runs (policy-grid
 //!   exploration, dataset builds) resume from the last completed cell after
 //!   a kill, bit-identically.

@@ -1,8 +1,8 @@
-//! Scrubbing helpers for feature values headed into model training.
+//! Checks for feature values headed into model training.
 //!
 //! Counter-trace sanitization (stuck rows, implausible u64 counters) lives
 //! next to the trace types in `stca-profiler`; this module holds the
-//! crate-neutral f64 layer — non-finite detection and repair — plus the
+//! crate-neutral f64 layer (non-finite detection) plus the
 //! plausibility bound both layers share, and the `fault.rows_rejected_total`
 //! metric used everywhere a training row is refused.
 
@@ -20,30 +20,9 @@ fn rows_rejected() -> &'static Arc<stca_obs::Counter> {
     C.get_or_init(|| stca_obs::counter("fault.rows_rejected_total"))
 }
 
-fn values_scrubbed() -> &'static Arc<stca_obs::Counter> {
-    static C: OnceLock<Arc<stca_obs::Counter>> = OnceLock::new();
-    C.get_or_init(|| stca_obs::counter("fault.values_scrubbed_total"))
-}
-
 /// True when every value is finite (no NaN, no ±Inf).
 pub fn all_finite(values: &[f64]) -> bool {
     values.iter().all(|v| v.is_finite())
-}
-
-/// Replace non-finite values with 0.0 in place; returns how many were
-/// repaired (also counted on `fault.values_scrubbed_total`).
-pub fn scrub_non_finite(values: &mut [f64]) -> usize {
-    let mut repaired = 0;
-    for v in values.iter_mut() {
-        if !v.is_finite() {
-            *v = 0.0;
-            repaired += 1;
-        }
-    }
-    if repaired > 0 {
-        values_scrubbed().add(repaired as u64);
-    }
-    repaired
 }
 
 /// Record that a training/dataset row was rejected, with the reason logged
@@ -63,13 +42,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn scrub_repairs_only_non_finite() {
-        let mut v = [1.0, f64::NAN, -2.5, f64::INFINITY, f64::NEG_INFINITY];
-        assert!(!all_finite(&v));
-        assert_eq!(scrub_non_finite(&mut v), 3);
-        assert_eq!(v, [1.0, 0.0, -2.5, 0.0, 0.0]);
-        assert!(all_finite(&v));
-        assert_eq!(scrub_non_finite(&mut v), 0);
+    fn all_finite_flags_nan_and_infinities() {
+        assert!(all_finite(&[1.0, 0.0, -2.5, 0.0, 0.0]));
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert!(!all_finite(&[1.0, bad, -2.5]), "{bad}");
+        }
     }
 
     #[test]

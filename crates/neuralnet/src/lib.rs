@@ -13,14 +13,10 @@
 //!   trace, ReLU, flatten, concatenation with scalar features, two dense
 //!   layers, dropout, MSE loss, SGD-with-momentum training;
 //! * [`tune::random_search`] — the random hyperparameter search standing in
-//!   for TUNE (epochs, batch size, learning rate, hidden width, drop rate);
-//! * [`residual::ResNet`] — the residual-network variant the paper names as
-//!   future work, included so the Figure-5 stability study can extend to it.
+//!   for TUNE (epochs, batch size, learning rate, hidden width, drop rate).
 
 pub mod net;
-pub mod residual;
 pub mod tune;
 
 pub use net::{ConvNet, NetConfig};
-pub use residual::{ResNet, ResNetConfig};
 pub use tune::{random_search, SearchSpace, TrialResult};

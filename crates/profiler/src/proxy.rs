@@ -93,11 +93,6 @@ impl ProxyService {
     pub fn switch_count(&self) -> u64 {
         self.switches
     }
-
-    /// Number of currently-triggered outstanding queries.
-    pub fn triggered_count(&self) -> usize {
-        self.triggered.len()
-    }
 }
 
 #[cfg(test)]

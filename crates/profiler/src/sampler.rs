@@ -197,14 +197,6 @@ pub fn sanitize_trace(trace: &mut [CounterSet]) -> TraceSanitizeReport {
     report
 }
 
-/// Human-readable row labels for a given ordering (diagnostics/examples).
-pub fn row_labels(ordering: CounterOrdering) -> Vec<&'static str> {
-    ordering_permutation(ordering)
-        .into_iter()
-        .map(|i| Counter::ALL[i].name())
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -268,13 +260,18 @@ mod tests {
 
     #[test]
     fn labels_follow_permutation() {
-        let labels = row_labels(CounterOrdering::Grouped);
-        assert_eq!(labels[0], "inst_retired");
-        assert_eq!(labels.len(), COUNTER_COUNT);
-        let shuffled = row_labels(CounterOrdering::Shuffled(3));
+        let label = |ordering, row: usize| Counter::ALL[ordering_permutation(ordering)[row]].name();
+        assert_eq!(label(CounterOrdering::Grouped, 0), "inst_retired");
+        assert_eq!(
+            ordering_permutation(CounterOrdering::Grouped).len(),
+            COUNTER_COUNT
+        );
         let perm = ordering_permutation(CounterOrdering::Shuffled(3));
         for (i, &src) in perm.iter().enumerate() {
-            assert_eq!(shuffled[i], Counter::ALL[src].name());
+            assert_eq!(
+                label(CounterOrdering::Shuffled(3), i),
+                label(CounterOrdering::Grouped, src)
+            );
         }
     }
 

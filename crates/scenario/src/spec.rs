@@ -149,8 +149,8 @@ pub struct WorkloadsSection {
 /// `[cat]` — the CAT way layout of the experiment.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CatSection {
-    /// LLC ways of the experiment geometry; 0 keeps the scaled-down
-    /// experiment default.
+    /// LLC ways of the experiment geometry, at most 64 (a way mask is a
+    /// `u64`); 0 keeps the scaled-down experiment default.
     pub ways: u64,
     /// Ways in each workload's default (private) span.
     pub default_span: u64,
@@ -537,7 +537,7 @@ const SCHEMA: &[&[Row]] = &[
     section! { "scenario", scenario reads (NONE) { name, pipeline } },
     section! { "workloads", workloads reads (NONE) { pair reads (PROFILE | TRAIN | EXPLORE), accesses } },
     section! { "cat", cat reads (PROFILE) {
-        ways,
+        ways: Bound::within(0, 64, "way"),
         default_span: Bound::at_least(1, "way"),
         boosted_span: Bound::at_least(1, "way"),
     } },

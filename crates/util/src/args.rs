@@ -118,19 +118,6 @@ impl Args {
         }
     }
 
-    /// Parse a required flag's value.
-    pub fn require_parsed<T: std::str::FromStr>(&self, name: &str) -> Result<T, ArgError>
-    where
-        T::Err: std::fmt::Display,
-    {
-        let v = self.require(name)?;
-        v.parse().map_err(|e| ArgError::BadValue {
-            flag: name.to_string(),
-            value: v.to_string(),
-            why: format!("{e}"),
-        })
-    }
-
     /// A flag's value as a path.
     pub fn path(&self, name: &str) -> Option<PathBuf> {
         self.get(name).map(PathBuf::from)

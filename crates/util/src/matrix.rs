@@ -126,40 +126,6 @@ impl Matrix {
         }
         out
     }
-
-    /// Per-column mean.
-    pub fn col_means(&self) -> Vec<f64> {
-        let mut means = vec![0.0; self.cols];
-        for r in 0..self.rows {
-            for (m, &v) in means.iter_mut().zip(self.row(r)) {
-                *m += v;
-            }
-        }
-        if self.rows > 0 {
-            for m in &mut means {
-                *m /= self.rows as f64;
-            }
-        }
-        means
-    }
-
-    /// Per-column standard deviation (population).
-    pub fn col_stds(&self) -> Vec<f64> {
-        let means = self.col_means();
-        let mut vars = vec![0.0; self.cols];
-        for r in 0..self.rows {
-            for ((v, &m), &x) in vars.iter_mut().zip(&means).zip(self.row(r)) {
-                let d = x - m;
-                *v += d * d;
-            }
-        }
-        if self.rows > 0 {
-            for v in &mut vars {
-                *v = (*v / self.rows as f64).sqrt();
-            }
-        }
-        vars
-    }
 }
 
 impl Index<(usize, usize)> for Matrix {
@@ -235,15 +201,6 @@ mod tests {
         let c = a.hcat(&b);
         assert_eq!(c.cols(), 3);
         assert_eq!(c.row(1), &[2.0, 5.0, 6.0]);
-    }
-
-    #[test]
-    fn col_stats() {
-        let m = Matrix::from_rows(&[vec![1.0, 10.0], vec![3.0, 10.0]]);
-        assert_eq!(m.col_means(), vec![2.0, 10.0]);
-        let s = m.col_stds();
-        assert!((s[0] - 1.0).abs() < 1e-12);
-        assert_eq!(s[1], 0.0);
     }
 
     #[test]

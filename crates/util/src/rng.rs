@@ -190,13 +190,6 @@ impl SeedStream {
         }
     }
 
-    /// Fork a stream off an existing generator without consuming from it.
-    pub fn from_rng(rng: &Rng64, tag: u64) -> Self {
-        SeedStream {
-            root: rng.derive_stream(tag),
-        }
-    }
-
     /// The tagged generator for one unit of work.
     pub fn rng(&self, tag: u64) -> Rng64 {
         self.root.derive_stream(tag)

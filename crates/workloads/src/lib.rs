@@ -18,19 +18,16 @@
 //! | Social | moderate reuse, moderate misses | 36 microservice regions, Zipf across regions |
 //! | Redis | low reuse, high misses | weak-Zipf lookups over a large keyspace |
 //!
-//! The crate also provides the arrival processes and the runtime-condition
-//! grid of Table 2 (inter-arrival 25–95% of service rate, timeouts 0–600% of
-//! service time, counter sampling 0.2–1 Hz).
+//! The crate also provides the runtime-condition grid of Table 2
+//! (inter-arrival 25–95% of service rate, timeouts 0–600% of service time,
+//! counter sampling 0.2–1 Hz).
 
 #![warn(clippy::unwrap_used)]
 
-pub mod arrival;
 pub mod conditions;
 pub mod pattern;
-pub mod social;
 pub mod spec;
 
-pub use arrival::ArrivalProcess;
 pub use conditions::RuntimeCondition;
 pub use pattern::{AccessGenerator, AccessPattern};
 pub use spec::{BenchmarkId, BenchmarkParseError, WorkloadSpec};
