@@ -59,12 +59,6 @@ impl AddressMapper {
         addr >> (self.offset_bits + self.set_bits)
     }
 
-    /// Line-granular address (offset stripped) — identity of the cached line.
-    #[inline]
-    pub fn line_addr(&self, addr: Address) -> u64 {
-        addr >> self.offset_bits
-    }
-
     /// Reconstruct a byte address from tag and set (offset zero). Inverse of
     /// the decomposition, used by tests and by victim writeback bookkeeping.
     #[inline]
@@ -98,13 +92,6 @@ mod tests {
         assert_eq!(m.set(64 * 255), 255);
         assert_eq!(m.set(64 * 256), 0, "wraps around");
         assert_eq!(m.tag(64 * 256), 1, "tag increments on wrap");
-    }
-
-    #[test]
-    fn same_line_same_identity() {
-        let m = AddressMapper::new(64, 64);
-        assert_eq!(m.line_addr(100), m.line_addr(127));
-        assert_ne!(m.line_addr(127), m.line_addr(128));
     }
 
     #[test]

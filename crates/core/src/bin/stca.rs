@@ -231,17 +231,26 @@ fn cmd_characterize(args: &Args) -> Result<(), StcaError> {
     let n = spec.workloads.accesses;
     let config = pipeline::hierarchy_config(&spec);
     let ways = config.llc.ways;
+    // each benchmark runs once on a 2-way private allocation and once on
+    // the whole LLC; both masks are checked before the table starts
+    let private = AllocationSetting::new(0, 2).to_cbm(ways).map_err(|_| {
+        StcaError::usage(format!(
+            "[cat] ways = {} is narrower than the 2-way private allocation \
+             characterize measures",
+            spec.cat.ways
+        ))
+    })?;
+    let full = AllocationSetting::new(0, ways)
+        .to_cbm(ways)
+        .map_err(|e| StcaError::usage(format!("[cat] ways = {}: {e}", spec.cat.ways)))?;
     println!(
         "{:>10} {:>16} {:>14} {:>20}",
         "benchmark", "footprint(ways)", "LLC MPKA(2w)", "full-cache speedup"
     );
     for id in BenchmarkId::ALL {
         let wspec = WorkloadSpec::for_benchmark(id);
-        let run = |alloc: AllocationSetting| -> Result<(f64, f64), StcaError> {
+        let run = |cbm| {
             let mut hier = stca_cachesim::Hierarchy::new(config, 42);
-            let cbm = alloc.to_cbm(ways).map_err(|e| StcaError::InvalidInput {
-                what: format!("allocation does not fit the LLC: {e}"),
-            })?;
             hier.set_llc_mask(0, cbm);
             let mut gen =
                 AccessGenerator::new(wspec.pattern_for(&config), 0, wspec.store_fraction, 42);
@@ -255,13 +264,13 @@ fn cmd_characterize(args: &Args) -> Result<(), StcaError> {
                 hier.access(0, a, k);
             }
             let c = hier.counters_of(0).delta(&before);
-            Ok((
+            (
                 c.get(Counter::LlcMisses) as f64 * 1000.0 / n as f64,
                 c.get(Counter::Cycles) as f64 / n as f64,
-            ))
+            )
         };
-        let (mpka, cpa_private) = run(AllocationSetting::new(0, 2))?;
-        let (_, cpa_full) = run(AllocationSetting::new(0, ways))?;
+        let (mpka, cpa_private) = run(private);
+        let (_, cpa_full) = run(full);
         println!(
             "{:>10} {:>16.2} {:>14.1} {:>19.2}x",
             id.short_name(),

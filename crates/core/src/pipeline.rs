@@ -27,7 +27,7 @@ use stca_profiler::sampler::CounterOrdering;
 use stca_profiler::storage;
 use stca_scenario::{fnv1a, ModelKind, PredictorKind, ScenarioSpec, Stage};
 use stca_serve::FleetReport;
-use stca_util::Rng64;
+use stca_util::{Fnv1a, Rng64};
 use stca_workloads::{RuntimeCondition, WorkloadSpec};
 use std::path::{Path, PathBuf};
 
@@ -475,12 +475,14 @@ pub fn run_scenario(
         ckpt.save()?;
         stages.push(outcome);
     }
-    let mut words = vec![spec.fingerprint()];
-    words.extend(stages.iter().map(|s| s.hash));
-    let scenario_hash = stca_fault::checkpoint::fingerprint(words);
+    let mut scenario_hash = Fnv1a::new();
+    scenario_hash.word(spec.fingerprint());
+    for stage in &stages {
+        scenario_hash.word(stage.hash);
+    }
     Ok(RunSummary {
         stages,
-        scenario_hash,
+        scenario_hash: scenario_hash.finish(),
         dir: paths.dir,
     })
 }

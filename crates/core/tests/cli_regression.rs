@@ -345,9 +345,11 @@ fn huge_adapt_window_serves_and_huge_server_count_exits_2() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// A `[cat]` way count past 64 (a way mask is a `u64`) or too narrow for
-/// the pair layout is a usage error (exit 2) naming the `[cat]` keys, not
-/// a panic inside the cache simulator reported as failed conditions.
+/// A `[cat]` way count past 64 (a way mask is a `u64`), too narrow for
+/// the pair layout, or too narrow for characterize's 2-way private
+/// allocation is a usage error (exit 2) naming the `[cat]` keys, with
+/// nothing on stdout, not a panic inside the cache simulator reported as
+/// failed conditions.
 #[test]
 fn bad_cat_ways_exit_2() {
     let dir = temp_dir("cat-ways");
@@ -359,6 +361,7 @@ fn bad_cat_ways_exit_2() {
             "profile",
             "[cat] default_span = 2 and boosted_span = 2 need 6 ways",
         ),
+        ("1", "characterize", "[cat] ways = 1 is narrower than"),
     ] {
         let spec = dir.join(format!("ways-{ways}.stca"));
         let text = format!("[cat]\nways = {ways}\n\n[profile]\nconditions = 1\n");
@@ -367,6 +370,7 @@ fn bad_cat_ways_exit_2() {
         let err = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(2), "{cmd} ways = {ways}: {err}");
         assert!(err.contains(want), "{cmd} ways = {ways}: bad error: {err}");
+        assert!(out.stdout.is_empty(), "{cmd} ways = {ways}: wrote stdout");
     }
     std::fs::remove_dir_all(&dir).ok();
 }

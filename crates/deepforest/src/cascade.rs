@@ -10,7 +10,7 @@
 //! predictions.
 
 use crate::forest::{Forest, ForestConfig};
-use stca_util::{Matrix, SeedStream};
+use stca_util::{Fnv1a, Matrix, SeedStream};
 use std::sync::{Arc, OnceLock};
 
 /// Global cascade metrics, resolved once (predict runs in hot loops).
@@ -95,35 +95,27 @@ pub struct Cascade {
 /// stream. Two calls share a fingerprint iff a cold [`Cascade::fit`] on
 /// them would be bit-identical.
 pub fn fit_fingerprint(x: &Matrix, y: &[f64], config: &CascadeConfig, stream: &SeedStream) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = OFFSET;
-    let mut mix = |v: u64| {
-        for shift in [0, 8, 16, 24, 32, 40, 48, 56] {
-            h ^= (v >> shift) & 0xFF;
-            h = h.wrapping_mul(PRIME);
-        }
-    };
-    mix(x.rows() as u64);
-    mix(x.cols() as u64);
+    let mut h = Fnv1a::new();
+    h.word(x.rows() as u64);
+    h.word(x.cols() as u64);
     for r in 0..x.rows() {
         for v in x.row(r) {
-            mix(v.to_bits());
+            h.word(v.to_bits());
         }
     }
     for v in y {
-        mix(v.to_bits());
+        h.word(v.to_bits());
     }
-    mix(config.levels as u64);
-    mix(config.forests_per_level as u64);
-    mix(config.trees_per_forest as u64);
-    mix(config.folds as u64);
-    mix(config.bins.map_or(u64::MAX, |b| b as u64));
-    mix(config.reference as u64);
+    h.word(config.levels as u64);
+    h.word(config.forests_per_level as u64);
+    h.word(config.trees_per_forest as u64);
+    h.word(config.folds as u64);
+    h.word(config.bins.map_or(u64::MAX, |b| b as u64));
+    h.word(config.reference as u64);
     // probe the stream on a tag fit() never uses, so two streams that
     // would drive identical fits hash identically and others do not
-    mix(stream.rng(0xF17E_F1FE).next_u64());
-    h
+    h.word(stream.rng(0xF17E_F1FE).next_u64());
+    h.finish()
 }
 
 fn forest_config(slot: usize, config: &CascadeConfig) -> ForestConfig {

@@ -72,19 +72,6 @@ pub fn value_to_f64s(v: &Value) -> Option<Vec<f64>> {
     }
 }
 
-/// FNV-1a over a stream of u64 words — cheap input fingerprinting for
-/// checkpoint meta strings.
-pub fn fingerprint(words: impl IntoIterator<Item = u64>) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for w in words {
-        for b in w.to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-    }
-    h
-}
-
 /// A keyed, resumable store of completed work units.
 #[derive(Debug)]
 pub struct Checkpoint {
@@ -290,10 +277,5 @@ mod tests {
         let c = Checkpoint::load_or_new(&path, "m").expect("load");
         assert!(c.is_empty());
         std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn fingerprint_is_order_sensitive() {
-        assert_ne!(fingerprint([1, 2, 3]), fingerprint([3, 2, 1]));
     }
 }

@@ -22,10 +22,12 @@ pub mod spec;
 
 pub use parse::{apply_str, parse_str};
 pub use spec::{
-    fnv1a, ArtifactsSection, CatSection, FaultSection, FleetSection, ModelKind, PredictorKind,
+    ArtifactsSection, CatSection, FaultSection, FleetSection, ModelKind, PredictorKind,
     ProfileSection, ScenarioSection, ScenarioSpec, ServeSection, SpecValue, Stage, TraceSection,
     TrainSection, WorkloadsSection, SECTIONS,
 };
+/// FNV-1a over bytes: spec fingerprints, stage keys and artifact hashes.
+pub use stca_util::fnv1a;
 
 use stca_fault::StcaError;
 use std::path::Path;

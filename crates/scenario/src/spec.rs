@@ -31,7 +31,7 @@
 
 use stca_fault::FaultPlan;
 use stca_serve::{AdaptConfig, OverloadPolicy, RouterKind};
-use stca_util::{Bound, SpecErrorKind, SpecLocation};
+use stca_util::{fnv1a, Bound, SpecErrorKind, SpecLocation};
 use stca_workloads::BenchmarkId;
 use std::sync::OnceLock;
 
@@ -923,16 +923,6 @@ impl ScenarioSpec {
         }
         out
     }
-}
-
-/// FNV-1a over bytes; used for spec fingerprints and artifact hashes.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
 }
 
 fn list(items: impl Iterator<Item = String>) -> String {

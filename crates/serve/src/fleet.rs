@@ -168,8 +168,12 @@ impl FleetConfig {
     }
 }
 
-/// Per-shard outcome summary.
-#[derive(Debug, Clone)]
+/// Per-shard outcome summary. The shard core counts straight into it; the
+/// breaker and hysteresis counters, the response summary,
+/// `final_timeout_idx` and `adapt` are filled in when the run ends. Each
+/// value is reported by one row of `SHARD_ROWS` (the lifecycle's by
+/// `ADAPT_ROWS`), which names its health-JSON key and its metric.
+#[derive(Debug, Clone, Default)]
 pub struct ShardStats {
     /// Shard id.
     pub id: u32,
@@ -223,103 +227,166 @@ pub struct ShardStats {
     pub adapt: Option<AdaptStats>,
 }
 
-/// A JSON object map from `(key, value)` pairs.
-fn map<const N: usize>(pairs: [(&str, Value); N]) -> BTreeMap<String, Value> {
-    pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect()
+/// How a report row reads its value.
+enum Get<S> {
+    /// A counter: a JSON integer, and a metric counter registered only
+    /// once it is above zero.
+    Count(fn(&S) -> u64),
+    /// A number: a JSON number, and a metric gauge that is always set.
+    Num(fn(&S) -> f64),
 }
 
-fn object<const N: usize>(pairs: [(&str, Value); N]) -> Value {
-    Value::Object(map(pairs))
+/// One reported value of `S`: its health-JSON key and the metric it is
+/// flushed as. An empty `key` or `metric` leaves the value out of that
+/// output.
+struct Row<S> {
+    /// Key in the report object, or `group.key` for a key in one of its
+    /// nested objects.
+    key: &'static str,
+    /// Metric name after its `serve.` or `serve.shardN.` prefix.
+    metric: &'static str,
+    get: Get<S>,
 }
 
-fn int(v: u64) -> Value {
-    Value::Number(v as f64)
+/// A report table over `$s: $ty`. A row reads `"key" => "metric":
+/// Count(value)` or `Num(value)`; an empty key keeps the value out of the
+/// JSON, and a row without `=> "metric"` keeps it out of the metrics.
+macro_rules! rows {
+    ($s:ident: $ty:ty; $($key:literal $(=> $metric:literal)?: $kind:ident($get:expr),)*) => {
+        &[$(Row {
+            key: $key,
+            metric: concat!($($metric)?),
+            get: Get::$kind(|$s: &$ty| $get),
+        },)*]
+    };
+}
+
+/// Every per-shard value: one entry of the health snapshot's `shards`
+/// array, and the `serve.*` (one shard) or `serve.shardN.*` metrics.
+const SHARD_ROWS: &[Row<ShardStats>] = rows! { s: ShardStats;
+    "id": Count(u64::from(s.id)),
+    "accounting.admitted" => "admitted_total": Count(s.accounting.admitted),
+    "accounting.completed" => "completed_total": Count(s.accounting.completed),
+    "" => "shed_total": Count(s.accounting.shed()),
+    "accounting.shed_overload" => "shed_overload_total": Count(s.accounting.shed_overload),
+    "accounting.shed_deadline" => "shed_deadline_total": Count(s.accounting.shed_deadline),
+    "accounting.shed_failed" => "shed_failed_total": Count(s.accounting.shed_failed),
+    "accounting.drained" => "drained_total": Count(s.accounting.drained),
+    "accounting.rerouted_out" => "rerouted_out_total": Count(s.rerouted_out),
+    "accounting.blocked" => "blocked_total": Count(s.accounting.blocked),
+    "accounting.deadline_exceeded" => "deadline_exceeded_total":
+        Count(s.accounting.deadline_exceeded),
+    "faults.crashes" => "crashes_total": Count(s.crashes),
+    "faults.recoveries" => "recoveries_total": Count(s.recoveries),
+    "faults.stalls" => "stalls_total": Count(s.stalls),
+    "faults.flaps" => "flaps_total": Count(s.flaps),
+    "breaker.opens" => "breaker.opens_total": Count(s.breaker_opens),
+    "breaker.closes" => "breaker.closes_total": Count(s.breaker_closes),
+    "breaker.probes" => "breaker.probes_total": Count(s.breaker_probes),
+    "breaker.rejects" => "breaker.rejects_total": Count(s.breaker_rejects),
+    "policy.applies" => "policy_applies_total": Count(s.policy_applies),
+    "policy.suppressed" => "policy_suppressed_total": Count(s.policy_suppressed),
+    "policy.validations" => "policy_validations_total": Count(s.policy_validations),
+    "policy.sim_budget_exhausted" => "sim_budget_exhausted_total": Count(s.sim_budget_exhausted),
+    "policy.applied_timeout_ratio": Num(TIMEOUT_GRID[s.final_timeout_idx]),
+    "response.mean_s": Num(s.mean_response_s),
+    "response.p50_s": Num(s.p50_response_s),
+    "response.p99_s": Num(s.p99_response_s),
+    "degraded" => "degraded_total": Count(s.degraded),
+    "watchdog_trips" => "watchdog_trips_total": Count(s.watchdog_trips),
+    "retries" => "retries_total": Count(s.retries),
+};
+
+/// A shard's lifecycle values, reported beside [`SHARD_ROWS`] when
+/// adaptation is on.
+const ADAPT_ROWS: &[Row<AdaptStats>] = rows! { a: AdaptStats;
+    "adapt.drifts" => "adapt.drifts_total": Count(a.drifts),
+    "adapt.retrains" => "adapt.retrains_total": Count(a.retrains),
+    "adapt.retrain_failures" => "adapt.retrain_failures_total": Count(a.retrain_failures),
+    "adapt.retrain_slows" => "adapt.retrain_slows_total": Count(a.retrain_slows),
+    "adapt.shadow_scored" => "adapt.shadow_scored_total": Count(a.shadow_scored),
+    "adapt.shadow_agree": Count(a.shadow_agree),
+    "adapt.promotions" => "adapt.promotions_total": Count(a.promotions),
+    "adapt.promote_refused" => "adapt.promote_refused_total": Count(a.promote_refused),
+    "adapt.rollbacks" => "adapt.rollbacks_total": Count(a.rollbacks),
+    "adapt.guard_passes" => "adapt.guard_passes_total": Count(a.guard_passes),
+    "adapt.active_version" => "adapt.active_version": Num(a.active_version as f64),
+    "adapt.last_drift_score" => "adapt.drift_score": Num(a.last_drift_score),
+    "adapt.last_shadow_agreement" => "adapt.shadow_agreement": Num(a.last_shadow_agreement),
+};
+
+/// The fleet totals. Their `serve.fleet.*` metrics are flushed only when
+/// there are several shards.
+const FLEET_ROWS: &[Row<FleetReport>] = rows! { r: FleetReport;
+    "offered" => "fleet.offered_total": Count(r.offered),
+    "completed" => "fleet.completed_total": Count(r.completed()),
+    "" => "fleet.settled_total": Count(r.settled()),
+    "rerouted" => "fleet.rerouted_total": Count(r.rerouted),
+    "router_shed" => "fleet.router_shed_total": Count(r.router_shed),
+    "" => "fleet.shard_crashes_total": Count(r.shards.iter().map(|s| s.crashes).sum()),
+    "" => "fleet.shard_recoveries_total": Count(r.shards.iter().map(|s| s.recoveries).sum()),
+    "" => "fleet.adapt.promotions_total": Count(r.adapt_sum(|a| a.promotions)),
+    "" => "fleet.adapt.rollbacks_total": Count(r.adapt_sum(|a| a.rollbacks)),
+    "response.mean_s" => "fleet.mean_response_s": Num(r.mean_response_s),
+    "response.p50_s": Num(r.p50_response_s),
+    "response.p99_s" => "fleet.p99_response_s": Num(r.p99_response_s),
+    "virtual_end_s": Num(r.virtual_end_s),
+};
+
+/// The merged flight recorder's retention counters (traced runs only).
+const TRACE_ROWS: &[Row<TraceDump>] = rows! { d: TraceDump;
+    "trace.retained_error": Count(d.stats.retained_error),
+    "trace.retained_normal": Count(d.stats.retained_normal),
+    "trace.evicted_normal": Count(d.stats.evicted_normal),
+    "trace.dropped_error": Count(d.stats.dropped_error),
+    "trace.sample_every": Count(d.sample_every),
+};
+
+/// Insert every row's JSON value for `s` into `root`, creating each nested
+/// object on first use.
+fn json_rows<S>(rows: &[Row<S>], s: &S, root: &mut BTreeMap<String, Value>) {
+    for row in rows.iter().filter(|row| !row.key.is_empty()) {
+        let value = match row.get {
+            Get::Count(get) => Value::Number(get(s) as f64),
+            Get::Num(get) => Value::Number(get(s)),
+        };
+        let Some((group, key)) = row.key.split_once('.') else {
+            root.insert(row.key.to_string(), value);
+            continue;
+        };
+        let group = root
+            .entry(group.to_string())
+            .or_insert_with(|| Value::Object(BTreeMap::new()));
+        if let Value::Object(group) = group {
+            group.insert(key.to_string(), value);
+        }
+    }
+}
+
+/// Flush every row's metric for `s` under `serve.` (`shard` is `None`) or
+/// `serve.shardN.`.
+fn flush_rows<S>(rows: &[Row<S>], s: &S, shard: Option<u32>) {
+    for row in rows.iter().filter(|row| !row.metric.is_empty()) {
+        match row.get {
+            Get::Count(get) => {
+                let v = get(s);
+                if v > 0 {
+                    stca_obs::counter(&shard_metric(shard, row.metric)).add(v);
+                }
+            }
+            Get::Num(get) => stca_obs::gauge(&shard_metric(shard, row.metric)).set(get(s)),
+        }
+    }
 }
 
 impl ShardStats {
     /// The shard summary as a JSON tree (one entry of the health
     /// snapshot's `shards` array).
     fn to_json_value(&self) -> Value {
-        let a = &self.accounting;
-        let mut root = map([
-            ("id", int(u64::from(self.id))),
-            (
-                "accounting",
-                object([
-                    ("admitted", int(a.admitted)),
-                    ("completed", int(a.completed)),
-                    ("shed_overload", int(a.shed_overload)),
-                    ("shed_deadline", int(a.shed_deadline)),
-                    ("shed_failed", int(a.shed_failed)),
-                    ("drained", int(a.drained)),
-                    ("rerouted_out", int(self.rerouted_out)),
-                    ("blocked", int(a.blocked)),
-                    ("deadline_exceeded", int(a.deadline_exceeded)),
-                ]),
-            ),
-            (
-                "faults",
-                object([
-                    ("crashes", int(self.crashes)),
-                    ("recoveries", int(self.recoveries)),
-                    ("stalls", int(self.stalls)),
-                    ("flaps", int(self.flaps)),
-                ]),
-            ),
-            (
-                "breaker",
-                object([
-                    ("opens", int(self.breaker_opens)),
-                    ("closes", int(self.breaker_closes)),
-                    ("probes", int(self.breaker_probes)),
-                    ("rejects", int(self.breaker_rejects)),
-                ]),
-            ),
-            (
-                "policy",
-                object([
-                    ("applies", int(self.policy_applies)),
-                    ("suppressed", int(self.policy_suppressed)),
-                    ("validations", int(self.policy_validations)),
-                    ("sim_budget_exhausted", int(self.sim_budget_exhausted)),
-                    (
-                        "applied_timeout_ratio",
-                        Value::Number(TIMEOUT_GRID[self.final_timeout_idx]),
-                    ),
-                ]),
-            ),
-            (
-                "response",
-                object([
-                    ("mean_s", Value::Number(self.mean_response_s)),
-                    ("p50_s", Value::Number(self.p50_response_s)),
-                    ("p99_s", Value::Number(self.p99_response_s)),
-                ]),
-            ),
-            ("degraded", int(self.degraded)),
-            ("watchdog_trips", int(self.watchdog_trips)),
-            ("retries", int(self.retries)),
-        ]);
-        if let Some(a) = &self.adapt {
-            let adapt = object([
-                ("drifts", int(a.drifts)),
-                ("retrains", int(a.retrains)),
-                ("retrain_failures", int(a.retrain_failures)),
-                ("retrain_slows", int(a.retrain_slows)),
-                ("shadow_scored", int(a.shadow_scored)),
-                ("shadow_agree", int(a.shadow_agree)),
-                ("promotions", int(a.promotions)),
-                ("promote_refused", int(a.promote_refused)),
-                ("rollbacks", int(a.rollbacks)),
-                ("guard_passes", int(a.guard_passes)),
-                ("active_version", int(a.active_version)),
-                ("last_drift_score", Value::Number(a.last_drift_score)),
-                (
-                    "last_shadow_agreement",
-                    Value::Number(a.last_shadow_agreement),
-                ),
-            ]);
-            root.insert("adapt".into(), adapt);
+        let mut root = BTreeMap::new();
+        json_rows(SHARD_ROWS, self, &mut root);
+        if let Some(adapt) = &self.adapt {
+            json_rows(ADAPT_ROWS, adapt, &mut root);
         }
         Value::Object(root)
     }
@@ -378,51 +445,38 @@ impl FleetReport {
             let a = &s.accounting;
             a.admitted == a.completed + a.shed() + a.drained + s.rerouted_out
         });
-        let settled: u64 = self
-            .shards
+        shards_ok && self.offered == self.settled() + self.router_shed
+    }
+
+    /// Requests that ended in a shard disposition (completed, shed or
+    /// drained), summed over shards.
+    fn settled(&self) -> u64 {
+        self.shards
             .iter()
             .map(|s| s.accounting.completed + s.accounting.shed() + s.accounting.drained)
-            .sum();
-        shards_ok && self.offered == settled + self.router_shed
+            .sum()
+    }
+
+    /// One lifecycle counter summed over the shards that ran adaptation.
+    fn adapt_sum(&self, counter: fn(&AdaptStats) -> u64) -> u64 {
+        self.shards
+            .iter()
+            .filter_map(|s| s.adapt.as_ref().map(counter))
+            .sum()
     }
 
     /// The report as a JSON tree (health snapshots, CLI output).
     pub fn to_json_value(&self) -> Value {
-        let mut root = map([
-            (
-                "shards",
-                Value::Array(self.shards.iter().map(ShardStats::to_json_value).collect()),
-            ),
-            ("offered", int(self.offered)),
-            ("completed", int(self.completed())),
-            ("rerouted", int(self.rerouted)),
-            ("router_shed", int(self.router_shed)),
-            ("balanced", Value::Bool(self.balanced())),
-            (
-                "response",
-                object([
-                    ("mean_s", Value::Number(self.mean_response_s)),
-                    ("p50_s", Value::Number(self.p50_response_s)),
-                    ("p99_s", Value::Number(self.p99_response_s)),
-                ]),
-            ),
-            (
-                "decision_hash",
-                Value::String(format!("{:016x}", self.decision_hash)),
-            ),
-            ("virtual_end_s", Value::Number(self.virtual_end_s)),
-        ]);
+        let mut root = BTreeMap::new();
+        json_rows(FLEET_ROWS, self, &mut root);
         if let Some(dump) = &self.trace_dump {
-            let st = &dump.stats;
-            let trace = object([
-                ("retained_error", int(st.retained_error)),
-                ("retained_normal", int(st.retained_normal)),
-                ("evicted_normal", int(st.evicted_normal)),
-                ("dropped_error", int(st.dropped_error)),
-                ("sample_every", int(dump.sample_every)),
-            ]);
-            root.insert("trace".into(), trace);
+            json_rows(TRACE_ROWS, dump, &mut root);
         }
+        let shards = self.shards.iter().map(ShardStats::to_json_value).collect();
+        root.insert("shards".into(), Value::Array(shards));
+        root.insert("balanced".into(), Value::Bool(self.balanced()));
+        let hash = format!("{:016x}", self.decision_hash);
+        root.insert("decision_hash".into(), Value::String(hash));
         Value::Object(root)
     }
 }
@@ -481,16 +535,11 @@ fn response_summary(responses: &mut [f64]) -> (f64, f64, f64) {
     (mean, p50, p99)
 }
 
-/// One shard plus its fleet-level fault/routing state.
+/// One shard plus its fleet-level routing state.
 struct Slot<'a> {
     core: ShardCore<'a>,
     crashed: bool,
     flapped: bool,
-    rerouted_out: u64,
-    crashes: u64,
-    recoveries: u64,
-    stalls: u64,
-    flaps: u64,
 }
 
 /// Routing salt: keeps rendezvous scores decoupled from the stream's own
@@ -557,10 +606,10 @@ fn apply_epoch(
         slot.crashed = crashed;
         if crashed {
             if !was_crashed {
-                slot.crashes += 1;
+                slot.core.stats.crashes += 1;
                 sink.push(Entry::ShardCrash { shard: id, epoch }, None);
                 for p in slot.core.flush_waiting() {
-                    slot.rerouted_out += 1;
+                    slot.core.stats.rerouted_out += 1;
                     flushed.push((id, p));
                 }
             }
@@ -569,16 +618,16 @@ fn apply_epoch(
             continue;
         }
         if was_crashed {
-            slot.recoveries += 1;
+            slot.core.stats.recoveries += 1;
             sink.push(Entry::ShardRecover { shard: id, epoch }, None);
         }
         if slot.flapped {
-            slot.flaps += 1;
+            slot.core.stats.flaps += 1;
             sink.push(Entry::ShardFlap { shard: id, epoch }, None);
         }
         let stall = plan.shard_stall_s(id, epoch, epoch_s);
         if stall > 0.0 {
-            slot.stalls += 1;
+            slot.core.stats.stalls += 1;
             sink.push(
                 Entry::ShardStall {
                     shard: id,
@@ -654,11 +703,6 @@ pub fn serve_fleet(
                 core,
                 crashed: false,
                 flapped: false,
-                rerouted_out: 0,
-                crashes: 0,
-                recoveries: 0,
-                stalls: 0,
-                flaps: 0,
             }
         })
         .collect();
@@ -864,35 +908,24 @@ pub fn serve_fleet(
     // per-shard and fleet-wide percentiles
     let mut all_responses: Vec<f64> = Vec::new();
     let mut shard_stats = Vec::with_capacity(slots.len());
-    for (slot, id) in slots.iter_mut().zip(0u32..) {
-        let mut responses = std::mem::take(&mut slot.core.responses);
+    for slot in &mut slots {
+        let core = &mut slot.core;
+        let mut responses = std::mem::take(&mut core.responses);
         all_responses.extend_from_slice(&responses);
         let (mean, p50, p99) = response_summary(&mut responses);
-        let core = &slot.core;
         shard_stats.push(ShardStats {
-            id,
-            accounting: core.acct,
-            rerouted_out: slot.rerouted_out,
-            crashes: slot.crashes,
-            recoveries: slot.recoveries,
-            stalls: slot.stalls,
-            flaps: slot.flaps,
             breaker_opens: core.breaker.opens,
             breaker_closes: core.breaker.closes,
             breaker_probes: core.breaker.probes,
             breaker_rejects: core.breaker.rejects,
-            degraded: core.degraded,
-            watchdog_trips: core.watchdog_trips,
-            retries: core.retries,
             policy_applies: core.hyst.applies,
             policy_suppressed: core.hyst.suppressed,
-            policy_validations: core.policy_validations,
-            sim_budget_exhausted: core.sim_budget_exhausted,
             final_timeout_idx: core.hyst.applied(),
             mean_response_s: mean,
             p50_response_s: p50,
             p99_response_s: p99,
             adapt: core.lifecycle.as_ref().map(|lc| lc.stats),
+            ..core.stats.clone()
         });
     }
     let (fleet_mean, fleet_p50, fleet_p99) = response_summary(&mut all_responses);
@@ -933,110 +966,20 @@ pub fn serve_fleet(
 }
 
 /// Flush run totals into the global metrics: per shard under `serve.*`
-/// (one shard) or `serve.shardN.*` (breaker counters nest as
-/// `breaker.*`), plus the `serve.fleet.*` rollup when there are several
-/// shards.
+/// (one shard) or `serve.shardN.*`, plus the `serve.fleet.*` rollup when
+/// there are several shards.
 fn flush_metrics(r: &FleetReport) {
     let fleet = r.shards.len() > 1;
     for s in &r.shards {
-        let a = &s.accounting;
         let shard = fleet.then_some(s.id);
-        let mut counters = vec![
-            ("admitted_total", a.admitted),
-            ("completed_total", a.completed),
-            ("shed_total", a.shed()),
-            ("shed_overload_total", a.shed_overload),
-            ("shed_deadline_total", a.shed_deadline),
-            ("shed_failed_total", a.shed_failed),
-            ("drained_total", a.drained),
-            ("blocked_total", a.blocked),
-            ("deadline_exceeded_total", a.deadline_exceeded),
-            ("rerouted_out_total", s.rerouted_out),
-            ("crashes_total", s.crashes),
-            ("recoveries_total", s.recoveries),
-            ("stalls_total", s.stalls),
-            ("flaps_total", s.flaps),
-            ("degraded_total", s.degraded),
-            ("watchdog_trips_total", s.watchdog_trips),
-            ("retries_total", s.retries),
-            ("policy_applies_total", s.policy_applies),
-            ("policy_suppressed_total", s.policy_suppressed),
-            ("policy_validations_total", s.policy_validations),
-            ("sim_budget_exhausted_total", s.sim_budget_exhausted),
-            ("breaker.opens_total", s.breaker_opens),
-            ("breaker.closes_total", s.breaker_closes),
-            ("breaker.probes_total", s.breaker_probes),
-            ("breaker.rejects_total", s.breaker_rejects),
-        ];
-        if let Some(ad) = &s.adapt {
-            counters.extend([
-                ("adapt.drifts_total", ad.drifts),
-                ("adapt.retrains_total", ad.retrains),
-                ("adapt.retrain_failures_total", ad.retrain_failures),
-                ("adapt.retrain_slows_total", ad.retrain_slows),
-                ("adapt.shadow_scored_total", ad.shadow_scored),
-                ("adapt.promotions_total", ad.promotions),
-                ("adapt.promote_refused_total", ad.promote_refused),
-                ("adapt.rollbacks_total", ad.rollbacks),
-                ("adapt.guard_passes_total", ad.guard_passes),
-            ]);
-            for (name, v) in [
-                ("adapt.drift_score", ad.last_drift_score),
-                ("adapt.shadow_agreement", ad.last_shadow_agreement),
-                ("adapt.active_version", ad.active_version as f64),
-            ] {
-                stca_obs::gauge(&shard_metric(shard, name)).set(v);
-            }
-        }
-        for (name, v) in counters {
-            if v > 0 {
-                stca_obs::counter(&shard_metric(shard, name)).add(v);
-            }
+        flush_rows(SHARD_ROWS, s, shard);
+        if let Some(adapt) = &s.adapt {
+            flush_rows(ADAPT_ROWS, adapt, shard);
         }
     }
-    if !fleet {
-        return;
+    if fleet {
+        flush_rows(FLEET_ROWS, r, None);
     }
-    let settled: u64 = r
-        .shards
-        .iter()
-        .map(|s| s.accounting.completed + s.accounting.shed() + s.accounting.drained)
-        .sum();
-    let adapt_sum = |f: fn(&AdaptStats) -> u64| -> u64 {
-        r.shards
-            .iter()
-            .filter_map(|s| s.adapt.as_ref().map(f))
-            .sum()
-    };
-    for (name, v) in [
-        ("serve.fleet.offered_total", r.offered),
-        ("serve.fleet.completed_total", r.completed()),
-        ("serve.fleet.settled_total", settled),
-        ("serve.fleet.rerouted_total", r.rerouted),
-        ("serve.fleet.router_shed_total", r.router_shed),
-        (
-            "serve.fleet.shard_crashes_total",
-            r.shards.iter().map(|s| s.crashes).sum(),
-        ),
-        (
-            "serve.fleet.shard_recoveries_total",
-            r.shards.iter().map(|s| s.recoveries).sum(),
-        ),
-        (
-            "serve.fleet.adapt.promotions_total",
-            adapt_sum(|a| a.promotions),
-        ),
-        (
-            "serve.fleet.adapt.rollbacks_total",
-            adapt_sum(|a| a.rollbacks),
-        ),
-    ] {
-        if v > 0 {
-            stca_obs::counter(name).add(v);
-        }
-    }
-    stca_obs::gauge("serve.fleet.p99_response_s").set(r.p99_response_s);
-    stca_obs::gauge("serve.fleet.mean_response_s").set(r.mean_response_s);
 }
 
 #[cfg(test)]

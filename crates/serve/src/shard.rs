@@ -19,16 +19,17 @@
 use crate::adapt::{AdaptEvent, Completion, Lifecycle};
 use crate::breaker::CircuitBreaker;
 use crate::decision_log::{Entry, LogStage};
+use crate::fleet::ShardStats;
 use crate::hysteresis::Hysteresis;
 use crate::model::{decide, EaModel, TIMEOUT_GRID};
 use crate::request::Request;
-use crate::server::{Accounting, OverloadPolicy, ServeConfig};
+use crate::server::{OverloadPolicy, ServeConfig};
 use crate::watchdog::{StageRun, Watchdog};
 use crate::Verdict;
 use stca_fault::{FaultInjector, FaultPlan};
 use stca_queuesim::{QueueSim, RunBudget, StationConfig};
 use stca_trace::{AttrValue, Disposition, FlightRecorder, Stage, TraceCtx};
-use stca_util::Distribution;
+use stca_util::{Distribution, Fnv1a};
 use std::collections::VecDeque;
 
 /// A per-shard metric name: `serve.<name>` in a one-shard run,
@@ -40,16 +41,13 @@ pub(crate) fn shard_metric(shard: Option<u32>, name: &str) -> String {
     }
 }
 
-pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-pub(crate) const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
 /// Rolling FNV-1a decision-log hash plus the (optional) retained log, and
 /// the queue of validation sims not yet run.
 /// Entries are hashed as `entry + "\n"` so the hash equals the FNV-1a of
 /// the decision-log file bytes.
 #[derive(Debug)]
 pub(crate) struct DecisionSink {
-    hash: u64,
+    hash: Fnv1a,
     log: Vec<String>,
     keep: bool,
     /// Each entry is encoded here, so only a retained entry allocates.
@@ -60,7 +58,7 @@ pub(crate) struct DecisionSink {
 impl DecisionSink {
     pub(crate) fn new(keep: bool) -> Self {
         DecisionSink {
-            hash: FNV_OFFSET,
+            hash: Fnv1a::new(),
             log: Vec::new(),
             keep,
             buf: Vec::new(),
@@ -75,12 +73,7 @@ impl DecisionSink {
         self.buf.clear();
         entry.encode(shard, &mut self.buf);
         self.buf.push(b'\n');
-        let mut hash = self.hash;
-        for &b in &self.buf {
-            hash ^= u64::from(b);
-            hash = hash.wrapping_mul(FNV_PRIME);
-        }
-        self.hash = hash;
+        self.hash.bytes(&self.buf);
         if self.keep {
             let line = &self.buf[..self.buf.len() - 1];
             let line = String::from_utf8(line.to_vec()).expect("log entries are ASCII");
@@ -95,7 +88,7 @@ impl DecisionSink {
     }
 
     pub(crate) fn hash(&self) -> u64 {
-        self.hash
+        self.hash.finish()
     }
 
     pub(crate) fn into_log(self) -> Vec<String> {
@@ -144,16 +137,13 @@ pub(crate) struct ShardCore<'a> {
     pub(crate) breaker: CircuitBreaker,
     pub(crate) hyst: Hysteresis,
     watchdog: Watchdog,
-    pub(crate) acct: Accounting,
+    /// The shard's report, counted into as the replay runs (the fleet
+    /// driver fills in the rest when the run ends).
+    pub(crate) stats: ShardStats,
     /// Per-server virtual free-at times.
     servers: Vec<f64>,
     pub(crate) waiting: VecDeque<Pending>,
     pub(crate) responses: Vec<f64>,
-    pub(crate) degraded: u64,
-    pub(crate) watchdog_trips: u64,
-    pub(crate) retries: u64,
-    pub(crate) policy_validations: u64,
-    pub(crate) sim_budget_exhausted: u64,
     last_ea: f64,
     seed: u64,
     /// Once graceful drain begins, a half-open breaker must not spend
@@ -196,15 +186,13 @@ impl<'a> ShardCore<'a> {
             watchdog: Watchdog {
                 budget_s: cfg.watchdog_budget_s,
             },
-            acct: Accounting::default(),
+            stats: ShardStats {
+                id: shard.unwrap_or(0),
+                ..ShardStats::default()
+            },
             servers: vec![0.0; cfg.servers],
             waiting: VecDeque::new(),
             responses: Vec::new(),
-            degraded: 0,
-            watchdog_trips: 0,
-            retries: 0,
-            policy_validations: 0,
-            sim_budget_exhausted: 0,
             last_ea: 1.0,
             seed,
             draining: false,
@@ -326,7 +314,7 @@ impl<'a> ShardCore<'a> {
         // deadline check at dispatch: queueing alone may have eaten the
         // whole budget
         if start - p.arrival_s >= p.deadline_s {
-            self.acct.shed_deadline += 1;
+            self.stats.accounting.shed_deadline += 1;
             if let Some(lc) = self.lifecycle.as_mut() {
                 lc.note_deadline_event();
             }
@@ -361,15 +349,15 @@ impl<'a> ShardCore<'a> {
         {
             StageRun::Ok { cost_s } => (cost_s, true, false),
             StageRun::Stuck { wasted_s } => {
-                self.watchdog_trips += 1;
-                self.retries += 1;
+                self.stats.watchdog_trips += 1;
+                self.stats.retries += 1;
                 match self
                     .watchdog
                     .supervise(base_cost_s, self.inj[1].stage_stall_s(tag))
                 {
                     StageRun::Ok { cost_s } => (wasted_s + cost_s, true, true),
                     StageRun::Stuck { wasted_s: w2 } => {
-                        self.watchdog_trips += 1;
+                        self.stats.watchdog_trips += 1;
                         (wasted_s + w2, false, true)
                     }
                 }
@@ -393,7 +381,7 @@ impl<'a> ShardCore<'a> {
         }
         if !predict_ok {
             self.servers[si] = start + predict_cost;
-            self.acct.shed_failed += 1;
+            self.stats.accounting.shed_failed += 1;
             sink.push(
                 Entry::Failed {
                     seq: p.seq,
@@ -421,12 +409,12 @@ impl<'a> ShardCore<'a> {
                 }
                 _ => {
                     self.breaker.record_failure(start);
-                    self.degraded += 1;
+                    self.stats.degraded += 1;
                     (p.comp.degraded_ea, p.comp.degraded_tier)
                 }
             },
             Verdict::Reject => {
-                self.degraded += 1;
+                self.stats.degraded += 1;
                 (p.comp.degraded_ea, p.comp.degraded_tier)
             }
         };
@@ -471,7 +459,7 @@ impl<'a> ShardCore<'a> {
         // budget died in the predict stage
         if (start + predict_cost) - p.arrival_s >= p.deadline_s {
             self.servers[si] = start + predict_cost;
-            self.acct.shed_deadline += 1;
+            self.stats.accounting.shed_deadline += 1;
             if let Some(lc) = self.lifecycle.as_mut() {
                 lc.note_deadline_event();
             }
@@ -500,7 +488,7 @@ impl<'a> ShardCore<'a> {
         let total = predict_cost + decide_cost;
         if !decide_ok {
             self.servers[si] = start + total;
-            self.acct.shed_failed += 1;
+            self.stats.accounting.shed_failed += 1;
             sink.push(
                 Entry::Failed {
                     seq: p.seq,
@@ -535,10 +523,10 @@ impl<'a> ShardCore<'a> {
         self.servers[si] = completion;
         stca_obs::set_virtual_now(completion);
         let resp = completion - p.arrival_s;
-        self.acct.completed += 1;
+        self.stats.accounting.completed += 1;
         let exceeded = resp > p.deadline_s;
         if exceeded {
-            self.acct.deadline_exceeded += 1;
+            self.stats.accounting.deadline_exceeded += 1;
         }
         self.responses.push(resp);
         if let Some(ctx) = p.ctx.as_ref() {
@@ -714,9 +702,9 @@ impl<'a> ShardCore<'a> {
     /// see a sim's result: no decision, log entry, span, route or breaker
     /// does, which is why the sims can run off the serial replay.
     pub(crate) fn record_validation(&mut self, outcome: &ValidationOutcome) {
-        self.policy_validations += 1;
+        self.stats.policy_validations += 1;
         if outcome.exhausted {
-            self.sim_budget_exhausted += 1;
+            self.stats.sim_budget_exhausted += 1;
         }
         if let Some(mean) = outcome.mean_response_s {
             stca_obs::gauge("serve.policy_validation_mean_response_s").set(mean);
@@ -725,21 +713,21 @@ impl<'a> ShardCore<'a> {
 
     /// Admit one arrival (phase-2 entry point, in arrival order).
     pub(crate) fn arrive(&mut self, mut p: Pending, sink: &mut DecisionSink) {
-        self.acct.admitted += 1;
+        self.stats.accounting.admitted += 1;
         let now = p.ready_s;
         stca_obs::set_virtual_now(now);
         self.dispatch_ready(now, sink);
         if self.waiting.len() >= self.cfg.queue_capacity {
             match self.cfg.overload {
                 OverloadPolicy::ShedNewest => {
-                    self.acct.shed_overload += 1;
+                    self.stats.accounting.shed_overload += 1;
                     sink.push(Entry::ShedOverload { seq: p.seq }, self.shard);
                     self.record_trace(p.ctx.take(), Disposition::ShedOverload, now);
                     return;
                 }
                 OverloadPolicy::ShedOldest => {
                     if let Some(mut old) = self.waiting.pop_front() {
-                        self.acct.shed_overload += 1;
+                        self.stats.accounting.shed_overload += 1;
                         sink.push(Entry::ShedOverload { seq: old.seq }, self.shard);
                         if let Some(ctx) = old.ctx.as_mut() {
                             ctx.push_span(Stage::QueueWait, old.arrival_s, now);
@@ -748,7 +736,7 @@ impl<'a> ShardCore<'a> {
                     }
                 }
                 OverloadPolicy::Block => {
-                    self.acct.blocked += 1;
+                    self.stats.accounting.blocked += 1;
                 }
             }
         }
@@ -768,7 +756,7 @@ impl<'a> ShardCore<'a> {
             }
             match self.waiting.pop_front() {
                 Some(mut p) => {
-                    self.acct.drained += 1;
+                    self.stats.accounting.drained += 1;
                     sink.push(Entry::Drained { seq: p.seq }, self.shard);
                     if let Some(ctx) = p.ctx.as_mut() {
                         ctx.push_span(Stage::QueueWait, p.arrival_s, deadline);
@@ -933,7 +921,11 @@ mod tests {
                 core.breaker.probes, probes_before,
                 "case {case}: drain admitted probe traffic ({bcfg:?})"
             );
-            assert!(core.acct.balanced(), "case {case}: {:?}", core.acct);
+            assert!(
+                core.stats.accounting.balanced(),
+                "case {case}: {:?}",
+                core.stats.accounting
+            );
         }
     }
 
@@ -955,7 +947,7 @@ mod tests {
         p.ready_s = 4.0; // rerouted at t=4: cannot start earlier
         core.arrive(p, &mut sink);
         core.dispatch_ready(10.0, &mut sink);
-        assert_eq!(core.acct.completed, 1);
+        assert_eq!(core.stats.accounting.completed, 1);
         let resp = core.responses[0];
         assert!(
             resp >= 3.0,

@@ -13,6 +13,7 @@
 pub mod args;
 pub mod bound;
 pub mod dist;
+pub mod fnv;
 pub mod kmeans;
 pub mod matrix;
 pub mod rng;
@@ -22,6 +23,7 @@ pub mod stats;
 pub use args::{ArgError, Args, SpecError, SpecErrorKind, SpecLocation};
 pub use bound::Bound;
 pub use dist::Distribution;
+pub use fnv::{fnv1a, Fnv1a};
 pub use matrix::Matrix;
 pub use rng::{Rng64, SeedStream};
 pub use sort::{argsort_f64, stable_partition_in_place};
