@@ -196,21 +196,40 @@ impl CacheLevel {
         Ok(evicted)
     }
 
-    /// Invalidate the line holding `addr`, if present. Returns whether a
-    /// line was dropped (its dirty state is discarded — callers model the
-    /// writeback themselves when needed).
-    pub fn invalidate(&mut self, addr: Address) -> bool {
+    /// Invalidate the line holding `addr`, if present. Returns `None` when
+    /// no line held it, else `Some(dirty)`: whether the dropped line was
+    /// dirty, so the caller can count its write-back.
+    pub fn invalidate(&mut self, addr: Address) -> Option<bool> {
         let set = self.mapper.set(addr);
-        match self.find(set, self.mapper.tag(addr)) {
-            Some(way) => {
-                self.valid_bits[set] &= !(1 << way);
-                let owner = self.lines[set * self.geometry.ways + way].owner;
-                let left = &mut self.occupancy[owner as usize];
-                *left = left.saturating_sub(1);
-                true
+        let way = self.find(set, self.mapper.tag(addr))?;
+        self.valid_bits[set] &= !(1 << way);
+        let line = self.lines[set * self.geometry.ways + way];
+        let left = &mut self.occupancy[line.owner as usize];
+        *left = left.saturating_sub(1);
+        Some(line.dirty)
+    }
+
+    /// Whether the line holding `addr` is dirty, or `None` when no line
+    /// holds it. Touches no replacement state.
+    pub fn dirty(&self, addr: Address) -> Option<bool> {
+        let set = self.mapper.set(addr);
+        let way = self.find(set, self.mapper.tag(addr))?;
+        Some(self.lines[set * self.geometry.ways + way].dirty)
+    }
+
+    /// Valid lines that are dirty.
+    pub fn dirty_lines(&self) -> u64 {
+        let ways = self.geometry.ways;
+        let mut dirty = 0;
+        for (set, &valid) in self.valid_bits.iter().enumerate() {
+            let row = &self.lines[set * ways..(set + 1) * ways];
+            let mut rest = valid;
+            while rest != 0 {
+                dirty += u64::from(row[rest.trailing_zeros() as usize].dirty);
+                rest &= rest - 1;
             }
-            None => false,
         }
+        dirty
     }
 
     /// Lines currently owned by `workload`.
@@ -352,9 +371,14 @@ mod tests {
     fn invalidate_drops_line_and_occupancy() {
         let mut c = small_cache();
         c.fill(0x80, 3, FULL, true).expect("ok");
-        assert_eq!(c.occupancy_of(3), 1);
-        assert!(c.invalidate(0x80));
-        assert!(!c.invalidate(0x80), "second invalidate is a no-op");
+        c.fill(0xC0, 3, FULL, false).expect("ok");
+        assert_eq!(c.occupancy_of(3), 2);
+        assert_eq!((c.dirty(0x80), c.dirty(0xC0)), (Some(true), Some(false)));
+        assert_eq!(c.dirty_lines(), 1);
+        assert_eq!(c.invalidate(0xC0), Some(false), "clean line");
+        assert_eq!(c.invalidate(0x80), Some(true), "dirty line");
+        assert_eq!(c.invalidate(0x80), None, "second invalidate is a no-op");
+        assert_eq!((c.dirty(0x80), c.dirty_lines()), (None, 0));
         assert_eq!(c.occupancy_of(3), 0);
         assert_eq!(c.lookup(0x80, FULL), AccessOutcome::Miss);
     }

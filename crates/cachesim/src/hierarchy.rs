@@ -9,7 +9,8 @@
 //! fills may land while leaving resident lines untouched.
 //!
 //! Accounting simplifications (documented in DESIGN.md): dirty state is
-//! tracked at the LLC only, so `MemWrites` counts dirty LLC evictions;
+//! tracked at the LLC only, so `MemWrites` counts dirty LLC lines leaving
+//! it (evicted, or invalidated by a [`MaskMode::Strict`] foreign hit);
 //! L1/L2 evictions are counted but generate no memory traffic of their own.
 
 use crate::address::{AccessKind, Address};
@@ -233,12 +234,15 @@ impl Hierarchy {
             c.bump(Counter::LlcLoads);
         }
         // strict partitioning demotes foreign-way hits to misses: the
-        // resident copy is invalidated and refetched into the partition
+        // resident copy is invalidated (written back first when dirty) and
+        // refetched into the partition
         let llc_outcome = match llc_outcome {
             AccessOutcome::Hit {
                 foreign_way: true, ..
             } if self.mask_mode == MaskMode::Strict => {
-                llc.invalidate(addr);
+                if llc.invalidate(addr) == Some(true) {
+                    c.bump(Counter::MemWrites);
+                }
                 AccessOutcome::Miss
             }
             other => other,
@@ -308,6 +312,17 @@ impl Hierarchy {
     /// Snapshot a workload's counters.
     pub fn counters_of(&self, w: WorkloadId) -> CounterSet {
         self.counters.of(w)
+    }
+
+    /// Whether the LLC line holding `addr` is dirty, or `None` when the
+    /// LLC does not hold it.
+    pub fn llc_dirty(&self, addr: Address) -> Option<bool> {
+        self.llc.dirty(addr)
+    }
+
+    /// Dirty lines in the LLC: write-backs still owed to memory.
+    pub fn llc_dirty_lines(&self) -> u64 {
+        self.llc.dirty_lines()
     }
 
     /// LLC lines currently owned by a workload.

@@ -287,47 +287,6 @@ impl Predictor {
         }
     }
 
-    /// The EA forest's trace tail for `trace` (raw trace ++ MGS features):
-    /// what [`predict_ea_strict`] takes in place of a trace, so a caller
-    /// whose trace is fixed pays for the MGS transform once.
-    ///
-    /// [`predict_ea_strict`]: Predictor::predict_ea_strict
-    pub fn ea_trace_tail(&self, trace: &Matrix) -> Vec<f64> {
-        self.ea_model.trace_tail(trace)
-    }
-
-    /// Forest-only EA prediction with **no fallback**: errors on damaged
-    /// features or a non-finite forest output instead of degrading.
-    ///
-    /// The row arrives in parts: its static features, whether its trace is
-    /// all finite, and that trace's [`ea_trace_tail`]. This is the primary
-    /// tier the serving loop's circuit breaker wraps — the breaker needs
-    /// failures *surfaced* so it can count them and trip, where
-    /// [`predict_ea`] would silently absorb them into the chain.
-    ///
-    /// [`ea_trace_tail`]: Predictor::ea_trace_tail
-    /// [`predict_ea`]: Predictor::predict_ea
-    pub fn predict_ea_strict(
-        &self,
-        static_features: &[f64],
-        trace_finite: bool,
-        tail: &[f64],
-    ) -> Result<f64, stca_fault::StcaError> {
-        if !all_finite(static_features) || !trace_finite {
-            return Err(stca_fault::StcaError::invalid_input(
-                "predict_ea_strict: non-finite features",
-            ));
-        }
-        let raw = self.ea_model.predict_tail(static_features, tail);
-        if raw.is_finite() {
-            Ok(raw.clamp(0.01, 2.0))
-        } else {
-            Err(stca_fault::StcaError::invalid_input(
-                "predict_ea_strict: non-finite forest output",
-            ))
-        }
-    }
-
     /// The degraded tail of the fallback chain, skipping the deep forest:
     /// the scalar tabular model when the static features are finite
     /// (tier 1), else the analytic EA floor at `allocation_ratio`
@@ -425,7 +384,8 @@ impl Predictor {
         }
     }
 
-    /// Access the trained EA deep forest (concept extraction, §5.2).
+    /// Access the trained EA deep forest (concept extraction, §5.2, and
+    /// the serving adapter's bind-time specialisation).
     pub fn ea_model(&self) -> &DeepForest {
         &self.ea_model
     }

@@ -11,26 +11,33 @@
 //! the EA-relevant conditions.
 //!
 //! Only the static features change between requests, so the template's
-//! trace is spent at bind time: [`ServingPredictor::new`] checks it for
-//! finiteness once and computes its trace tail (raw trace ++ multi-grain
-//! scanning features) once. A request copies the template's static
-//! features into a reused thread-local buffer, overwrites its slots, and
-//! runs only the cascade over `static ++ tail`. Every float the cascade
-//! sees is the one the full per-request path would compute, so the result
-//! is bit-identical to it.
+//! trace is spent at bind time. [`ServingPredictor::new`] checks it for
+//! finiteness once and binds the EA forest to it
+//! ([`DeepForest::bind_trace`]): the trace tail (raw trace ++ multi-grain
+//! scanning features) is computed once, and every cascade split on a tail
+//! column is resolved against it, leaving a cascade whose input is the
+//! static features alone. On the serve-trained model that keeps about 5%
+//! of the forests' nodes. A request copies the template's static features
+//! into a reused thread-local buffer, overwrites its slots, and walks the
+//! bound cascade over them. Each comparison the bound walk makes is one
+//! the full per-request path makes on the same float, and leaves add up
+//! in the same order, so the result is bit-identical to it.
 //!
 //! The tier split mirrors the breaker contract:
 //!
-//! - [`EaModel::predict_primary`] → [`Predictor::predict_ea_strict`], the
-//!   forest with failures *surfaced* (the breaker counts them and trips);
+//! - [`EaModel::predict_primary`] → the bound forest with failures
+//!   *surfaced* (non-finite features or output are errors the breaker
+//!   counts and trips on);
 //! - [`EaModel::predict_degraded`] → [`Predictor::predict_ea_degraded`],
 //!   the scalar-model → analytic tail that always answers.
 
 use crate::predictor::Predictor;
+use stca_deepforest::DeepForest;
 use stca_fault::sanitize::all_finite;
 use stca_fault::StcaError;
 use stca_profiler::profile::ProfileRow;
 use stca_serve::EaModel;
+use stca_util::Matrix;
 use std::cell::RefCell;
 
 /// A trained predictor bound to a template profile row, serving flat
@@ -42,30 +49,28 @@ pub struct ServingPredictor {
     /// The template's allocation ratio (`l_a' / l_a >= 1`), used when a
     /// request carries no usable ratio.
     template_ratio: f64,
-    /// Whether the template's trace is all finite.
-    trace_finite: bool,
-    /// The EA forest's trace tail of the template's trace (empty when the
-    /// trace is not finite: the primary tier then never runs the forest).
-    tail: Vec<f64>,
+    /// The EA forest bound to the template's trace: its input is the
+    /// static features alone. `None` when the trace is not all finite, so
+    /// the primary tier fails every call.
+    ea: Option<DeepForest>,
 }
 
 impl ServingPredictor {
     /// Bind `predictor` to `template` (typically the first row of the
     /// training set — any row with the right feature shape works),
-    /// computing the template trace's finiteness and tail once.
+    /// checking the template trace's finiteness and binding the EA forest
+    /// to it once.
     pub fn new(predictor: Predictor, template: ProfileRow) -> ServingPredictor {
-        let trace_finite = all_finite(template.trace.as_slice());
-        let tail = if trace_finite {
-            predictor.ea_trace_tail(&template.trace)
-        } else {
-            Vec::new()
-        };
+        let ea = all_finite(template.trace.as_slice()).then(|| {
+            predictor
+                .ea_model()
+                .bind_trace(template.static_features.len(), &template.trace)
+        });
         ServingPredictor {
             predictor,
             static_features: template.static_features,
             template_ratio: template.allocation_ratio,
-            trace_finite,
-            tail,
+            ea,
         }
     }
 
@@ -99,10 +104,28 @@ impl ServingPredictor {
 }
 
 impl EaModel for ServingPredictor {
+    /// The bound EA forest with **no fallback**: damaged features or a
+    /// non-finite forest output are errors, not a degraded answer, so the
+    /// serving loop's circuit breaker can count them and trip.
     fn predict_primary(&self, features: &[f64]) -> Result<f64, StcaError> {
         self.with_static_features(features, |s| {
-            self.predictor
-                .predict_ea_strict(s, self.trace_finite, &self.tail)
+            let ea = match &self.ea {
+                Some(ea) if all_finite(s) => ea,
+                _ => {
+                    return Err(StcaError::invalid_input(
+                        "predict_primary: non-finite features",
+                    ))
+                }
+            };
+            // the bound forest has no trace stage: it reads `s` alone
+            let raw = ea.predict_parts(s, &Matrix::zeros(0, 0));
+            if raw.is_finite() {
+                Ok(raw.clamp(0.01, 2.0))
+            } else {
+                Err(StcaError::invalid_input(
+                    "predict_primary: non-finite forest output",
+                ))
+            }
         })
     }
 

@@ -84,6 +84,9 @@ impl CascadeConfig {
 #[derive(Debug, Clone)]
 pub struct Cascade {
     levels: Vec<Vec<Forest>>,
+    /// Columns of the input the first level reads; level `k` reads them
+    /// followed by the concepts of levels `0..k`.
+    inputs: usize,
     /// FNV-1a over the training window, hyperparameters, and a seed probe
     /// — see [`fit_fingerprint`]. Lets a warm start recognise a retrain on
     /// an unchanged window and reuse the previous model wholesale.
@@ -169,13 +172,18 @@ impl Cascade {
         for level in 0..config.levels {
             let level_timer =
                 stca_obs::StageTimer::with_histogram(metrics.level_fit_seconds.clone());
-            // per slot: `folds` out-of-fold forests plus the full-data one
-            let tasks_per_slot = folds + 1;
+            // per slot: `folds` out-of-fold forests plus the full-data one;
+            // the last level's concepts feed no further level, so it fits
+            // no out-of-fold forests (each forest draws its own tagged
+            // stream, so the kept ones do not change)
+            let last = level + 1 == config.levels;
+            let oof_folds = if last { 0 } else { folds };
+            let tasks_per_slot = oof_folds + 1;
             let fits = stca_exec::par_map_range(forests_per_level * tasks_per_slot, |k| {
                 let slot = k / tasks_per_slot;
                 let sub = k % tasks_per_slot;
                 let fc = forest_config(slot, &config);
-                if sub < folds {
+                if sub < oof_folds {
                     let fold = sub;
                     let train_idx: Vec<usize> = (0..n).filter(|&i| fold_of[i] != fold).collect();
                     let test_idx: Vec<usize> = (0..n).filter(|&i| fold_of[i] == fold).collect();
@@ -216,14 +224,15 @@ impl Cascade {
                 .into_iter()
                 .map(|f| f.expect("one full-data forest per slot"))
                 .collect();
-            augmented = augmented.hcat(&concepts);
+            let features = augmented.cols();
+            if !last {
+                augmented = augmented.hcat(&concepts);
+            }
             levels.push(level_forests);
             metrics.levels.inc();
             let level_elapsed = level_timer.stop();
             stca_obs::debug!(
-                "cascade level {level}: {forests_per_level} forests over {} features in {:.3}s",
-                augmented.cols() - forests_per_level,
-                level_elapsed
+                "cascade level {level}: {forests_per_level} forests over {features} features in {level_elapsed:.3}s"
             );
         }
         metrics.fits.inc();
@@ -234,7 +243,43 @@ impl Cascade {
         );
         Cascade {
             levels,
+            inputs: x.cols(),
             fingerprint: fit_fingerprint(x, y, &config, stream),
+        }
+    }
+
+    /// This cascade with its input columns `at..at + values.len()` fixed
+    /// to `values`: the bound cascade's input leaves those columns out.
+    /// Every split on a fixed column is resolved once against `values`,
+    /// later columns (the level concepts too) shift down past the block,
+    /// and tree order and leaf values are kept. Every comparison a bound
+    /// walk makes is one the full walk makes on the same float, and leaves
+    /// add up in the same order, so on an input whose fixed columns hold
+    /// `values` the bound cascade's output is bit-identical to this one's.
+    ///
+    /// The bound cascade's fingerprint folds in the binding, so a warm
+    /// start never mistakes it for the fit it came from.
+    pub fn bind(&self, at: usize, values: &[f64]) -> Cascade {
+        assert!(
+            at + values.len() <= self.inputs,
+            "bound columns {at}..{} lie past the {}-column input",
+            at + values.len(),
+            self.inputs
+        );
+        let mut fingerprint = Fnv1a::new();
+        fingerprint.word(self.fingerprint);
+        fingerprint.word(at as u64);
+        for v in values {
+            fingerprint.word(v.to_bits());
+        }
+        Cascade {
+            levels: self
+                .levels
+                .iter()
+                .map(|level| level.iter().map(|f| f.bind(at, values)).collect())
+                .collect(),
+            inputs: self.inputs - values.len(),
+            fingerprint: fingerprint.finish(),
         }
     }
 
@@ -471,6 +516,102 @@ mod tests {
         let reseeded = Cascade::fit_warm_start(&x0, &y0, small(), &SeedStream::new(26), &prev);
         let cold_reseeded = Cascade::fit(&x0, &y0, small(), &SeedStream::new(26));
         assert_same_model(&cold_reseeded, &reseeded, &x0, "reseeded warm start");
+    }
+
+    /// The cascade shapes the predictor configurations use: quick,
+    /// standard and simple_ml (one level).
+    fn served_shapes() -> [(&'static str, CascadeConfig); 3] {
+        let shape = |levels, forests_per_level, trees_per_forest| CascadeConfig {
+            levels,
+            forests_per_level,
+            trees_per_forest,
+            folds: 3,
+            ..Default::default()
+        };
+        [
+            ("quick", shape(2, 2, 12)),
+            ("standard", shape(3, 4, 40)),
+            ("simple_ml", shape(1, 2, 40)),
+        ]
+    }
+
+    /// Constants for one fixed block, each column's drawn in turn from the
+    /// thresholds its splits test (the `<=` tie), from signed zeros,
+    /// infinities and NaN, and from uniform draws.
+    fn block_constants(c: &Cascade, at: usize, len: usize, rng: &mut Rng64) -> Vec<Vec<f64>> {
+        let mut thresholds: Vec<Vec<f64>> = vec![Vec::new(); len];
+        for forest in c.levels.iter().flatten() {
+            for (f, t) in forest.nodes().splits() {
+                if (at..at + len).contains(&f) {
+                    thresholds[f - at].push(t);
+                }
+            }
+        }
+        let specials = [0.0, -0.0, f64::INFINITY, f64::NEG_INFINITY, f64::NAN];
+        let mut pick = |col: &[f64], k: usize| match k % 3 {
+            0 if !col.is_empty() => col[rng.next_index(col.len())],
+            1 => specials[rng.next_index(specials.len())],
+            _ => rng.next_f64(),
+        };
+        (0..24)
+            .map(|k| (0..len).map(|j| pick(&thresholds[j], k + j)).collect())
+            .collect()
+    }
+
+    #[test]
+    fn bound_cascade_is_bit_identical_to_the_full_walk() {
+        const WIDTH: usize = 8;
+        let mut rng = Rng64::new(0xB1D);
+        let mut x = Matrix::zeros(0, 0);
+        let mut y = Vec::new();
+        for _ in 0..90 {
+            let row: Vec<f64> = (0..WIDTH).map(|_| rng.next_f64()).collect();
+            y.push(row[0] - 2.0 * row[3] + row[6] * row[7]);
+            x.push_row(&row);
+        }
+        let specials = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -0.0];
+        for (name, config) in served_shapes() {
+            let c = Cascade::fit(&x, &y, config, &SeedStream::new(0xB1D));
+            // a block at the start, in the middle and at the end
+            for (at, len) in [(0, 3), (3, 2), (5, 3)] {
+                for values in block_constants(&c, at, len, &mut rng) {
+                    let bound = c.bind(at, &values);
+                    let free = WIDTH - len;
+                    assert_eq!(bound.inputs, free);
+                    for (level, (full, bound)) in c.levels.iter().zip(&bound.levels).enumerate() {
+                        let width = free + level * full.len();
+                        for (f, b) in full.iter().zip(bound) {
+                            assert!(b.nodes().count() <= f.nodes().count(), "{name}");
+                            for (col, _) in b.nodes().splits() {
+                                assert!(col < width, "{name}: split on column {col} of {width}");
+                            }
+                        }
+                    }
+                    for r in 0..40 {
+                        // free columns from the training rows, then fresh
+                        // draws carrying NaN and infinities
+                        let mut input: Vec<f64> = if r < 20 {
+                            x.row(r).to_vec()
+                        } else {
+                            (0..WIDTH)
+                                .map(|_| match rng.next_index(4) {
+                                    0 => specials[rng.next_index(specials.len())],
+                                    _ => rng.next_f64() * 1.4 - 0.2,
+                                })
+                                .collect()
+                        };
+                        input[at..at + len].copy_from_slice(&values);
+                        let rest: Vec<f64> = [&input[..at], &input[at + len..]].concat();
+                        assert_eq!(
+                            c.predict(&input).to_bits(),
+                            bound.predict(&rest).to_bits(),
+                            "{name}: block {at}..{} = {values:?}, row {input:?}",
+                            at + len
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -118,6 +118,30 @@ struct Lane {
     depth: u32,
 }
 
+/// Lockstep lanes for trees of the given depths, in tree order. Within
+/// each block of [`BLOCK`] trees, trees of similar depth share a lane: the
+/// block is sorted by depth (stably) and cut into lanes of [`LANE`], so a
+/// shallow tree does not idle through a deep neighbour's steps.
+fn pack_lanes(depth: &[u32]) -> Vec<Lane> {
+    let mut lanes = Vec::new();
+    for block in depth.chunks(BLOCK) {
+        let mut by_depth: Vec<usize> = (0..block.len()).collect();
+        by_depth.sort_by_key(|&t| block[t]);
+        for members in by_depth.chunks(LANE) {
+            let mut slot = [0u8; LANE];
+            for (s, &t) in slot.iter_mut().zip(members) {
+                *s = t as u8;
+            }
+            lanes.push(Lane {
+                slot,
+                len: members.len() as u8,
+                depth: members.iter().map(|&t| block[t]).max().unwrap_or(0),
+            });
+        }
+    }
+    lanes
+}
+
 /// A fitted forest: every tree's nodes in one structure-of-arrays arena.
 #[derive(Debug, Clone)]
 pub struct Forest {
@@ -175,30 +199,34 @@ impl Forest {
         Forest::from_trees(&trees)
     }
 
-    /// Pack `trees` into one arena. Within each block of [`BLOCK`] trees,
-    /// trees of similar depth share a lane: the block is sorted by depth
-    /// (stably) and cut into lanes of [`LANE`], so a shallow tree does not
-    /// idle through a deep neighbour's steps.
+    /// Pack `trees` into one arena.
     fn from_trees(trees: &[RegressionTree]) -> Self {
         let mut nodes = Nodes::default();
         let root = trees.iter().map(|t| nodes.append(t.nodes())).collect();
-        let mut lanes = Vec::new();
-        for block in trees.chunks(BLOCK) {
-            let mut by_depth: Vec<usize> = (0..block.len()).collect();
-            by_depth.sort_by_key(|&t| block[t].depth());
-            for members in by_depth.chunks(LANE) {
-                let mut slot = [0u8; LANE];
-                for (s, &t) in slot.iter_mut().zip(members) {
-                    *s = t as u8;
-                }
-                lanes.push(Lane {
-                    slot,
-                    len: members.len() as u8,
-                    depth: members.iter().map(|&t| block[t].depth()).max().unwrap_or(0),
-                });
-            }
+        let depth: Vec<u32> = trees.iter().map(RegressionTree::depth).collect();
+        Forest {
+            nodes,
+            root,
+            lanes: pack_lanes(&depth),
         }
-        Forest { nodes, root, lanes }
+    }
+
+    /// This forest with its input columns `at..at + values.len()` fixed to
+    /// `values` (see [`Cascade::bind`](crate::Cascade::bind)): every tree
+    /// keeps its place, loses the splits the block decides, and is packed
+    /// into lanes by its new depth.
+    pub(crate) fn bind(&self, at: usize, values: &[f64]) -> Forest {
+        let mut nodes = Nodes::default();
+        let (root, depth): (Vec<u32>, Vec<u32>) = self
+            .root
+            .iter()
+            .map(|&r| nodes.append_bound(&self.nodes, r, at, values))
+            .unzip();
+        Forest {
+            nodes,
+            root,
+            lanes: pack_lanes(&depth),
+        }
     }
 
     /// Mean prediction across trees. Lanes walk their trees in lockstep
@@ -228,6 +256,12 @@ impl Forest {
             }
         }
         sum / self.root.len() as f64
+    }
+
+    /// The arena's nodes, for tests that inspect a forest's shape.
+    #[cfg(test)]
+    pub(crate) fn nodes(&self) -> &Nodes {
+        &self.nodes
     }
 
     /// Predict every row of a matrix.

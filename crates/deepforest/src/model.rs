@@ -6,7 +6,7 @@
 //! "580 original features" for a 29 x 20 trace) concatenated with the MGS
 //! representational features.
 
-use crate::cascade::{Cascade, CascadeConfig, CascadeScratch};
+use crate::cascade::{Cascade, CascadeConfig};
 use crate::mgs::{MgsConfig, MultiGrainScanner};
 use crate::scratch::PredictScratch;
 use stca_util::{Matrix, SeedStream};
@@ -150,10 +150,10 @@ impl DeepForest {
         with_scratch(|s| self.predict_parts_with(scalars, trace, s))
     }
 
-    /// The allocation-free prediction path: the trace tail (raw trace ++
-    /// MGS features) into the scratch, then the shared finish step
-    /// (scalars ++ tail through the cascade, the Eq.-2 layout) over reused
-    /// buffers. Bit-identical to [`DeepForest::predict`].
+    /// The allocation-free prediction path: assemble features into the
+    /// scratch's buffer (scalars ++ raw trace ++ MGS features, the Eq.-2
+    /// layout) and run the cascade over reused buffers. Bit-identical to
+    /// [`DeepForest::predict`].
     pub fn predict_parts_with(
         &self,
         scalars: &[f64],
@@ -165,20 +165,22 @@ impl DeepForest {
         let _timer = stca_obs::StageTimer::with_histogram(metrics.predict_seconds.clone());
         let PredictScratch {
             features,
-            tail,
             window,
             cascade,
         } = scratch;
-        tail.clear();
-        extend_trace_tail(&self.mgs, self.include_raw_trace, trace, tail, window);
-        self.finish(scalars, tail, features, cascade)
+        features.clear();
+        features.extend_from_slice(scalars);
+        extend_trace_tail(&self.mgs, self.include_raw_trace, trace, features, window);
+        self.cascade.predict_with(features, cascade)
     }
 
-    /// The trace tail of the cascade input: the flattened raw trace (when
-    /// the model includes it) followed by the MGS features. A pure
-    /// function of `trace`, so a caller whose trace never changes computes
-    /// it once and predicts through [`DeepForest::predict_tail`].
-    pub fn trace_tail(&self, trace: &Matrix) -> Vec<f64> {
+    /// This model with its trace fixed to `trace`: the cascade is bound
+    /// (see [`Cascade::bind`]) to `trace`'s tail (raw trace ++ MGS
+    /// features) after the first `scalars` input columns, and no trace
+    /// stage is left. Predicting the result on `scalars` values and an
+    /// empty trace runs no MGS transform and is bit-identical to
+    /// predicting this model on those values and `trace`.
+    pub fn bind_trace(&self, scalars: usize, trace: &Matrix) -> DeepForest {
         let mut tail = Vec::new();
         extend_trace_tail(
             &self.mgs,
@@ -187,32 +189,11 @@ impl DeepForest {
             &mut tail,
             &mut Vec::new(),
         );
-        tail
-    }
-
-    /// Predict from scalars and a precomputed [`DeepForest::trace_tail`],
-    /// skipping the MGS transform. Bit-identical to
-    /// [`DeepForest::predict_parts`] over the trace the tail came from;
-    /// allocation-free after the first call on a thread.
-    pub fn predict_tail(&self, scalars: &[f64], tail: &[f64]) -> f64 {
-        let metrics = model_metrics();
-        metrics.predicts.inc();
-        let _timer = stca_obs::StageTimer::with_histogram(metrics.predict_seconds.clone());
-        with_scratch(|s| self.finish(scalars, tail, &mut s.features, &mut s.cascade))
-    }
-
-    /// The finish step every predict shares: scalars ++ tail → cascade.
-    fn finish(
-        &self,
-        scalars: &[f64],
-        tail: &[f64],
-        features: &mut Vec<f64>,
-        cascade: &mut CascadeScratch,
-    ) -> f64 {
-        features.clear();
-        features.extend_from_slice(scalars);
-        features.extend_from_slice(tail);
-        self.cascade.predict_with(features, cascade)
+        DeepForest {
+            mgs: None,
+            cascade: self.cascade.bind(scalars, &tail),
+            include_raw_trace: false,
+        }
     }
 
     /// Predict many samples.
@@ -407,10 +388,13 @@ mod tests {
                     .predict_parts_with(&sample.scalars, &sample.trace, &mut scratch)
                     .to_bits()
             );
-            let tail = model.trace_tail(&sample.trace);
+            let bound = model.bind_trace(sample.scalars.len(), &sample.trace);
+            assert!(!bound.uses_mgs());
             assert_eq!(
                 plain.to_bits(),
-                model.predict_tail(&sample.scalars, &tail).to_bits()
+                bound
+                    .predict_parts(&sample.scalars, &Matrix::zeros(0, 0))
+                    .to_bits()
             );
         }
     }

@@ -20,8 +20,6 @@ use crate::cascade::CascadeScratch;
 pub struct PredictScratch {
     /// Assembled feature vector (scalars ++ raw trace ++ MGS features).
     pub(crate) features: Vec<f64>,
-    /// Trace tail (raw trace ++ MGS features) of the current prediction.
-    pub(crate) tail: Vec<f64>,
     /// MGS window gather buffer.
     pub(crate) window: Vec<f64>,
     /// Cascade augmented/concept buffers.

@@ -131,6 +131,46 @@ impl Nodes {
         offset
     }
 
+    /// Append the tree rooted at `root` in `src` with its input columns
+    /// `at..at + values.len()` fixed to `values`: a split on one of them
+    /// is resolved by the comparison a walk would make, and a later column
+    /// shifts down past the block. The kept nodes stay in pre-order (root
+    /// first) with their thresholds and leaf values. Returns the new root
+    /// and the bound tree's depth.
+    pub(crate) fn append_bound(
+        &mut self,
+        src: &Nodes,
+        root: u32,
+        at: usize,
+        values: &[f64],
+    ) -> (u32, u32) {
+        let fixed = at..at + values.len();
+        let mut i = root as usize;
+        let [left, right] = loop {
+            let [l, r] = src.child[i];
+            let f = src.feature[i] as usize;
+            if l as usize == i || !fixed.contains(&f) {
+                break [l, r];
+            }
+            i = if values[f - at] <= src.threshold[i] {
+                l
+            } else {
+                r
+            } as usize;
+        };
+        let id = self.push_leaf();
+        if left as usize == i {
+            self.value[id as usize] = src.value[i];
+            return (id, 0);
+        }
+        let (left, left_depth) = self.append_bound(src, left, at, values);
+        let (right, right_depth) = self.append_bound(src, right, at, values);
+        let f = src.feature[i] as usize;
+        let f = if f < at { f } else { f - values.len() };
+        self.set_split(id, f, src.threshold[i], left, right);
+        (id, 1 + left_depth.max(right_depth))
+    }
+
     /// Walk every node id in `at` `steps` levels down, in lockstep: one
     /// step of each walk per round, so the walks' dependent loads overlap.
     #[inline(always)]
@@ -146,6 +186,21 @@ impl Nodes {
                 *a = child[i][usize::from(!go_left)];
             }
         }
+    }
+
+    /// Number of nodes.
+    #[cfg(test)]
+    pub(crate) fn count(&self) -> usize {
+        self.value.len()
+    }
+
+    /// Every split's column and threshold, in node order.
+    #[cfg(test)]
+    pub(crate) fn splits(&self) -> Vec<(usize, f64)> {
+        (0..self.value.len())
+            .filter(|&i| self.child[i][0] as usize != i)
+            .map(|i| (self.feature[i] as usize, self.threshold[i]))
+            .collect()
     }
 
     /// Value of node `i` (meaningful at leaves).

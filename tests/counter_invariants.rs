@@ -2,10 +2,12 @@
 //! workload, the hierarchy's bookkeeping must stay internally consistent —
 //! each level's traffic is exactly the level above's misses, and the LLC's
 //! split counters sum to its totals — and the cycle count decomposes
-//! exactly into base cycles plus per-level latencies (EMAT).
+//! exactly into base cycles plus per-level latencies (EMAT) — and every
+//! LLC line made dirty is written back exactly once or is still dirty.
 
 use stca_repro::cachesim::{
     AccessKind, Address, Counter, CounterSet, Hierarchy, HierarchyConfig, Latencies, LevelHit,
+    MaskMode,
 };
 use stca_repro::cat::AllocationSetting;
 use stca_repro::util::Rng64;
@@ -163,6 +165,59 @@ fn invariants_hold_under_mask_thrashing() {
     let c = hier.counters_of(0);
     check_invariants(&c, "mask-thrash");
     check_emat(&c, &served, config.latencies, "mask-thrash");
+}
+
+#[test]
+fn every_dirty_llc_line_is_written_back_once_or_still_dirty() {
+    // a line is made dirty when an access leaves the accessed address's
+    // LLC line dirty that was not dirty before, or was but went to memory:
+    // a strict foreign hit drops that copy and refetches it. Each such
+    // line must leave the LLC through exactly one `MemWrites` (eviction or
+    // invalidation) or still be dirty at the end
+    let config = HierarchyConfig::experiment_default();
+    let ways = config.llc.ways;
+    let narrow = AllocationSetting::new(0, 2).to_cbm(ways).expect("valid");
+    let wide = AllocationSetting::new(0, 6).to_cbm(ways).expect("valid");
+    let other = AllocationSetting::new(4, 4).to_cbm(ways).expect("valid");
+    for mode in [MaskMode::FillOnly, MaskMode::Strict] {
+        let mut hier = Hierarchy::new(config, 11);
+        hier.set_mask_mode(mode);
+        hier.set_llc_mask(1, other);
+        // both workloads chase pointers over one shared footprint, so each
+        // also hits lines the other filled outside its own mask
+        let mut gens = [12, 13].map(|seed| {
+            AccessGenerator::new(
+                AccessPattern::PointerChase {
+                    footprint_lines: 4096,
+                },
+                0,
+                0.3,
+                seed,
+            )
+        });
+        let mut made_dirty = 0u64;
+        for i in 0..40_000u64 {
+            if i % 512 == 0 {
+                hier.set_llc_mask(0, if (i / 512) % 2 == 0 { narrow } else { wide });
+            }
+            let w = (i % 3 == 2) as usize;
+            let (a, k) = gens[w].next_access();
+            let before = hier.llc_dirty(a);
+            let hit = hier.access(w as u32, a, k);
+            if hier.llc_dirty(a) == Some(true) && (before != Some(true) || hit == LevelHit::Memory)
+            {
+                made_dirty += 1;
+            }
+        }
+        let written = hier.counters_of(0).get(Counter::MemWrites)
+            + hier.counters_of(1).get(Counter::MemWrites);
+        assert!(written > 0, "{mode:?}: dirty lines left the LLC");
+        assert_eq!(
+            made_dirty,
+            written + hier.llc_dirty_lines(),
+            "{mode:?}: dirty lines written back or still dirty"
+        );
+    }
 }
 
 #[test]
