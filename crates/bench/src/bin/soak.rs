@@ -46,7 +46,10 @@ fn real_main() -> Result<(), StcaError> {
 }
 
 fn main() -> ExitCode {
-    stca_obs::init_from_env();
+    if let Err(e) = stca_obs::try_init_from_env() {
+        eprintln!("error: {e}");
+        return ExitCode::from(2);
+    }
     match real_main() {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {

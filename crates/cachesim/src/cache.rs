@@ -241,25 +241,6 @@ impl CacheLevel {
     pub fn total_occupancy(&self) -> u64 {
         self.valid_bits.iter().map(|v| v.count_ones() as u64).sum()
     }
-
-    /// Invalidate every line owned by `workload` (container teardown).
-    pub fn flush_workload(&mut self, workload: WorkloadId) {
-        let ways = self.geometry.ways;
-        for (set, valid) in self.valid_bits.iter_mut().enumerate() {
-            let row = &self.lines[set * ways..(set + 1) * ways];
-            let mut rest = *valid;
-            while rest != 0 {
-                let way = rest.trailing_zeros() as usize;
-                if row[way].owner == workload {
-                    *valid &= !(1 << way);
-                }
-                rest &= rest - 1;
-            }
-        }
-        if let Some(owned) = self.occupancy.get_mut(workload as usize) {
-            *owned = 0;
-        }
-    }
 }
 
 #[cfg(test)]
@@ -391,10 +372,6 @@ mod tests {
         }
         assert_eq!(c.occupancy_of(1), 8);
         assert_eq!(c.total_occupancy(), 8);
-        c.flush_workload(1);
-        assert_eq!(c.occupancy_of(1), 0);
-        assert_eq!(c.total_occupancy(), 0);
-        assert_eq!(c.lookup(0, FULL), AccessOutcome::Miss);
     }
 
     #[test]

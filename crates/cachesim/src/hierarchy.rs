@@ -96,8 +96,7 @@ pub struct Hierarchy {
     config: HierarchyConfig,
     llc: CacheLevel,
     privates: Vec<Option<PrivateCaches>>,
-    /// LLC fill mask per workload id; ids past the end, and entries reset
-    /// by `remove_workload`, hold the full mask.
+    /// LLC fill mask per workload id; ids past the end hold the full mask.
     fill_masks: Vec<u64>,
     full_mask: u64,
     counters: CounterBank,
@@ -329,17 +328,6 @@ impl Hierarchy {
     pub fn llc_occupancy(&self, w: WorkloadId) -> u64 {
         self.llc.occupancy_of(w)
     }
-
-    /// Drop a workload's private caches and LLC lines (container teardown).
-    pub fn remove_workload(&mut self, w: WorkloadId) {
-        if let Some(slot) = self.privates.get_mut(w as usize) {
-            *slot = None;
-        }
-        self.llc.flush_workload(w);
-        if let Some(mask) = self.fill_masks.get_mut(w as usize) {
-            *mask = self.full_mask;
-        }
-    }
 }
 
 /// Fill `addr` into the L1 serving `kind`, counting data-side evictions.
@@ -508,17 +496,6 @@ mod tests {
         assert_eq!(c.get(Counter::BoostActive), 1);
         assert_eq!(c.get(Counter::LlcOccupancyLines), 1);
         assert!(c.ipc() > 0.0);
-    }
-
-    #[test]
-    fn remove_workload_clears_state() {
-        let mut h = Hierarchy::new(tiny_config(), 8);
-        h.access(1, 0, AccessKind::Load);
-        assert_eq!(h.llc_occupancy(1), 1);
-        h.remove_workload(1);
-        assert_eq!(h.llc_occupancy(1), 0);
-        // counters persist (history), but occupancy is gone
-        assert_eq!(h.counters_of(1).get(Counter::LlcFills), 1);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! timestamps), tree-PLRU (what real LLCs approximate), and random
 //! (baseline for ablations).
 //!
-//! One [`Replacement`] holds the state of every set of a cache level in a
+//! One `Replacement` holds the state of every set of a cache level in a
 //! flat array sized once at construction: `sets × ways` last-touch ticks
 //! for LRU, one node-bit word per set for tree-PLRU, nothing for random.
 //! Callers pass the set index with every touch and victim query.

@@ -116,7 +116,7 @@ Tracing (stca serve): any --trace-* flag enables the per-request flight
 recorder (error-class traces always retained, completions head-sampled;
 bit-identical at any --threads; the decision hash is unchanged):
   --trace-out FILE      write Chrome trace_event JSON (open in Perfetto
-                        or about:tracing); also the error-dump target
+                        or about:tracing)
   --trace-svg FILE      write an SVG waterfall of the retained traces
   --trace-sample N      head-sample 1 in N completed requests (64)
   --trace-ring N        sampled-completion ring capacity (256)
@@ -428,7 +428,7 @@ fn cmd_serve(args: &Args) -> Result<(), StcaError> {
         (!spec.artifacts.trace_svg.is_empty()).then(|| PathBuf::from(&spec.artifacts.trace_svg));
     let profiles_path = matches!(spec.serve.predictor, stca_scenario::PredictorKind::Trained)
         .then(|| PathBuf::from(&spec.profile.out));
-    let report = pipeline::run_serve(&spec, profiles_path.as_deref(), trace_out.as_deref(), false)?;
+    let report = pipeline::run_serve(&spec, profiles_path.as_deref(), false)?;
     print_serve_report(&report);
     if let Some(dump) = &report.trace_dump {
         emit_trace_artifacts(dump, trace_out.as_deref(), trace_svg.as_deref())?;

@@ -24,8 +24,9 @@ use stca_profiler::profile::{ProfileRow, ProfileSet};
 use stca_workloads::BenchmarkId;
 use std::path::Path;
 
-/// Default timeout grid (5 settings per workload).
-pub const TIMEOUT_GRID: [f64; 5] = [0.25, 0.75, 1.5, 3.0, 6.0];
+/// Default timeout grid (5 settings per workload): the serving plane's
+/// grid, so offline exploration and live decisions score the same timeouts.
+pub use stca_serve::TIMEOUT_GRID;
 
 /// SLO-matching tolerance (settings within 5% of the per-workload best).
 pub const SLO_TOLERANCE: f64 = 0.05;

@@ -200,32 +200,6 @@ pub fn render_explore(spec: &ScenarioSpec, result: &ExplorationResult) -> String
     out
 }
 
-/// If anything downstream exhausts its retries mid-run, persist the
-/// flight recorder before the error unwinds (the "dump on error" half
-/// of the recorder contract; the trace artifact doubles as the target).
-fn trace_dump_guard(
-    tracing: bool,
-    trace_error_path: Option<&Path>,
-) -> Option<stca_fault::HookGuard> {
-    if !tracing {
-        return None;
-    }
-    let path = trace_error_path
-        .map(Path::to_path_buf)
-        .unwrap_or_else(|| PathBuf::from("stca-trace-error.json"));
-    Some(stca_fault::register_error_dump_hook(move |err| {
-        if let Some(dump) = stca_trace::active_dump() {
-            if stca_trace::write_chrome_json(&path, &dump).is_ok() {
-                eprintln!(
-                    "fault: {err}; dumped {} in-flight traces to {}",
-                    dump.traces.len(),
-                    path.display()
-                );
-            }
-        }
-    }))
-}
-
 /// Resolve the spec's predictor once and hand it to `run` as a borrowed
 /// model: `trained` loads + trains on the profile store with the
 /// historical serve-seed derivation, `analytic` uses the closed-form EA
@@ -256,15 +230,12 @@ pub fn with_serve_model<T>(
 /// Run the serving loop as the spec describes it, with
 /// `[serve.fleet] shards` shards (one shard is the plain loop).
 /// `profiles` supplies the trained-predictor dataset (required when
-/// `serve.predictor = trained`); `trace_error_path` is where in-flight
-/// traces dump if a fault unwinds mid-run (defaults to
-/// `stca-trace-error.json`). `keep_log` keeps the decision log in the
-/// report even when `[artifacts] decision_log` is unset. Callers must
-/// check [`FleetReport::balanced`].
+/// `serve.predictor = trained`). `keep_log` keeps the decision log in
+/// the report even when `[artifacts] decision_log` is unset. Callers
+/// must check [`FleetReport::balanced`].
 pub fn run_serve(
     spec: &ScenarioSpec,
     profiles: Option<&Path>,
-    trace_error_path: Option<&Path>,
     keep_log: bool,
 ) -> Result<FleetReport, StcaError> {
     let mut cfg = stca_scenario::convert::fleet_config(spec)
@@ -272,7 +243,6 @@ pub fn run_serve(
     cfg.base.keep_decision_log |= keep_log;
     let stream = stca_scenario::convert::synthetic_stream(spec);
     let n = spec.serve.requests;
-    let _dump_hook = trace_dump_guard(cfg.base.trace.is_some(), trace_error_path);
     let plan = &spec.fault.plan;
     stca_obs::info!(
         "serving {n} requests at {}/s (deadline {}s) across {} shard(s)",
@@ -612,7 +582,7 @@ fn run_stage(
                 .then(|| paths.profiles.as_path());
             // this stage writes the decision log, so it keeps it whether or
             // not `[artifacts] decision_log` names the file
-            let report = run_serve(spec, profiles, paths.trace_json.as_deref(), true)?;
+            let report = run_serve(spec, profiles, true)?;
             if !report.balanced() {
                 return Err(StcaError::invalid_input(format!(
                     "accounting invariant violated: {report:?}"

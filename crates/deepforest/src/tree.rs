@@ -11,7 +11,7 @@
 //! Best-split trees choose among three engines:
 //!
 //! * **Presorted exact**: every feature column is sorted once per tree
-//!   ([`SortedColumns`](crate::presort::SortedColumns)) and the per-node
+//!   ([`SortedColumns`]) and the per-node
 //!   views are maintained by stable in-place partitioning — the
 //!   CART/XGBoost-exact device. Produces **bit-identical** trees to the
 //!   reference engine (the ordering argument lives in [`crate::presort`]),
@@ -22,7 +22,7 @@
 //!   column beats re-sorting the √f sampled ones.
 //! * **Histogram** (opt-in via [`TreeConfig::bins`]): features are
 //!   quantized to at most 256 quantile buckets
-//!   ([`BinnedMatrix`](crate::binned::BinnedMatrix)) and splits scan
+//!   ([`BinnedMatrix`]) and splits scan
 //!   cumulative bucket statistics — approximate but O(n + bins) per feature
 //!   per node, the LightGBM device for the large MGS window forests.
 //! * **Reference** ([`TreeConfig::reference`]): the original implementation

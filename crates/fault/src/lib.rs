@@ -32,13 +32,11 @@
 
 pub mod checkpoint;
 pub mod error;
-pub mod hook;
 pub mod plan;
 pub mod retry;
 pub mod sanitize;
 
 pub use checkpoint::Checkpoint;
 pub use error::StcaError;
-pub use hook::{fire_error_dump_hooks, register_error_dump_hook, HookGuard};
 pub use plan::{FaultInjector, FaultPlan, SampleFault};
 pub use retry::{with_retry, RetryPolicy};

@@ -80,9 +80,8 @@ impl RetryPolicy {
 /// Transient errors (see [`StcaError::is_transient`]) are retried up to
 /// `policy.max_retries` times with seeded-jitter exponential backoff on the
 /// virtual clock; the final failure is wrapped in
-/// [`StcaError::RetriesExhausted`] and every registered error-dump hook
-/// ([`crate::hook`]) fires with it before it is returned. Non-transient
-/// errors return immediately.
+/// [`StcaError::RetriesExhausted`]. Non-transient errors return
+/// immediately.
 pub fn with_retry<T>(
     policy: &RetryPolicy,
     seed: u64,
@@ -106,14 +105,10 @@ pub fn with_retry<T>(
             Err(e) if !e.is_transient() => return Err(e),
             Err(e) if attempt >= policy.max_retries => {
                 retry_metrics().giveups.inc();
-                let terminal = StcaError::RetriesExhausted {
+                return Err(StcaError::RetriesExhausted {
                     attempts: attempt + 1,
                     last: Box::new(e),
-                };
-                // give registered diagnostics (flight-recorder dumps,
-                // metric snapshots) one shot at the terminal error
-                crate::hook::fire_error_dump_hooks(&terminal);
-                return Err(terminal);
+                });
             }
             Err(e) => {
                 let base = policy.base_backoff_s * policy.multiplier.powi(attempt as i32);

@@ -14,14 +14,14 @@
 //!   The disabled fast path is a single relaxed atomic load, so call sites
 //!   in hot loops cost ~a nanosecond when their level is off.
 //! * **Metrics** ([`metrics`]) — named counters, gauges, and log-bucketed
-//!   histograms with quantile estimates (p50/p95/p99), exportable as JSON
-//!   or Prometheus text format. Names follow `subsystem.name_unit`, e.g.
+//!   histograms with quantile estimates (p50/p95/p99), exportable as
+//!   JSON. Names follow `subsystem.name_unit`, e.g.
 //!   `queuesim.events_total`, `deepforest.cascade.level_fit_seconds`.
 //! * **Stage timing** ([`timer`]) — RAII guards recording wall time into a
 //!   histogram when dropped, plus the [`time_scope!`] macro.
 //!
 //! ```
-//! stca_obs::init_from_env();
+//! stca_obs::try_init_from_env().expect("a well-formed STCA_LOG");
 //! stca_obs::info!("profiling {} conditions", 24);
 //! stca_obs::counter("profiler.samples_total").add(24);
 //! {
@@ -39,8 +39,8 @@ pub mod report;
 pub mod timer;
 
 pub use logger::{
-    clear_virtual_now, init_from_env, init_with, set_sink, set_virtual_now, try_init_from_env,
-    virtual_now, FilterError, Level, LevelFilter, LogConfig, LogFormat,
+    clear_virtual_now, init_with, set_sink, set_virtual_now, try_init_from_env, virtual_now,
+    FilterError, Level, LevelFilter, LogConfig, LogFormat,
 };
 pub use metrics::{
     counter, current_trace_id, gauge, histogram, registry, set_current_trace_id, Counter, Gauge,

@@ -193,24 +193,6 @@ impl LogConfig {
         Ok(config)
     }
 
-    /// Lenient parse: malformed directives are skipped (legacy entry
-    /// points that must never fail). Prefer [`LogConfig::try_parse`].
-    pub fn parse(spec: &str) -> LogConfig {
-        let mut config = LogConfig::default();
-        for part in spec.split(',') {
-            let part = part.trim();
-            if part.is_empty() {
-                continue;
-            }
-            match parse_directive(part) {
-                Ok(Directive::Default(f)) => config.default = f,
-                Ok(Directive::Target(t, f)) => config.directives.push((t, f)),
-                Err(_) => {}
-            }
-        }
-        config
-    }
-
     /// The most permissive level any directive (or the default) allows —
     /// the global fast-path threshold.
     pub fn max_filter(&self) -> LevelFilter {
@@ -268,31 +250,17 @@ fn state() -> &'static RwLock<LoggerState> {
 }
 
 /// Install a configuration (tests and embedders; binaries use
-/// [`init_from_env`] or [`try_init_from_env`]). Re-initialization is
+/// [`try_init_from_env`]). Re-initialization is
 /// allowed and takes effect for subsequent records.
 pub fn init_with(config: LogConfig) {
     MAX_LEVEL.store(config.max_filter() as u8, Ordering::Release);
     state().write().expect("logger lock").config = config;
 }
 
-/// Initialize from `STCA_LOG` / `STCA_LOG_FORMAT`. Unset or malformed
-/// input silently yields a quiet (errors-off) logger — never a panic.
-pub fn init_from_env() {
-    let mut config = match std::env::var("STCA_LOG") {
-        Ok(spec) => LogConfig::parse(&spec),
-        Err(_) => LogConfig::default(),
-    };
-    if let Ok(fmt) = std::env::var("STCA_LOG_FORMAT") {
-        if fmt.eq_ignore_ascii_case("json") {
-            config.format = LogFormat::Json;
-        }
-    }
-    init_with(config);
-}
-
-/// Strict variant of [`init_from_env`]: a malformed `STCA_LOG` filter or
-/// an unknown `STCA_LOG_FORMAT` is a typed error the caller can turn
-/// into a usage failure, instead of silently defaulting.
+/// Initialize from `STCA_LOG` / `STCA_LOG_FORMAT`; unset means a quiet
+/// (errors-off) logger. A malformed `STCA_LOG` filter or an unknown
+/// `STCA_LOG_FORMAT` is a typed error the caller can turn into a usage
+/// failure, instead of silently defaulting.
 pub fn try_init_from_env() -> Result<(), FilterError> {
     let mut config = match std::env::var("STCA_LOG") {
         Ok(spec) => LogConfig::try_parse(&spec)?,
@@ -470,7 +438,7 @@ mod tests {
 
     #[test]
     fn parse_default_and_directives() {
-        let c = LogConfig::parse("info,queuesim=trace,deepforest=warn");
+        let c = LogConfig::try_parse("info,queuesim=trace,deepforest=warn").expect("valid");
         assert_eq!(c.default, LevelFilter::Info);
         assert_eq!(c.filter_for("stca_queuesim::simulator"), LevelFilter::Trace);
         assert_eq!(c.filter_for("stca_deepforest::cascade"), LevelFilter::Warn);
@@ -480,14 +448,15 @@ mod tests {
 
     #[test]
     fn longest_directive_wins() {
-        let c = LogConfig::parse("warn,queuesim=info,queuesim::simulator=trace");
+        let c =
+            LogConfig::try_parse("warn,queuesim=info,queuesim::simulator=trace").expect("valid");
         assert_eq!(c.filter_for("stca_queuesim::simulator"), LevelFilter::Trace);
         assert_eq!(c.filter_for("stca_queuesim::metrics"), LevelFilter::Info);
     }
 
     #[test]
     fn prefix_must_align_with_path_segments() {
-        let c = LogConfig::parse("off,queue=debug");
+        let c = LogConfig::try_parse("off,queue=debug").expect("valid");
         // "queue" is not a path-segment prefix of "queuesim"
         assert_eq!(c.filter_for("stca_queuesim::simulator"), LevelFilter::Off);
     }
@@ -508,12 +477,13 @@ mod tests {
             "\u{0}weird=trace",
             "info=info=info",
         ] {
-            let c = LogConfig::parse(spec);
-            let _ = c.filter_for("stca_queuesim::simulator");
-            let _ = c.max_filter();
+            if let Ok(c) = LogConfig::try_parse(spec) {
+                let _ = c.filter_for("stca_queuesim::simulator");
+                let _ = c.max_filter();
+            }
         }
         // unknown bare word becomes an enable-all directive, not a panic
-        let c = LogConfig::parse("banana");
+        let c = LogConfig::try_parse("banana").expect("bare target");
         assert_eq!(c.filter_for("banana::x"), LevelFilter::Trace);
     }
 
@@ -523,10 +493,6 @@ mod tests {
         assert_eq!(c.default, LevelFilter::Info);
         assert_eq!(c.filter_for("stca_serve::server"), LevelFilter::Debug);
         assert_eq!(c.filter_for("stca_queuesim::simulator"), LevelFilter::Info);
-        // agrees with the lenient parser on valid input
-        let lenient = LogConfig::parse("info,serve=debug");
-        assert_eq!(c.default, lenient.default);
-        assert_eq!(c.directives, lenient.directives);
     }
 
     #[test]

@@ -451,8 +451,8 @@ impl Registry {
     /// (e.g. `"serve."` for a health snapshot of the serving loop alone).
     ///
     /// Ordering contract: results are **byte-lexicographic** on the full
-    /// name, matching [`Registry::snapshot`] and the JSON/Prometheus
-    /// exports, so repeated snapshots are byte-stable. Nested prefixes
+    /// name, matching [`Registry::snapshot`] and the JSON export, so
+    /// repeated snapshots are byte-stable. Nested prefixes
     /// (`serve.shard3.breaker.*`) sort inside their parent, and numbered
     /// groups sort by bytes, not numerically: `serve.shard10.*` comes
     /// before `serve.shard2.*`. Matching names form one contiguous range
@@ -515,36 +515,6 @@ impl Registry {
     /// JSON metrics report as a string.
     pub fn to_json(&self) -> String {
         self.to_json_value().to_string()
-    }
-
-    /// Prometheus text exposition format. Dots in names become
-    /// underscores and every metric gains the `stca_` namespace prefix.
-    pub fn to_prometheus(&self) -> String {
-        let sanitize = |name: &str| format!("stca_{}", name.replace(['.', '-'], "_"));
-        let mut out = String::new();
-        for (name, metric) in self.snapshot() {
-            let pname = sanitize(&name);
-            match metric {
-                Metric::Counter(c) => {
-                    out.push_str(&format!("# TYPE {pname} counter\n{pname} {}\n", c.get()));
-                }
-                Metric::Gauge(g) => {
-                    out.push_str(&format!("# TYPE {pname} gauge\n{pname} {}\n", g.get()));
-                }
-                Metric::Histogram(h) => {
-                    let s = h.summary();
-                    out.push_str(&format!("# TYPE {pname} summary\n"));
-                    for (q, v) in [(0.5, s.p50), (0.95, s.p95), (0.99, s.p99)] {
-                        out.push_str(&format!("{pname}{{quantile=\"{q}\"}} {v}\n"));
-                    }
-                    out.push_str(&format!(
-                        "{pname}_sum {}\n{pname}_count {}\n",
-                        s.sum, s.count
-                    ));
-                }
-            }
-        }
-        out
     }
 }
 
@@ -825,24 +795,5 @@ mod tests {
         sorted.sort();
         assert_eq!(names, sorted, "prefixed snapshot must be key-sorted");
         assert_eq!(r.to_json(), r.to_json(), "JSON export is byte-stable");
-        assert_eq!(
-            r.to_prometheus(),
-            r.to_prometheus(),
-            "Prometheus export is byte-stable"
-        );
-    }
-
-    #[test]
-    fn prometheus_format_shape() {
-        let r = Registry::new();
-        r.counter("queuesim.events_total").add(5);
-        r.gauge("queuesim.server_utilization").set(0.75);
-        r.histogram("queuesim.run_seconds").record(0.5);
-        let text = r.to_prometheus();
-        assert!(text.contains("# TYPE stca_queuesim_events_total counter"));
-        assert!(text.contains("stca_queuesim_events_total 5"));
-        assert!(text.contains("stca_queuesim_server_utilization 0.75"));
-        assert!(text.contains("stca_queuesim_run_seconds{quantile=\"0.95\"}"));
-        assert!(text.contains("stca_queuesim_run_seconds_count 1"));
     }
 }

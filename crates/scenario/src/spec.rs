@@ -30,7 +30,7 @@
 //! applies flag overrides — later writes win.
 
 use stca_fault::FaultPlan;
-use stca_serve::{AdaptConfig, OverloadPolicy, RouterKind};
+use stca_serve::{AdaptConfig, OverloadPolicy, RouterKind, TIMEOUT_GRID};
 use stca_util::{fnv1a, Bound, SpecErrorKind, SpecLocation};
 use stca_workloads::BenchmarkId;
 use std::sync::OnceLock;
@@ -357,7 +357,7 @@ impl Default for ScenarioSpec {
             },
             explore: ExploreSection {
                 utilization: 0.9,
-                grid: vec![0.25, 0.75, 1.5, 3.0, 6.0],
+                grid: TIMEOUT_GRID.to_vec(),
             },
             predict: PredictSection {
                 utilization: 0.9,

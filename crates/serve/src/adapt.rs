@@ -3,7 +3,7 @@
 //!
 //! The offline pipeline fits the EA model once and assumes the counter
 //! distribution it profiled is the one it serves. This module closes the
-//! loop *safely*: each shard runs an independent [`Lifecycle`] that
+//! loop *safely*: each shard runs an independent `Lifecycle` that
 //!
 //! 1. **detects drift** over a sliding window of EA residuals
 //!    (Page-Hinkley cumulative deviation) and counter-distribution shift

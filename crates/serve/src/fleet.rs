@@ -1,7 +1,7 @@
 //! The serving driver: N independent fault domains behind a
 //! deterministic router. One shard is the plain serving loop.
 //!
-//! Each shard owns a full [`ShardCore`] — bounded admission queue,
+//! Each shard owns a full `ShardCore` — bounded admission queue,
 //! circuit breaker, hysteresis controller, watchdog, seeded predictor
 //! state — so one shard's failure never corrupts another's state. A
 //! deterministic router (rendezvous hashing or least-loaded over
@@ -115,7 +115,6 @@ use stca_trace::{AttrValue, Disposition, FlightRecorder, Stage, TraceDump};
 use std::collections::BTreeMap;
 use std::io::Write as _;
 use std::path::Path;
-use std::sync::{Arc, Mutex};
 
 /// Fleet configuration: the per-shard loop template plus topology.
 #[derive(Debug, Clone)]
@@ -706,19 +705,9 @@ pub fn serve_fleet(
             }
         })
         .collect();
-    // a lone shard publishes its recorder so error-dump hooks can
-    // snapshot it mid-run; a fleet has no single recorder to publish
-    let _active = if fleet {
-        None
-    } else {
-        slots[0].core.recorder.clone().map(stca_trace::set_active)
-    };
     // router sheds get their own recorder so admission-time sheds are
     // traced even though they never touch a shard
-    let router_rec = cfg
-        .base
-        .trace
-        .map(|tc| Arc::new(Mutex::new(FlightRecorder::new(tc))));
+    let mut router_rec = cfg.base.trace.map(FlightRecorder::new);
     let route_seed = stream.seed ^ ROUTE_SALT;
     let mut candidates = Vec::with_capacity(slots.len());
     let mut sink = DecisionSink::new(cfg.base.keep_decision_log);
@@ -816,11 +805,9 @@ pub fn serve_fleet(
                                         .push(("from_shard", AttrValue::Num(f64::from(from))));
                                     span.args.push(("hops", AttrValue::Num(f64::from(p.hops))));
                                 }
-                                if let (Some(rec), Some(ctx)) = (router_rec.as_ref(), p.ctx.take())
+                                if let (Some(rec), Some(ctx)) = (router_rec.as_mut(), p.ctx.take())
                                 {
-                                    if let Ok(mut rec) = rec.lock() {
-                                        rec.record(ctx.finish(Disposition::RouterShed, boundary));
-                                    }
+                                    rec.record(ctx.finish(Disposition::RouterShed, boundary));
                                 }
                             }
                         }
@@ -862,14 +849,12 @@ pub fn serve_fleet(
                             },
                             None,
                         );
-                        if let Some(rec) = router_rec.as_ref() {
-                            if let Ok(mut rec) = rec.lock() {
-                                let mut ctx = rec.begin(r.seq, r.arrival_s);
-                                ctx.push_span(Stage::Route, r.arrival_s, r.arrival_s)
-                                    .args
-                                    .push(("hops", AttrValue::Num(0.0)));
-                                rec.record(ctx.finish(Disposition::RouterShed, r.arrival_s));
-                            }
+                        if let Some(rec) = router_rec.as_mut() {
+                            let mut ctx = rec.begin(r.seq, r.arrival_s);
+                            ctx.push_span(Stage::Route, r.arrival_s, r.arrival_s)
+                                .args
+                                .push(("hops", AttrValue::Num(0.0)));
+                            rec.record(ctx.finish(Disposition::RouterShed, r.arrival_s));
                         }
                     }
                 }
@@ -931,22 +916,13 @@ pub fn serve_fleet(
     let (fleet_mean, fleet_p50, fleet_p99) = response_summary(&mut all_responses);
 
     // merge flight recorders deterministically: shard-id order, router last
-    let trace_dump = {
-        let mut dumps: Vec<TraceDump> = Vec::new();
-        for slot in &slots {
-            if let Some(rec) = slot.core.recorder.as_ref() {
-                if let Ok(rec) = rec.lock() {
-                    dumps.push(rec.dump());
-                }
-            }
-        }
-        if let Some(rec) = router_rec.as_ref() {
-            if let Ok(rec) = rec.lock() {
-                dumps.push(rec.dump());
-            }
-        }
-        TraceDump::merge(dumps)
-    };
+    let trace_dump = TraceDump::merge(
+        slots
+            .iter()
+            .filter_map(|slot| slot.core.recorder.as_ref())
+            .chain(router_rec.as_ref())
+            .map(FlightRecorder::dump),
+    );
 
     let report = FleetReport {
         shards: shard_stats,

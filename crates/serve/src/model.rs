@@ -16,8 +16,9 @@
 
 use stca_fault::StcaError;
 
-/// Candidate STAP timeout ratios — the same grid the offline policy
-/// explorer sweeps (`stca_core::explorer`).
+/// Candidate STAP timeout ratios. The offline policy explorer
+/// (`stca_core::explorer`) and the `[explore] grid` default sweep this
+/// same grid.
 pub const TIMEOUT_GRID: [f64; 5] = [0.25, 0.75, 1.5, 3.0, 6.0];
 
 /// A predictor the serving loop can call.

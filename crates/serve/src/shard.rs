@@ -158,11 +158,8 @@ pub(crate) struct ShardCore<'a> {
     pub(crate) lifecycle: Option<Lifecycle>,
     resp_hist: std::sync::Arc<stca_obs::Histogram>,
     /// Flight recorder (`Some` when tracing is enabled). Written only by
-    /// the serial replay phase, so retention is thread-count-proof; the
-    /// mutex exists so the recorder can be published as the process-wide
-    /// active recorder for out-of-band dumps (error hooks), and is
-    /// uncontended otherwise.
-    pub(crate) recorder: Option<std::sync::Arc<std::sync::Mutex<FlightRecorder>>>,
+    /// the serial replay phase, so retention is thread-count-proof.
+    pub(crate) recorder: Option<FlightRecorder>,
 }
 
 impl<'a> ShardCore<'a> {
@@ -199,9 +196,7 @@ impl<'a> ShardCore<'a> {
             shard,
             lifecycle: None,
             resp_hist,
-            recorder: cfg
-                .trace
-                .map(|tc| std::sync::Arc::new(std::sync::Mutex::new(FlightRecorder::new(tc)))),
+            recorder: cfg.trace.map(FlightRecorder::new),
         }
     }
 
@@ -220,12 +215,8 @@ impl<'a> ShardCore<'a> {
 
     /// Open the trace of a fresh arrival (`None` when tracing is off).
     /// Fleet shards tag the admission span with their id.
-    pub(crate) fn begin_trace(&self, seq: u64, arrival_s: f64) -> Option<TraceCtx> {
-        let mut ctx = self
-            .recorder
-            .as_ref()
-            .and_then(|rec| rec.lock().ok())
-            .map(|mut rec| rec.begin(seq, arrival_s))?;
+    pub(crate) fn begin_trace(&mut self, seq: u64, arrival_s: f64) -> Option<TraceCtx> {
+        let mut ctx = self.recorder.as_mut()?.begin(seq, arrival_s);
         if let Some(id) = self.shard {
             ctx.annotate_admission("shard", AttrValue::Num(f64::from(id)));
         }
@@ -239,10 +230,8 @@ impl<'a> ShardCore<'a> {
         disposition: Disposition,
         end_s: f64,
     ) {
-        if let (Some(rec), Some(ctx)) = (self.recorder.as_ref(), ctx) {
-            if let Ok(mut rec) = rec.lock() {
-                rec.record(ctx.finish(disposition, end_s));
-            }
+        if let (Some(rec), Some(ctx)) = (self.recorder.as_mut(), ctx) {
+            rec.record(ctx.finish(disposition, end_s));
         }
     }
 

@@ -24,10 +24,7 @@ pub mod report;
 pub mod span;
 pub mod svg;
 
-pub use recorder::{
-    active_dump, set_active, ActiveRecorderGuard, FlightRecorder, RecorderStats, TraceConfig,
-    TraceDump,
-};
+pub use recorder::{FlightRecorder, RecorderStats, TraceConfig, TraceDump};
 pub use span::{AttrValue, Disposition, SpanRecord, Stage, Trace, TraceCtx};
 
 use stca_fault::StcaError;

@@ -87,10 +87,10 @@ pub struct RecorderStats {
     pub unsampled: u64,
 }
 
-/// The recorder itself. No interior synchronization: the serving loop's
-/// serial phase is the only writer. When out-of-band dumps are wanted,
-/// wrap it in a mutex and publish it via [`set_active`] — locks there are
-/// uncontended in normal operation.
+/// The recorder itself, owned by its one writer: a serving shard or the
+/// fleet router. Its traces leave it through [`FlightRecorder::dump`],
+/// which the fleet calls once the run has drained; nothing snapshots a
+/// recorder mid-run.
 #[derive(Debug, Clone)]
 pub struct FlightRecorder {
     cfg: TraceConfig,
@@ -185,47 +185,6 @@ impl FlightRecorder {
             traces,
         }
     }
-}
-
-fn active_slot(
-) -> &'static std::sync::Mutex<Option<std::sync::Arc<std::sync::Mutex<FlightRecorder>>>> {
-    static ACTIVE: std::sync::OnceLock<
-        std::sync::Mutex<Option<std::sync::Arc<std::sync::Mutex<FlightRecorder>>>>,
-    > = std::sync::OnceLock::new();
-    ACTIVE.get_or_init(|| std::sync::Mutex::new(None))
-}
-
-/// Clears the process-wide active recorder when dropped.
-#[must_use = "dropping the guard immediately deactivates the recorder"]
-pub struct ActiveRecorderGuard(());
-
-impl Drop for ActiveRecorderGuard {
-    fn drop(&mut self) {
-        if let Ok(mut slot) = active_slot().lock() {
-            *slot = None;
-        }
-    }
-}
-
-/// Publish `rec` as the process-wide active recorder so out-of-band
-/// diagnostics (the CLI's error-dump hook, a signal handler) can snapshot
-/// it mid-run via [`active_dump`]. The serving loop installs its recorder
-/// for the duration of a traced run; the returned guard clears the slot.
-/// A second concurrent traced run replaces the first — last writer wins,
-/// which is fine for the one-serving-loop-per-process CLI.
-pub fn set_active(rec: std::sync::Arc<std::sync::Mutex<FlightRecorder>>) -> ActiveRecorderGuard {
-    if let Ok(mut slot) = active_slot().lock() {
-        *slot = Some(rec);
-    }
-    ActiveRecorderGuard(())
-}
-
-/// Snapshot the active recorder, if a traced run is in flight.
-pub fn active_dump() -> Option<TraceDump> {
-    let slot = active_slot().lock().ok()?;
-    let rec = slot.as_ref()?;
-    let rec = rec.lock().ok()?;
-    Some(rec.dump())
 }
 
 /// A serializable snapshot of a flight recorder.
@@ -372,27 +331,6 @@ mod tests {
         let stats = rec.stats();
         assert_eq!(stats.retained_error, 8);
         assert_eq!(stats.dropped_error, 12);
-    }
-
-    #[test]
-    fn active_recorder_is_dumpable_until_the_guard_drops() {
-        use std::sync::{Arc, Mutex};
-        let rec = Arc::new(Mutex::new(FlightRecorder::new(TraceConfig {
-            sample_every: 1,
-            ..cfg()
-        })));
-        let guard = set_active(Arc::clone(&rec));
-        {
-            let mut r = rec.lock().expect("unpoisoned");
-            let ctx = r.begin(0, 0.0);
-            let t = ctx.finish(Disposition::ShedFailed, 0.25);
-            r.record(t);
-        }
-        let dump = active_dump().expect("recorder is active");
-        assert_eq!(dump.traces.len(), 1);
-        assert_eq!(dump.stats.retained_error, 1);
-        drop(guard);
-        assert!(active_dump().is_none(), "guard must clear the slot");
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! End-to-end observability: run the real Stage 1 → 2 → 3 pipeline and
 //! assert that the instrumented crates (queuesim, profiler, deepforest,
 //! core) all report into the shared `stca-obs` registry, and that the
-//! registry exports cleanly in both JSON and Prometheus formats.
+//! registry exports cleanly as JSON.
 //!
 //! The registry is process-global, so everything lives in one test
 //! function — parallel test threads would otherwise race on `clear()`.
@@ -77,15 +77,6 @@ fn pipeline_populates_metrics_across_crates() {
     for name in &names {
         assert!(json.contains(*name), "JSON export missing {name}");
     }
-    let prom = obs::registry().to_prometheus();
-    assert!(
-        prom.contains("# TYPE"),
-        "Prometheus export has TYPE headers"
-    );
-    assert!(
-        prom.contains("stca_queuesim_events_total"),
-        "sanitized name present:\n{prom}"
-    );
 
     // the human summary table renders non-empty
     let table = obs::summary_table(obs::registry());
