@@ -1,4 +1,7 @@
-//! A single set-associative cache level with mask-constrained fills.
+//! A single set-associative cache level with mask-constrained fills: the
+//! shared LLC. (A workload's private L1/L2 levels are unpartitioned, clean
+//! and single-owner, and use a smaller type of their own in
+//! [`crate::hierarchy`].)
 //!
 //! Implements the Figure-1 data path: the address is split into tag/set, the
 //! set's ways are searched for a tag match (hit), and on a miss the fill

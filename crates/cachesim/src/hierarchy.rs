@@ -12,10 +12,14 @@
 //! tracked at the LLC only, so `MemWrites` counts dirty LLC lines leaving
 //! it (evicted, or invalidated by a [`MaskMode::Strict`] foreign hit);
 //! L1/L2 evictions are counted but generate no memory traffic of their own.
+//!
+//! The private levels are therefore much simpler than the LLC: one owner,
+//! no mask, no dirty bit, true LRU. Each is a `PrivateLevel`, and
+//! [`CacheLevel`] serves only as the shared LLC.
 
-use crate::address::{AccessKind, Address};
+use crate::address::{AccessKind, Address, AddressMapper};
 use crate::cache::{AccessOutcome, CacheLevel};
-use crate::config::HierarchyConfig;
+use crate::config::{CacheGeometry, HierarchyConfig};
 use crate::counters::{Counter, CounterBank, CounterSet};
 use crate::replacement::ReplacementKind;
 use crate::WorkloadId;
@@ -53,24 +57,122 @@ pub enum LevelHit {
     Memory,
 }
 
+/// Most ways a private level may have: a set's tags and last-touch ticks
+/// are one fixed array each, so a lookup compares every lane at once.
+const PRIVATE_MAX_WAYS: usize = 8;
+
+/// One set of a [`PrivateLevel`]. Lanes at or past the level's way count
+/// are never valid and keep tick `u64::MAX`, so they never match and are
+/// never the least recently touched.
+#[derive(Clone, Copy)]
+struct PrivateSet {
+    tags: [u64; PRIVATE_MAX_WAYS],
+    last_touch: [u64; PRIVATE_MAX_WAYS],
+    /// Bit i = way i holds a valid line.
+    valid: u8,
+}
+
+/// A private L1 or L2: unpartitioned, true LRU, at most
+/// [`PRIVATE_MAX_WAYS`] ways. It keeps no owner, dirty bit or occupancy
+/// (private lines are never dirty and one workload owns them all), and
+/// makes the same decisions as a full-mask, one-owner LRU [`CacheLevel`]:
+/// the tick advances on every lookup and fill, a fill takes the lowest
+/// invalid way or else the least recently touched one.
+struct PrivateLevel {
+    mapper: AddressMapper,
+    sets: Vec<PrivateSet>,
+    /// Bits of the ways that exist.
+    way_mask: u8,
+    tick: u64,
+}
+
+impl PrivateLevel {
+    fn new(geometry: CacheGeometry) -> Self {
+        let ways = geometry.ways;
+        let mut last_touch = [u64::MAX; PRIVATE_MAX_WAYS];
+        last_touch[..ways].fill(0);
+        let empty = PrivateSet {
+            tags: [0; PRIVATE_MAX_WAYS],
+            last_touch,
+            valid: 0,
+        };
+        PrivateLevel {
+            mapper: AddressMapper::new(geometry.line_size, geometry.sets()),
+            sets: vec![empty; geometry.sets()],
+            way_mask: ((1u16 << ways) - 1) as u8,
+            tick: 0,
+        }
+    }
+
+    /// Look up `addr`; a hit refreshes its way's recency.
+    #[inline]
+    fn lookup(&mut self, addr: Address) -> bool {
+        self.tick += 1;
+        let tag = self.mapper.tag(addr);
+        let set = &mut self.sets[self.mapper.set(addr)];
+        // tags are unique among a set's valid ways: at most one bit is set
+        let mut hit = 0u8;
+        for (lane, &t) in set.tags.iter().enumerate() {
+            hit |= u8::from(t == tag) << lane;
+        }
+        hit &= set.valid;
+        if hit == 0 {
+            return false;
+        }
+        set.last_touch[hit.trailing_zeros() as usize] = self.tick;
+        true
+    }
+
+    /// Install `addr`, which the level does not hold. Returns whether a
+    /// valid line was evicted.
+    #[inline]
+    fn fill(&mut self, addr: Address) -> bool {
+        self.tick += 1;
+        let tag = self.mapper.tag(addr);
+        let set = &mut self.sets[self.mapper.set(addr)];
+        let empty = !set.valid & self.way_mask;
+        let way = if empty != 0 {
+            empty.trailing_zeros() as usize
+        } else {
+            lru_lane(&set.last_touch)
+        };
+        set.tags[way] = tag;
+        set.last_touch[way] = self.tick;
+        set.valid |= 1 << way;
+        empty == 0
+    }
+}
+
+/// Lane with the smallest tick, branch-free; the first minimum wins, as in
+/// the LLC's LRU.
+#[inline]
+fn lru_lane(ticks: &[u64; PRIVATE_MAX_WAYS]) -> usize {
+    let (mut best, mut best_tick) = (0, ticks[0]);
+    for (lane, &t) in ticks.iter().enumerate().skip(1) {
+        let older = t < best_tick;
+        best = if older { lane } else { best };
+        best_tick = if older { t } else { best_tick };
+    }
+    best
+}
+
 struct PrivateCaches {
-    l1d: CacheLevel,
-    l1i: CacheLevel,
-    l2: CacheLevel,
+    l1d: PrivateLevel,
+    l1i: PrivateLevel,
+    l2: PrivateLevel,
 }
 
 impl PrivateCaches {
-    fn new(config: &HierarchyConfig, seed: u64, w: WorkloadId) -> Self {
-        let seed = seed ^ ((w as u64) << 8);
+    fn new(config: &HierarchyConfig) -> Self {
         PrivateCaches {
-            l1d: CacheLevel::new(config.l1d, ReplacementKind::Lru, seed | 1),
-            l1i: CacheLevel::new(config.l1i, ReplacementKind::Lru, seed | 2),
-            l2: CacheLevel::new(config.l2, ReplacementKind::Lru, seed | 3),
+            l1d: PrivateLevel::new(config.l1d),
+            l1i: PrivateLevel::new(config.l1i),
+            l2: PrivateLevel::new(config.l2),
         }
     }
 
     /// The L1 that serves `kind`.
-    fn l1(&mut self, kind: AccessKind) -> &mut CacheLevel {
+    fn l1(&mut self, kind: AccessKind) -> &mut PrivateLevel {
         match kind {
             AccessKind::IFetch => &mut self.l1i,
             _ => &mut self.l1d,
@@ -101,14 +203,22 @@ pub struct Hierarchy {
     full_mask: u64,
     counters: CounterBank,
     mask_mode: MaskMode,
-    seed: u64,
 }
 
 impl Hierarchy {
     /// Build an empty hierarchy. Workload private caches are created on
     /// first access. Until a mask is installed, a workload fills the whole
     /// LLC (hardware reset behaviour, COS 0 = full mask).
+    ///
+    /// Panics when a private level (L1d, L1i or L2) has more than 8 ways.
     pub fn new(config: HierarchyConfig, seed: u64) -> Self {
+        for (name, level) in [("l1d", config.l1d), ("l1i", config.l1i), ("l2", config.l2)] {
+            assert!(
+                level.ways <= PRIVATE_MAX_WAYS,
+                "private {name} has {} ways; at most {PRIVATE_MAX_WAYS} are supported",
+                level.ways
+            );
+        }
         Hierarchy {
             llc: CacheLevel::new(config.llc, ReplacementKind::Lru, seed ^ 0x11c),
             config,
@@ -121,7 +231,6 @@ impl Hierarchy {
             },
             counters: CounterBank::new(),
             mask_mode: MaskMode::FillOnly,
-            seed,
         }
     }
 
@@ -165,7 +274,6 @@ impl Hierarchy {
     /// Perform one memory access for `workload`. Returns the deepest level
     /// reached and charges its latency (in cycles) to the workload.
     pub fn access(&mut self, w: WorkloadId, addr: Address, kind: AccessKind) -> LevelHit {
-        const PRIV_FULL: u64 = u64::MAX; // private caches are not partitioned
         let llc_mask = self.llc_mask_bits(w);
         let lat = self.config.latencies;
         let is_store = kind == AccessKind::Store;
@@ -176,19 +284,18 @@ impl Hierarchy {
         if idx >= self.privates.len() {
             self.privates.resize_with(idx + 1, || None);
         }
-        let p = self.privates[idx]
-            .get_or_insert_with(|| PrivateCaches::new(&self.config, self.seed, w));
+        let p = self.privates[idx].get_or_insert_with(|| PrivateCaches::new(&self.config));
         let c = self.counters.of_mut(w);
         let llc = &mut self.llc;
 
         // ---- L1 ----
-        let l1_outcome = p.l1(kind).lookup(addr, PRIV_FULL);
+        let l1_hit = p.l1(kind).lookup(addr);
         match kind {
             AccessKind::Load => c.bump(Counter::L1dLoads),
             AccessKind::Store => c.bump(Counter::L1dStores),
             AccessKind::IFetch => c.bump(Counter::L1iFetches),
         }
-        if let AccessOutcome::Hit { .. } = l1_outcome {
+        if l1_hit {
             c.add(Counter::Cycles, lat.l1);
             if is_store {
                 // write-through dirty state to the LLC copy when present
@@ -203,15 +310,15 @@ impl Hierarchy {
         }
 
         // ---- L2 ----
-        let l2_outcome = p.l2.lookup(addr, PRIV_FULL);
+        let l2_hit = p.l2.lookup(addr);
         c.bump(Counter::L2Requests);
         if is_store {
             c.bump(Counter::L2Stores);
         } else {
             c.bump(Counter::L2Loads);
         }
-        if let AccessOutcome::Hit { .. } = l2_outcome {
-            fill_l1(p, c, w, addr, kind);
+        if l2_hit {
+            fill_l1(p, c, addr, kind);
             c.add(Counter::Cycles, lat.l2);
             if is_store {
                 llc.mark_dirty(addr);
@@ -253,8 +360,8 @@ impl Hierarchy {
             if is_store {
                 llc.mark_dirty(addr);
             }
-            fill_l2(p, c, w, addr);
-            fill_l1(p, c, w, addr, kind);
+            fill_l2(p, c, addr);
+            fill_l1(p, c, addr, kind);
             c.add(Counter::Cycles, lat.llc);
             return LevelHit::Llc;
         }
@@ -281,8 +388,8 @@ impl Hierarchy {
                 }
             }
         }
-        fill_l2(p, c, w, addr);
-        fill_l1(p, c, w, addr, kind);
+        fill_l2(p, c, addr);
+        fill_l1(p, c, addr, kind);
         c.add(Counter::Cycles, lat.memory);
         if let Some(owner) = victim_owner {
             self.counters
@@ -331,25 +438,15 @@ impl Hierarchy {
 }
 
 /// Fill `addr` into the L1 serving `kind`, counting data-side evictions.
-fn fill_l1(
-    p: &mut PrivateCaches,
-    c: &mut CounterSet,
-    w: WorkloadId,
-    addr: Address,
-    kind: AccessKind,
-) {
-    // u64::MAX write-enable covers every way, so fill cannot report an
-    // empty-mask bypass; treat the impossible Err as "no eviction"
-    let evicted = p.l1(kind).fill(addr, w, u64::MAX, false).unwrap_or(None);
-    if evicted.is_some() && kind != AccessKind::IFetch {
+fn fill_l1(p: &mut PrivateCaches, c: &mut CounterSet, addr: Address, kind: AccessKind) {
+    if p.l1(kind).fill(addr) && kind != AccessKind::IFetch {
         c.bump(Counter::L1dEvictions);
     }
 }
 
 /// Fill `addr` into the private L2, counting evictions.
-fn fill_l2(p: &mut PrivateCaches, c: &mut CounterSet, w: WorkloadId, addr: Address) {
-    let evicted = p.l2.fill(addr, w, u64::MAX, false).unwrap_or(None);
-    if evicted.is_some() {
+fn fill_l2(p: &mut PrivateCaches, c: &mut CounterSet, addr: Address) {
+    if p.l2.fill(addr) {
         c.bump(Counter::L2Evictions);
     }
 }
@@ -522,6 +619,111 @@ mod tests {
         assert_eq!(run(MaskMode::Strict), 0, "strict mode demotes foreign hits");
         // the same sequence under CAT semantics does hit foreign ways
         assert!(run(MaskMode::FillOnly) > 0);
+    }
+
+    /// A seeded trace over about twice a level's capacity: a hot region a
+    /// quarter of the capacity wide, a cold region twice as wide and short
+    /// sequential runs, with random in-line offsets.
+    fn private_trace(geometry: CacheGeometry, seed: u64) -> Vec<Address> {
+        let line = geometry.line_size as u64;
+        let lines = geometry.lines() as u64;
+        let mut rng = stca_util::Rng64::new(seed);
+        let mut out = Vec::new();
+        while out.len() < 16 * lines as usize {
+            let first = match rng.next_below(10) {
+                0..=5 => rng.next_below(lines / 4 + 1),
+                6..=8 => lines + rng.next_below(2 * lines),
+                _ => rng.next_below(4 * lines),
+            };
+            let run = if rng.next_bool(0.1) { 8 } else { 1 };
+            for l in first..first + run {
+                out.push(l * line + rng.next_below(line));
+            }
+        }
+        out
+    }
+
+    fn private_geometries() -> Vec<CacheGeometry> {
+        [1, 2, 4, 8]
+            .iter()
+            .flat_map(|&ways| {
+                [
+                    CacheGeometry::new(ways * 64, ways, 64), // one set
+                    CacheGeometry::new(16 * ways * 64, ways, 64),
+                ]
+            })
+            .collect()
+    }
+
+    #[test]
+    fn private_level_matches_a_full_mask_lru_cache_level() {
+        for geometry in private_geometries() {
+            let ways = geometry.ways;
+            let full = (1u64 << ways) - 1;
+            let mut private = PrivateLevel::new(geometry);
+            let mut reference = CacheLevel::new(geometry, ReplacementKind::Lru, 0x9e);
+            let (mut hits, mut evictions) = (0, 0);
+            for (i, &addr) in private_trace(geometry, 0x1e7 + ways as u64)
+                .iter()
+                .enumerate()
+            {
+                let hit = private.lookup(addr);
+                let want = reference.lookup(addr, full);
+                assert_eq!(hit, want != AccessOutcome::Miss, "{ways} ways, access {i}");
+                if !hit {
+                    let evicted = private.fill(addr);
+                    let want = reference.fill(addr, 0, full, false).expect("full mask");
+                    assert_eq!(evicted, want.is_some(), "{ways} ways, fill {i}");
+                    evictions += u64::from(evicted);
+                } else {
+                    hits += 1;
+                }
+            }
+            // the trace exercises both outcomes of both operations
+            assert!(hits > 0 && evictions > 0, "{ways} ways");
+        }
+    }
+
+    #[test]
+    fn private_level_hits_equal_short_stack_distances() {
+        for geometry in private_geometries() {
+            let ways = geometry.ways;
+            let (line, sets) = (geometry.line_size as u64, geometry.sets() as u64);
+            let trace = private_trace(geometry, 0x5d1 + ways as u64);
+            // Mattson: an access hits iff fewer than `ways` distinct lines
+            // of its set were touched since its previous access
+            let mut stacks = vec![Vec::new(); sets as usize];
+            let mut expected = 0;
+            for &addr in &trace {
+                let l = addr / line;
+                let stack: &mut Vec<u64> = &mut stacks[(l % sets) as usize];
+                if let Some(depth) = stack.iter().position(|&x| x == l) {
+                    expected += u64::from(depth < ways);
+                    stack.remove(depth);
+                }
+                stack.insert(0, l);
+            }
+            let mut level = PrivateLevel::new(geometry);
+            let mut hits = 0;
+            for &addr in &trace {
+                if level.lookup(addr) {
+                    hits += 1;
+                } else {
+                    level.fill(addr);
+                }
+            }
+            assert_eq!(hits, expected, "{ways} ways");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "private l2 has 16 ways")]
+    fn private_levels_wider_than_eight_ways_are_rejected() {
+        let config = HierarchyConfig {
+            l2: CacheGeometry::new(16 * 1024, 16, 64),
+            ..tiny_config()
+        };
+        Hierarchy::new(config, 1);
     }
 
     #[test]
