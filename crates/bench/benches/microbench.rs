@@ -171,10 +171,11 @@ fn bench_mgs() {
 }
 
 fn bench_exec() {
-    // pool-dispatch overhead: the cost of fanning out n trivial tasks vs
-    // computing them in a serial loop. Small workloads should stay close to
-    // serial (the pool falls back to inline execution at 1 thread); larger
-    // per-task work amortizes the spawn cost.
+    // dispatch overhead: the cost of fanning out n trivial tasks vs
+    // computing them in a serial loop. Each par_map is one batch: it spawns
+    // min(threads, n) - 1 helpers and the caller claims blocks beside them.
+    // Small workloads should stay close to serial (the map runs inline at 1
+    // thread); larger per-task work amortizes the spawn cost.
     let busy = |seed: u64, rounds: u64| -> u64 {
         let mut rng = Rng64::new(seed);
         let mut acc = 0u64;

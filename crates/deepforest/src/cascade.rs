@@ -489,12 +489,13 @@ mod tests {
         let cold = Cascade::fit(&x, &y, small(), &SeedStream::new(22));
         // same window, same seed: warm start must equal the cold fit bit
         // for bit, whether the retrain runs on 1 worker or 8
+        let saved = stca_exec::threads();
         for threads in [1usize, 8] {
             stca_exec::set_threads(threads);
             let warm = Cascade::fit_warm_start(&x, &y, small(), &SeedStream::new(22), &cold);
             assert_same_model(&cold, &warm, &x, &format!("warm start @ {threads} threads"));
         }
-        stca_exec::set_threads(0);
+        stca_exec::set_threads(saved);
     }
 
     #[test]

@@ -1,11 +1,16 @@
-//! Helper threads that live as long as one caller's loop.
+//! The one scheduler: a caller and its helper threads share batches.
 //!
-//! [`par_map_range`](crate::par_map_range) spawns its workers per call. A
-//! loop that maps one small batch after another pays those spawns on every
-//! batch, and its thread idles between batches. [`with_helpers`] instead
-//! spawns `threads() − 1` helpers once, for the whole loop, and the calling
-//! thread is the last worker, so there are never more runnable threads
-//! than [`threads`](crate::threads). The helpers do two kinds of work:
+//! A caller spawns its helpers in one scope and works beside them as the
+//! last worker, so there are never more runnable threads than
+//! [`threads`](crate::threads). It has two entry points:
+//!
+//! * [`par_map_range`](crate::par_map_range) spawns `min(threads(), n) − 1`
+//!   helpers for one call and maps `0..n` as one batch.
+//! * [`with_helpers`] spawns `threads() − 1` helpers once, for a caller's
+//!   whole loop, so a loop that maps one small batch after another pays no
+//!   spawn per batch and its helpers can run deferred jobs between them.
+//!
+//! The helpers do two kinds of work:
 //!
 //! * **Batch items.** [`Helpers::map`] publishes a batch. The caller and
 //!   every idle helper claim blocks of items off one cursor, and each
@@ -18,20 +23,47 @@
 //!   waits for the rest, and returns every outcome in submit order.
 //!
 //! At one thread, or when called from a pool worker, there are no helpers
-//! and everything runs inline on the caller, through the same code path.
-//! The caller and the helpers count as pool workers while the helpers
-//! live, so a nested `par_map` in any of their work runs inline.
+//! and everything runs inline on the caller. The caller and the helpers
+//! count as pool workers while the helpers live, so a nested `par_map` in
+//! any of their work runs inline.
 //!
-//! A panic in a helper's block or job is caught there and re-raised on the
-//! caller at its next [`Helpers::map`] or [`Helpers::finish_deferred`];
-//! helpers stop taking work after one, so the run never hangs.
+//! A panic in a helper's block or job is caught there and re-raised, with
+//! its own payload, on the caller at its next [`Helpers::map`] or
+//! [`Helpers::finish_deferred`]; helpers stop taking work after one, so
+//! the run never hangs.
 
-use crate::pool::{pool_metrics, IN_POOL};
 use std::any::Any;
+use std::cell::Cell;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
+
+/// Scheduler metric handles, resolved once.
+pub(crate) struct PoolMetrics {
+    par_maps: Arc<stca_obs::Counter>,
+    pub(crate) tasks: Arc<stca_obs::Counter>,
+    pub(crate) task_panics: Arc<stca_obs::Counter>,
+    wall_seconds: Arc<stca_obs::Histogram>,
+}
+
+pub(crate) fn pool_metrics() -> &'static PoolMetrics {
+    static METRICS: OnceLock<PoolMetrics> = OnceLock::new();
+    METRICS.get_or_init(|| PoolMetrics {
+        par_maps: stca_obs::counter("exec.par_maps_total"),
+        tasks: stca_obs::counter("exec.tasks_total"),
+        task_panics: stca_obs::counter("exec.task_panics_total"),
+        wall_seconds: stca_obs::histogram("exec.pool.wall_seconds"),
+    })
+}
+
+thread_local! {
+    /// Set while this thread is a helper, or a caller whose helpers live:
+    /// nested parallel calls run inline so fan-out never multiplies across
+    /// layers (a cascade level fitting forests in parallel must not also
+    /// fan out per tree).
+    pub(crate) static IN_POOL: Cell<bool> = const { Cell::new(false) };
+}
 
 /// Largest block of batch items one claim takes.
 const MAX_CLAIM: usize = 64;
@@ -142,7 +174,8 @@ impl<T, R, J, O> Shared<T, R, J, O> {
     }
 }
 
-/// Sets `IN_POOL` for the current thread and restores it on drop.
+/// Marks the current thread a pool worker and restores the flag on drop;
+/// the one place `IN_POOL` is set.
 struct InPool(bool);
 
 impl InPool {
@@ -173,7 +206,7 @@ fn help<T, R, J, O>(
     map: &(dyn Fn(&T) -> R + Sync),
     run: &(dyn Fn(J) -> O + Sync),
 ) {
-    IN_POOL.with(|p| p.set(true));
+    let _in_pool = InPool::enter();
     let mut st = shared.state();
     loop {
         if st.stop || st.panic.is_some() {
@@ -215,8 +248,7 @@ pub struct Helpers<'s, T, R, J, O> {
     shared: &'s Shared<T, R, J, O>,
     map: &'s (dyn Fn(&T) -> R + Sync),
     run: &'s (dyn Fn(J) -> O + Sync),
-    /// Helper threads beside the caller: `threads() − 1`, or 0 when
-    /// called from a pool worker.
+    /// Helper threads beside the caller: 0 when called from a pool worker.
     count: usize,
 }
 
@@ -335,11 +367,28 @@ where
     J: Send,
     O: Send,
 {
-    let count = if IN_POOL.with(|p| p.get()) {
+    let count = if IN_POOL.with(Cell::get) {
         0
     } else {
         crate::threads() - 1
     };
+    with_n_helpers(count, map, run, body)
+}
+
+/// [`with_helpers`] with `count` helper threads, the one place that
+/// spawns them.
+pub(crate) fn with_n_helpers<T, R, J, O, Out>(
+    count: usize,
+    map: impl Fn(&T) -> R + Sync,
+    run: impl Fn(J) -> O + Sync,
+    body: impl FnOnce(&mut Helpers<'_, T, R, J, O>) -> Out,
+) -> Out
+where
+    T: Send + Sync,
+    R: Send,
+    J: Send,
+    O: Send,
+{
     let shared = Shared {
         state: Mutex::new(State {
             batch: None,

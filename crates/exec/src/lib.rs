@@ -7,20 +7,20 @@
 //! training (Stage 2), and the timeout-grid policy search; the serving
 //! fleet's per-request compute and validation sims run beside its serial
 //! replay. This crate is the single place that schedules threads for all
-//! of them, with two primitives:
+//! of them. It has one scheduler: a caller spawns helper threads in one
+//! scope, publishes a batch, and claims adaptive blocks of it off one
+//! cursor beside them; results come back **in input order**, so they are
+//! independent of scheduling. The caller is the last worker, so there are
+//! never more runnable threads than [`threads`]. It has two entry points:
 //!
 //! * [`par_map_indexed`] / [`par_map_range`] — run a function over every
-//!   index of a slice (or range) on a scoped worker pool and return the
-//!   results **in input order**. Workers claim adaptive chunks from a shared
-//!   injector, so load balances like a work-stealing pool, but the output
-//!   is position-keyed and therefore independent of scheduling.
+//!   index of a slice (or range) as one batch, with `min(threads(), n) − 1`
+//!   helpers spawned for the call.
 //! * [`with_helpers`] — for a loop that maps many small batches, such as
-//!   the serving fleet's chunked replay: `threads() − 1` helper threads
-//!   live for the whole loop instead of being spawned per batch. The
-//!   caller and idle helpers share each batch ([`Helpers::map`], input
-//!   order out), and helpers run [`Helpers::defer`]red jobs whenever no
-//!   batch item is unclaimed. The caller is the last worker, so there are
-//!   never more runnable threads than [`threads`].
+//!   the serving fleet's chunked replay: `threads() − 1` helpers live for
+//!   the whole loop instead of being spawned per batch. The caller and
+//!   idle helpers share each batch ([`Helpers::map`]), and helpers run
+//!   [`Helpers::defer`]red jobs whenever no batch item is unclaimed.
 //!
 //! Determinism is a contract shared with callers: tasks must not share
 //! mutable state, and any randomness must come from a tagged stream
@@ -34,8 +34,8 @@
 //! variable, then [`std::thread::available_parallelism`]. Nested calls run
 //! inline on the already-parallel worker — fan-out never multiplies.
 //!
-//! Instrumented with stca-obs: `exec.threads` gauge, `exec.tasks_total` and
-//! `exec.par_maps_total` counters, `exec.queue_depth` gauge, and an
+//! Instrumented with stca-obs: `exec.threads` gauge, `exec.tasks_total`,
+//! `exec.par_maps_total` and `exec.task_panics_total` counters, and an
 //! `exec.pool.wall_seconds` histogram per parallel region.
 //!
 //! [`Rng64::derive_stream`]: stca_util::Rng64::derive_stream
@@ -46,6 +46,4 @@ mod pool;
 
 pub use config::{init_from_env_and_args, parse_threads, set_threads, threads};
 pub use helpers::{with_helpers, Helpers};
-pub use pool::{
-    par_map_indexed, par_map_indexed_caught, par_map_range, par_map_range_caught, run_caught,
-};
+pub use pool::{par_map_indexed, par_map_indexed_caught, par_map_range, run_caught};

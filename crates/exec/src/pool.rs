@@ -1,35 +1,11 @@
-//! The scoped worker pool and its order-preserving map primitive.
+//! The order-preserving map entry points and panic isolation.
 //!
-//! Scheduling is a shared-injector design: tasks live in the input slice,
-//! workers claim adaptive chunks off an atomic cursor (large chunks while
-//! the queue is long, single tasks near the end — the same tail behaviour
-//! work-stealing deques converge to), and every result is written to the
-//! slot of its input index. Output order is therefore input order, no
-//! matter which worker ran what when.
+//! A `par_map` is one batch on the scheduler in `helpers.rs`: every result
+//! lands at its input index, so output order is input order, no matter
+//! which worker ran what when.
 
+use crate::helpers::{pool_metrics, with_n_helpers, IN_POOL};
 use std::cell::Cell;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
-
-/// Per-pool metric handles, resolved once.
-pub(crate) struct PoolMetrics {
-    pub(crate) par_maps: Arc<stca_obs::Counter>,
-    pub(crate) tasks: Arc<stca_obs::Counter>,
-    task_panics: Arc<stca_obs::Counter>,
-    queue_depth: Arc<stca_obs::Gauge>,
-    pub(crate) wall_seconds: Arc<stca_obs::Histogram>,
-}
-
-pub(crate) fn pool_metrics() -> &'static PoolMetrics {
-    static METRICS: OnceLock<PoolMetrics> = OnceLock::new();
-    METRICS.get_or_init(|| PoolMetrics {
-        par_maps: stca_obs::counter("exec.par_maps_total"),
-        tasks: stca_obs::counter("exec.tasks_total"),
-        task_panics: stca_obs::counter("exec.task_panics_total"),
-        queue_depth: stca_obs::gauge("exec.queue_depth"),
-        wall_seconds: stca_obs::histogram("exec.pool.wall_seconds"),
-    })
-}
 
 /// Best-effort human-readable message out of a panic payload.
 fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
@@ -42,72 +18,30 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-thread_local! {
-    /// Set while this thread is a pool worker, or a helper or the caller
-    /// inside [`crate::with_helpers`]: nested parallel calls run inline so
-    /// fan-out never multiplies across layers (a cascade level fitting
-    /// forests in parallel must not also fan out per tree).
-    pub(crate) static IN_POOL: Cell<bool> = const { Cell::new(false) };
-}
-
 /// Map `f` over `0..n` on the worker pool; `out[i] = f(i)`, always.
 ///
-/// Falls back to a plain serial loop when the effective thread count is 1,
-/// when there is at most one task, or when already running on a pool
-/// worker — the result is identical in every case, only the wall time
-/// changes. Panics in `f` propagate to the caller.
+/// The caller is one of the `min(threads(), n)` workers, so no more than
+/// [`threads`](crate::threads) threads are runnable. Falls back to a plain
+/// serial loop when the effective thread count is 1, when there is at most
+/// one task, or when already running on a pool worker — the result is
+/// identical in every case, only the wall time changes. A panic in `f`
+/// reaches the caller with its own payload.
 pub fn par_map_range<R, F>(n: usize, f: F) -> Vec<R>
 where
     R: Send,
     F: Fn(usize) -> R + Sync,
 {
-    let metrics = pool_metrics();
-    metrics.tasks.add(n as u64);
     let workers = crate::threads().min(n);
-    if workers <= 1 || IN_POOL.with(|p| p.get()) {
+    if workers <= 1 || IN_POOL.with(Cell::get) {
+        pool_metrics().tasks.add(n as u64);
         return (0..n).map(f).collect();
     }
-    metrics.par_maps.inc();
-    let timer = stca_obs::StageTimer::with_histogram(metrics.wall_seconds.clone());
-    // Mutex<Option<R>> rather than OnceLock<R>: the slot type must be Sync
-    // with only R: Send, and each slot is locked exactly once, uncontended.
-    let slots: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    let cursor = AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            let f = &f;
-            let slots = &slots;
-            let cursor = &cursor;
-            scope.spawn(move || {
-                IN_POOL.with(|p| p.set(true));
-                loop {
-                    // Adaptive chunk: a quarter-share of what looks left,
-                    // decaying to single tasks so stragglers stay balanced.
-                    let remaining = n.saturating_sub(cursor.load(Ordering::Relaxed));
-                    let chunk = (remaining / (workers * 4)).clamp(1, 64);
-                    let start = cursor.fetch_add(chunk, Ordering::Relaxed);
-                    if start >= n {
-                        break;
-                    }
-                    let end = (start + chunk).min(n);
-                    pool_metrics().queue_depth.set(n.saturating_sub(end) as f64);
-                    for (i, slot) in slots.iter().enumerate().take(end).skip(start) {
-                        let r = f(i);
-                        *slot.lock().expect("slot lock") = Some(r);
-                    }
-                }
-            });
-        }
-    });
-    timer.stop();
-    slots
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .expect("slot lock")
-                .expect("scope join guarantees every slot is filled")
-        })
-        .collect()
+    with_n_helpers(
+        workers - 1,
+        |&i: &usize| f(i),
+        |(): ()| (),
+        |helpers| helpers.map((0..n).collect()).1,
+    )
 }
 
 /// Map `f` over a slice on the worker pool; `out[i] = f(i, &items[i])`,
@@ -123,26 +57,17 @@ where
     par_map_range(items.len(), |i| f(i, &items[i]))
 }
 
-/// [`par_map_range`] with panic isolation: a panicking task yields
+/// [`par_map_indexed`] with panic isolation: a panicking task yields
 /// `Err(panic message)` for its own slot instead of tearing down the whole
 /// map, and ticks `exec.task_panics_total`. Fault-tolerant pipelines use
 /// this so one poisoned experiment fails one item, not the run.
-pub fn par_map_range_caught<R, F>(n: usize, f: F) -> Vec<Result<R, String>>
+pub fn par_map_indexed_caught<T, R, F>(items: &[T], f: F) -> Vec<Result<R, String>>
 where
+    T: Sync,
     R: Send,
-    F: Fn(usize) -> R + Sync,
+    F: Fn(usize, &T) -> R + Sync,
 {
-    par_map_range(n, |i| {
-        // AssertUnwindSafe: `f` is &-called and any broken invariants die
-        // with the Err slot — the value is never observed half-built.
-        match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(i))) {
-            Ok(r) => Ok(r),
-            Err(payload) => {
-                pool_metrics().task_panics.inc();
-                Err(panic_message(payload))
-            }
-        }
-    })
+    par_map_range(items.len(), |i| run_caught(|| f(i, &items[i])))
 }
 
 /// Run one closure with panic isolation on the current thread: a panic in
@@ -154,6 +79,8 @@ pub fn run_caught<R, F>(f: F) -> Result<R, String>
 where
     F: FnOnce() -> R,
 {
+    // AssertUnwindSafe: any invariant `f` breaks dies with the Err — the
+    // value is never observed half-built.
     match std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)) {
         Ok(r) => Ok(r),
         Err(payload) => {
@@ -163,20 +90,11 @@ where
     }
 }
 
-/// [`par_map_indexed`] with panic isolation; see [`par_map_range_caught`].
-pub fn par_map_indexed_caught<T, R, F>(items: &[T], f: F) -> Vec<Result<R, String>>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    par_map_range_caught(items.len(), |i| f(i, &items[i]))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use stca_util::SeedStream;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
     fn preserves_input_order() {
@@ -234,16 +152,39 @@ mod tests {
     #[test]
     fn worker_panic_propagates() {
         let _guard = crate::config::test_lock();
-        crate::set_threads(4);
-        let result = std::panic::catch_unwind(|| {
-            par_map_range(16, |i| {
-                if i == 11 {
-                    panic!("task 11 failed");
-                }
+        for threads in [2, 8] {
+            crate::set_threads(threads);
+            let result = std::panic::catch_unwind(|| {
+                par_map_range(16, |i| {
+                    if i == 11 {
+                        panic!("task 11 failed");
+                    }
+                    i
+                })
+            });
+            let msg = panic_message(result.expect_err("the panic reaches the caller"));
+            assert!(msg.contains("task 11 failed"), "threads={threads}: {msg}");
+        }
+    }
+
+    #[test]
+    fn never_more_runnable_workers_than_threads() {
+        let _guard = crate::config::test_lock();
+        for threads in [2, 3] {
+            crate::set_threads(threads);
+            // the bound holds under every interleaving; the pause in each
+            // task only makes the workers overlap
+            let (active, peak) = (AtomicUsize::new(0), AtomicUsize::new(0));
+            par_map_range(64, |i| {
+                let now = active.fetch_add(1, Ordering::SeqCst) + 1;
+                peak.fetch_max(now, Ordering::SeqCst);
+                std::thread::sleep(std::time::Duration::from_micros(200));
+                active.fetch_sub(1, Ordering::SeqCst);
                 i
-            })
-        });
-        assert!(result.is_err());
+            });
+            let peak = peak.into_inner();
+            assert!(peak <= threads, "threads={threads}: {peak} ran at once");
+        }
     }
 
     #[test]
@@ -252,7 +193,8 @@ mod tests {
         for threads in [1, 4] {
             crate::set_threads(threads);
             let before = stca_obs::counter("exec.task_panics_total").get();
-            let out = par_map_range_caught(16, |i| {
+            let items: Vec<usize> = (0..16).collect();
+            let out = par_map_indexed_caught(&items, |i, _| {
                 if i % 5 == 3 {
                     panic!("task {i} poisoned");
                 }

@@ -41,12 +41,13 @@ fn run(cfg: &ServeConfig, plan: &FaultPlan, n: u64) -> ServeReport {
 #[test]
 fn traces_are_bit_identical_across_thread_counts() {
     let cfg = traced_cfg();
+    let saved = stca_exec::threads();
     for plan in [FaultPlan::none(), FaultPlan::heavy()] {
         stca_exec::set_threads(1);
         let single = run(&cfg, &plan, 4_000);
         stca_exec::set_threads(8);
         let eight = run(&cfg, &plan, 4_000);
-        stca_exec::set_threads(0); // back to auto
+        stca_exec::set_threads(saved);
 
         assert_eq!(single.decision_hash, eight.decision_hash);
         let d1 = single.trace_dump.expect("tracing on");
