@@ -1,10 +1,14 @@
 //! Tracing integration tests: sampling determinism across thread counts,
 //! the flight-recorder retention invariant against the decision log, the
-//! tracing-changes-nothing guarantee, and histogram exemplars.
+//! tracing-changes-nothing guarantee, histogram exemplars, and the
+//! lossless Chrome-trace round trip of every span the fleet emits.
 
 use stca_fault::FaultPlan;
-use stca_serve::{serve, AnalyticEa, ServeConfig, ServeReport, SyntheticStream};
-use stca_trace::{report::cross_check, TraceConfig};
+use stca_serve::{
+    serve, serve_fleet, AdaptConfig, AnalyticEa, FleetConfig, ServeConfig, ServeReport,
+    SyntheticStream,
+};
+use stca_trace::{report::cross_check, SpanRecord, Stage, TraceConfig};
 
 fn traced_cfg() -> ServeConfig {
     ServeConfig {
@@ -155,4 +159,88 @@ fn exemplars_resolve_to_real_requests() {
         seq.is_some(),
         "exemplar 0x{id:016x} is not a known trace id"
     );
+}
+
+/// A span's stage and its args sorted by key (export writes args as a
+/// JSON object, so import sees them in key order).
+fn stage_and_args(span: &SpanRecord) -> (Stage, Vec<(&'static str, stca_trace::AttrValue)>) {
+    let mut args = span.args.clone();
+    args.sort_by_key(|(k, _)| *k);
+    (span.stage, args)
+}
+
+/// Export → import keeps every span's stage and args, lifecycle spans
+/// included: an adapt-on fleet under drift-heavy's plan retrains,
+/// shadow-scores, promotes and rolls back, and every request is traced.
+#[test]
+fn chrome_round_trip_keeps_every_span_and_arg() {
+    let cfg = FleetConfig {
+        base: ServeConfig {
+            queue_capacity: 32,
+            adapt: AdaptConfig {
+                enabled: true,
+                epoch_s: 2.0,
+                window: 128,
+                min_samples: 32,
+                drift_threshold: 1.5,
+                shadow_requests: 32,
+                agree_tol: 0.25,
+                promote_agreement: 0.5,
+                guard_requests: 64,
+                guard_band: 1.5,
+                history: 4,
+                ..AdaptConfig::default()
+            },
+            trace: Some(TraceConfig {
+                seed: 0x7ACE,
+                sample_every: 1,
+                ring_capacity: 1 << 16,
+                error_capacity: 1 << 16,
+            }),
+            ..ServeConfig::default()
+        },
+        shards: 4,
+        ..FleetConfig::default()
+    };
+    let plan = FaultPlan::parse(
+        "drift_burst=0.8,retrain_fail=0.15,retrain_slow=0.15,promote_corrupt=0.5,seed=2022",
+    )
+    .expect("plan");
+    let stream = SyntheticStream {
+        seed: 2022,
+        rate: 1_200.0,
+        deadline_s: 0.25,
+        n_features: 6,
+    };
+    let report = serve_fleet(&cfg, &AnalyticEa::default(), &plan, &stream, 30_000).expect("fleet");
+    let dump = report.trace_dump.expect("tracing on");
+    for stage in [
+        Stage::Retrain,
+        Stage::Shadow,
+        Stage::Promote,
+        Stage::Rollback,
+    ] {
+        assert!(
+            dump.traces
+                .iter()
+                .any(|t| t.spans.iter().any(|s| s.stage == stage)),
+            "no {stage:?} span retained"
+        );
+    }
+
+    let back = stca_trace::chrome::from_chrome_json(&stca_trace::chrome::to_chrome_json(&dump))
+        .expect("own export parses");
+    assert_eq!(back.traces.len(), dump.traces.len());
+    let mut imported: std::collections::HashMap<u64, &stca_trace::Trace> =
+        back.traces.iter().map(|t| (t.seq, t)).collect();
+    for trace in &dump.traces {
+        let got = imported.remove(&trace.seq).expect("trace survives import");
+        // import re-sorts spans by start time: compare them as multisets
+        let key = |(stage, args): &(Stage, _)| (*stage, format!("{args:?}"));
+        let mut want: Vec<_> = trace.spans.iter().map(stage_and_args).collect();
+        let mut have: Vec<_> = got.spans.iter().map(stage_and_args).collect();
+        want.sort_by_key(key);
+        have.sort_by_key(key);
+        assert_eq!(have, want, "seq {} lost span args on import", trace.seq);
+    }
 }

@@ -32,10 +32,11 @@ use std::collections::BTreeMap;
 /// Virtual seconds → Chrome microseconds.
 const US_PER_S: f64 = 1e6;
 
-/// Span argument keys the exporter/importer understand. Import interns
-/// arg keys against this table (span args use `&'static str` keys);
-/// unknown keys are dropped with a validation note rather than leaked.
-pub const KNOWN_ARG_KEYS: [&str; 16] = [
+/// Span argument keys the exporter/importer understand: every key a
+/// span is given anywhere in the serving fleet. Import interns arg keys
+/// against this table (span args use `&'static str` keys); unknown keys
+/// are dropped rather than leaked.
+pub const KNOWN_ARG_KEYS: [&str; 18] = [
     "mode",
     "tier",
     "verdict",
@@ -44,14 +45,16 @@ pub const KNOWN_ARG_KEYS: [&str; 16] = [
     "timeout_s",
     "applied",
     "queue_depth",
-    "deadline_s",
-    "resp_s",
-    "stage",
     "retries",
     "shard",
     "from_shard",
     "to_shard",
     "hops",
+    "version",
+    "outcome",
+    "agree",
+    "from",
+    "to",
 ];
 
 fn intern_arg_key(key: &str) -> Option<&'static str> {
