@@ -11,10 +11,15 @@
 //!
 //! * [`plan::FaultPlan`] — a seeded description of what goes wrong and how
 //!   often (run crashes, injected timeouts/latency, sample dropout, counter
-//!   corruption, stuck sensors, measurement noise). Every decision is drawn
+//!   corruption, stuck sensors, measurement noise, predictor failures,
+//!   stage stalls, and the serving fleet's shard and model-lifecycle
+//!   faults). Each setting is one row of the `faults!` table, which
+//!   generates the struct, its presets and its `key=value` surface; every
+//!   Bernoulli fault draw goes through one roll. Every decision is drawn
 //!   from a tagged [`stca_util::SeedStream`] keyed by `(plan seed, run key,
-//!   attempt, sample)`, never from shared mutable state, so the same plan
-//!   produces bit-identical faults at any `--threads` value.
+//!   attempt, sample)` or `(plan seed, shard, epoch)`, never from shared
+//!   mutable state, so the same plan produces bit-identical faults at any
+//!   `--threads` value.
 //! * [`error::StcaError`] — the typed error hierarchy that replaces
 //!   `unwrap`/`panic!` on the profiler → dataset → training → policy-search
 //!   path, with usage-vs-runtime exit codes for the CLI.
