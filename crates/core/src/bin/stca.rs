@@ -182,15 +182,11 @@ impl FlagMap<'_> {
             Some(path) => stca_scenario::load_file(Path::new(path))?,
             None => ScenarioSpec::default(),
         };
-        for (flag, _) in args.iter() {
-            let known = self.map.iter().any(|(f, _, _)| *f == flag)
+        reject_unknown_flags(args, |flag| {
+            self.map.iter().any(|(f, _, _)| *f == flag)
                 || self.extra.contains(&flag)
-                || CLI_ONLY_FLAGS.contains(&flag)
-                || flag == "fault-plan";
-            if !known {
-                return Err(StcaError::usage(format!("unknown flag --{flag}")));
-            }
-        }
+                || flag == "fault-plan"
+        })?;
         for &(flag, section, key) in self.map {
             if let Some(v) = args.get(flag) {
                 set_flag(&mut spec, flag, section, key, v)?;
@@ -206,6 +202,18 @@ impl FlagMap<'_> {
             }
         }
         Ok(spec)
+    }
+}
+
+/// Exit 2 naming the first flag that is neither `known` to the
+/// subcommand nor one of [`CLI_ONLY_FLAGS`].
+fn reject_unknown_flags(args: &Args, known: impl Fn(&str) -> bool) -> Result<(), StcaError> {
+    match args
+        .iter()
+        .find(|(flag, _)| !known(flag) && !CLI_ONLY_FLAGS.contains(flag))
+    {
+        Some((flag, _)) => Err(StcaError::usage(format!("unknown flag --{flag}"))),
+        None => Ok(()),
     }
 }
 
@@ -594,6 +602,16 @@ fn cmd_scenario(argv: &[String]) -> Result<(), StcaError> {
         .unwrap_or(rest.len());
     let (files, flag_args) = rest.split_at(split);
     let args = Args::parse(flag_args)?;
+    let flags: &[&str] = match sub.as_str() {
+        "check" => &["artifacts"],
+        "run" => &["artifacts", "until"],
+        other => {
+            return Err(StcaError::usage(format!(
+                "unknown scenario subcommand {other:?} (expected check | run)"
+            )))
+        }
+    };
+    reject_unknown_flags(&args, |flag| flags.contains(&flag))?;
     let [file] = files else {
         return Err(StcaError::usage(format!(
             "scenario {sub} takes exactly one scenario file"
@@ -637,9 +655,7 @@ fn cmd_scenario(argv: &[String]) -> Result<(), StcaError> {
             outln!("artifacts in {}", summary.dir.display());
             Ok(())
         }
-        other => Err(StcaError::usage(format!(
-            "unknown scenario subcommand {other:?} (expected check | run)"
-        ))),
+        _ => unreachable!("subcommand matched above"),
     }
 }
 
@@ -672,6 +688,16 @@ fn cmd_trace(argv: &[String]) -> Result<(), StcaError> {
         .unwrap_or(rest.len());
     let (files, flag_args) = rest.split_at(split);
     let args = Args::parse(flag_args)?;
+    let flags: &[&str] = match sub.as_str() {
+        "report" => &["decision-log"],
+        "check" => &[],
+        other => {
+            return Err(StcaError::usage(format!(
+                "unknown trace subcommand {other:?} (expected report | check)"
+            )))
+        }
+    };
+    reject_unknown_flags(&args, |flag| flags.contains(&flag))?;
     match sub.as_str() {
         "report" => {
             let [file] = files else {
@@ -726,9 +752,7 @@ fn cmd_trace(argv: &[String]) -> Result<(), StcaError> {
             }
             Ok(())
         }
-        other => Err(StcaError::usage(format!(
-            "unknown trace subcommand {other:?} (expected report | check)"
-        ))),
+        _ => unreachable!("subcommand matched above"),
     }
 }
 

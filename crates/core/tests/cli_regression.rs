@@ -363,6 +363,57 @@ fn checkpoint_flag_only_where_a_stage_checkpoints() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// `stca scenario` and `stca trace` reject a flag their subcommand does
+/// not read (exit 2, naming it) before touching any file, and still
+/// accept the flags they do read plus the process-wide ones.
+#[test]
+fn scenario_and_trace_reject_unknown_flags() {
+    let dir = temp_dir("sub-flags");
+    let spec = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../examples/scenarios/fleet-heavy.stca"
+    );
+    let rejected: [(&[&str], &str); 6] = [
+        (&["scenario", "check", spec, "--warp", "9"], "warp"),
+        (&["scenario", "check", spec, "--until", "train"], "until"),
+        (
+            &["scenario", "run", spec, "--checkpoint", "x"],
+            "checkpoint",
+        ),
+        (&["trace", "check", "missing.json", "--warp", "9"], "warp"),
+        (
+            &["trace", "check", "missing.json", "--decision-log", "d"],
+            "decision-log",
+        ),
+        (
+            &["trace", "report", "missing.json", "--artifacts", "a"],
+            "artifacts",
+        ),
+    ];
+    for (args, flag) in rejected {
+        let out = run_in(&dir, args);
+        assert_eq!(out.status.code(), Some(2), "stca {args:?} must exit 2");
+        let err = String::from_utf8_lossy(&out.stderr);
+        let want = format!("error: usage error: unknown flag --{flag}\n");
+        assert!(err.starts_with(&want), "stca {args:?}: {err}");
+    }
+    assert!(!dir.join("a").exists() && !dir.join("x").exists());
+    let out = stdout_of(
+        &dir,
+        &[
+            "scenario",
+            "check",
+            spec,
+            "--artifacts",
+            "a",
+            "--threads",
+            "1",
+        ],
+    );
+    assert!(out.contains("[scenario]"), "{out}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// A reader that stops early (`stca characterize | head -1`) ends the run
 /// quietly: exit 0, no panic on the closed pipe, and the metrics report
 /// is still written.

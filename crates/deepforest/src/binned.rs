@@ -8,7 +8,7 @@
 //! boundaries), which is why the mode is opt-in via
 //! [`TreeConfig::bins`](crate::TreeConfig) and guarded by an
 //! accuracy-tolerance test rather than the bit-identity golden test that
-//! protects the exact presorted path.
+//! protects the exact engine.
 
 use stca_util::Matrix;
 

@@ -437,7 +437,7 @@ mod tests {
     }
 
     #[test]
-    fn presorted_cascade_is_bit_identical_to_reference() {
+    fn exact_cascade_is_bit_identical_to_reference() {
         let (x, y) = xor_data(90, 10);
         let fast = Cascade::fit(&x, &y, small(), &SeedStream::new(11));
         let reference = Cascade::fit(

@@ -4,8 +4,7 @@
 //! samples) and *completely-random forests* (random-split trees grown to
 //! purity). Cascade levels mix both kinds to keep the ensemble diverse.
 
-use crate::binned::BinnedMatrix;
-use crate::tree::{Nodes, RegressionTree, SplitStrategy, TreeConfig};
+use crate::tree::{Engine, Nodes, RegressionTree, SplitStrategy, TreeConfig};
 use stca_util::{Matrix, SeedStream};
 use std::sync::{Arc, OnceLock};
 
@@ -164,16 +163,16 @@ impl Forest {
         let _timer = stca_obs::StageTimer::with_histogram(metrics.forest_fit_seconds.clone());
         let n = x.rows();
         let tree_config = config.tree_config();
-        // histogram mode quantizes once per forest; every tree shares the codes
-        let binned: Option<BinnedMatrix> = match (config.kind, config.reference, config.bins) {
-            (ForestKind::Random, false, Some(bins)) => {
+        // the split engine is built once per forest; every tree shares it
+        let engine = match (config.kind, config.reference, config.bins) {
+            (ForestKind::Random, false, Some(_)) => {
                 let bin_timer =
                     stca_obs::StageTimer::with_histogram(metrics.bin_build_seconds.clone());
-                let bm = BinnedMatrix::new(x, bins);
+                let engine = Engine::new(x, &tree_config);
                 bin_timer.stop();
-                Some(bm)
+                engine
             }
-            _ => None,
+            _ => Engine::new(x, &tree_config),
         };
         let trees = stca_exec::par_map_range(config.trees, |t| {
             let mut tree_rng = stream.rng(0xF0 + t as u64);
@@ -182,17 +181,7 @@ impl Forest {
             } else {
                 (0..n).collect()
             };
-            match &binned {
-                Some(bm) => RegressionTree::fit_indices_prebinned(
-                    x,
-                    bm,
-                    y,
-                    &idx,
-                    tree_config,
-                    &mut tree_rng,
-                ),
-                None => RegressionTree::fit_indices(x, y, &idx, tree_config, &mut tree_rng),
-            }
+            RegressionTree::fit_with(x, &engine, y, &idx, tree_config, &mut tree_rng)
         });
         metrics.forest_fits.inc();
         metrics.trees_fitted.add(config.trees as u64);
@@ -340,7 +329,7 @@ mod tests {
     }
 
     #[test]
-    fn presorted_forest_is_bit_identical_to_reference() {
+    fn exact_forest_is_bit_identical_to_reference() {
         let (x, y) = noisy_plane(150, 30);
         let fast = Forest::fit(&x, &y, ForestConfig::random(12), &SeedStream::new(31));
         let reference = Forest::fit(

@@ -28,7 +28,6 @@ pub mod forest;
 pub mod metrics;
 pub mod mgs;
 pub mod model;
-pub mod presort;
 pub mod scratch;
 pub mod tree;
 
@@ -37,6 +36,5 @@ pub use cascade::{Cascade, CascadeConfig, CascadeScratch};
 pub use forest::{Forest, ForestConfig, ForestKind};
 pub use mgs::{MgsConfig, MultiGrainScanner};
 pub use model::{DeepForest, DeepForestConfig, Sample};
-pub use presort::SortedColumns;
 pub use scratch::PredictScratch;
 pub use tree::{RegressionTree, TreeConfig};

@@ -8,33 +8,35 @@
 //!
 //! ## Split-finding engines
 //!
-//! Best-split trees choose among three engines:
+//! Best-split trees choose between two engines, each built from the
+//! design matrix once per forest (`Engine::new`) and shared by every
+//! tree:
 //!
-//! * **Presorted exact**: every feature column is sorted once per tree
-//!   ([`SortedColumns`]) and the per-node
-//!   views are maintained by stable in-place partitioning — the
-//!   CART/XGBoost-exact device. Produces **bit-identical** trees to the
-//!   reference engine (the ordering argument lives in [`crate::presort`]),
-//!   while removing the per-node re-sort entirely. Selected automatically
-//!   whenever its cost model wins (see `presort_pays_off`): always for
-//!   [`SplitStrategy::BestOfAll`], and for [`SplitStrategy::BestOfSqrt`]
-//!   when the matrix is narrow or deep enough that maintaining every
-//!   column beats re-sorting the √f sampled ones.
+//! * **Exact** (the default): every column is ranked once under
+//!   [`f64::total_cmp`] (`Ranks`). A node orders a sampled feature by a
+//!   stable counting sort of its rows' ranks (a sort of `(rank, position)`
+//!   keys when the node is small beside the column's distinct count),
+//!   which is the sequence a stable `total_cmp` sort of the node's
+//!   `(value, target)` pairs yields. The split scan then does the
+//!   reference's arithmetic over the values in that order, testing
+//!   boundaries with `==` on the values and placing thresholds at value
+//!   midpoints, so every tree is **bit-identical** to the reference
+//!   engine's by construction.
 //! * **Histogram** (opt-in via [`TreeConfig::bins`]): features are
 //!   quantized to at most 256 quantile buckets
 //!   ([`BinnedMatrix`]) and splits scan
 //!   cumulative bucket statistics — approximate but O(n + bins) per feature
 //!   per node, the LightGBM device for the large MGS window forests.
-//! * **Reference** ([`TreeConfig::reference`]): the original implementation
-//!   that re-collects and re-sorts `(feature, target)` pairs at every node.
-//!   Kept as the golden baseline for bit-identity tests and for the
-//!   before/after training pairs of `cargo bench -p stca-bench`.
+//!
+//! [`TreeConfig::reference`] keeps the seed implementation, which
+//! re-collects and re-sorts `(feature, target)` pairs at every node, as
+//! the golden baseline for bit-identity tests and for the before/after
+//! training pairs of `cargo bench -p stca-bench`.
 //!
 //! All engines share one sample-index array partitioned in place as the
 //! tree grows; no per-node index vectors are allocated.
 
 use crate::binned::BinnedMatrix;
-use crate::presort::SortedColumns;
 use stca_util::{stable_partition_in_place, Matrix, Rng64};
 
 /// How a tree chooses its splits.
@@ -63,12 +65,12 @@ pub struct TreeConfig {
     /// this many quantile buckets (clamped to `[2, 256]`) and scan bucket
     /// statistics instead of sorted samples. Approximate — thresholds land
     /// on bucket boundaries — but much faster on wide feature matrices.
-    /// `None` (the default) keeps the exact presorted engine. Ignored by
+    /// `None` (the default) keeps the exact engine. Ignored by
     /// completely-random trees, which never scan thresholds.
     pub bins: Option<usize>,
     /// Use the unoptimized reference split finder (per-node re-sorting, as
     /// the original implementation did). Exists so golden tests can assert
-    /// the presorted engine is bit-identical and so training benchmarks can
+    /// the exact engine is bit-identical and so training benchmarks can
     /// report before/after timings; takes precedence over [`bins`].
     ///
     /// [`bins`]: TreeConfig::bins
@@ -218,49 +220,95 @@ pub struct RegressionTree {
     depth: u32,
 }
 
-/// The split-finding machinery a builder carries. Only best-split
-/// strategies consult it; completely-random trees sample thresholds from
-/// per-node min/max and need no column structure.
-enum Engine<'a> {
+/// The total order of [`f64::total_cmp`] as a signed integer: `a < b`
+/// under `total_cmp` iff `total_key(a) < total_key(b)`, and equal keys are
+/// equal bits.
+#[inline]
+fn total_key(v: f64) -> i64 {
+    let bits = v.to_bits() as i64;
+    bits ^ (((bits >> 63) as u64) >> 1) as i64
+}
+
+/// Every column of a design matrix ranked once under [`f64::total_cmp`]:
+/// the exact engine's shared structure. A rank is a column's dense index
+/// of distinct bit patterns, so ranks order rows exactly as `total_cmp`
+/// orders their values.
+#[derive(Debug)]
+pub(crate) struct Ranks {
+    rows: usize,
+    /// Column-major ranks: column `f` occupies `[f * rows, (f + 1) * rows)`.
+    rank: Vec<u32>,
+    /// Every column's distinct values, ascending: column `f`'s rank `r`
+    /// holds `values[start[f] + r]`.
+    values: Vec<f64>,
+    start: Vec<usize>,
+}
+
+impl Ranks {
+    /// Rank every column of `x`. O(F·n log n), once per forest.
+    pub(crate) fn new(x: &Matrix) -> Self {
+        let (rows, cols) = (x.rows(), x.cols());
+        assert!(rows <= u32::MAX as usize, "ranks index rows with u32");
+        let mut rank = vec![0u32; rows * cols];
+        let mut values = Vec::new();
+        let mut start = Vec::with_capacity(cols + 1);
+        let mut keyed: Vec<(i64, u32)> = Vec::with_capacity(rows);
+        for f in 0..cols {
+            start.push(values.len());
+            keyed.clear();
+            keyed.extend((0..rows).map(|r| (total_key(x[(r, f)]), r as u32)));
+            keyed.sort_unstable();
+            let column = &mut rank[f * rows..(f + 1) * rows];
+            let mut last = None;
+            for &(key, r) in &keyed {
+                if last != Some(key) {
+                    last = Some(key);
+                    values.push(x[(r as usize, f)]);
+                }
+                column[r as usize] = (values.len() - 1 - start[f]) as u32;
+            }
+        }
+        start.push(values.len());
+        Ranks {
+            rows,
+            rank,
+            values,
+            start,
+        }
+    }
+
+    /// Column `f`: each row's rank, and the values the ranks index.
+    #[inline]
+    fn column(&self, f: usize) -> (&[u32], &[f64]) {
+        (
+            &self.rank[f * self.rows..(f + 1) * self.rows],
+            &self.values[self.start[f]..self.start[f + 1]],
+        )
+    }
+}
+
+/// A forest's split-finding structure, built from its design matrix once
+/// and read by every tree.
+#[derive(Debug)]
+pub(crate) enum Engine {
     /// Per-node collect + sort (the seed implementation, golden baseline).
+    /// Completely-random trees never consult an engine and get this one.
     Reference,
-    /// Presorted columns, partitioned in place at each split (exact).
-    Presorted(SortedColumns),
+    /// Ranked columns, counting-sorted at each node (exact).
+    Ranked(Ranks),
     /// Quantized bucket scan (approximate).
-    Binned(&'a BinnedMatrix),
+    Binned(BinnedMatrix),
 }
 
-/// Which engine to dispatch to (copyable tag, so dispatch does not hold a
-/// borrow of the engine across `&mut self` calls).
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum EngineKind {
-    Reference,
-    Presorted,
-    Binned,
-}
-
-/// Cost model: does maintaining presorted columns beat per-node re-sorting?
-///
-/// Presorting partitions **every** column at every split — O(F·n) per tree
-/// level — while the reference engine sorts only the `k` features a node
-/// actually tries — O(k·n·log n) per level. Presort therefore wins exactly
-/// when `k·log2(n)` comfortably exceeds `F`: always for [`BestOfAll`]
-/// (`k = F`), but for [`BestOfSqrt`] only on narrow or deep data (wide
-/// matrices consult too few of the columns being maintained). Both engines
-/// produce bit-identical trees, so this is purely a cost decision; the
-/// constant is calibrated with the training pairs of
-/// `cargo bench -p stca-bench`.
-///
-/// [`BestOfAll`]: SplitStrategy::BestOfAll
-/// [`BestOfSqrt`]: SplitStrategy::BestOfSqrt
-fn presort_pays_off(strategy: SplitStrategy, features: usize, n: usize) -> bool {
-    match strategy {
-        SplitStrategy::BestOfAll => true,
-        SplitStrategy::CompletelyRandom => false,
-        SplitStrategy::BestOfSqrt => {
-            let k = (features as f64).sqrt().ceil() as u64;
-            let log_n = (usize::BITS - n.max(2).leading_zeros()) as u64;
-            k * log_n >= 3 * features as u64
+impl Engine {
+    /// The engine `config` selects, built over `x`.
+    pub(crate) fn new(x: &Matrix, config: &TreeConfig) -> Self {
+        if config.reference || config.strategy == SplitStrategy::CompletelyRandom {
+            return Engine::Reference;
+        }
+        match config.bins {
+            Some(bins) => Engine::Binned(BinnedMatrix::new(x, bins)),
+            None => Engine::Ranked(Ranks::new(x)),
         }
     }
 }
@@ -282,6 +330,42 @@ impl HistScratch {
     }
 }
 
+/// Best (threshold, sse) over one feature's `(value, target)` pairs,
+/// sorted ascending by value under [`f64::total_cmp`] with ties in node
+/// order. The reference engine's scan, step for step: the same prefix sums
+/// and the same SSE at every cut, kept when the cut lies between unequal
+/// values, leaves `min_leaf` on each side and does not lose to the best so
+/// far. Only the control flow differs: every cut's SSE is computed and one
+/// rarely-taken branch keeps it, so ties scattered through the run cost no
+/// mispredicted branches.
+fn best_threshold_sorted(pairs: &[(f64, f64)], min_leaf: usize) -> Option<(f64, f64)> {
+    let n = pairs.len();
+    if pairs[0].0 == pairs[n - 1].0 {
+        return None;
+    }
+    let total_sum: f64 = pairs.iter().map(|p| p.1).sum();
+    let total_sq: f64 = pairs.iter().map(|p| p.1 * p.1).sum();
+    let mut best: Option<(usize, f64)> = None;
+    let mut left_sum = 0.0;
+    let mut left_sq = 0.0;
+    for (i, w) in pairs.windows(2).enumerate() {
+        left_sum += w[0].1;
+        left_sq += w[0].1 * w[0].1;
+        let nl = i + 1;
+        let nr = n - nl;
+        let right_sum = total_sum - left_sum;
+        let right_sq = total_sq - left_sq;
+        let sse = (left_sq - left_sum * left_sum / nl as f64)
+            + (right_sq - right_sum * right_sum / nr as f64);
+        let cut = (w[0].0 != w[1].0) & (nl >= min_leaf) & (nr >= min_leaf);
+        let beaten = matches!(best, Some((_, b)) if b <= sse);
+        if cut & !beaten {
+            best = Some((i, sse));
+        }
+    }
+    best.map(|(i, sse)| (0.5 * (pairs[i].0 + pairs[i + 1].0), sse))
+}
+
 struct Builder<'a> {
     x: &'a Matrix,
     y: &'a [f64],
@@ -295,9 +379,18 @@ struct Builder<'a> {
     order: Vec<u32>,
     /// Spill buffer for the stable partition.
     scratch: Vec<u32>,
-    engine: Engine<'a>,
-    /// Per-row go-left marks (presorted engine only; indexed by row id).
-    marks: Vec<u8>,
+    engine: &'a Engine,
+    /// The column ids `0..f`, sampled in place at each node.
+    columns: Vec<usize>,
+    /// The sampling swaps of the current node, undone after it.
+    swaps: Vec<usize>,
+    /// A node's sorted `(value, target)` pairs (exact engine; sized for
+    /// the root).
+    pairs: Vec<(f64, f64)>,
+    /// Per-rank counts, then bucket starts (exact engine).
+    count: Vec<u32>,
+    /// `(rank << 32) | position` sort keys for small nodes (exact engine).
+    keys: Vec<u64>,
     /// Bucket accumulators (histogram engine only).
     hist: HistScratch,
 }
@@ -320,12 +413,7 @@ impl<'a> Builder<'a> {
     /// feature per node. Total order comparison: a stray NaN feature value
     /// (e.g. injected by a fault plan that bypasses sanitization) sorts
     /// deterministically to the end instead of panicking mid-training.
-    fn best_threshold_reference(
-        &mut self,
-        feature: usize,
-        lo: usize,
-        hi: usize,
-    ) -> Option<(f64, f64)> {
+    fn best_threshold_reference(&self, feature: usize, lo: usize, hi: usize) -> Option<(f64, f64)> {
         let mut pairs: Vec<(f64, f64)> = self.order[lo..hi]
             .iter()
             .map(|&i| (self.x[(i as usize, feature)], self.y[i as usize]))
@@ -366,59 +454,60 @@ impl<'a> Builder<'a> {
         best
     }
 
-    /// Best (threshold, sse) for one feature, presorted engine: the node's
-    /// column view is already sorted, so this is a single sequential scan —
-    /// the same prefix-sum arithmetic as the reference engine over the same
-    /// value sequence, hence bit-identical results.
-    fn best_threshold_presorted(
+    /// Best (threshold, sse) for one feature, exact engine: order the
+    /// node's pairs by rank (stable, so ties keep node order — the
+    /// sequence the reference's stable `total_cmp` sort yields) and scan
+    /// them with the reference's arithmetic.
+    fn best_threshold_ranked(
         &mut self,
+        ranks: &Ranks,
         feature: usize,
         lo: usize,
         hi: usize,
     ) -> Option<(f64, f64)> {
-        let Engine::Presorted(columns) = &self.engine else {
-            unreachable!("presorted dispatch without presorted engine");
-        };
-        let (ids, vals) = columns.col(feature, lo, hi);
-        let n = ids.len();
-        if vals[0] == vals[n - 1] {
-            return None;
+        let (rank, values) = ranks.column(feature);
+        let node = &self.order[lo..hi];
+        let n = node.len();
+        let pairs = &mut self.pairs[..n];
+        // a counting sort costs O(n + distinct); below this node size a
+        // comparison sort of n keys is cheaper
+        if values.len() <= n * (usize::BITS - n.leading_zeros()) as usize {
+            let count = &mut self.count[..values.len()];
+            count.fill(0);
+            let (mut low, mut high) = (u32::MAX, 0);
+            for &i in node {
+                let r = rank[i as usize];
+                (low, high) = (low.min(r), high.max(r));
+                count[r as usize] += 1;
+            }
+            // the sorted run's ends: the scan's own first == last test
+            if values[low as usize] == values[high as usize] {
+                return None;
+            }
+            let mut at = 0;
+            for c in count.iter_mut() {
+                (*c, at) = (at, at + *c);
+            }
+            for &i in node {
+                let r = rank[i as usize] as usize;
+                pairs[count[r] as usize] = (values[r], self.y[i as usize]);
+                count[r] += 1;
+            }
+        } else {
+            let keys = &mut self.keys;
+            keys.clear();
+            keys.extend(
+                node.iter()
+                    .enumerate()
+                    .map(|(at, &i)| u64::from(rank[i as usize]) << 32 | at as u64),
+            );
+            keys.sort_unstable();
+            for (pair, &key) in pairs.iter_mut().zip(keys.iter()) {
+                let i = node[key as u32 as usize] as usize;
+                *pair = (values[(key >> 32) as usize], self.y[i]);
+            }
         }
-        let total_sum: f64 = ids.iter().map(|&i| self.y[i as usize]).sum();
-        let total_sq: f64 = ids
-            .iter()
-            .map(|&i| {
-                let v = self.y[i as usize];
-                v * v
-            })
-            .sum();
-        let min_leaf = self.config.min_samples_leaf;
-        let mut best: Option<(f64, f64)> = None;
-        let mut left_sum = 0.0;
-        let mut left_sq = 0.0;
-        for i in 0..n - 1 {
-            let yi = self.y[ids[i] as usize];
-            left_sum += yi;
-            left_sq += yi * yi;
-            if vals[i] == vals[i + 1] {
-                continue;
-            }
-            let nl = i + 1;
-            let nr = n - nl;
-            if nl < min_leaf || nr < min_leaf {
-                continue;
-            }
-            let right_sum = total_sum - left_sum;
-            let right_sq = total_sq - left_sq;
-            let sse = (left_sq - left_sum * left_sum / nl as f64)
-                + (right_sq - right_sum * right_sum / nr as f64);
-            let threshold = 0.5 * (vals[i] + vals[i + 1]);
-            match best {
-                Some((_, b)) if b <= sse => {}
-                _ => best = Some((threshold, sse)),
-            }
-        }
-        best
+        best_threshold_sorted(pairs, self.config.min_samples_leaf)
     }
 
     /// Best (threshold, sse) for one feature, histogram engine: accumulate
@@ -427,13 +516,11 @@ impl<'a> Builder<'a> {
     /// is approximate; candidate count is bounded by `bins`.
     fn best_threshold_binned(
         &mut self,
+        binned: &BinnedMatrix,
         feature: usize,
         lo: usize,
         hi: usize,
     ) -> Option<(f64, f64)> {
-        let Engine::Binned(binned) = &self.engine else {
-            unreachable!("binned dispatch without binned engine");
-        };
         let edges = binned.thresholds(feature);
         if edges.is_empty() {
             return None;
@@ -481,25 +568,27 @@ impl<'a> Builder<'a> {
     /// Best (feature, threshold) across the strategy's candidate features.
     fn best_split(&mut self, lo: usize, hi: usize) -> Option<(usize, f64)> {
         let f = self.x.cols();
-        let sampled: Option<Vec<usize>> = if self.config.strategy == SplitStrategy::BestOfAll {
-            None
+        let tried = if self.config.strategy == SplitStrategy::BestOfAll {
+            f
         } else {
-            let k = (f as f64).sqrt().ceil() as usize;
-            Some(self.rng.sample_indices(f, k.clamp(1, f)))
+            // a partial Fisher-Yates over the columns, drawn exactly as
+            // `Rng64::sample_indices(f, k)` draws, into the front of `columns`
+            let k = ((f as f64).sqrt().ceil() as usize).clamp(1, f);
+            for i in 0..k {
+                let j = i + self.rng.next_index(f - i);
+                self.columns.swap(i, j);
+                self.swaps.push(j);
+            }
+            k
         };
-        let kind = match self.engine {
-            Engine::Reference => EngineKind::Reference,
-            Engine::Presorted(_) => EngineKind::Presorted,
-            Engine::Binned(_) => EngineKind::Binned,
-        };
-        let tried = sampled.as_ref().map_or(f, |s| s.len());
+        let engine = self.engine;
         let mut best: Option<(usize, f64, f64)> = None;
         for t in 0..tried {
-            let feat = sampled.as_ref().map_or(t, |s| s[t]);
-            let cand = match kind {
-                EngineKind::Reference => self.best_threshold_reference(feat, lo, hi),
-                EngineKind::Presorted => self.best_threshold_presorted(feat, lo, hi),
-                EngineKind::Binned => self.best_threshold_binned(feat, lo, hi),
+            let feat = self.columns[t];
+            let cand = match engine {
+                Engine::Reference => self.best_threshold_reference(feat, lo, hi),
+                Engine::Ranked(ranks) => self.best_threshold_ranked(ranks, feat, lo, hi),
+                Engine::Binned(binned) => self.best_threshold_binned(binned, feat, lo, hi),
             };
             if let Some((threshold, sse)) = cand {
                 match best {
@@ -507,6 +596,10 @@ impl<'a> Builder<'a> {
                     _ => best = Some((feat, threshold, sse)),
                 }
             }
+        }
+        // undo the swaps, so `columns` is `0..f` again for the next node
+        while let Some(j) = self.swaps.pop() {
+            self.columns.swap(self.swaps.len(), j);
         }
         best.map(|(feat, t, _)| (feat, t))
     }
@@ -558,43 +651,16 @@ impl<'a> Builder<'a> {
         let Some((feature, threshold)) = split else {
             return self.leaf(node_id, lo, hi, depth);
         };
-        // count the left group (same predicate as the partition below); a
+        // stable in-place partition of the node's sample range; a
         // degenerate side — possible when midpoint rounding collapses onto a
         // neighbour value, or when a NaN threshold sends everything right —
-        // falls back to a leaf exactly as the reference implementation did.
-        let nl = if let Engine::Presorted(_) = self.engine {
-            let mut nl = 0usize;
-            for &i in &self.order[lo..hi] {
-                let left = (self.x[(i as usize, feature)] <= threshold) as u8;
-                self.marks[i as usize] = left;
-                nl += left as usize;
-            }
-            nl
-        } else {
-            self.order[lo..hi]
-                .iter()
-                .filter(|&&i| self.x[(i as usize, feature)] <= threshold)
-                .count()
-        };
+        // falls back to a leaf exactly as the reference implementation did
+        let x = self.x;
+        let nl = stable_partition_in_place(&mut self.order[lo..hi], &mut self.scratch, |i| {
+            x[(i as usize, feature)] <= threshold
+        });
         if nl == 0 || nl == n {
             return self.leaf(node_id, lo, hi, depth);
-        }
-        // stable in-place partition of the node's sample range — and, for
-        // the presorted engine, of every feature column's matching range
-        match &mut self.engine {
-            Engine::Presorted(columns) => {
-                columns.partition(lo, hi, nl, &self.marks);
-                let marks = &self.marks;
-                stable_partition_in_place(&mut self.order[lo..hi], &mut self.scratch, |i| {
-                    marks[i as usize] != 0
-                });
-            }
-            _ => {
-                let x = self.x;
-                stable_partition_in_place(&mut self.order[lo..hi], &mut self.scratch, |i| {
-                    x[(i as usize, feature)] <= threshold
-                });
-            }
         }
         let left = self.build(lo, lo + nl, depth + 1);
         let right = self.build(lo + nl, hi, depth + 1);
@@ -620,65 +686,39 @@ impl RegressionTree {
         config: TreeConfig,
         rng: &mut Rng64,
     ) -> Self {
-        if let (Some(bins), false, false) = (
-            config.bins,
-            config.reference,
-            config.strategy == SplitStrategy::CompletelyRandom,
-        ) {
-            let binned = BinnedMatrix::new(x, bins);
-            return Self::fit_with_engine(x, y, idx, config, rng, Some(&binned));
-        }
-        Self::fit_with_engine(x, y, idx, config, rng, None)
+        Self::fit_with(x, &Engine::new(x, &config), y, idx, config, rng)
     }
 
-    /// Fit a tree against a pre-quantized feature matrix (histogram mode).
-    /// Forests build the [`BinnedMatrix`] once and share it across trees so
-    /// the quantization cost is amortized; `binned` must have been built
-    /// from `x`. Completely-random and reference configurations fall back
-    /// to their usual engines.
-    pub fn fit_indices_prebinned(
+    /// Fit a tree against an engine built from `x` by [`Engine::new`]
+    /// with the same `config`, so the trees of a forest share one.
+    pub(crate) fn fit_with(
         x: &Matrix,
-        binned: &BinnedMatrix,
+        engine: &Engine,
         y: &[f64],
         idx: &[usize],
         config: TreeConfig,
         rng: &mut Rng64,
-    ) -> Self {
-        assert_eq!(binned.rows(), x.rows(), "binned matrix shape mismatch");
-        assert_eq!(binned.cols(), x.cols(), "binned matrix shape mismatch");
-        let use_hist = !config.reference && config.strategy != SplitStrategy::CompletelyRandom;
-        Self::fit_with_engine(x, y, idx, config, rng, use_hist.then_some(binned))
-    }
-
-    fn fit_with_engine(
-        x: &Matrix,
-        y: &[f64],
-        idx: &[usize],
-        config: TreeConfig,
-        rng: &mut Rng64,
-        binned: Option<&BinnedMatrix>,
     ) -> Self {
         assert_eq!(x.rows(), y.len());
         assert!(!idx.is_empty(), "cannot fit a tree on no samples");
         assert!(x.rows() <= u32::MAX as usize, "row ids are u32");
         let order: Vec<u32> = idx.iter().map(|&i| i as u32).collect();
-        let best_split = config.strategy != SplitStrategy::CompletelyRandom;
-        let engine = if config.reference || !best_split {
-            // completely-random trees never consult the engine
-            Engine::Reference
-        } else if let Some(bm) = binned {
-            Engine::Binned(bm)
-        } else if presort_pays_off(config.strategy, x.cols(), order.len()) {
-            Engine::Presorted(SortedColumns::new(x, &order))
-        } else {
-            Engine::Reference
-        };
-        let presorted = matches!(engine, Engine::Presorted(_));
-        let hist_buckets = match &engine {
-            Engine::Binned(_) => crate::binned::MAX_BINS,
-            _ => 0,
-        };
         let n = order.len();
+        // scratch for the engine: the exact engine's pairs (one per root
+        // sample) and rank counts, the histogram engine's buckets
+        let (pairs, count, buckets) = match engine {
+            Engine::Reference => (0, 0, 0),
+            Engine::Ranked(ranks) => {
+                assert_eq!(ranks.rows, x.rows(), "ranks shape mismatch");
+                let widest = ranks.start.windows(2).map(|w| w[1] - w[0]).max();
+                (n, widest.unwrap_or(0), 0)
+            }
+            Engine::Binned(binned) => {
+                assert_eq!(binned.rows(), x.rows(), "binned matrix shape mismatch");
+                assert_eq!(binned.cols(), x.cols(), "binned matrix shape mismatch");
+                (0, 0, crate::binned::MAX_BINS)
+            }
+        };
         let mut b = Builder {
             x,
             y,
@@ -689,8 +729,12 @@ impl RegressionTree {
             order,
             scratch: Vec::with_capacity(n),
             engine,
-            marks: vec![0; if presorted { x.rows() } else { 0 }],
-            hist: HistScratch::new(hist_buckets),
+            columns: (0..x.cols()).collect(),
+            swaps: Vec::new(),
+            pairs: vec![(0.0, 0.0); pairs],
+            count: vec![0; count],
+            keys: Vec::new(),
+            hist: HistScratch::new(buckets),
         };
         b.build(0, n, 0);
         RegressionTree {
@@ -780,7 +824,7 @@ mod tests {
     }
 
     #[test]
-    fn presorted_is_bit_identical_to_reference() {
+    fn exact_is_bit_identical_to_reference() {
         let (x, y) = tied_data(160, 11);
         for strategy in [SplitStrategy::BestOfAll, SplitStrategy::BestOfSqrt] {
             let fast = RegressionTree::fit(
@@ -809,14 +853,14 @@ mod tests {
                 assert_eq!(
                     fast.predict(&p).to_bits(),
                     reference.predict(&p).to_bits(),
-                    "presorted trees must match the reference bit for bit"
+                    "exact trees must match the reference bit for bit"
                 );
             }
         }
     }
 
     #[test]
-    fn presorted_matches_reference_on_bootstrap_duplicates() {
+    fn exact_matches_reference_on_bootstrap_duplicates() {
         let (x, y) = tied_data(80, 17);
         let mut rng = Rng64::new(5);
         let idx: Vec<usize> = (0..120).map(|_| rng.next_index(80)).collect();
@@ -892,10 +936,10 @@ mod tests {
     #[test]
     fn histogram_thresholds_are_bucket_edges() {
         let (x, y) = step_data(200);
-        let binned = BinnedMatrix::new(&x, 8);
+        let binned = Engine::Binned(BinnedMatrix::new(&x, 8));
         let mut rng = Rng64::new(10);
         let idx: Vec<usize> = (0..x.rows()).collect();
-        let tree = RegressionTree::fit_indices_prebinned(
+        let tree = RegressionTree::fit_with(
             &x,
             &binned,
             &y,

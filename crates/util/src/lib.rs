@@ -26,7 +26,7 @@ pub use dist::Distribution;
 pub use fnv::{fnv1a, Fnv1a};
 pub use matrix::Matrix;
 pub use rng::{Rng64, SeedStream};
-pub use sort::{argsort_f64, stable_partition_in_place};
+pub use sort::stable_partition_in_place;
 pub use stats::{OnlineStats, Percentiles};
 
 /// Simulated time, in seconds. All simulators in the workspace use seconds as

@@ -1,32 +1,10 @@
-//! Ordering helpers for the training hot paths.
+//! A stable in-place partition for the training hot paths.
 //!
-//! The deep-forest split finder presorts every feature column once per tree
-//! and then keeps the per-node index arrays sorted by *stable in-place
-//! partitioning* instead of re-sorting at every node. The two primitives it
-//! needs — a stable argsort under IEEE total order and a stable partition
-//! that reuses a caller-owned scratch buffer — live here so other crates
-//! (baselines, profiler) can share them.
-
-/// Stable argsort of `values` under [`f64::total_cmp`].
-///
-/// Returns the permutation `perm` such that `values[perm[0]] <=
-/// values[perm[1]] <= ...`; ties keep their original relative order, and
-/// NaNs sort to a deterministic position (after `+inf` for positive NaN)
-/// instead of panicking or producing an unspecified order.
-///
-/// Indices are `u32` — the training sets this supports are bounded far
-/// below `u32::MAX` rows, and halving the index width keeps the per-tree
-/// sorted-column structure cache-resident.
-pub fn argsort_f64(values: &[f64]) -> Vec<u32> {
-    assert!(
-        values.len() <= u32::MAX as usize,
-        "argsort_f64 indexes with u32"
-    );
-    let mut perm: Vec<u32> = (0..values.len() as u32).collect();
-    // `sort_by` is stable: equal values keep ascending-position order.
-    perm.sort_by(|&a, &b| values[a as usize].total_cmp(&values[b as usize]));
-    perm
-}
+//! The deep-forest tree builder keeps one array of sample rows per tree
+//! and, at every split, partitions a node's range of it *stably and in
+//! place*, so each child's rows stay in the parent's order without a
+//! fresh vector per node. The partition lives here so other crates can
+//! share it.
 
 /// Stable in-place partition of `items` by `pred`, using `scratch` as the
 /// spill buffer (cleared on entry; capacity is reused across calls).
@@ -58,26 +36,6 @@ pub fn stable_partition_in_place<T: Copy>(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn argsort_orders_and_is_stable() {
-        let v = [3.0, 1.0, 2.0, 1.0, 3.0];
-        let p = argsort_f64(&v);
-        assert_eq!(p, vec![1, 3, 2, 0, 4], "ties keep original order");
-    }
-
-    #[test]
-    fn argsort_handles_nan_without_panic() {
-        let v = [f64::NAN, 1.0, f64::INFINITY, -1.0, f64::NAN];
-        let p = argsort_f64(&v);
-        assert_eq!(&p[..3], &[3, 1, 2], "finite values first");
-        assert_eq!(&p[3..], &[0, 4], "NaNs last, stable among themselves");
-    }
-
-    #[test]
-    fn argsort_empty() {
-        assert!(argsort_f64(&[]).is_empty());
-    }
 
     #[test]
     fn stable_partition_matches_vec_partition() {
