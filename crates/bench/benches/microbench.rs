@@ -38,14 +38,15 @@ const SAMPLES: usize = 15;
 const TRAIN_SAMPLES: usize = 5;
 
 /// Minimum speedup over the reference engine of each gated training
-/// bench. The first three are the quick-scale speedups recorded at one
-/// worker thread on a 1-core container (1.007, 1.156, 1.621), divided by
-/// the 1.25 slowdown the gate tolerates. The MGS-window floor is the
-/// median of seven one-thread runs on a shared 2-vCPU host (1.78, range
-/// 1.48-1.87), less 25%.
+/// bench. Three are medians of one-thread runs on a shared 2-vCPU host,
+/// less 25%: the forest of nine runs (1.70, range 1.45-2.06), the narrow
+/// forest of the same nine (1.66, range 1.38-1.83) and the MGS window of
+/// seven (1.78, range 1.48-1.87). The `BestOfAll` tree floor is its
+/// quick-scale speedup recorded at one worker thread on a 1-core
+/// container (1.621), divided by the 1.25 slowdown the gate tolerates.
 const FLOORS: [(&str, f64); 4] = [
-    ("forest_fit_exact", 0.806),
-    ("forest_fit_narrow_exact", 0.925),
+    ("forest_fit_exact", 1.275),
+    ("forest_fit_narrow_exact", 1.245),
     ("tree_fit_all_exact", 1.297),
     ("forest_fit_mgs_exact", 1.335),
 ];

@@ -7,7 +7,21 @@
 //! with the same structure, organized into **groups** — the spatial ordering
 //! that Figure 7c shows matters for multi-grain scanning (grouped counters
 //! vs randomly shuffled ones).
+//!
+//! The hierarchy does not bump each counter as its event happens. Per
+//! workload it counts every access once, in a 3 × 4 table of accesses by
+//! kind (load, store, instruction fetch) and by the deepest level that
+//! served it (L1, L2, LLC, memory). The L1, L2, LLC and memory traffic
+//! counters are sums over that table: an L2 load miss, say, is a load or
+//! fetch that reached the LLC or memory. `Cycles` is each level's latency
+//! times its accesses plus the retired base cycles. Only the counters that
+//! are events of their own (evictions, fills, evictions caused and
+//! suffered, foreign-way hits, write-backs, retired instructions) and the
+//! two sampled gauges are counted directly.
 
+use crate::address::AccessKind;
+use crate::config::Latencies;
+use crate::hierarchy::LevelHit;
 use crate::WorkloadId;
 
 /// Number of tracked counters.
@@ -281,46 +295,93 @@ impl CounterSet {
     }
 }
 
-/// Per-workload counter banks. Workload ids index a dense vector — they are
-/// small integers assigned by the experiment driver — keeping the per-access
-/// hot path free of hashing.
+/// One workload's raw counts, as the module docs describe: `served` by
+/// kind and deepest level, and `events` for the directly counted
+/// counters (its `Cycles` slot holds only retired base cycles, its
+/// traffic slots stay zero).
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct Tally {
+    served: [[u64; 4]; 3],
+    events: CounterSet,
+}
+
+impl Tally {
+    /// Count one access of `kind` that the `level` served.
+    #[inline]
+    pub(crate) fn served(&mut self, kind: AccessKind, level: LevelHit) {
+        self.served[kind as usize][level as usize] += 1;
+    }
+
+    /// Counters that are not sums of `served`.
+    #[inline]
+    pub(crate) fn events(&mut self) -> &mut CounterSet {
+        &mut self.events
+    }
+
+    /// The 29 counters: `events` plus the traffic and cycles that
+    /// `served` implies under `latencies`. `Cycles` adds each level's
+    /// latency times its accesses to the retired base cycles, the same
+    /// u64 sum the per-access charges made.
+    pub(crate) fn counters(&self, latencies: &Latencies) -> CounterSet {
+        use Counter::*;
+        let [load, store, ifetch] = self.served;
+        // accesses of a kind that reached `level` or deeper
+        let reached = |row: [u64; 4], level: usize| row[level..].iter().sum::<u64>();
+        let non_store = |level: usize| reached(load, level) + reached(ifetch, level);
+        let latency = [latencies.l1, latencies.l2, latencies.llc, latencies.memory];
+        let mut c = self.events;
+        c.add(
+            Cycles,
+            (0..4)
+                .map(|l| latency[l] * (load[l] + store[l] + ifetch[l]))
+                .sum(),
+        );
+        c.set(L1dLoads, reached(load, 0));
+        c.set(L1dLoadMisses, reached(load, 1));
+        c.set(L1dStores, reached(store, 0));
+        c.set(L1dStoreMisses, reached(store, 1));
+        c.set(L1iFetches, reached(ifetch, 0));
+        c.set(L1iFetchMisses, reached(ifetch, 1));
+        c.set(L2Requests, non_store(1) + reached(store, 1));
+        c.set(L2Loads, non_store(1));
+        c.set(L2LoadMisses, non_store(2));
+        c.set(L2Stores, reached(store, 1));
+        c.set(L2StoreMisses, reached(store, 2));
+        c.set(LlcLoads, non_store(2));
+        c.set(LlcLoadMisses, non_store(3));
+        c.set(LlcStores, reached(store, 2));
+        c.set(LlcStoreMisses, reached(store, 3));
+        c.set(LlcAccesses, non_store(2) + reached(store, 2));
+        c.set(LlcMisses, non_store(3) + reached(store, 3));
+        c.set(MemReads, non_store(3) + reached(store, 3));
+        c
+    }
+}
+
+/// Per-workload tallies. Workload ids index a dense vector — they are
+/// small integers assigned by the experiment driver — keeping the
+/// per-access hot path free of hashing.
 #[derive(Debug, Clone, Default)]
-pub struct CounterBank {
-    banks: Vec<CounterSet>,
-    touched: Vec<bool>,
+pub(crate) struct CounterBank {
+    banks: Vec<Tally>,
 }
 
 impl CounterBank {
-    /// Empty bank.
-    pub fn new() -> Self {
-        CounterBank::default()
-    }
-
-    /// Mutable counters of a workload (created on first touch).
+    /// Mutable tally of a workload (created on first touch).
     #[inline]
-    pub fn of_mut(&mut self, w: WorkloadId) -> &mut CounterSet {
+    pub(crate) fn of_mut(&mut self, w: WorkloadId) -> &mut Tally {
         let idx = w as usize;
         if idx >= self.banks.len() {
-            self.banks.resize(idx + 1, CounterSet::new());
-            self.touched.resize(idx + 1, false);
+            self.banks.resize(idx + 1, Tally::default());
         }
-        self.touched[idx] = true;
         &mut self.banks[idx]
     }
 
-    /// Read a workload's counters (zeros if never touched).
-    pub fn of(&self, w: WorkloadId) -> CounterSet {
-        self.banks.get(w as usize).copied().unwrap_or_default()
-    }
-
-    /// Workloads with any recorded activity.
-    pub fn workloads(&self) -> Vec<WorkloadId> {
-        self.touched
-            .iter()
-            .enumerate()
-            .filter(|&(_, &t)| t)
-            .map(|(i, _)| i as WorkloadId)
-            .collect()
+    /// A workload's counters (zeros if never touched).
+    pub(crate) fn of(&self, w: WorkloadId, latencies: &Latencies) -> CounterSet {
+        self.banks
+            .get(w as usize)
+            .map_or_else(CounterSet::new, |t| t.counters(latencies))
     }
 }
 
@@ -393,13 +454,16 @@ mod tests {
 
     #[test]
     fn bank_isolates_workloads() {
-        let mut b = CounterBank::new();
-        b.of_mut(1).bump(Counter::L1dLoads);
-        b.of_mut(2).add(Counter::L1dLoads, 5);
-        assert_eq!(b.of(1).get(Counter::L1dLoads), 1);
-        assert_eq!(b.of(2).get(Counter::L1dLoads), 5);
-        assert_eq!(b.of(3).get(Counter::L1dLoads), 0);
-        assert_eq!(b.workloads(), vec![1, 2]);
+        let lat = Latencies::default();
+        let mut b = CounterBank::default();
+        b.of_mut(1).served(AccessKind::Load, LevelHit::L1);
+        for _ in 0..5 {
+            b.of_mut(2).served(AccessKind::Load, LevelHit::Memory);
+        }
+        assert_eq!(b.of(1, &lat).get(Counter::L1dLoads), 1);
+        assert_eq!(b.of(2, &lat).get(Counter::L1dLoads), 5);
+        assert_eq!(b.of(2, &lat).get(Counter::MemReads), 5);
+        assert_eq!(b.of(3, &lat).get(Counter::L1dLoads), 0);
     }
 
     #[test]

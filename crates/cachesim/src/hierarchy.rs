@@ -1,8 +1,10 @@
 //! The multi-workload cache hierarchy: private L1d/L1i/L2 per workload, one
 //! shared way-partitioned LLC.
 //!
-//! Every memory access walks L1 → L2 → LLC → memory, updating the 29
-//! counters of [`crate::counters`] along the way. The LLC applies each
+//! Every memory access walks L1 → L2 → LLC → memory. It is counted once,
+//! by kind and by the deepest level reached, and the 29 counters of
+//! [`crate::counters`] are derived from those counts when read; evictions,
+//! fills and write-backs are counted as they happen. The LLC applies each
 //! workload's current *fill mask* (its CAT class of service); switching the
 //! mask at runtime — what the paper's proxy services do on a short-term
 //! allocation timeout — immediately changes where the workload's future
@@ -229,7 +231,7 @@ impl Hierarchy {
             } else {
                 (1u64 << config.llc.ways) - 1
             },
-            counters: CounterBank::new(),
+            counters: CounterBank::default(),
             mask_mode: MaskMode::FillOnly,
         }
     }
@@ -275,7 +277,6 @@ impl Hierarchy {
     /// reached and charges its latency (in cycles) to the workload.
     pub fn access(&mut self, w: WorkloadId, addr: Address, kind: AccessKind) -> LevelHit {
         let llc_mask = self.llc_mask_bits(w);
-        let lat = self.config.latencies;
         let is_store = kind == AccessKind::Store;
 
         // resolve the workload's private caches and counters once; the
@@ -285,60 +286,32 @@ impl Hierarchy {
             self.privates.resize_with(idx + 1, || None);
         }
         let p = self.privates[idx].get_or_insert_with(|| PrivateCaches::new(&self.config));
-        let c = self.counters.of_mut(w);
+        let t = self.counters.of_mut(w);
         let llc = &mut self.llc;
 
         // ---- L1 ----
-        let l1_hit = p.l1(kind).lookup(addr);
-        match kind {
-            AccessKind::Load => c.bump(Counter::L1dLoads),
-            AccessKind::Store => c.bump(Counter::L1dStores),
-            AccessKind::IFetch => c.bump(Counter::L1iFetches),
-        }
-        if l1_hit {
-            c.add(Counter::Cycles, lat.l1);
+        if p.l1(kind).lookup(addr) {
+            t.served(kind, LevelHit::L1);
             if is_store {
                 // write-through dirty state to the LLC copy when present
                 llc.mark_dirty(addr);
             }
             return LevelHit::L1;
         }
-        match kind {
-            AccessKind::Load => c.bump(Counter::L1dLoadMisses),
-            AccessKind::Store => c.bump(Counter::L1dStoreMisses),
-            AccessKind::IFetch => c.bump(Counter::L1iFetchMisses),
-        }
 
         // ---- L2 ----
-        let l2_hit = p.l2.lookup(addr);
-        c.bump(Counter::L2Requests);
-        if is_store {
-            c.bump(Counter::L2Stores);
-        } else {
-            c.bump(Counter::L2Loads);
-        }
-        if l2_hit {
+        let c = t.events();
+        if p.l2.lookup(addr) {
             fill_l1(p, c, addr, kind);
-            c.add(Counter::Cycles, lat.l2);
             if is_store {
                 llc.mark_dirty(addr);
             }
+            t.served(kind, LevelHit::L2);
             return LevelHit::L2;
-        }
-        if is_store {
-            c.bump(Counter::L2StoreMisses);
-        } else {
-            c.bump(Counter::L2LoadMisses);
         }
 
         // ---- LLC ----
         let llc_outcome = llc.lookup(addr, llc_mask);
-        c.bump(Counter::LlcAccesses);
-        if is_store {
-            c.bump(Counter::LlcStores);
-        } else {
-            c.bump(Counter::LlcLoads);
-        }
         // strict partitioning demotes foreign-way hits to misses: the
         // resident copy is invalidated (written back first when dirty) and
         // refetched into the partition
@@ -362,17 +335,10 @@ impl Hierarchy {
             }
             fill_l2(p, c, addr);
             fill_l1(p, c, addr, kind);
-            c.add(Counter::Cycles, lat.llc);
+            t.served(kind, LevelHit::Llc);
             return LevelHit::Llc;
         }
 
-        c.bump(Counter::LlcMisses);
-        if is_store {
-            c.bump(Counter::LlcStoreMisses);
-        } else {
-            c.bump(Counter::LlcLoadMisses);
-        }
-        c.bump(Counter::MemReads);
         // fill LLC under the CAT mask; an empty mask (Err) makes the access
         // bypass the LLC entirely
         let mut victim_owner = None;
@@ -390,10 +356,11 @@ impl Hierarchy {
         }
         fill_l2(p, c, addr);
         fill_l1(p, c, addr, kind);
-        c.add(Counter::Cycles, lat.memory);
+        t.served(kind, LevelHit::Memory);
         if let Some(owner) = victim_owner {
             self.counters
                 .of_mut(owner)
+                .events()
                 .bump(Counter::LlcEvictionsSuffered);
         }
         LevelHit::Memory
@@ -401,7 +368,7 @@ impl Hierarchy {
 
     /// Charge retired instructions plus their base (non-memory) cycles.
     pub fn retire(&mut self, w: WorkloadId, instructions: u64, base_cycles: u64) {
-        let c = self.counters.of_mut(w);
+        let c = self.counters.of_mut(w).events();
         c.add(Counter::Instructions, instructions);
         c.add(Counter::Cycles, base_cycles);
     }
@@ -410,14 +377,14 @@ impl Hierarchy {
     /// workload; called by the profiler at each sampling tick.
     pub fn update_gauges(&mut self, w: WorkloadId, boost_active: bool) {
         let occ = self.llc.occupancy_of(w);
-        let c = self.counters.of_mut(w);
+        let c = self.counters.of_mut(w).events();
         c.set(Counter::LlcOccupancyLines, occ);
         c.set(Counter::BoostActive, boost_active as u64);
     }
 
     /// Snapshot a workload's counters.
     pub fn counters_of(&self, w: WorkloadId) -> CounterSet {
-        self.counters.of(w)
+        self.counters.of(w, &self.config.latencies)
     }
 
     /// Whether the LLC line holding `addr` is dirty, or `None` when the
@@ -724,6 +691,199 @@ mod tests {
             ..tiny_config()
         };
         Hierarchy::new(config, 1);
+    }
+
+    /// `Hierarchy::access` as it counted before its counters were derived
+    /// from per-level counts: each counter bumped as its event happens,
+    /// over the reference's own copy of the caches.
+    struct PerEvent {
+        llc: CacheLevel,
+        privates: Vec<PrivateCaches>,
+        counters: Vec<CounterSet>,
+        masks: Vec<u64>,
+        mode: MaskMode,
+        config: HierarchyConfig,
+    }
+
+    impl PerEvent {
+        fn new(config: HierarchyConfig, seed: u64, mode: MaskMode, workloads: usize) -> Self {
+            PerEvent {
+                llc: CacheLevel::new(config.llc, ReplacementKind::Lru, seed ^ 0x11c),
+                privates: (0..workloads)
+                    .map(|_| PrivateCaches::new(&config))
+                    .collect(),
+                counters: vec![CounterSet::new(); workloads],
+                masks: vec![(1 << config.llc.ways) - 1; workloads],
+                mode,
+                config,
+            }
+        }
+
+        fn access(&mut self, w: usize, addr: Address, kind: AccessKind) {
+            let lat = self.config.latencies;
+            let (p, c, llc) = (&mut self.privates[w], &mut self.counters[w], &mut self.llc);
+            let is_store = kind == AccessKind::Store;
+            let (l1_access, l1_miss) = match kind {
+                AccessKind::Load => (Counter::L1dLoads, Counter::L1dLoadMisses),
+                AccessKind::Store => (Counter::L1dStores, Counter::L1dStoreMisses),
+                AccessKind::IFetch => (Counter::L1iFetches, Counter::L1iFetchMisses),
+            };
+            let pick = |store, load| if is_store { store } else { load };
+            c.bump(l1_access);
+            if p.l1(kind).lookup(addr) {
+                c.add(Counter::Cycles, lat.l1);
+                if is_store {
+                    llc.mark_dirty(addr);
+                }
+                return;
+            }
+            c.bump(l1_miss);
+            c.bump(Counter::L2Requests);
+            c.bump(pick(Counter::L2Stores, Counter::L2Loads));
+            if p.l2.lookup(addr) {
+                fill_l1(p, c, addr, kind);
+                c.add(Counter::Cycles, lat.l2);
+                if is_store {
+                    llc.mark_dirty(addr);
+                }
+                return;
+            }
+            c.bump(pick(Counter::L2StoreMisses, Counter::L2LoadMisses));
+            c.bump(Counter::LlcAccesses);
+            c.bump(pick(Counter::LlcStores, Counter::LlcLoads));
+            let mut outcome = llc.lookup(addr, self.masks[w]);
+            if matches!(
+                outcome,
+                AccessOutcome::Hit {
+                    foreign_way: true,
+                    ..
+                }
+            ) && self.mode == MaskMode::Strict
+            {
+                if llc.invalidate(addr) == Some(true) {
+                    c.bump(Counter::MemWrites);
+                }
+                outcome = AccessOutcome::Miss;
+            }
+            if let AccessOutcome::Hit { foreign_way, .. } = outcome {
+                if foreign_way {
+                    c.bump(Counter::LlcForeignWayHits);
+                }
+                if is_store {
+                    llc.mark_dirty(addr);
+                }
+                fill_l2(p, c, addr);
+                fill_l1(p, c, addr, kind);
+                c.add(Counter::Cycles, lat.llc);
+                return;
+            }
+            c.bump(Counter::LlcMisses);
+            c.bump(pick(Counter::LlcStoreMisses, Counter::LlcLoadMisses));
+            c.bump(Counter::MemReads);
+            let mut victim = None;
+            if let Ok(evicted) = llc.fill(addr, w as WorkloadId, self.masks[w], is_store) {
+                c.bump(Counter::LlcFills);
+                if let Some(ev) = evicted {
+                    if ev.dirty {
+                        c.bump(Counter::MemWrites);
+                    }
+                    if ev.owner != w as WorkloadId {
+                        c.bump(Counter::LlcEvictionsCaused);
+                        victim = Some(ev.owner as usize);
+                    }
+                }
+            }
+            fill_l2(p, c, addr);
+            fill_l1(p, c, addr, kind);
+            c.add(Counter::Cycles, lat.memory);
+            if let Some(owner) = victim {
+                self.counters[owner].bump(Counter::LlcEvictionsSuffered);
+            }
+        }
+    }
+
+    #[test]
+    fn derived_counters_match_per_event_counting() {
+        let config = tiny_config();
+        let ways = config.llc.ways;
+        for mode in [MaskMode::FillOnly, MaskMode::Strict] {
+            let mut hier = Hierarchy::new(config, 31);
+            hier.set_mask_mode(mode);
+            let mut reference = PerEvent::new(config, 31, mode, 3);
+            let mut rng = stca_util::Rng64::new(0xc0 + mode as u64);
+            let (mut bypassed, mut strict_demotions) = (0, 0);
+            for step in 0..6000u32 {
+                // the masks change mid-stream; from time to time workload
+                // 2's mask is empty, so its misses bypass the LLC
+                if step % 400 == 0 {
+                    for w in 0..3 {
+                        let len = 1 + rng.next_index(ways);
+                        let offset = rng.next_index(ways - len + 1);
+                        let mask = CapacityBitmask::from_span(offset, len, ways).expect("fits");
+                        hier.set_llc_mask(w as WorkloadId, mask);
+                        reference.masks[w] = mask.bits();
+                    }
+                    if step % 1200 == 400 {
+                        hier.fill_masks[2] = 0;
+                        reference.masks[2] = 0;
+                    }
+                }
+                let w = rng.next_index(3);
+                let kind = match rng.next_below(10) {
+                    0..=5 => AccessKind::Load,
+                    6..=7 => AccessKind::Store,
+                    _ => AccessKind::IFetch,
+                };
+                // a footprint of about 1.5 LLCs per workload, hot at its start
+                let line = if rng.next_bool(0.5) {
+                    rng.next_below(48)
+                } else {
+                    rng.next_below(192)
+                };
+                let addr = ((w as u64 + 1) << 32) + line * 64 + rng.next_below(64);
+                let before = hier.counters_of(w as WorkloadId);
+                let level = hier.access(w as WorkloadId, addr, kind);
+                reference.access(w, addr, kind);
+                if rng.next_bool(0.05) {
+                    hier.retire(w as WorkloadId, 12, 5);
+                    let c = &mut reference.counters[w];
+                    c.add(Counter::Instructions, 12);
+                    c.add(Counter::Cycles, 5);
+                }
+                for v in 0..3 {
+                    assert_eq!(
+                        hier.counters_of(v as WorkloadId),
+                        reference.counters[v],
+                        "{mode:?}, step {step}, workload {v}"
+                    );
+                }
+                let after = hier.counters_of(w as WorkloadId);
+                let fills = after.get(Counter::LlcFills) - before.get(Counter::LlcFills);
+                bypassed += u64::from(level == LevelHit::Memory && fills == 0);
+                strict_demotions += u64::from(
+                    mode == MaskMode::Strict
+                        && level == LevelHit::Memory
+                        && after.get(Counter::MemWrites) > before.get(Counter::MemWrites),
+                );
+            }
+            assert!(bypassed > 0, "{mode:?}: no access bypassed the LLC");
+            let c = hier.counters_of(0);
+            for counter in [
+                Counter::L1dEvictions,
+                Counter::L2Evictions,
+                Counter::LlcEvictionsCaused,
+                Counter::LlcEvictionsSuffered,
+                Counter::MemWrites,
+                Counter::L1iFetchMisses,
+            ] {
+                assert!(c.get(counter) > 0, "{mode:?}: {counter:?} never counted");
+            }
+            if mode == MaskMode::FillOnly {
+                assert!(c.get(Counter::LlcForeignWayHits) > 0);
+            } else {
+                assert!(strict_demotions > 0, "no dirty foreign line was demoted");
+            }
+        }
     }
 
     #[test]

@@ -21,7 +21,7 @@ use crate::profile::{ProfileRow, ProfileSet};
 use crate::proxy::ProxyService;
 use crate::sampler::CounterOrdering;
 use crate::storage;
-use stca_cachesim::{Counter, CounterSet, Hierarchy, HierarchyConfig, MaskMode};
+use stca_cachesim::{Counter, CounterSet, Hierarchy, HierarchyConfig, MaskMode, WorkloadId};
 use stca_cat::layout::ExperimentLayout;
 use stca_cat::ShortTermPolicy;
 use stca_fault::checkpoint::Checkpoint;
@@ -388,22 +388,9 @@ impl TestEnvironment {
         let mut measured_cycles = 0u64;
         let mut measured_queries = 0u64;
         for q in 0..cal_queries {
-            let before = hier.counters_of(0).get(Counter::Cycles);
-            for _ in 0..accesses_mean {
-                let (a, k) = gen.next_access();
-                hier.access(0, a, k);
-                if rng.next_bool(spec.ifetch_per_access) {
-                    let (ai, ki) = gen.next_ifetch();
-                    hier.access(0, ai, ki);
-                }
-            }
-            hier.retire(
-                0,
-                accesses_mean * spec.instructions_per_access,
-                accesses_mean * spec.instructions_per_access,
-            );
+            let cycles = run_accesses(&mut hier, 0, &mut gen, &mut rng, spec, accesses_mean);
             if q >= warm {
-                measured_cycles += hier.counters_of(0).get(Counter::Cycles) - before;
+                measured_cycles += cycles;
                 measured_queries += 1;
             }
         }
@@ -653,24 +640,12 @@ impl TestEnvironment {
         }
         // 6. execute one quantum per active query (servers run concurrently,
         //    each on its own timeline)
-        let spec_ifetch = s.spec.ifetch_per_access;
-        let spec_ipa = s.spec.instructions_per_access;
         for qi in 0..s.active.len() {
             let n = quantum.min(s.active[qi].remaining);
             if n == 0 {
                 continue;
             }
-            let before = hier.counters_of(s.wid).get(Counter::Cycles);
-            for _ in 0..n {
-                let (a, k) = s.gen.next_access();
-                hier.access(s.wid, a, k);
-                if s.rng.next_bool(spec_ifetch) {
-                    let (ai, ki) = s.gen.next_ifetch();
-                    hier.access(s.wid, ai, ki);
-                }
-            }
-            hier.retire(s.wid, n * spec_ipa, n * spec_ipa);
-            let cycles = hier.counters_of(s.wid).get(Counter::Cycles) - before;
+            let cycles = run_accesses(hier, s.wid, &mut s.gen, &mut s.rng, &s.spec, n);
             let elapsed = cycles as f64 * s.sec_per_cycle;
             let q = &mut s.active[qi];
             q.remaining -= n;
@@ -841,6 +816,33 @@ pub fn profile_each(
         ck.save()?;
     }
     Ok(profiled)
+}
+
+/// Run `n` of a query's data accesses through `hier`, each followed
+/// with probability `ifetch_per_access` by an instruction fetch, then
+/// retire their instructions (as many base cycles as instructions).
+/// Returns the cycles charged. Calibration and the experiment loop both
+/// drive their queries through it, so both draw in the same order.
+fn run_accesses(
+    hier: &mut Hierarchy,
+    w: WorkloadId,
+    gen: &mut AccessGenerator,
+    rng: &mut Rng64,
+    spec: &WorkloadSpec,
+    n: u64,
+) -> u64 {
+    let before = hier.counters_of(w).get(Counter::Cycles);
+    for _ in 0..n {
+        let (a, k) = gen.next_access();
+        hier.access(w, a, k);
+        if rng.next_bool(spec.ifetch_per_access) {
+            let (ai, ki) = gen.next_ifetch();
+            hier.access(w, ai, ki);
+        }
+    }
+    let instructions = n * spec.instructions_per_access;
+    hier.retire(w, instructions, instructions);
+    hier.counters_of(w).get(Counter::Cycles) - before
 }
 
 #[cfg(test)]

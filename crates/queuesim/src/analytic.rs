@@ -4,8 +4,11 @@
 //! Short-term allocation breaks the Markov assumptions these formulas need
 //! (§3.3), which is *why* the paper simulates. But with boosting disabled
 //! and exponential service, the simulator must reduce to M/M/k exactly;
-//! the tests here pin that reduction down so simulator regressions surface
-//! as analytic mismatches rather than silent bias in every experiment.
+//! the tests here (k = 1, 2 and 4, each within a fixed relative error) and
+//! the simulator's replicated oracle (k = 2 and 4, with a tolerance set by
+//! the replication count) pin that reduction down so simulator regressions
+//! surface as analytic mismatches rather than silent bias in every
+//! experiment.
 
 use stca_util::Seconds;
 

@@ -864,6 +864,59 @@ mod tests {
         assert!((total - r.busy_time).abs() / r.busy_time < 1e-6);
     }
 
+    /// With no boost and exponential service a station is M/M/k, so its
+    /// mean response must match `mmk_mean_response` and the share of
+    /// queries that wait must match Erlang C. Each of `REPLICATIONS` seeded
+    /// runs gives one estimate of both; the tolerance is `T` standard
+    /// errors of their average, where `T = 3.77` is the two-sided 99.9%
+    /// Student-t quantile for `REPLICATIONS − 1 = 23` degrees of freedom.
+    #[test]
+    fn no_boost_station_matches_mmk_oracle() {
+        use crate::analytic::{erlang_c, mmk_mean_response};
+        const REPLICATIONS: usize = 24;
+        const T: f64 = 3.77;
+        // (mean, tolerance) of the replication estimates
+        let estimate = |xs: &[f64]| {
+            let n = xs.len() as f64;
+            let mean = xs.iter().sum::<f64>() / n;
+            let var = xs.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / (n - 1.0);
+            (mean, T * (var / n).sqrt())
+        };
+        for (servers, rho, mean_service) in [(2, 0.8, 1.0), (4, 0.9, 0.5)] {
+            let lambda = servers as f64 * rho / mean_service;
+            let (responses, waited): (Vec<f64>, Vec<f64>) = (0..REPLICATIONS as u64)
+                .map(|seed| {
+                    let cfg = StationConfig {
+                        inter_arrival: Distribution::Exponential { mean: 1.0 / lambda },
+                        service: Distribution::Exponential { mean: mean_service },
+                        expected_service: mean_service,
+                        timeout_ratio: stca_cat::stap::NEVER_BOOST_RATIO,
+                        boost_rate: 1.0,
+                        servers,
+                        shared_boost: true,
+                        measured_queries: 20_000,
+                        warmup_queries: 2_000,
+                    };
+                    let r = QueueSim::new(cfg, 0x3a3 + seed).run();
+                    let waits = r.queue_delays.iter().filter(|&&d| d > 0.0).count();
+                    (r.mean_response(), waits as f64 / r.completed() as f64)
+                })
+                .unzip();
+            let want = mmk_mean_response(servers, lambda, mean_service);
+            let (got, tol) = estimate(&responses);
+            assert!(
+                (got - want).abs() <= tol,
+                "M/M/{servers} mean response {got:.4} vs {want:.4} (tolerance {tol:.4})"
+            );
+            let want = erlang_c(servers, lambda * mean_service);
+            let (got, tol) = estimate(&waited);
+            assert!(
+                (got - want).abs() <= tol,
+                "M/M/{servers} P(wait) {got:.4} vs Erlang C {want:.4} (tolerance {tol:.4})"
+            );
+        }
+    }
+
     #[test]
     fn boosted_busy_time_bounded_by_busy_time() {
         let mut cfg = base_config();

@@ -8,6 +8,8 @@
 //! configuration serializable as plain data.
 
 use crate::rng::Rng64;
+use std::collections::HashMap;
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 /// A one-dimensional sampling distribution over non-negative values.
 #[derive(Debug, Clone, PartialEq)]
@@ -121,8 +123,24 @@ impl Distribution {
 /// larger = more skew). Used for key popularity in the Redis/YCSB workload
 /// model and for reuse-distance skew in data-reuse-heavy benchmarks.
 ///
-/// Uses the rejection-inversion method of Hörmann & Derflinger, which is
-/// O(1) per sample and exact.
+/// The draw is inversion with rounding, after Hörmann & Derflinger's
+/// rejection-inversion: a uniform `u` on `[h(0.5) − 1, h(n − 0.5))` maps
+/// through the inverse of the integrated hat `h(x) = ∫(1 + t)^−θ dt` to
+/// `x = h⁻¹(u)`, and the rank is `k = round(x)`, clamped to `0..n`. Their
+/// rejection step keeps `k` outright when `k − x ≤ s`, with
+/// `s = 1 − h⁻¹(h(1.5) − 1)`, and otherwise tests `u` against the rank's
+/// exact mass. Rounding gives `k − x ≤ 0.5`, so when `s > 0.5` and `x`
+/// never falls below `−0.5` the rejection branch cannot fire: each sample
+/// is one 53-bit draw mapped to a rank that grows with the draw. The
+/// workloads' `(n, θ)` of (6144, 0.5), (36, 0.9) and (768, 1.1) have `s`
+/// of 0.83, 1.04 and 1.12.
+///
+/// For such parameters [`Zipf::new`] shares one rank table per `(n, θ)`
+/// across the process, and [`Zipf::sample`] looks the rank up
+/// instead of calling `powf`. A draw inside the table's guard band around
+/// a rank boundary runs the scalar loop ([`Zipf::sample_scalar`]) instead,
+/// so every sample equals the scalar one bit for bit and takes exactly one
+/// `next_u64`.
 #[derive(Debug, Clone)]
 pub struct Zipf {
     n: u64,
@@ -131,7 +149,23 @@ pub struct Zipf {
     hx0: f64,
     hxm: f64,
     s: f64,
+    table: Option<Arc<RankTable>>,
 }
+
+/// `2^53`: the number of distinct draws behind one `next_f64`.
+const DRAWS: u64 = 1 << 53;
+
+/// Most ranks a [`RankTable`] covers (8 bytes a rank plus a guide of 4
+/// bytes a bucket, at most `4n` buckets); larger samplers stay scalar.
+const TABLE_MAX_RANKS: u64 = 1 << 16;
+
+/// How far `s` must exceed 0.5, and `x` at the lowest draw exceed −0.5,
+/// for [`RankTable::build`] to treat acceptance as certain. It is far
+/// above the pipeline's float error (`build` also requires four error
+/// bounds to fit in it) and far below the real gaps: `x` at the lowest
+/// draw is −0.475 at θ = 0.5 and lies about `0.045θ` above −0.5 as θ
+/// goes to 0.
+const ACCEPT_MARGIN: f64 = 1e-6;
 
 impl Zipf {
     /// Create a Zipf sampler over `n` items with skew `theta > 0`,
@@ -150,13 +184,16 @@ impl Zipf {
         let hx0 = h(0.5) - 1.0; // h(x0) with shifted origin
         let hxm = h(n as f64 - 0.5);
         let s = 1.0 - Self::h_inv_static(q, h(1.5) - 1.0);
-        Zipf {
+        let mut zipf = Zipf {
             n,
             theta: q,
             hx0,
             hxm,
             s,
-        }
+            table: None,
+        };
+        zipf.table = shared_table(&zipf);
+        zipf
     }
 
     fn h_inv_static(q: f64, x: f64) -> f64 {
@@ -175,20 +212,235 @@ impl Zipf {
         }
     }
 
-    /// Draw a rank in `[0, n)`; rank 0 is the most popular.
+    /// Draw a rank in `[0, n)`; rank 0 is the most popular. Equal, draw
+    /// for draw, to [`Zipf::sample_scalar`].
+    #[inline]
     pub fn sample(&self, rng: &mut Rng64) -> u64 {
         if self.n == 1 {
             return 0;
         }
-        loop {
-            let u = self.hx0 + rng.next_f64() * (self.hxm - self.hx0);
-            let x = Self::h_inv_static(self.theta, u);
-            let k = (x + 0.5).floor().clamp(0.0, (self.n - 1) as f64);
-            // acceptance test
-            if k - x <= self.s || u >= self.h(k + 0.5) - (1.0 + k).powf(-self.theta) {
-                return k as u64;
-            }
+        let m = rng.next_u64() >> 11;
+        match self.table.as_deref().and_then(|t| t.lookup(m)) {
+            Some(k) => k,
+            None => self.finish_scalar(m, rng),
         }
+    }
+
+    /// Draw a rank by the scalar inversion loop alone: the reference that
+    /// the rank table reproduces.
+    pub fn sample_scalar(&self, rng: &mut Rng64) -> u64 {
+        if self.n == 1 {
+            return 0;
+        }
+        let m = rng.next_u64() >> 11;
+        self.finish_scalar(m, rng)
+    }
+
+    /// The scalar loop, starting from the 53-bit draw `m`.
+    fn finish_scalar(&self, mut m: u64, rng: &mut Rng64) -> u64 {
+        loop {
+            if let Some(k) = self.scalar_rank(m) {
+                return k;
+            }
+            m = rng.next_u64() >> 11;
+        }
+    }
+
+    /// One pass of the scalar loop for the 53-bit draw `m` (the draw
+    /// behind [`Rng64::next_f64`]): the rank, or `None` when the
+    /// rejection test refuses it.
+    fn scalar_rank(&self, m: u64) -> Option<u64> {
+        let (u, x, k) = self.invert(m);
+        if k - x <= self.s || u >= self.h(k + 0.5) - (1.0 + k).powf(-self.theta) {
+            Some(k as u64)
+        } else {
+            None
+        }
+    }
+
+    /// `(u, x, k)` of the scalar pipeline for the 53-bit draw `m`, in the
+    /// float operations [`Rng64::next_f64`] and the loop perform.
+    #[inline]
+    fn invert(&self, m: u64) -> (f64, f64, f64) {
+        let f = m as f64 * (1.0 / DRAWS as f64);
+        let u = self.hx0 + f * (self.hxm - self.hx0);
+        let x = Self::h_inv_static(self.theta, u);
+        let k = (x + 0.5).floor().clamp(0.0, (self.n - 1) as f64);
+        (u, x, k)
+    }
+
+    /// A bound on how far the computed `x`, and `x + 0.5` as rounded,
+    /// can lie from their real-arithmetic values, for any draw. It counts
+    /// each rounding as a full ulp rather than a half and libm's `pow`
+    /// and `exp` as 2 ulp rather than about 1:
+    /// - `f·(hxm − hx0)` moves `u` by at most `ε(hxm − hx0)`, and
+    ///   `hx0 + ·` and `u·(1 − θ)` by at most `ε·max|u|` each; `h⁻¹`
+    ///   stretches that by its slope `(1 + x)^θ ≤ (n + 0.5)^θ`;
+    /// - `1 + u(1 − θ)` is off by a relative `ε`, which the power
+    ///   `1/(1 − θ)` multiplies; `pow` adds `2ε`, all relative to
+    ///   `1 + x ≤ n + 0.5`;
+    /// - `p − 1` and `x + 0.5` add `ε(n + 0.5)` each.
+    fn error_bound(&self) -> f64 {
+        let eps = f64::EPSILON;
+        let top = self.n as f64 + 0.5;
+        let span = self.hxm - self.hx0;
+        let u_max = self.hx0.abs().max(self.hxm.abs());
+        let power = if (self.theta - 1.0).abs() < 1e-9 {
+            1.0
+        } else {
+            (1.0 / (1.0 - self.theta)).abs()
+        };
+        top.powf(self.theta) * eps * (span + 2.0 * u_max)
+            + top * eps * (power + 2.0)
+            + 2.0 * top * eps
+    }
+}
+
+/// The table of one `(n, θ)`, built on first use and shared by every
+/// later sampler with the same parameters (`AccessGenerator::new` builds a
+/// sampler for each station of each experiment).
+fn shared_table(zipf: &Zipf) -> Option<Arc<RankTable>> {
+    type Memo = HashMap<(u64, u64), Option<Arc<RankTable>>>;
+    static TABLES: OnceLock<Mutex<Memo>> = OnceLock::new();
+    // a panic inside `build` inserts nothing, so a poisoned memo is whole
+    let mut tables = TABLES
+        .get_or_init(Default::default)
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner);
+    tables
+        .entry((zipf.n, zipf.theta.to_bits()))
+        .or_insert_with(|| RankTable::build(zipf).map(Arc::new))
+        .clone()
+}
+
+/// The scalar rank map of one `(n, θ)` [`Zipf`], tabulated: the rank of
+/// a 53-bit draw `m` is the number of rank thresholds at or below `m`.
+/// Threshold `k` is the smallest draw whose scalar rank is at least `k`,
+/// found by binary search with the same float code
+/// [`Zipf::sample_scalar`] runs. A guide array indexed by the high bits
+/// of `m` holds the rank at each bucket's start, so a lookup scans
+/// forward past a fraction of a threshold on average.
+///
+/// **Why the table is exact outside its guard band.** Let `X(m)` be the
+/// pipeline `h⁻¹(hx0 + m·2⁻⁵³·(hxm − hx0))` in real arithmetic, with the
+/// sampler's own float constants, and `x̂(m)` what floats compute. `X`
+/// increases strictly, with slope `2⁻⁵³·(hxm − hx0)·(1 + X)^θ` per draw;
+/// the table exists only where `X ≥ −0.5`, so the slope is at least
+/// `σ = 2⁻⁵³·(hxm − hx0)·0.5^θ`. `Zipf::error_bound` gives a `Δ` that
+/// bounds both `|x̂ − X|` and the rounding of `x̂ + 0.5`. So the scalar
+/// rank is at least `k` wherever `X ≥ k − 0.5 + Δ` and below `k` wherever
+/// `X < k − 0.5 − Δ`. Between the two lies a window of draws at most
+/// `2Δ/σ` wide, and wherever rounding may go either way the binary
+/// search still returns a draw inside that window or one past its end.
+/// Any guard `G` above the window's width therefore makes every draw at
+/// least `G` away from the threshold (`m < t − G` or `m ≥ t + G`) take
+/// the same side of it on both paths. The table takes
+/// `G = 2(⌈2Δ/σ⌉ + 1)`; for the workloads' parameters that is 2,604 to
+/// 104,990 draws out of 2⁵³, so the scalar fallback runs at most about
+/// once in 5·10⁷ samples.
+///
+/// Building the table also checks, for every threshold, that the draws
+/// just outside its band round to the ranks on either side, and refuses
+/// the table if thresholds come closer than `2G`.
+struct RankTable {
+    /// `bounds[k]` is threshold `k` for `1 ≤ k < n`; `bounds[0]` is
+    /// `−G` (wrapping, so no draw is within `G` above it) and
+    /// `bounds[n]` is `u64::MAX` (no draw is within `G` below it).
+    bounds: Vec<u64>,
+    /// Rank at the start of each bucket of draws.
+    guide: Vec<u32>,
+    /// A draw's bucket is `m >> shift`.
+    shift: u32,
+    guard: u64,
+}
+
+impl std::fmt::Debug for RankTable {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("RankTable")
+            .field("ranks", &(self.bounds.len() - 1))
+            .field("buckets", &self.guide.len())
+            .field("guard", &self.guard)
+            .finish()
+    }
+}
+
+impl RankTable {
+    /// Tabulate `zipf`, or `None` when its rejection test could fire, it
+    /// has more than `TABLE_MAX_RANKS` ranks, or a threshold check fails.
+    fn build(zipf: &Zipf) -> Option<RankTable> {
+        let n = zipf.n;
+        if !(2..=TABLE_MAX_RANKS).contains(&n) || zipf.s <= 0.5 + ACCEPT_MARGIN {
+            return None;
+        }
+        let delta = zipf.error_bound();
+        if 4.0 * delta > ACCEPT_MARGIN || zipf.invert(0).1 < -0.5 + ACCEPT_MARGIN {
+            return None;
+        }
+        let slope = (zipf.hxm - zipf.hx0) * 0.5f64.powf(zipf.theta) / DRAWS as f64;
+        let window = (2.0 * delta / slope).ceil();
+        if !window.is_finite() || window >= (1u64 << 40) as f64 {
+            return None;
+        }
+        let guard = 2 * (window as u64 + 1);
+        let rank = |m: u64| zipf.invert(m).2 as u64;
+        let mut bounds = Vec::with_capacity(n as usize + 1);
+        bounds.push(0u64.wrapping_sub(guard));
+        for k in 1..n {
+            // invariant: rank(lo) < k <= rank(hi)
+            let (mut lo, mut hi) = (0, DRAWS - 1);
+            if rank(lo) >= k || rank(hi) < k {
+                return None;
+            }
+            while hi - lo > 1 {
+                let mid = lo + (hi - lo) / 2;
+                if rank(mid) >= k {
+                    hi = mid;
+                } else {
+                    lo = mid;
+                }
+            }
+            let crowded = k > 1 && hi <= bounds[k as usize - 1] + 2 * guard;
+            if crowded
+                || hi <= guard
+                || hi + guard >= DRAWS
+                || rank(hi - guard - 1) != k - 1
+                || rank(hi + guard) != k
+            {
+                return None;
+            }
+            bounds.push(hi);
+        }
+        bounds.push(u64::MAX);
+        let bits = (2 * n).next_power_of_two().trailing_zeros();
+        let shift = 53 - bits;
+        let mut k = 0;
+        let guide = (0..1u64 << bits)
+            .map(|bucket| {
+                while bounds[k + 1] <= bucket << shift {
+                    k += 1;
+                }
+                k as u32
+            })
+            .collect();
+        Some(RankTable {
+            bounds,
+            guide,
+            shift,
+            guard,
+        })
+    }
+
+    /// Rank of the 53-bit draw `m`, or `None` when `m` lies within the
+    /// guard band of a threshold.
+    #[inline]
+    fn lookup(&self, m: u64) -> Option<u64> {
+        let mut k = self.guide[(m >> self.shift) as usize] as usize;
+        while self.bounds[k + 1] <= m {
+            k += 1;
+        }
+        let clear =
+            m.wrapping_sub(self.bounds[k]) >= self.guard && self.bounds[k + 1] - m > self.guard;
+        clear.then_some(k as u64)
     }
 }
 
@@ -296,6 +548,54 @@ mod tests {
         let mut rng = Rng64::new(9);
         for _ in 0..10_000 {
             assert!(z.sample(&mut rng) < 100);
+        }
+    }
+
+    /// The table against the scalar loop at the draws just inside and
+    /// just outside every threshold's guard band, for the workloads'
+    /// `(n, θ)` at `experiment_default` scale (Redis, Knn, Social) and the
+    /// sizes the tests above use. `tests/zipf_table.rs` checks that the
+    /// workloads build no other `(n, θ)`.
+    #[test]
+    fn rank_table_matches_scalar_at_every_threshold() {
+        for (n, theta) in [(6144, 0.5), (768, 1.1), (36, 0.9), (1000, 0.99), (100, 1.0)] {
+            let zipf = Zipf::new(n, theta);
+            let table = zipf
+                .table
+                .as_deref()
+                .unwrap_or_else(|| panic!("({n}, {theta}) has no table"));
+            let g = table.guard;
+            assert!(g >= 2, "({n}, {theta}) guard {g}");
+            let thresholds = &table.bounds[1..table.bounds.len() - 1];
+            assert_eq!(thresholds.len() as u64, n - 1);
+            for (i, &t) in thresholds.iter().enumerate() {
+                let k = i as u64 + 1;
+                // the threshold is where the scalar rank reaches k
+                let at = |m| zipf.scalar_rank(m);
+                assert_eq!(at(t - 1), Some(k - 1), "({n}, {theta}) rank {k}");
+                assert_eq!(at(t), Some(k), "({n}, {theta}) rank {k}");
+                for d in [0, 1, g - 1, g, g + 1] {
+                    for m in [t - d, t + d] {
+                        let scalar = at(m).expect("acceptance is certain");
+                        let looked_up = table.lookup(m);
+                        // the band is [t - g, t + g): inside it the sampler
+                        // falls back, outside it the table answers
+                        let inside = m + g >= t && m < t + g;
+                        assert_eq!(looked_up.is_none(), inside, "({n}, {theta}) m = {m}");
+                        if let Some(rank) = looked_up {
+                            assert_eq!(rank, scalar, "({n}, {theta}) m = {m}");
+                        }
+                    }
+                }
+            }
+            // the extreme draws
+            for m in [0, DRAWS - 1] {
+                assert_eq!(
+                    table.lookup(m),
+                    zipf.scalar_rank(m),
+                    "({n}, {theta}) m = {m}"
+                );
+            }
         }
     }
 }
