@@ -22,6 +22,12 @@
 //!    past the guard band, e.g. because the promotion was corrupted by the
 //!    `promote_corrupt` fault.
 //!
+//! `Lifecycle::on_complete` reports what a completion did as decision-log
+//! `Entry` values, which the shard logs right after the completion's own
+//! entry and turns into trace spans where they have one, plus the
+//! per-request `Shadow` score, the one lifecycle event that is traced
+//! but never logged.
+//!
 //! Everything runs in the shard's *serial* replay phase on the virtual
 //! clock. Lifecycle faults are rolled per `(plan seed, shard id, epoch)`
 //! with `epoch = floor(virtual_now / epoch_s)`, and retrain seed streams
@@ -30,6 +36,7 @@
 //! any `--threads`. Wall-clock retrain latency feeds only the
 //! `serve.adapt.retrain_seconds` histogram, never a decision.
 
+use crate::decision_log::Entry;
 use crate::shard::shard_metric;
 use stca_deepforest::{Cascade, CascadeConfig};
 use stca_fault::{FaultPlan, StcaError};
@@ -214,34 +221,12 @@ pub struct AdaptStats {
     pub last_shadow_agreement: f64,
 }
 
-/// One lifecycle event, returned to the shard core for decision-log
-/// entries and trace spans. All payloads are deterministic.
-#[derive(Debug, Clone)]
-pub(crate) enum AdaptEvent {
-    /// Drift fired at `score`.
-    Drift { score: f64 },
-    /// Candidate `version` retrained on `rows` window rows.
-    Retrain { version: u64, rows: usize },
-    /// Retrain for `version` errored (injected).
-    RetrainFail { version: u64 },
-    /// Retrain for `version` stalled past its budget (injected).
-    RetrainSlow { version: u64 },
-    /// This request was shadow-scored against the candidate.
-    Shadow { version: u64, agree: bool },
-    /// Shadow window complete.
-    ShadowDone {
-        version: u64,
-        agree: u64,
-        scored: u64,
-    },
-    /// Candidate `version` promoted to serving.
-    Promote { version: u64 },
-    /// Promotion refused.
-    PromoteRefused { version: u64, reason: RefuseReason },
-    /// Guard window passed; `version` is confirmed.
-    GuardPass { version: u64 },
-    /// Guard regressed: rolled back from `from` to `to` (0 = base).
-    Rollback { from: u64, to: u64 },
+/// A candidate's shadow score of one request. It is traced but never
+/// logged: the window's verdict is logged as `Entry::ShadowDone`.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Shadow {
+    pub(crate) version: u64,
+    pub(crate) agree: bool,
 }
 
 /// Why a candidate that finished its shadow window was not promoted.
@@ -561,8 +546,9 @@ impl Lifecycle {
     }
 
     /// Advance the lifecycle with one completed request. Returns the
-    /// lifecycle events for the core to log and trace.
-    pub(crate) fn on_complete(&mut self, c: Completion<'_>) -> Vec<AdaptEvent> {
+    /// candidate's shadow score of it, if it was scored, and the entries
+    /// for the core to log (and trace) after the request's own, in order.
+    pub(crate) fn on_complete(&mut self, c: Completion<'_>) -> (Option<Shadow>, Vec<Entry>) {
         let Completion {
             features,
             degraded_ea,
@@ -572,7 +558,8 @@ impl Lifecycle {
             breaker_open,
             draining,
         } = c;
-        let mut events = Vec::new();
+        let mut entries = Vec::new();
+        let mut shadow = None;
         let epoch = self.refresh_epoch(now);
         let observed = degraded_ea + self.cur_offset;
         let residual = (served_ea - observed).abs();
@@ -587,13 +574,13 @@ impl Lifecycle {
             Phase::Stable => {
                 if self.ph_n >= self.cfg.min_samples as u64 && score > self.cfg.drift_threshold {
                     self.stats.drifts += 1;
-                    events.push(AdaptEvent::Drift { score });
+                    entries.push(Entry::Drift { score });
                     self.reset_detector();
                     let version = self.next_version;
                     self.next_version += 1;
                     if self.plan.retrain_fail(self.shard_id, epoch) {
                         self.stats.retrain_failures += 1;
-                        events.push(AdaptEvent::RetrainFail { version });
+                        entries.push(Entry::RetrainFail { version });
                         Phase::Stable
                     } else if self.plan.retrain_slow_s(
                         self.shard_id,
@@ -602,11 +589,11 @@ impl Lifecycle {
                     ) > self.cfg.retrain_budget_s
                     {
                         self.stats.retrain_slows += 1;
-                        events.push(AdaptEvent::RetrainSlow { version });
+                        entries.push(Entry::RetrainSlow { version });
                         Phase::Stable
                     } else if let Some(cand) = self.retrain(version) {
                         self.stats.retrains += 1;
-                        events.push(AdaptEvent::Retrain {
+                        entries.push(Entry::Retrain {
                             version: cand.version,
                             rows: self.window.len(),
                         });
@@ -650,7 +637,7 @@ impl Lifecycle {
                     };
                     self.stats.shadow_scored += 1;
                     let version = cand.version;
-                    events.push(AdaptEvent::Shadow {
+                    shadow = Some(Shadow {
                         version,
                         agree: agrees,
                     });
@@ -665,7 +652,7 @@ impl Lifecycle {
                     } else {
                         let agreement = agree as f64 / scored as f64;
                         self.stats.last_shadow_agreement = agreement;
-                        events.push(AdaptEvent::ShadowDone {
+                        entries.push(Entry::ShadowDone {
                             version,
                             agree,
                             scored,
@@ -684,7 +671,7 @@ impl Lifecycle {
                                 self.stats.promote_refused += 1;
                                 self.candidate = None;
                                 self.reset_detector();
-                                events.push(AdaptEvent::PromoteRefused { version, reason });
+                                entries.push(Entry::PromoteRefused { version, reason });
                                 Phase::Stable
                             }
                             None => {
@@ -708,7 +695,7 @@ impl Lifecycle {
                                 });
                                 self.stats.promotions += 1;
                                 self.reset_detector();
-                                events.push(AdaptEvent::Promote { version });
+                                entries.push(Entry::Promote { version });
                                 Phase::Guard {
                                     remaining: self.cfg.guard_requests,
                                     scored: 0,
@@ -753,7 +740,7 @@ impl Lifecycle {
                     self.reset_detector();
                     if resid_ok && deadline_ok {
                         self.stats.guard_passes += 1;
-                        events.push(AdaptEvent::GuardPass { version });
+                        entries.push(Entry::GuardPass { version });
                     } else {
                         // automatic rollback: re-install the previous
                         // version from the bounded history
@@ -761,14 +748,14 @@ impl Lifecycle {
                         let to = prev.as_ref().map_or(0, |v| v.version);
                         self.active = prev;
                         self.stats.rollbacks += 1;
-                        events.push(AdaptEvent::Rollback { from: version, to });
+                        entries.push(Entry::Rollback { from: version, to });
                     }
                     Phase::Stable
                 }
             }
         };
         self.stats.active_version = self.active_version();
-        events
+        (shadow, entries)
     }
 }
 
@@ -780,12 +767,13 @@ mod tests {
         FaultPlan::parse(spec).expect("plan parses")
     }
 
-    fn feed(lc: &mut Lifecycle, n: u64, t0: f64, ea: f64) -> Vec<AdaptEvent> {
-        let mut all = Vec::new();
+    /// Every shadow score and every entry `n` completions produced.
+    fn feed(lc: &mut Lifecycle, n: u64, t0: f64, ea: f64) -> (Vec<Shadow>, Vec<Entry>) {
+        let (mut shadows, mut entries) = (Vec::new(), Vec::new());
         for i in 0..n {
             let now = t0 + i as f64 * 0.01;
             let feats = vec![0.5 + 0.001 * (i % 7) as f64, 0.2];
-            all.extend(lc.on_complete(Completion {
+            let (shadow, more) = lc.on_complete(Completion {
                 features: &feats,
                 degraded_ea: ea,
                 served_ea: ea,
@@ -793,9 +781,11 @@ mod tests {
                 deadline_missed: false,
                 breaker_open: false,
                 draining: false,
-            }));
+            });
+            shadows.extend(shadow);
+            entries.extend(more);
         }
-        all
+        (shadows, entries)
     }
 
     #[test]
@@ -839,8 +829,9 @@ mod tests {
     #[test]
     fn clean_traffic_never_drifts() {
         let mut lc = Lifecycle::new(cfg(), FaultPlan::none(), 7, None);
-        let events = feed(&mut lc, 500, 0.0, 1.0);
-        assert!(events.is_empty(), "{events:?}");
+        let (shadows, entries) = feed(&mut lc, 500, 0.0, 1.0);
+        assert!(shadows.is_empty(), "{shadows:?}");
+        assert!(entries.is_empty(), "{entries:?}");
         assert_eq!(lc.stats.drifts, 0);
         assert_eq!(lc.active_version(), 0);
         assert!(lc.serve_ea(&[0.5]).is_none(), "base model keeps serving");
@@ -850,15 +841,13 @@ mod tests {
     fn drift_burst_triggers_retrain_shadow_and_promotion() {
         // force a drift burst in every epoch; no other lifecycle faults
         let mut lc = Lifecycle::new(cfg(), plan("drift_burst=1.0,seed=3"), 7, None);
-        let events = feed(&mut lc, 400, 0.0, 1.0);
+        let (_, entries) = feed(&mut lc, 400, 0.0, 1.0);
         assert!(lc.stats.drifts >= 1, "{:?}", lc.stats);
         assert!(lc.stats.retrains >= 1, "{:?}", lc.stats);
         assert!(lc.stats.shadow_scored >= 8, "{:?}", lc.stats);
         assert!(lc.stats.promotions >= 1, "{:?}", lc.stats);
         assert!(
-            events
-                .iter()
-                .any(|e| matches!(e, AdaptEvent::Promote { .. })),
+            entries.iter().any(|e| matches!(e, Entry::Promote { .. })),
             "promotion event emitted"
         );
         // every promotion is confirmed, rolled back, or still in guard
@@ -898,13 +887,13 @@ mod tests {
             7,
             None,
         );
-        let events = feed(&mut lc, 300, 0.0, 1.0);
+        let (_, entries) = feed(&mut lc, 300, 0.0, 1.0);
         assert!(lc.stats.retrain_failures >= 1, "{:?}", lc.stats);
         assert_eq!(lc.stats.retrains, 0);
         assert_eq!(lc.stats.promotions, 0);
-        assert!(events
+        assert!(entries
             .iter()
-            .any(|e| matches!(e, AdaptEvent::RetrainFail { .. })));
+            .any(|e| matches!(e, Entry::RetrainFail { .. })));
     }
 
     #[test]

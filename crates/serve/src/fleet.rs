@@ -81,7 +81,10 @@
 //! The router health-gates in tiers: healthy shards (not crashed, not
 //! flapped, breaker not open) first, then breaker-open shards, then
 //! flapped shards; only when every shard is crashed does a request get the
-//! typed `router_shed` disposition.
+//! typed `router_shed` disposition. Both router sheds, a flushed request
+//! with no live shard or no hops left and a fresh arrival that finds every
+//! shard crashed, go through one `RouterShed::shed`, which counts, logs and
+//! traces them in the router's own flight recorder.
 //!
 //! ## Accounting invariant
 //!
@@ -584,6 +587,37 @@ fn pick_target(
     None
 }
 
+/// The requests the router sheds because no live shard can take them.
+/// They get their own flight recorder, so they are traced even though
+/// they never reach a shard.
+struct RouterShed {
+    count: u64,
+    recorder: Option<FlightRecorder>,
+}
+
+impl RouterShed {
+    /// Shed `p` at virtual `now`: a request flushed out of crashed shard
+    /// `from` that cannot be rerouted, or a fresh arrival (`from` is
+    /// `None`) that finds every shard crashed. A fresh arrival's trace
+    /// begins here.
+    fn shed(&mut self, p: Pending, from: Option<u32>, now: f64, sink: &mut DecisionSink) {
+        self.count += 1;
+        let (seq, hops) = (p.seq, p.hops);
+        sink.push(Entry::RouterShed { seq, hops }, None);
+        let Some(rec) = self.recorder.as_mut() else {
+            return;
+        };
+        let mut ctx = p.ctx.unwrap_or_else(|| rec.begin(seq, p.arrival_s));
+        let span = ctx.push_span(Stage::Route, now, now);
+        if let Some(from) = from {
+            span.args
+                .push(("from_shard", AttrValue::Num(f64::from(from))));
+        }
+        span.args.push(("hops", AttrValue::Num(f64::from(hops))));
+        rec.record(ctx.finish(Disposition::RouterShed, now));
+    }
+}
+
 /// Apply one epoch's shard faults, in shard-id order. Returns the
 /// requests flushed out of crashing shards (to be rerouted by the
 /// caller), tagged with their source shard.
@@ -705,9 +739,10 @@ pub fn serve_fleet(
             }
         })
         .collect();
-    // router sheds get their own recorder so admission-time sheds are
-    // traced even though they never touch a shard
-    let mut router_rec = cfg.base.trace.map(FlightRecorder::new);
+    let mut router = RouterShed {
+        count: 0,
+        recorder: cfg.base.trace.map(FlightRecorder::new),
+    };
     let route_seed = stream.seed ^ ROUTE_SALT;
     let mut candidates = Vec::with_capacity(slots.len());
     let mut sink = DecisionSink::new(cfg.base.keep_decision_log);
@@ -715,7 +750,6 @@ pub fn serve_fleet(
         stca_obs::StageTimer::with_histogram(stca_obs::histogram(&fleet_metric("run_seconds")));
     let depth_gauge = stca_obs::gauge(&fleet_metric("queue_depth"));
     let mut rerouted = 0u64;
-    let mut router_shed = 0u64;
     let mut cur_epoch: i64 = -1;
     let mut seq = 0u64;
     let mut t_cursor = 0.0f64;
@@ -790,26 +824,7 @@ pub fn serve_fleet(
                                 p.ready_s = boundary;
                                 slots[to as usize].core.arrive(p, &mut sink);
                             }
-                            None => {
-                                router_shed += 1;
-                                sink.push(
-                                    Entry::RouterShed {
-                                        seq: p.seq,
-                                        hops: p.hops,
-                                    },
-                                    None,
-                                );
-                                if let Some(ctx) = p.ctx.as_mut() {
-                                    let span = ctx.push_span(Stage::Route, boundary, boundary);
-                                    span.args
-                                        .push(("from_shard", AttrValue::Num(f64::from(from))));
-                                    span.args.push(("hops", AttrValue::Num(f64::from(p.hops))));
-                                }
-                                if let (Some(rec), Some(ctx)) = (router_rec.as_mut(), p.ctx.take())
-                                {
-                                    rec.record(ctx.finish(Disposition::RouterShed, boundary));
-                                }
-                            }
+                            None => router.shed(p, Some(from), boundary, &mut sink),
                         }
                     }
                 }
@@ -822,41 +837,23 @@ pub fn serve_fleet(
                     None,
                     &mut candidates,
                 );
+                let mut p = Pending {
+                    seq: r.seq,
+                    arrival_s: r.arrival_s,
+                    ready_s: r.arrival_s,
+                    deadline_s: r.deadline_s,
+                    hops: 0,
+                    features: r.features,
+                    comp,
+                    ctx: None,
+                };
                 match target {
                     Some(id) => {
                         let core = &mut slots[id as usize].core;
-                        let ctx = core.begin_trace(r.seq, r.arrival_s);
-                        core.arrive(
-                            Pending {
-                                seq: r.seq,
-                                arrival_s: r.arrival_s,
-                                ready_s: r.arrival_s,
-                                deadline_s: r.deadline_s,
-                                hops: 0,
-                                features: r.features,
-                                comp,
-                                ctx,
-                            },
-                            &mut sink,
-                        );
+                        p.ctx = core.begin_trace(r.seq, r.arrival_s);
+                        core.arrive(p, &mut sink);
                     }
-                    None => {
-                        router_shed += 1;
-                        sink.push(
-                            Entry::RouterShed {
-                                seq: r.seq,
-                                hops: 0,
-                            },
-                            None,
-                        );
-                        if let Some(rec) = router_rec.as_mut() {
-                            let mut ctx = rec.begin(r.seq, r.arrival_s);
-                            ctx.push_span(Stage::Route, r.arrival_s, r.arrival_s)
-                                .args
-                                .push(("hops", AttrValue::Num(0.0)));
-                            rec.record(ctx.finish(Disposition::RouterShed, r.arrival_s));
-                        }
-                    }
+                    None => router.shed(p, None, r.arrival_s, &mut sink),
                 }
             }
             seq += count as u64;
@@ -920,7 +917,7 @@ pub fn serve_fleet(
         slots
             .iter()
             .filter_map(|slot| slot.core.recorder.as_ref())
-            .chain(router_rec.as_ref())
+            .chain(router.recorder.as_ref())
             .map(FlightRecorder::dump),
     );
 
@@ -928,7 +925,7 @@ pub fn serve_fleet(
         shards: shard_stats,
         offered: n_requests,
         rerouted,
-        router_shed,
+        router_shed: router.count,
         mean_response_s: fleet_mean,
         p50_response_s: fleet_p50,
         p99_response_s: fleet_p99,
