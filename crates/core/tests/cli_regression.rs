@@ -481,6 +481,32 @@ fn huge_adapt_window_serves_and_huge_server_count_exits_2() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A zero admission queue is a usage error from the flag and from the
+/// spec: the overload policies disagreed on what it meant (shed-newest
+/// shed every request, the other two acted as a queue of 1).
+#[test]
+fn zero_queue_capacity_exits_2() {
+    let dir = temp_dir("queue-cap");
+    let spec = dir.join("queue-cap.stca");
+    std::fs::write(&spec, "[serve]\nqueue_capacity = 0\n").expect("write spec");
+    let spec = spec.to_str().expect("utf8 path");
+    for args in [
+        &["serve", "--queue-cap", "0"][..],
+        &["serve", "--spec", spec],
+        &["scenario", "check", spec],
+    ] {
+        let out = run_in(&dir, args);
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {err}");
+        assert!(
+            err.contains("queue_capacity=0: out of range"),
+            "{args:?}: {err}"
+        );
+        assert!(out.stdout.is_empty(), "{args:?}: wrote stdout");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// A `[cat]` way count past 64 (a way mask is a `u64`), too narrow for
 /// the pair layout, or too narrow for characterize's 2-way private
 /// allocation is a usage error (exit 2) naming the `[cat]` keys, with

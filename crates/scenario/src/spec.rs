@@ -559,7 +559,7 @@ const SCHEMA: &[&[Row]] = &[
         rate: Bound::Positive => "rate",
         deadline_s: Bound::Positive => "deadline",
         servers: Bound::within(1, 1024, "servers") => "servers",
-        queue_capacity => "queue-cap",
+        queue_capacity: Bound::at_least(1, "request") => "queue-cap",
         overload => "overload",
         hysteresis_k => "hysteresis",
         breaker_threshold => "breaker-threshold",

@@ -118,6 +118,11 @@ impl ServeConfig {
         if self.servers == 0 {
             return Err(StcaError::invalid_input("serve: servers must be >= 1"));
         }
+        if self.queue_capacity == 0 {
+            return Err(StcaError::invalid_input(
+                "serve: queue_capacity must be >= 1",
+            ));
+        }
         if self.chunk == 0 {
             return Err(StcaError::invalid_input("serve: chunk must be >= 1"));
         }
@@ -421,6 +426,11 @@ mod tests {
         let s = stream(10.0, 1.0);
         let bad = ServeConfig {
             servers: 0,
+            ..ServeConfig::default()
+        };
+        assert!(serve(&bad, &model, &plan, &s, 10).is_err());
+        let bad = ServeConfig {
+            queue_capacity: 0,
             ..ServeConfig::default()
         };
         assert!(serve(&bad, &model, &plan, &s, 10).is_err());
