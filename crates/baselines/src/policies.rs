@@ -152,7 +152,7 @@ pub fn policies_for(
 /// Split the shared region statically: `to_a` of its ways join A's
 /// partition (adjacent to A's private span, keeping contiguity), the rest
 /// join B's. Both resulting settings are contiguous and disjoint.
-pub fn split_shared(layout: &PairLayout, to_a: usize) -> (AllocationSetting, AllocationSetting) {
+fn split_shared(layout: &PairLayout, to_a: usize) -> (AllocationSetting, AllocationSetting) {
     assert!(
         to_a <= layout.shared,
         "cannot grant more than the shared region"

@@ -25,7 +25,7 @@ fn normalized_p95(spec: ExperimentSpec, policies: &[ShortTermPolicy]) -> Vec<f64
 
 /// Run a pair under explicit policies at a utilization; returns normalized
 /// p95 response per workload (p95 / expected service).
-pub fn run_pair_with_policies(
+fn run_pair_with_policies(
     pair: (BenchmarkId, BenchmarkId),
     utilization: f64,
     policies: &[ShortTermPolicy],

@@ -16,7 +16,6 @@
 
 use crate::allocation::AllocationSetting;
 use crate::stap::ShortTermPolicy;
-use crate::CatError;
 
 /// Pairwise layout: `[A private][shared][B private]` starting at `base_way`.
 ///
@@ -124,7 +123,7 @@ impl ChainLayout {
     }
 
     /// Default setting for workload `i`.
-    pub fn default_of(&self, i: usize) -> AllocationSetting {
+    fn default_of(&self, i: usize) -> AllocationSetting {
         assert!(i < self.n);
         AllocationSetting::new(self.private_start(i), self.private)
     }
@@ -132,7 +131,7 @@ impl ChainLayout {
     /// Boosted setting for workload `i`: contiguity forces the boost to be a
     /// single span, so interior workloads extend across *both* adjacent
     /// shared regions; edge workloads extend across their one neighbour.
-    pub fn boosted_of(&self, i: usize) -> AllocationSetting {
+    fn boosted_of(&self, i: usize) -> AllocationSetting {
         assert!(i < self.n);
         let has_left = i > 0;
         let has_right = i + 1 < self.n;
@@ -188,45 +187,6 @@ impl ExperimentLayout {
         match self {
             ExperimentLayout::Pair(p) => p.total_ways(),
             ExperimentLayout::Chain(c) => c.total_ways(),
-        }
-    }
-
-    /// Default (private-only) setting for workload `i`, or a typed error for
-    /// an out-of-range index (a pair layout hosts exactly two workloads).
-    pub fn default_of(&self, i: usize) -> Result<AllocationSetting, CatError> {
-        match self {
-            ExperimentLayout::Pair(p) => match i {
-                0 => Ok(p.default_a()),
-                1 => Ok(p.default_b()),
-                _ => Err(CatError::WorkloadIndex {
-                    index: i,
-                    workloads: 2,
-                }),
-            },
-            ExperimentLayout::Chain(c) if i < c.n => Ok(c.default_of(i)),
-            ExperimentLayout::Chain(c) => Err(CatError::WorkloadIndex {
-                index: i,
-                workloads: c.n,
-            }),
-        }
-    }
-
-    /// Boosted setting for workload `i`, or a typed error out of range.
-    pub fn boosted_of(&self, i: usize) -> Result<AllocationSetting, CatError> {
-        match self {
-            ExperimentLayout::Pair(p) => match i {
-                0 => Ok(p.boosted_a()),
-                1 => Ok(p.boosted_b()),
-                _ => Err(CatError::WorkloadIndex {
-                    index: i,
-                    workloads: 2,
-                }),
-            },
-            ExperimentLayout::Chain(c) if i < c.n => Ok(c.boosted_of(i)),
-            ExperimentLayout::Chain(c) => Err(CatError::WorkloadIndex {
-                index: i,
-                workloads: c.n,
-            }),
         }
     }
 
@@ -303,7 +263,7 @@ pub fn private_regions_disjoint(policies: &[ShortTermPolicy]) -> bool {
 /// Number of *other* policies whose settings overlap this policy's boosted
 /// setting (its sharing degree). Conjecture 2: when every policy reserves
 /// private cache, this is at most 2.
-pub fn sharing_degree(policy: &ShortTermPolicy, others: &[ShortTermPolicy]) -> usize {
+fn sharing_degree(policy: &ShortTermPolicy, others: &[ShortTermPolicy]) -> usize {
     others
         .iter()
         .filter(|o| {
@@ -432,18 +392,6 @@ mod tests {
         let pair = ExperimentLayout::pair_symmetric(2, 2);
         assert_eq!(pair.workloads(), 2);
         assert_eq!(pair.total_ways(), 6);
-        assert_eq!(pair.default_of(1).unwrap(), AllocationSetting::new(4, 2));
-        assert!(matches!(
-            pair.default_of(2),
-            Err(CatError::WorkloadIndex {
-                index: 2,
-                workloads: 2
-            })
-        ));
-        assert!(matches!(
-            pair.boosted_of(9),
-            Err(CatError::WorkloadIndex { index: 9, .. })
-        ));
         let ps = pair.policies(&[1.0, 2.0]);
         assert_eq!(ps[0].timeout_ratio, 1.0);
         assert_eq!(ps[1].timeout_ratio, 2.0);

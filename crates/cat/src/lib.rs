@@ -40,8 +40,6 @@ pub enum CatError {
     NonContiguous,
     /// The mask referenced ways beyond the cache's way count.
     OutOfRange { ways: usize, highest_bit: usize },
-    /// A workload index beyond the layout's workload count.
-    WorkloadIndex { index: usize, workloads: usize },
 }
 
 impl std::fmt::Display for CatError {
@@ -51,12 +49,6 @@ impl std::fmt::Display for CatError {
             CatError::NonContiguous => write!(f, "capacity bitmask must be contiguous"),
             CatError::OutOfRange { ways, highest_bit } => {
                 write!(f, "bit {highest_bit} out of range for {ways}-way cache")
-            }
-            CatError::WorkloadIndex { index, workloads } => {
-                write!(
-                    f,
-                    "workload index {index} out of range for {workloads}-workload layout"
-                )
             }
         }
     }

@@ -63,7 +63,7 @@ impl ShortTermPolicy {
 
     /// Absolute timeout for a workload whose expected service time is
     /// `expected_service` seconds.
-    pub fn absolute_timeout(&self, expected_service: Seconds) -> Seconds {
+    fn absolute_timeout(&self, expected_service: Seconds) -> Seconds {
         self.timeout_ratio * expected_service
     }
 

@@ -28,7 +28,7 @@ use stca_profiler::storage;
 use stca_scenario::{fnv1a, ModelKind, PredictorKind, ScenarioSpec, Stage};
 use stca_serve::FleetReport;
 use stca_util::{Fnv1a, Rng64};
-use stca_workloads::{RuntimeCondition, WorkloadSpec};
+use stca_workloads::RuntimeCondition;
 use std::path::{Path, PathBuf};
 
 /// The hierarchy configuration of a spec's `[cat]` section: the
@@ -48,7 +48,7 @@ pub fn hierarchy_config(spec: &ScenarioSpec) -> HierarchyConfig {
 }
 
 /// The way layout of a spec's `[cat]` section.
-pub fn experiment_layout(spec: &ScenarioSpec) -> ExperimentLayout {
+fn experiment_layout(spec: &ScenarioSpec) -> ExperimentLayout {
     ExperimentLayout::pair_symmetric(
         spec.cat.default_span as usize,
         spec.cat.boosted_span as usize,
@@ -139,18 +139,21 @@ pub fn load_profiles(path: &Path) -> Result<ProfileSet, StcaError> {
     Ok(set)
 }
 
-/// The model configuration a `[train]` section selects for a dataset of
-/// `rows` rows. `auto` keeps the historical rule: `standard` at >= 30
-/// rows, `quick` below.
-pub fn model_config(kind: ModelKind, rows: usize, seed: u64) -> ModelConfig {
+/// The model kind `kind` stands for on a dataset of `rows` rows. `auto`
+/// keeps the historical rule: `standard` at >= 30 rows, `quick` below.
+fn resolve_model(kind: ModelKind, rows: usize) -> ModelKind {
     match kind {
-        ModelKind::Auto => {
-            if rows >= 30 {
-                ModelConfig::standard(seed)
-            } else {
-                ModelConfig::quick(seed)
-            }
-        }
+        ModelKind::Auto if rows >= 30 => ModelKind::Standard,
+        ModelKind::Auto => ModelKind::Quick,
+        kind => kind,
+    }
+}
+
+/// The model configuration a `[train]` section selects for a dataset of
+/// `rows` rows (see `resolve_model` for `auto`).
+pub fn model_config(kind: ModelKind, rows: usize, seed: u64) -> ModelConfig {
+    match resolve_model(kind, rows) {
+        ModelKind::Auto => unreachable!("resolve_model resolves auto"),
         ModelKind::Quick => ModelConfig::quick(seed),
         ModelKind::Standard => ModelConfig::standard(seed),
         ModelKind::SimpleMl => ModelConfig::simple_ml(seed),
@@ -523,11 +526,7 @@ fn run_stage(
             );
             let mid = spec.explore.grid[spec.explore.grid.len() / 2];
             let (pa, pb) = explorer.predict_point(mid, mid);
-            let resolved = match spec.train.model {
-                ModelKind::Auto if set.len() >= 30 => "standard",
-                ModelKind::Auto => "quick",
-                kind => kind.name(),
-            };
+            let resolved = resolve_model(spec.train.model, set.len()).name();
             let json = format!(
                 "{{\"model\":\"{resolved}\",\"rows\":{},\"seed\":{},\
                  \"probe_timeout\":\"{:016x}\",\
@@ -640,9 +639,6 @@ pub fn check_runnable(spec: &ScenarioSpec, dir_override: Option<&Path>) -> Resul
             )));
         }
     }
-    // a pair must exist in the workload catalog for profiling; the spec
-    // setter already guaranteed that, so only cross-field rules live here
-    let _ = WorkloadSpec::for_benchmark(spec.workloads.pair.0);
     Ok(())
 }
 

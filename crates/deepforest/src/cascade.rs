@@ -97,7 +97,7 @@ pub struct Cascade {
 /// config knobs that shape the trees, and a probe draw from the seed
 /// stream. Two calls share a fingerprint iff a cold [`Cascade::fit`] on
 /// them would be bit-identical.
-pub fn fit_fingerprint(x: &Matrix, y: &[f64], config: &CascadeConfig, stream: &SeedStream) -> u64 {
+fn fit_fingerprint(x: &Matrix, y: &[f64], config: &CascadeConfig, stream: &SeedStream) -> u64 {
     let mut h = Fnv1a::new();
     h.word(x.rows() as u64);
     h.word(x.cols() as u64);
@@ -305,11 +305,6 @@ impl Cascade {
         Cascade::fit(x, y, config, stream)
     }
 
-    /// The fingerprint of the fit problem that produced this cascade.
-    pub fn fit_fingerprint(&self) -> u64 {
-        self.fingerprint
-    }
-
     /// Predict one feature vector. Convenience wrapper over
     /// [`Cascade::predict_with`] using a thread-local scratch, so repeated
     /// calls allocate nothing after the first.
@@ -347,7 +342,7 @@ impl Cascade {
 
     /// Per-level concept vectors for one input — the learned abstractions
     /// the paper clusters to gain system insight (§5.2).
-    pub fn concept_trajectory(&self, features: &[f64]) -> Vec<Vec<f64>> {
+    fn concept_trajectory(&self, features: &[f64]) -> Vec<Vec<f64>> {
         let mut augmented: Vec<f64> = features.to_vec();
         let mut out = Vec::with_capacity(self.levels.len());
         for level in &self.levels {
@@ -473,7 +468,7 @@ mod tests {
     /// Bit-level equality probe: same fingerprint and bit-identical
     /// predictions across a spread of rows.
     fn assert_same_model(a: &Cascade, b: &Cascade, x: &Matrix, what: &str) {
-        assert_eq!(a.fit_fingerprint(), b.fit_fingerprint(), "{what}");
+        assert_eq!(a.fingerprint, b.fingerprint, "{what}");
         for r in 0..x.rows() {
             assert_eq!(
                 a.predict(x.row(r)).to_bits(),
@@ -509,8 +504,7 @@ mod tests {
         let cold = Cascade::fit(&x1, &y1, small(), &SeedStream::new(24));
         assert_same_model(&cold, &warm, &x1, "changed-window warm start");
         assert_ne!(
-            prev.fit_fingerprint(),
-            warm.fit_fingerprint(),
+            prev.fingerprint, warm.fingerprint,
             "changed window must change the fingerprint"
         );
         // same window under a different seed also falls back to a cold fit

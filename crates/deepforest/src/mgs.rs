@@ -199,7 +199,7 @@ impl MultiGrainScanner {
     }
 
     /// Number of representational features produced per sample.
-    pub fn feature_count(&self) -> usize {
+    fn feature_count(&self) -> usize {
         self.windows
             .iter()
             .map(|(wr, wc, _)| {
@@ -245,11 +245,6 @@ impl MultiGrainScanner {
                 r0 += self.stride;
             }
         }
-    }
-
-    /// Window shapes actually in use after clamping.
-    pub fn window_shapes(&self) -> Vec<(usize, usize)> {
-        self.windows.iter().map(|(r, c, _)| (*r, *c)).collect()
     }
 }
 
@@ -365,7 +360,8 @@ mod tests {
             ..small_config()
         };
         let mgs = MultiGrainScanner::fit(&traces, &y, &cfg, &SeedStream::new(6));
-        assert_eq!(mgs.window_shapes(), vec![(12, 10)]);
+        let shapes: Vec<_> = mgs.windows.iter().map(|&(r, c, _)| (r, c)).collect();
+        assert_eq!(shapes, vec![(12, 10)]);
         assert_eq!(mgs.feature_count(), 1, "single clamped full-matrix window");
     }
 

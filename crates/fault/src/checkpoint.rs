@@ -46,12 +46,12 @@ fn ckpt_metrics() -> &'static CheckpointMetrics {
 }
 
 /// Encode an `f64` for checkpoint storage: the hex of its bit pattern.
-pub fn f64_to_value(x: f64) -> Value {
+fn f64_to_value(x: f64) -> Value {
     Value::String(format!("{:016x}", x.to_bits()))
 }
 
 /// Decode an `f64` stored by [`f64_to_value`].
-pub fn value_to_f64(v: &Value) -> Option<f64> {
+fn value_to_f64(v: &Value) -> Option<f64> {
     match v {
         Value::String(s) if s.len() == 16 => u64::from_str_radix(s, 16).ok().map(f64::from_bits),
         _ => None,

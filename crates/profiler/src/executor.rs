@@ -324,11 +324,7 @@ impl TestEnvironment {
     /// the result. Under [`FaultPlan::none`] this is exactly [`run`].
     ///
     /// [`run`]: TestEnvironment::run
-    pub fn run_attempt(
-        &self,
-        plan: &FaultPlan,
-        attempt: u32,
-    ) -> Result<ExperimentOutcome, StcaError> {
+    fn run_attempt(&self, plan: &FaultPlan, attempt: u32) -> Result<ExperimentOutcome, StcaError> {
         let injector = plan.injector(self.spec.seed, attempt);
         if !injector.is_active() {
             return Ok(self.run());
@@ -354,7 +350,7 @@ impl TestEnvironment {
     /// number until success or [`StcaError::RetriesExhausted`].
     ///
     /// [`run_attempt`]: TestEnvironment::run_attempt
-    pub fn run_with_retry(
+    fn run_with_retry(
         &self,
         plan: &FaultPlan,
         retry: &RetryPolicy,

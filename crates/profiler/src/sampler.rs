@@ -31,7 +31,7 @@ pub enum CounterOrdering {
 
 /// Permutation of the 29 counters for an ordering. `perm[i]` is the counter
 /// index placed at row `i`.
-pub fn ordering_permutation(ordering: CounterOrdering) -> Vec<usize> {
+fn ordering_permutation(ordering: CounterOrdering) -> Vec<usize> {
     let mut perm: Vec<usize> = (0..COUNTER_COUNT).collect();
     if let CounterOrdering::Shuffled(seed) = ordering {
         let mut rng = Rng64::new(seed);
@@ -118,7 +118,7 @@ pub struct TraceSanitizeReport {
 
 impl TraceSanitizeReport {
     /// Rows zeroed by sanitization.
-    pub fn repaired(&self) -> usize {
+    fn repaired(&self) -> usize {
         self.corrupt + self.stuck
     }
 

@@ -40,7 +40,7 @@ pub fn erlang_c(servers: usize, offered_load: f64) -> f64 {
 
 /// Mean waiting time in queue for M/M/k with arrival rate `lambda` and
 /// mean service time `s`.
-pub fn mmk_mean_wait(servers: usize, lambda: f64, mean_service: Seconds) -> Seconds {
+fn mmk_mean_wait(servers: usize, lambda: f64, mean_service: Seconds) -> Seconds {
     let a = lambda * mean_service;
     let k = servers as f64;
     erlang_c(servers, a) * mean_service / (k - a)

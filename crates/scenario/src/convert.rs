@@ -12,7 +12,7 @@ use stca_trace::TraceConfig;
 
 /// The flight-recorder config of the spec's `[trace]` section, or `None`
 /// when tracing is off.
-pub fn trace_config(spec: &ScenarioSpec) -> Option<TraceConfig> {
+fn trace_config(spec: &ScenarioSpec) -> Option<TraceConfig> {
     if !spec.trace.enabled {
         return None;
     }

@@ -51,7 +51,7 @@ fn quantile_sorted(sorted: &[f64], q: f64) -> f64 {
 }
 
 /// Per-stage timing breakdown over every retained trace.
-pub fn stage_breakdown(dump: &TraceDump) -> BTreeMap<Stage, StageStats> {
+fn stage_breakdown(dump: &TraceDump) -> BTreeMap<Stage, StageStats> {
     let mut durations: BTreeMap<Stage, Vec<f64>> = BTreeMap::new();
     for trace in &dump.traces {
         for span in &trace.spans {
@@ -78,7 +78,7 @@ pub fn stage_breakdown(dump: &TraceDump) -> BTreeMap<Stage, StageStats> {
 }
 
 /// Disposition counts over the retained traces.
-pub fn disposition_counts(dump: &TraceDump) -> BTreeMap<&'static str, u64> {
+fn disposition_counts(dump: &TraceDump) -> BTreeMap<&'static str, u64> {
     let mut counts = BTreeMap::new();
     for trace in &dump.traces {
         *counts.entry(trace.disposition.name()).or_insert(0) += 1;
@@ -169,7 +169,7 @@ pub struct LogLine {
 /// `disp=ok` maps to [`Disposition::Completed`] (the log does not split
 /// out deadline-exceeded completions); `disp=failed` maps to
 /// [`Disposition::ShedFailed`].
-pub fn parse_log_line(line: &str) -> Option<LogLine> {
+fn parse_log_line(line: &str) -> Option<LogLine> {
     let mut seq = None;
     let mut disp = None;
     for tok in line.split_ascii_whitespace() {

@@ -84,7 +84,7 @@ impl Rng64 {
 
     /// Uniform f64 in `(0, 1]` — safe as a log() argument.
     #[inline]
-    pub fn next_f64_open(&mut self) -> f64 {
+    fn next_f64_open(&mut self) -> f64 {
         1.0 - self.next_f64()
     }
 
