@@ -13,19 +13,20 @@
 use stca_bench::figures::FIGURES;
 use stca_bench::Scale;
 use stca_fault::StcaError;
-use stca_util::Args;
+use stca_util::{ArgError, Args};
 use std::process::ExitCode;
 
 const FLAGS: [&str; 4] = ["only", "scale", "threads", "metrics-out"];
 
 fn real_main() -> Result<(), StcaError> {
     let flags = Args::from_env()?;
-    if let Some((flag, _)) = flags.iter().find(|(f, _)| !FLAGS.contains(f)) {
-        return Err(StcaError::usage(format!(
+    flags.check(|f| FLAGS.contains(&f)).map_err(|e| match e {
+        ArgError::UnknownFlag { flag } => StcaError::usage(format!(
             "unknown flag --{flag} (expected --{})",
             FLAGS.join(", --")
-        )));
-    }
+        )),
+        e => e.into(),
+    })?;
     let scale: Scale = flags.get_parsed("scale", Scale::Standard)?;
     if let Some(n) = flags.get("threads") {
         stca_exec::set_threads(stca_exec::parse_threads(n).map_err(StcaError::usage)?);

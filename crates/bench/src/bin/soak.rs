@@ -13,7 +13,7 @@
 
 use stca_fault::StcaError;
 use stca_scenario::SpecValue;
-use stca_util::{Args, SpecError};
+use stca_util::{ArgError, Args, SpecError};
 use std::path::Path;
 use std::process::ExitCode;
 
@@ -21,12 +21,13 @@ const FLAGS: [&str; 3] = ["scenario", "requests", "metrics-out"];
 
 fn real_main() -> Result<(), StcaError> {
     let flags = Args::from_env()?;
-    if let Some((flag, _)) = flags.iter().find(|(f, _)| !FLAGS.contains(f)) {
-        return Err(StcaError::usage(format!(
+    flags.check(|f| FLAGS.contains(&f)).map_err(|e| match e {
+        ArgError::UnknownFlag { flag } => StcaError::usage(format!(
             "unknown flag --{flag} (expected --{})",
             FLAGS.join(", --")
-        )));
-    }
+        )),
+        e => e.into(),
+    })?;
     let mut spec = stca_scenario::load_file(Path::new(flags.require("scenario")?))?;
     if let Some(n) = flags.get("requests") {
         spec.set("serve", "requests", &SpecValue::scalar(n))

@@ -164,7 +164,6 @@ fn queue_only_prediction(row: &LabeledRow, sim_queries: usize, seed: u64) -> f64
         timeout_ratio,
         boost_rate: row.row.allocation_ratio, // EA = 1 assumed
         servers,
-        shared_boost: true,
         measured_queries: sim_queries,
         warmup_queries: sim_queries / 10,
     };

@@ -54,7 +54,6 @@ pub fn run(scale: Scale) {
                     timeout_ratio: wc.timeout_ratio,
                     boost_rate,
                     servers: 2,
-                    shared_boost: true,
                     measured_queries: 4000,
                     warmup_queries: 400,
                 },

@@ -174,7 +174,7 @@ fn soak(spec: &ScenarioSpec, model: &dyn EaModel) -> Result<u64, StcaError> {
 
     // a completed request starts within its deadline and pays at most
     // two watchdog budgets per stage
-    let ceiling = spec.serve.deadline_s + 4.0 * untraced.base.watchdog_budget_s;
+    let ceiling = spec.serve.deadline_s + 4.0 * stca_serve::WATCHDOG_BUDGET_S;
     let p99s: Vec<f64> = faulted.shards.iter().map(|s| s.p99_response_s).collect();
     check(
         [faulted.p99_response_s]

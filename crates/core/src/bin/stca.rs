@@ -206,15 +206,10 @@ impl FlagMap<'_> {
 }
 
 /// Exit 2 naming the first flag that is neither `known` to the
-/// subcommand nor one of [`CLI_ONLY_FLAGS`].
+/// subcommand nor one of [`CLI_ONLY_FLAGS`], then a last flag that has no
+/// value.
 fn reject_unknown_flags(args: &Args, known: impl Fn(&str) -> bool) -> Result<(), StcaError> {
-    match args
-        .iter()
-        .find(|(flag, _)| !known(flag) && !CLI_ONLY_FLAGS.contains(flag))
-    {
-        Some((flag, _)) => Err(StcaError::usage(format!("unknown flag --{flag}"))),
-        None => Ok(()),
-    }
+    Ok(args.check(|flag| known(flag) || CLI_ONLY_FLAGS.contains(&flag))?)
 }
 
 fn set_flag(
@@ -389,24 +384,8 @@ fn cmd_explore(args: &Args) -> Result<(), StcaError> {
         extra: &["checkpoint"],
     }
     .build(args)?;
-    let pair = spec.workloads.pair;
-    let profiles = pipeline::load_profiles(Path::new(&spec.profile.out))?;
-    let predictor = pipeline::train_predictor(&spec, &profiles);
-    let explorer = PolicyExplorer::new(
-        &predictor,
-        &profiles,
-        pair.0,
-        pair.1,
-        spec.explore.utilization,
-    );
-    let result = match args.path("checkpoint") {
-        Some(path) => {
-            let store = pipeline::file_hash(Path::new(&spec.profile.out))?;
-            let meta = format!("{:016x}", spec.stage_key(Stage::Explore, &[store]));
-            explorer.explore_with_grid_checkpointed(&spec.explore.grid, &path, &meta)?
-        }
-        None => explorer.explore_with_grid(&spec.explore.grid),
-    };
+    let profiles = Path::new(&spec.profile.out);
+    let result = pipeline::explore(&spec, profiles, args.path("checkpoint").as_deref())?;
     outln!("{}", pipeline::render_explore(&spec, &result));
     Ok(())
 }
@@ -795,7 +774,7 @@ fn main() -> ExitCode {
         Err(e) => {
             eprintln!("error: {e}");
             if e.exit_code() == 2 {
-                eprintln!("\n{USAGE}");
+                eprintln!("run 'stca help' for usage");
             }
             ExitCode::from(e.exit_code())
         }

@@ -18,7 +18,7 @@
 
 use crate::predictor::Predictor;
 use stca_cat::{PairLayout, ShortTermPolicy};
-use stca_fault::checkpoint::{f64s_to_value, value_to_f64s, Checkpoint};
+use stca_fault::checkpoint::{f64s_to_value, resumable_map, value_to_f64s};
 use stca_fault::StcaError;
 use stca_profiler::profile::{ProfileRow, ProfileSet};
 use stca_workloads::BenchmarkId;
@@ -149,75 +149,59 @@ impl<'a> PolicyExplorer<'a> {
     /// parallel; prediction is pure given the candidate point, so the
     /// result is identical at any thread count.
     pub fn explore_with_grid(&self, grid_points: &[f64]) -> ExplorationResult {
-        assert!(!grid_points.is_empty());
-        stca_obs::time_scope!("core.explorer.explore_seconds");
-        let n = grid_points.len();
-        let cells = stca_exec::par_map_range(n * n, |k| {
-            self.predict_point(grid_points[k / n], grid_points[k % n])
-        });
-        stca_obs::counter("core.explorer.candidates_evaluated_total").add((n * n) as u64);
-        self.select_from_cells(grid_points, cells)
+        self.explore_cells(grid_points, None)
+            .expect("explore needs a nonempty timeout grid")
     }
 
-    /// [`explore_with_grid`] with crash recovery: each grid cell's
-    /// prediction is persisted to a [`Checkpoint`] at `path` as soon as its
-    /// batch (one grid row) completes. A re-run after a kill reloads the
-    /// finished cells and computes only the remainder, yielding a result
-    /// bit-identical to an uninterrupted run. `meta` is the caller's key of
-    /// every input — the explore stage key of the spec rows the search
-    /// reads and the profile store's hash — so a checkpoint from other
-    /// inputs is discarded rather than mixed in.
+    /// [`explore_with_grid`], resumable from a [`Checkpoint`] at `path`:
+    /// each grid cell is saved as soon as it is computed, and a re-run
+    /// computes only the missing cells, bit-identically. `meta` keys every
+    /// input (the explore stage key of the spec rows the search reads and
+    /// the profile store's hash), so a checkpoint from other inputs is
+    /// discarded rather than mixed in.
     ///
     /// [`explore_with_grid`]: PolicyExplorer::explore_with_grid
+    /// [`Checkpoint`]: stca_fault::Checkpoint
     pub fn explore_with_grid_checkpointed(
         &self,
         grid_points: &[f64],
         path: &Path,
         meta: &str,
     ) -> Result<ExplorationResult, StcaError> {
+        self.explore_cells(grid_points, Some((path, meta)))
+    }
+
+    /// The one explore body: every cell of the grid through
+    /// [`resumable_map`] (cell `k` is row `k / n`, column `k % n`, stored
+    /// as `cell.{k}`), then SLO matching.
+    fn explore_cells(
+        &self,
+        grid_points: &[f64],
+        checkpoint: Option<(&Path, &str)>,
+    ) -> Result<ExplorationResult, StcaError> {
         if grid_points.is_empty() {
             return Err(StcaError::invalid_input("empty timeout grid"));
         }
         stca_obs::time_scope!("core.explorer.explore_seconds");
-        let n = grid_points.len();
-        let mut ckpt = Checkpoint::load_or_new(path, meta)?;
-        let mut cells: Vec<Option<(f64, f64)>> = (0..n * n)
-            .map(|k| {
-                let pair = value_to_f64s(ckpt.get(&format!("cell.{k}"))?)?;
-                (pair.len() == 2).then(|| (pair[0], pair[1]))
-            })
+        let points: Vec<(f64, f64)> = grid_points
+            .iter()
+            .flat_map(|&a| grid_points.iter().map(move |&b| (a, b)))
             .collect();
-        let resumed = cells.iter().filter(|c| c.is_some()).count();
-        if resumed > 0 {
-            stca_obs::info!(
-                "explorer resuming: {resumed}/{} grid cells from {}",
-                n * n,
-                path.display()
-            );
-        }
-        // compute the missing cells one grid row at a time, checkpointing
-        // after each row so a kill loses at most one row of predictions
-        for i in 0..n {
-            let missing: Vec<usize> = (i * n..(i + 1) * n)
-                .filter(|&k| cells[k].is_none())
-                .collect();
-            if missing.is_empty() {
-                continue;
-            }
-            let computed = stca_exec::par_map_indexed(&missing, |_, &k| {
-                self.predict_point(grid_points[k / n], grid_points[k % n])
-            });
-            stca_obs::counter("core.explorer.candidates_evaluated_total").add(missing.len() as u64);
-            for (&k, cell) in missing.iter().zip(computed) {
-                ckpt.put(format!("cell.{k}"), f64s_to_value(&[cell.0, cell.1]));
-                cells[k] = Some(cell);
-            }
-            ckpt.save()?;
-        }
-        let cells: Vec<(f64, f64)> = cells
-            .into_iter()
-            .map(|c| c.expect("every cell computed or resumed"))
-            .collect();
+        let evaluated = stca_obs::counter("core.explorer.candidates_evaluated_total");
+        let cells = resumable_map(
+            &points,
+            checkpoint,
+            "cell",
+            |&(a, b)| f64s_to_value(&[a, b]),
+            |v| match value_to_f64s(v)?[..] {
+                [a, b] => Some((a, b)),
+                _ => None,
+            },
+            |_, &(a, b)| {
+                evaluated.inc();
+                self.predict_point(a, b)
+            },
+        )?;
         Ok(self.select_from_cells(grid_points, cells))
     }
 

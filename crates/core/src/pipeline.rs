@@ -14,8 +14,9 @@
 //!
 //! The module also hosts the spec-driven building blocks the `stca`
 //! subcommands share with the runner ([`profile_conditions`],
-//! [`train_predictor`], [`run_serve`], [`render_explore`]) so flag-built
-//! specs and scenario files execute the exact same code path.
+//! [`train_predictor`], [`explore`], [`run_serve`], [`render_explore`])
+//! so flag-built specs and scenario files execute the exact same code
+//! path.
 
 use crate::{ExplorationResult, ModelConfig, PolicyExplorer, Predictor};
 use stca_cachesim::{CacheGeometry, HierarchyConfig};
@@ -170,6 +171,33 @@ pub fn train_predictor_seeded(spec: &ScenarioSpec, set: &ProfileSet, seed: u64) 
 /// Train the spec's model on a dataset with the spec's own train seed.
 pub fn train_predictor(spec: &ScenarioSpec, set: &ProfileSet) -> Predictor {
     train_predictor_seeded(spec, set, spec.train.seed)
+}
+
+/// Train the spec's model on the profile store at `profiles` and explore
+/// the spec's timeout grid for its pair. With `checkpoint`, the grid cells
+/// resume from and are saved to that file under the explore stage key.
+/// `stca explore` and the scenario's explore stage both run it.
+pub fn explore(
+    spec: &ScenarioSpec,
+    profiles: &Path,
+    checkpoint: Option<&Path>,
+) -> Result<ExplorationResult, StcaError> {
+    let set = load_profiles(profiles)?;
+    let predictor = train_predictor(spec, &set);
+    let explorer = PolicyExplorer::new(
+        &predictor,
+        &set,
+        spec.workloads.pair.0,
+        spec.workloads.pair.1,
+        spec.explore.utilization,
+    );
+    match checkpoint {
+        Some(path) => {
+            let meta = hex(spec.stage_key(Stage::Explore, &[file_hash(profiles)?]));
+            explorer.explore_with_grid_checkpointed(&spec.explore.grid, path, &meta)
+        }
+        None => Ok(explorer.explore_with_grid(&spec.explore.grid)),
+    }
 }
 
 /// Render the explore grid exactly as `stca explore` prints it.
@@ -370,7 +398,7 @@ pub struct RunSummary {
 }
 
 /// FNV-1a of a file's bytes: the hash of an artifact.
-pub fn file_hash(path: &Path) -> Result<u64, StcaError> {
+fn file_hash(path: &Path) -> Result<u64, StcaError> {
     let bytes = std::fs::read(path).map_err(|e| StcaError::io(path.display().to_string(), e))?;
     Ok(fnv1a(&bytes))
 }
@@ -442,7 +470,7 @@ pub fn run_scenario(
             });
             continue;
         }
-        let outcome = run_stage(spec, &paths, stage, key)?;
+        let outcome = run_stage(spec, &paths, stage)?;
         let pair = [hex(key), hex(outcome.hash)].map(Value::String);
         ckpt.put(entry, Value::Array(pair.to_vec()));
         ckpt.save()?;
@@ -460,12 +488,11 @@ pub fn run_scenario(
     })
 }
 
-/// Run one stage; `key` is its stage key.
+/// Run one stage.
 fn run_stage(
     spec: &ScenarioSpec,
     paths: &RunPaths,
     stage: Stage,
-    key: u64,
 ) -> Result<StageOutcome, StcaError> {
     let outcome = match stage {
         Stage::Profile => {
@@ -549,20 +576,7 @@ fn run_stage(
             }
         }
         Stage::Explore => {
-            let set = load_profiles(&paths.profiles)?;
-            let predictor = train_predictor(spec, &set);
-            let explorer = PolicyExplorer::new(
-                &predictor,
-                &set,
-                spec.workloads.pair.0,
-                spec.workloads.pair.1,
-                spec.explore.utilization,
-            );
-            let result = explorer.explore_with_grid_checkpointed(
-                &spec.explore.grid,
-                &paths.explore_ckpt,
-                &hex(key),
-            )?;
+            let result = explore(spec, &paths.profiles, Some(&paths.explore_ckpt))?;
             let mut text = render_explore(spec, &result);
             text.push('\n');
             write_text(&paths.explore, &text)?;

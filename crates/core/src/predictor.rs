@@ -369,7 +369,6 @@ impl Predictor {
             timeout_ratio,
             boost_rate,
             servers,
-            shared_boost: true,
             measured_queries: self.config.sim_queries,
             warmup_queries: self.config.sim_queries / 10,
         };

@@ -507,6 +507,62 @@ fn zero_queue_capacity_exits_2() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A last flag with no value is reported as unknown when the subcommand
+/// does not read it, and as missing its value when it does.
+#[test]
+fn trailing_flag_is_checked_by_name_first() {
+    let dir = temp_dir("trailing");
+    for (args, want) in [
+        (&["serve", "--bogus"][..], "unknown flag --bogus"),
+        (
+            &["scenario", "run", "x.stca", "--bogus"],
+            "unknown flag --bogus",
+        ),
+        (
+            &["trace", "check", "x.json", "--bogus"],
+            "unknown flag --bogus",
+        ),
+        (
+            &["profile", "--pair", "kmeans,bfs", "--checkpoint"],
+            "flag --checkpoint needs a value",
+        ),
+        (&["serve", "--requests"], "flag --requests needs a value"),
+    ] {
+        let out = run_in(&dir, args);
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {err}");
+        assert!(
+            err.starts_with(&format!("error: usage error: {want}\n")),
+            "{args:?}: {err}"
+        );
+        assert!(out.stdout.is_empty(), "{args:?}: wrote stdout");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A usage error prints its one error line and a hint, not the whole
+/// help; `stca help` prints the help to stdout.
+#[test]
+fn usage_error_prints_one_line_and_a_hint() {
+    let dir = temp_dir("usage-hint");
+    for args in [&["serve", "--queue-cap", "0"][..], &["bogus"], &[]] {
+        let out = run_in(&dir, args);
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {err}");
+        assert!(err.lines().count() <= 2, "{args:?}: {err}");
+        assert!(
+            err.ends_with("run 'stca help' for usage\n"),
+            "{args:?}: {err}"
+        );
+    }
+    let help = stdout_of(&dir, &["help"]);
+    assert!(
+        help.contains("USAGE:") && help.lines().count() > 100,
+        "{help}"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// A `[cat]` way count past 64 (a way mask is a `u64`), too narrow for
 /// the pair layout, or too narrow for characterize's 2-way private
 /// allocation is a usage error (exit 2) naming the `[cat]` keys, with

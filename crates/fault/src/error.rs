@@ -44,11 +44,6 @@ pub enum StcaError {
         /// What was invalid and why.
         what: String,
     },
-    /// A pool task panicked; the payload was caught and stringified.
-    TaskPanicked {
-        /// The panic message, or a placeholder for non-string payloads.
-        what: String,
-    },
     /// An I/O operation failed; `path` says where.
     Io {
         /// The file or directory involved.
@@ -60,11 +55,6 @@ pub enum StcaError {
     Format {
         /// What was malformed, with file/line context where available.
         context: String,
-    },
-    /// A checkpoint could not be loaded or saved.
-    Checkpoint {
-        /// What went wrong.
-        reason: String,
     },
     /// The user invoked the CLI incorrectly (bad flag, missing arg).
     Usage(String),
@@ -91,7 +81,6 @@ impl StcaError {
             self,
             StcaError::InjectedCrash { .. }
                 | StcaError::InjectedTimeout { .. }
-                | StcaError::TaskPanicked { .. }
                 | StcaError::InvalidTrace { .. }
         )
     }
@@ -134,10 +123,8 @@ impl fmt::Display for StcaError {
             }
             StcaError::InvalidTrace { reason } => write!(f, "invalid counter trace: {reason}"),
             StcaError::InvalidInput { what } => write!(f, "invalid input: {what}"),
-            StcaError::TaskPanicked { what } => write!(f, "worker task panicked: {what}"),
             StcaError::Io { path, source } => write!(f, "{path}: {source}"),
             StcaError::Format { context } => write!(f, "malformed data: {context}"),
-            StcaError::Checkpoint { reason } => write!(f, "checkpoint error: {reason}"),
             StcaError::Usage(msg) => write!(f, "usage error: {msg}"),
         }
     }
@@ -193,7 +180,6 @@ mod tests {
             attempt: 0
         }
         .is_transient());
-        assert!(StcaError::TaskPanicked { what: "p".into() }.is_transient());
         assert!(!StcaError::usage("x").is_transient());
         assert!(!StcaError::RetriesExhausted {
             attempts: 4,

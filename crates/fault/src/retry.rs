@@ -32,45 +32,36 @@ fn retry_metrics() -> &'static RetryMetrics {
     })
 }
 
-/// Retry schedule: how many retries, and how the backoff grows.
+/// Backoff before the first retry, virtual seconds.
+pub const BASE_BACKOFF_S: f64 = 0.5;
+/// Backoff growth factor per retry.
+pub const MULTIPLIER: f64 = 2.0;
+/// Uniform backoff jitter as a fraction of the delay (0.1 = ±10%).
+pub const JITTER_FRAC: f64 = 0.1;
+
+/// Retry budget; the backoff schedule is [`BASE_BACKOFF_S`] ×
+/// [`MULTIPLIER`]ᵃᵗᵗᵉᵐᵖᵗ, widened by ±[`JITTER_FRAC`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct RetryPolicy {
     /// Retries after the first attempt (total attempts = `max_retries + 1`).
     pub max_retries: u32,
-    /// Backoff before the first retry, virtual seconds.
-    pub base_backoff_s: f64,
-    /// Growth factor per retry.
-    pub multiplier: f64,
-    /// Uniform jitter as a fraction of the delay (0.1 = ±10%).
-    pub jitter_frac: f64,
 }
 
 impl Default for RetryPolicy {
     fn default() -> Self {
-        RetryPolicy {
-            max_retries: 3,
-            base_backoff_s: 0.5,
-            multiplier: 2.0,
-            jitter_frac: 0.1,
-        }
+        RetryPolicy::with_max_retries(3)
     }
 }
 
 impl RetryPolicy {
-    /// Default schedule with a different retry budget.
+    /// The default schedule with a retry budget.
     pub fn with_max_retries(max_retries: u32) -> Self {
-        RetryPolicy {
-            max_retries,
-            ..Default::default()
-        }
+        RetryPolicy { max_retries }
     }
 
     /// The policy that never retries: one attempt, errors surface as-is.
     pub fn none() -> Self {
-        RetryPolicy {
-            max_retries: 0,
-            ..Default::default()
-        }
+        RetryPolicy::with_max_retries(0)
     }
 }
 
@@ -111,9 +102,9 @@ pub fn with_retry<T>(
                 });
             }
             Err(e) => {
-                let base = policy.base_backoff_s * policy.multiplier.powi(attempt as i32);
+                let base = BASE_BACKOFF_S * MULTIPLIER.powi(attempt as i32);
                 let u = jitter.rng(attempt as u64).next_f64();
-                let delay = base * (1.0 + policy.jitter_frac * (2.0 * u - 1.0));
+                let delay = base * (1.0 + JITTER_FRAC * (2.0 * u - 1.0));
                 virtual_clock_s += delay;
                 retry_metrics().retries.inc();
                 retry_metrics().backoff_s.record(delay);

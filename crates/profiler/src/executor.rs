@@ -24,7 +24,7 @@ use crate::storage;
 use stca_cachesim::{Counter, CounterSet, Hierarchy, HierarchyConfig, MaskMode, WorkloadId};
 use stca_cat::layout::ExperimentLayout;
 use stca_cat::ShortTermPolicy;
-use stca_fault::checkpoint::Checkpoint;
+use stca_fault::checkpoint::resumable_map;
 use stca_fault::{with_retry, FaultPlan, RetryPolicy, StcaError};
 use stca_obs::json::Value;
 use stca_util::{Distribution, Percentiles, Rng64, Seconds};
@@ -724,11 +724,13 @@ pub fn run_experiment_checked(
 /// invalid spec, panic) and ticks `fault.conditions_failed_total`; the
 /// caller decides whether to skip it or abort.
 ///
-/// With `checkpoint = Some((path, meta))`, every finished condition, failed
-/// ones included, is saved to a [`Checkpoint`] under `meta`, and a re-run
-/// resumes it instead of running it again. `meta` must key every input of
-/// the run: the conditions, `spec_of`, the plan and the retry budget. A
-/// condition's rows are stored in the profile store's line format.
+/// With `checkpoint = Some((path, meta))`, each condition, failed ones
+/// included, is saved under `cond.{i}` as soon as it finishes
+/// ([`resumable_map`]), and a re-run resumes it instead of running it
+/// again; a recorded failure stays failed (same plan, same faults). `meta`
+/// must key every input of the run: the conditions, `spec_of`, the plan and
+/// the retry budget. A condition's rows are stored in the profile store's
+/// line format.
 pub fn profile_each(
     conditions: &[RuntimeCondition],
     spec_of: impl Fn(usize, &RuntimeCondition) -> ExperimentSpec + Sync,
@@ -737,54 +739,51 @@ pub fn profile_each(
     retry: &RetryPolicy,
     checkpoint: Option<(&Path, &str)>,
 ) -> Result<Vec<Result<Vec<ProfileRow>, String>>, StcaError> {
-    let mut ckpt = match checkpoint {
-        Some((path, meta)) => Some(Checkpoint::load_or_new(path, meta)?),
-        None => None,
-    };
-    // resumed conditions, decoded up front; a recorded failure stays
-    // failed (same plan, same faults)
-    let cached: Vec<Option<Result<Vec<ProfileRow>, String>>> = (0..conditions.len())
-        .map(|i| match ckpt.as_ref()?.get(&format!("cond.{i}"))? {
+    let n = conditions.len();
+    resumable_map(
+        conditions,
+        checkpoint,
+        "cond",
+        |result| {
+            Value::String(match result {
+                Ok(rows) => storage::to_string(&ProfileSet { rows: rows.clone() }),
+                Err(reason) => format!("failed: {reason}"),
+            })
+        },
+        |value| match value {
             Value::String(s) => match s.strip_prefix("failed: ") {
                 Some(reason) => Some(Err(reason.to_string())),
                 None => storage::from_string(s).ok().map(|set| Ok(set.rows)),
             },
             _ => None,
-        })
-        .collect();
-    let n = conditions.len();
-    let results = stca_exec::par_map_indexed_caught(conditions, |i, condition| {
-        if let Some(done) = &cached[i] {
-            return done.clone();
-        }
-        let list = |field: fn(&WorkloadCondition) -> f64| {
-            let v: Vec<String> = condition
-                .workloads
-                .iter()
-                .map(|w| format!("{:.2}", field(w)))
-                .collect();
-            v.join(",")
-        };
-        stca_obs::info!(
-            "[{}/{n}] util=({}) T=({})",
-            i + 1,
-            list(|w| w.utilization),
-            list(|w| w.timeout_ratio)
-        );
-        run_experiment_checked(spec_of(i, condition), plan, retry)
-            .map(|out| {
-                out.workloads
-                    .iter()
-                    .enumerate()
-                    .map(|(j, w)| ProfileRow::from_outcome(condition, j, w, ordering))
-                    .collect()
-            })
-            .map_err(|e| e.to_string())
-    });
-    let mut profiled = Vec::with_capacity(n);
-    for (i, (result, cached)) in results.into_iter().zip(cached).enumerate() {
-        let mut result = result.unwrap_or_else(|panic| Err(format!("panicked: {panic}")));
-        if cached.is_none() {
+        },
+        |i, condition| {
+            let caught = stca_exec::run_caught(|| -> Result<Vec<ProfileRow>, String> {
+                let list = |field: fn(&WorkloadCondition) -> f64| {
+                    let v: Vec<String> = condition
+                        .workloads
+                        .iter()
+                        .map(|w| format!("{:.2}", field(w)))
+                        .collect();
+                    v.join(",")
+                };
+                stca_obs::info!(
+                    "[{}/{n}] util=({}) T=({})",
+                    i + 1,
+                    list(|w| w.utilization),
+                    list(|w| w.timeout_ratio)
+                );
+                run_experiment_checked(spec_of(i, condition), plan, retry)
+                    .map(|out| {
+                        out.workloads
+                            .iter()
+                            .enumerate()
+                            .map(|(j, w)| ProfileRow::from_outcome(condition, j, w, ordering))
+                            .collect()
+                    })
+                    .map_err(|e| e.to_string())
+            });
+            let mut result = caught.unwrap_or_else(|panic| Err(format!("panicked: {panic}")));
             match &mut result {
                 Ok(rows) => rows.retain(|row| match row.validate() {
                     Ok(()) => true,
@@ -798,20 +797,9 @@ pub fn profile_each(
                     stca_obs::warn!("condition {i} failed: {reason}");
                 }
             }
-            if let Some(ck) = ckpt.as_mut() {
-                let entry = match &result {
-                    Ok(rows) => storage::to_string(&ProfileSet { rows: rows.clone() }),
-                    Err(reason) => format!("failed: {reason}"),
-                };
-                ck.put(format!("cond.{i}"), Value::String(entry));
-            }
-        }
-        profiled.push(result);
-    }
-    if let Some(ck) = ckpt.as_mut() {
-        ck.save()?;
-    }
-    Ok(profiled)
+            result
+        },
+    )
 }
 
 /// Run `n` of a query's data accesses through `hier`, each followed

@@ -92,7 +92,6 @@ mod tests {
             timeout_ratio: 6.0,
             boost_rate: 1.0,
             servers,
-            shared_boost: true,
             measured_queries: 30_000,
             warmup_queries: 3_000,
         };

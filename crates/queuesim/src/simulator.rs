@@ -25,9 +25,7 @@
 //! every in-flight query of that service runs boosted, and the class reverts
 //! when the last triggering query completes ("if multiple queries were
 //! outstanding for the same online service, all had access to short-term
-//! cache"). That service-wide semantics is the default
-//! ([`StationConfig::shared_boost`] = true); per-query boosting is kept as
-//! an ablation.
+//! cache"). That service-wide boost is the only scope the simulator runs.
 
 use crate::metrics::SimResult;
 use stca_fault::StcaError;
@@ -80,8 +78,6 @@ pub struct StationConfig {
     pub boost_rate: f64,
     /// Number of servers (`k`; the paper provisions 2 cores per workload).
     pub servers: usize,
-    /// Service-wide boost (paper semantics) vs per-query boost.
-    pub shared_boost: bool,
     /// Queries to simulate after warm-up.
     pub measured_queries: usize,
     /// Warm-up queries discarded from statistics.
@@ -90,7 +86,7 @@ pub struct StationConfig {
 
 impl StationConfig {
     /// Sensible defaults around a given mean service time: Poisson arrivals
-    /// at `util`, exponential service, 2 servers, shared boost.
+    /// at `util`, exponential service, 2 servers.
     pub fn mm2(mean_service: Seconds, util: f64, timeout_ratio: f64, boost_rate: f64) -> Self {
         let servers = 2;
         StationConfig {
@@ -102,7 +98,6 @@ impl StationConfig {
             timeout_ratio,
             boost_rate,
             servers,
-            shared_boost: true,
             measured_queries: 2000,
             warmup_queries: 200,
         }
@@ -225,17 +220,9 @@ impl Engine {
         self.boost_enabled && self.triggered > 0
     }
 
-    /// The processing rate a query should run at right now.
-    fn rate_for(&self, q: &Query) -> f64 {
-        if !self.boost_enabled {
-            return 1.0;
-        }
-        let boosted = if self.cfg.shared_boost {
-            self.boost_active()
-        } else {
-            q.triggered
-        };
-        if boosted {
+    /// The processing rate every serving query runs at right now.
+    fn rate(&self) -> f64 {
+        if self.boost_active() {
             self.cfg.boost_rate
         } else {
             1.0
@@ -260,7 +247,7 @@ impl Engine {
     /// Re-evaluate a serving query's rate, rescheduling its departure when
     /// the rate changed (or when forced, for fresh dispatches).
     fn reschedule(&mut self, id: usize, now: Seconds, force: bool) {
-        let new_rate = self.rate_for(&self.queries[id]);
+        let new_rate = self.rate();
         let q = &self.queries[id];
         if !force && (q.current_rate - new_rate).abs() < 1e-15 {
             return;
@@ -328,8 +315,6 @@ impl Engine {
 pub struct RunBudget {
     /// Stop after this many processed events (`None` = unlimited).
     pub max_events: Option<u64>,
-    /// Stop once virtual time passes this point (`None` = unlimited).
-    pub max_virtual_s: Option<Seconds>,
 }
 
 impl RunBudget {
@@ -343,7 +328,6 @@ impl RunBudget {
     pub fn events(max_events: u64) -> Self {
         RunBudget {
             max_events: Some(max_events),
-            max_virtual_s: None,
         }
     }
 }
@@ -467,9 +451,7 @@ impl QueueSim {
         let trace_events = stca_obs::logger::enabled(stca_obs::Level::Trace, module_path!());
         let mut exhausted = false;
         while let Some(ev) = eng.heap.pop() {
-            if budget.max_events.is_some_and(|m| events_processed >= m)
-                || budget.max_virtual_s.is_some_and(|m| ev.time > m)
-            {
+            if budget.max_events.is_some_and(|m| events_processed >= m) {
                 exhausted = true;
                 break;
             }
@@ -519,12 +501,8 @@ impl QueueSim {
                     if flipped_on {
                         timeout_switches += 1;
                     }
-                    if cfg.shared_boost {
-                        if flipped_on {
-                            eng.reschedule_all(now);
-                        }
-                    } else if eng.queries[query].state == QueryState::InService {
-                        eng.reschedule(query, now, false);
+                    if flipped_on {
+                        eng.reschedule_all(now);
                     }
                 }
                 EventKind::Departure { query, generation } => {
@@ -547,7 +525,7 @@ impl QueueSim {
                     if was_triggered {
                         let was_active = eng.boost_active();
                         eng.triggered -= 1;
-                        if cfg.shared_boost && was_active && !eng.boost_active() {
+                        if was_active && !eng.boost_active() {
                             // class of service reverts: remaining queries
                             // drop back to the default rate
                             eng.reschedule_all(now);
@@ -611,7 +589,6 @@ mod tests {
             timeout_ratio: 6.0,
             boost_rate: 1.0,
             servers: 1,
-            shared_boost: true,
             measured_queries: 5000,
             warmup_queries: 500,
         }
@@ -702,55 +679,30 @@ mod tests {
     }
 
     #[test]
-    fn per_query_boost_only_affects_queries_past_timeout() {
-        let mut cfg = base_config();
-        cfg.inter_arrival = Distribution::Exponential { mean: 50.0 }; // nearly idle
-        cfg.service = Distribution::Deterministic(1.0);
-        cfg.expected_service = 1.0;
-        cfg.timeout_ratio = 0.5;
-        cfg.boost_rate = 2.0;
-        cfg.shared_boost = false;
-        cfg.measured_queries = 500;
-        cfg.warmup_queries = 10;
-        let mut sim = QueueSim::new(cfg, 6);
-        let r = sim.run();
-        // idle system: every query runs 0.5s at rate 1, then 0.5 work at
-        // rate 2 -> service 0.75s total
-        assert!(r.boost_fraction() > 0.99);
-        assert!(
-            (r.mean_service() - 0.75).abs() < 0.02,
-            "mean {}",
-            r.mean_service()
-        );
-    }
-
-    #[test]
     fn shared_boost_accelerates_bystanders() {
-        // two servers, one long query (will trigger) and short queries that
-        // ride along: under shared boost the shorts speed up too
-        let mk = |shared: bool| {
-            let mut cfg = base_config();
-            cfg.servers = 2;
-            cfg.inter_arrival = Distribution::Exponential { mean: 0.26 }; // busy
-            cfg.service = Distribution::HyperExp {
-                p: 0.1,
-                mean_a: 4.0,
-                mean_b: 0.5,
-            };
-            cfg.expected_service = 0.85;
-            cfg.timeout_ratio = 2.0;
-            cfg.boost_rate = 2.0;
-            cfg.shared_boost = shared;
-            cfg.measured_queries = 6000;
-            QueueSim::new(cfg, 7).run()
+        // two servers, long queries that trigger and short queries that
+        // ride along: the whole service runs boosted while any outstanding
+        // query is past its timeout, so more queries run boosted than
+        // crossed their own timeout
+        let mut cfg = base_config();
+        cfg.servers = 2;
+        cfg.inter_arrival = Distribution::Exponential { mean: 0.26 }; // busy
+        cfg.service = Distribution::HyperExp {
+            p: 0.1,
+            mean_a: 4.0,
+            mean_b: 0.5,
         };
-        let shared = mk(true);
-        let solo = mk(false);
+        cfg.expected_service = 0.85;
+        cfg.timeout_ratio = 2.0;
+        cfg.boost_rate = 2.0;
+        cfg.measured_queries = 6000;
+        let timeout = cfg.timeout_ratio * cfg.expected_service;
+        let r = QueueSim::new(cfg, 7).run();
+        let crossed = r.response_times.iter().filter(|&&t| t > timeout).count();
+        let boosted = r.boosted.iter().filter(|&&b| b).count();
         assert!(
-            shared.boost_fraction() > solo.boost_fraction(),
-            "shared boost reaches more queries: {} vs {}",
-            shared.boost_fraction(),
-            solo.boost_fraction()
+            boosted > crossed,
+            "shared boost reaches bystanders: {boosted} boosted, {crossed} past timeout"
         );
     }
 
@@ -893,7 +845,6 @@ mod tests {
                         timeout_ratio: stca_cat::stap::NEVER_BOOST_RATIO,
                         boost_rate: 1.0,
                         servers,
-                        shared_boost: true,
                         measured_queries: 20_000,
                         warmup_queries: 2_000,
                     };

@@ -4,9 +4,9 @@
 //! station and the serving fleet's validation runs. These tests fold every
 //! field of a [`BudgetedRun`] (event count, exhaustion, quarantine count,
 //! and the bits of every `SimResult` vector and scalar) into an FNV-64
-//! hash and compare it against a constant, over a matrix of:
+//! hash and compare it against a constant. Every run uses the paper's
+//! service-wide boost, the simulator's only boost scope, over a matrix of:
 //!
-//! * shared (paper) and per-query boost scope;
 //! * the serving timeout grid `[0.25, 0.75, 1.5, 3.0, 6.0]`, whose last
 //!   entry is the never-boost bound, plus a zero timeout that boosts every
 //!   query on arrival;
@@ -81,8 +81,8 @@ fn services() -> [(&'static str, Distribution); 3] {
     ]
 }
 
-/// Hash every run of the matrix for one boost scope and service.
-fn matrix_hash(shared_boost: bool, service: &Distribution) -> u64 {
+/// Hash every run of the matrix for one service.
+fn matrix_hash(service: &Distribution) -> u64 {
     let mut h = Fnv::new();
     let mut seed = 0x51A7_u64;
     let (mut exhausted, mut boosted) = (0, 0);
@@ -101,7 +101,6 @@ fn matrix_hash(shared_boost: bool, service: &Distribution) -> u64 {
                     timeout_ratio: ratio,
                     boost_rate: 1.8,
                     servers,
-                    shared_boost,
                     measured_queries: 600,
                     warmup_queries: 60,
                 };
@@ -121,35 +120,17 @@ fn matrix_hash(shared_boost: bool, service: &Distribution) -> u64 {
     h.0
 }
 
-fn check(shared_boost: bool, want: [u64; 3]) {
+#[test]
+fn shared_boost_runs_are_pinned() {
+    let want: [u64; 3] = [
+        0xdce8_18ca_0417_0342,
+        0x8287_81ce_9d54_3978,
+        0x6dcb_ef72_a1fb_47f0,
+    ];
     let got: Vec<(&str, u64)> = services()
         .iter()
-        .map(|(name, service)| (*name, matrix_hash(shared_boost, service)))
+        .map(|(name, service)| (*name, matrix_hash(service)))
         .collect();
     let hashes: Vec<u64> = got.iter().map(|&(_, h)| h).collect();
     assert_eq!(hashes, want, "got {got:#018x?}");
-}
-
-#[test]
-fn shared_boost_runs_are_pinned() {
-    check(
-        true,
-        [
-            0xdce8_18ca_0417_0342,
-            0x8287_81ce_9d54_3978,
-            0x6dcb_ef72_a1fb_47f0,
-        ],
-    );
-}
-
-#[test]
-fn per_query_boost_runs_are_pinned() {
-    check(
-        false,
-        [
-            0xc59f_58a0_a2bd_aeb0,
-            0x19d0_80c4_3ae4_5050,
-            0x658a_b1ee_40db_7d9b,
-        ],
-    );
 }

@@ -63,4 +63,4 @@ pub use model::{decide, AnalyticEa, EaModel, StationModel, TIMEOUT_GRID};
 pub use request::{Request, SyntheticStream};
 pub use router::{rendezvous_score, route, Candidate, RouterKind};
 pub use server::{serve, Accounting, OverloadPolicy, ServeConfig, ServeReport};
-pub use watchdog::{StageRun, Watchdog};
+pub use watchdog::{StageRun, WATCHDOG_BUDGET_S};

@@ -18,6 +18,7 @@ use crate::breaker::BreakerConfig;
 use crate::fleet::{serve_fleet, FleetConfig, FleetReport, ShardStats};
 use crate::model::{EaModel, StationModel};
 use crate::request::SyntheticStream;
+use crate::watchdog::WATCHDOG_BUDGET_S;
 use stca_fault::{FaultPlan, StcaError};
 use stca_trace::{TraceConfig, TraceDump};
 
@@ -49,6 +50,14 @@ impl OverloadPolicy {
     }
 }
 
+/// Base virtual cost of the predict stage, seconds.
+pub(crate) const PREDICT_COST_S: f64 = 0.004;
+/// Base virtual cost of the decide stage, seconds.
+pub(crate) const DECIDE_COST_S: f64 = 0.002;
+
+// a watchdog budget below a stage's base cost would kill every stage
+const _: () = assert!(WATCHDOG_BUDGET_S >= PREDICT_COST_S && WATCHDOG_BUDGET_S >= DECIDE_COST_S);
+
 /// Serving-loop configuration.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
@@ -63,15 +72,9 @@ pub struct ServeConfig {
     pub hysteresis_k: u32,
     /// Circuit breaker tunables for the primary predictor.
     pub breaker: BreakerConfig,
-    /// Per-stage watchdog budget, virtual seconds.
-    pub watchdog_budget_s: f64,
     /// Drain grace after the last arrival, virtual seconds: queued work
     /// that cannot start within the grace is dropped as drained.
     pub drain_grace_s: f64,
-    /// Base virtual cost of the predict stage, seconds.
-    pub predict_cost_s: f64,
-    /// Base virtual cost of the decide stage, seconds.
-    pub decide_cost_s: f64,
     /// The station the STAP decision targets.
     pub station: StationModel,
     /// Event budget for the budgeted validation simulation run when a new
@@ -99,10 +102,7 @@ impl Default for ServeConfig {
             overload: OverloadPolicy::ShedNewest,
             hysteresis_k: 4,
             breaker: BreakerConfig::default(),
-            watchdog_budget_s: 0.25,
             drain_grace_s: 5.0,
-            predict_cost_s: 0.004,
-            decide_cost_s: 0.002,
             station: StationModel::default(),
             sim_budget_events: 4000,
             chunk: 4096,
@@ -126,22 +126,11 @@ impl ServeConfig {
         if self.chunk == 0 {
             return Err(StcaError::invalid_input("serve: chunk must be >= 1"));
         }
-        for (name, v) in [
-            ("watchdog_budget_s", self.watchdog_budget_s),
-            ("drain_grace_s", self.drain_grace_s),
-            ("predict_cost_s", self.predict_cost_s),
-            ("decide_cost_s", self.decide_cost_s),
-        ] {
-            if !v.is_finite() || v < 0.0 {
-                return Err(StcaError::invalid_input(format!(
-                    "serve: {name} = {v} must be finite and >= 0"
-                )));
-            }
-        }
-        if self.watchdog_budget_s < self.predict_cost_s.max(self.decide_cost_s) {
-            return Err(StcaError::invalid_input(
-                "serve: watchdog budget below base stage cost would kill every stage",
-            ));
+        let v = self.drain_grace_s;
+        if !v.is_finite() || v < 0.0 {
+            return Err(StcaError::invalid_input(format!(
+                "serve: drain_grace_s = {v} must be finite and >= 0"
+            )));
         }
         if !(0.0..1.0).contains(&self.station.utilization) {
             return Err(StcaError::invalid_input(
@@ -434,11 +423,6 @@ mod tests {
             ..ServeConfig::default()
         };
         assert!(serve(&bad, &model, &plan, &s, 10).is_err());
-        let bad = ServeConfig {
-            watchdog_budget_s: 0.0001,
-            ..ServeConfig::default()
-        };
-        assert!(serve(&bad, &model, &plan, &s, 10).is_err());
         let bad_stream = SyntheticStream {
             rate: f64::NAN,
             ..s.clone()
@@ -452,7 +436,7 @@ mod tests {
     #[test]
     fn deadline_below_predict_cost_completes_nothing_and_balances() {
         let cfg = small_cfg();
-        let deadline = cfg.predict_cost_s / 4.0;
+        let deadline = PREDICT_COST_S / 4.0;
         let r = run(&cfg, &FaultPlan::none(), 200.0, deadline, 200);
         assert!(r.accounting.balanced(), "{:?}", r.accounting);
         assert_eq!(r.accounting.admitted, 200);

@@ -33,8 +33,8 @@ use crate::fleet::ShardStats;
 use crate::hysteresis::Hysteresis;
 use crate::model::{decide, EaModel, TIMEOUT_GRID};
 use crate::request::Request;
-use crate::server::{OverloadPolicy, ServeConfig};
-use crate::watchdog::{StageRun, Watchdog};
+use crate::server::{OverloadPolicy, ServeConfig, DECIDE_COST_S, PREDICT_COST_S};
+use crate::watchdog::{supervise, StageRun};
 use crate::Verdict;
 use stca_fault::{FaultInjector, FaultPlan};
 use stca_queuesim::{QueueSim, RunBudget, StationConfig};
@@ -146,7 +146,6 @@ pub(crate) struct ShardCore<'a> {
     inj: &'a [FaultInjector; 2],
     pub(crate) breaker: CircuitBreaker,
     pub(crate) hyst: Hysteresis,
-    watchdog: Watchdog,
     /// The shard's report, counted into as the replay runs (the fleet
     /// driver fills in the rest when the run ends).
     pub(crate) stats: ShardStats,
@@ -190,9 +189,6 @@ impl<'a> ShardCore<'a> {
             inj,
             breaker: CircuitBreaker::new(cfg.breaker),
             hyst: Hysteresis::new(cfg.hysteresis_k, initial),
-            watchdog: Watchdog {
-                budget_s: cfg.watchdog_budget_s,
-            },
             stats: ShardStats {
                 id: shard.unwrap_or(0),
                 ..ShardStats::default()
@@ -323,18 +319,12 @@ impl<'a> ShardCore<'a> {
     /// attempt runs, keyed `seq * 2 + stage` on the attempt's injector.
     fn run_stage(&mut self, base_cost_s: f64, seq: u64, stage: u64) -> (f64, bool, bool) {
         let tag = seq * 2 + stage;
-        match self
-            .watchdog
-            .supervise(base_cost_s, self.inj[0].stage_stall_s(tag))
-        {
+        match supervise(base_cost_s, self.inj[0].stage_stall_s(tag)) {
             StageRun::Ok { cost_s } => (cost_s, true, false),
             StageRun::Stuck { wasted_s } => {
                 self.stats.watchdog_trips += 1;
                 self.stats.retries += 1;
-                match self
-                    .watchdog
-                    .supervise(base_cost_s, self.inj[1].stage_stall_s(tag))
-                {
+                match supervise(base_cost_s, self.inj[1].stage_stall_s(tag)) {
                     StageRun::Ok { cost_s } => (wasted_s + cost_s, true, true),
                     StageRun::Stuck { wasted_s: w2 } => {
                         self.stats.watchdog_trips += 1;
@@ -352,8 +342,7 @@ impl<'a> ShardCore<'a> {
         }
         stca_obs::set_virtual_now(start);
         // ---- predict stage (primary behind the breaker) ----
-        let (predict_cost, predict_ok, predict_retried) =
-            self.run_stage(self.cfg.predict_cost_s, p.seq, 0);
+        let (predict_cost, predict_ok, predict_retried) = self.run_stage(PREDICT_COST_S, p.seq, 0);
         if predict_retried {
             if let Some(ctx) = p.ctx.as_mut() {
                 ctx.flag_watchdog_retry();
@@ -443,8 +432,7 @@ impl<'a> ShardCore<'a> {
             return;
         }
         // ---- decide stage ----
-        let (decide_cost, decide_ok, decide_retried) =
-            self.run_stage(self.cfg.decide_cost_s, p.seq, 1);
+        let (decide_cost, decide_ok, decide_retried) = self.run_stage(DECIDE_COST_S, p.seq, 1);
         if decide_retried {
             if let Some(ctx) = p.ctx.as_mut() {
                 ctx.flag_watchdog_retry();
@@ -582,7 +570,6 @@ impl<'a> ShardCore<'a> {
             timeout_ratio: TIMEOUT_GRID[new_idx],
             boost_rate: (1.0 + gain).max(1.0),
             servers: st.servers,
-            shared_boost: true,
             measured_queries: 2000,
             warmup_queries: 200,
         };

@@ -23,25 +23,19 @@ pub enum StageRun {
     },
 }
 
-/// The watchdog itself: just the per-stage budget.
-#[derive(Debug, Clone, Copy)]
-pub struct Watchdog {
-    /// Per-stage virtual-time budget, seconds.
-    pub budget_s: f64,
-}
+/// Per-stage watchdog budget, virtual seconds.
+pub const WATCHDOG_BUDGET_S: f64 = 0.25;
 
-impl Watchdog {
-    /// Supervise one stage whose base cost is `base_cost_s` with
-    /// `stall_s` of injected stall on top.
-    pub fn supervise(&self, base_cost_s: f64, stall_s: f64) -> StageRun {
-        let cost = base_cost_s + stall_s.max(0.0);
-        if cost > self.budget_s {
-            StageRun::Stuck {
-                wasted_s: self.budget_s,
-            }
-        } else {
-            StageRun::Ok { cost_s: cost }
+/// Supervise one stage whose base cost is `base_cost_s` with `stall_s` of
+/// injected stall on top.
+pub(crate) fn supervise(base_cost_s: f64, stall_s: f64) -> StageRun {
+    let cost = base_cost_s + stall_s.max(0.0);
+    if cost > WATCHDOG_BUDGET_S {
+        StageRun::Stuck {
+            wasted_s: WATCHDOG_BUDGET_S,
         }
+    } else {
+        StageRun::Ok { cost_s: cost }
     }
 }
 
@@ -51,16 +45,17 @@ mod tests {
 
     #[test]
     fn within_budget_passes_through() {
-        let w = Watchdog { budget_s: 0.5 };
-        assert_eq!(w.supervise(0.1, 0.0), StageRun::Ok { cost_s: 0.1 });
-        assert_eq!(w.supervise(0.1, 0.3), StageRun::Ok { cost_s: 0.4 });
+        assert_eq!(supervise(0.1, 0.0), StageRun::Ok { cost_s: 0.1 });
+        assert_eq!(supervise(0.1, 0.125), StageRun::Ok { cost_s: 0.225 });
     }
 
     #[test]
     fn overrun_is_cut_at_the_budget() {
-        let w = Watchdog { budget_s: 0.5 };
-        assert_eq!(w.supervise(0.1, 2.0), StageRun::Stuck { wasted_s: 0.5 });
+        let stuck = StageRun::Stuck {
+            wasted_s: WATCHDOG_BUDGET_S,
+        };
+        assert_eq!(supervise(0.1, 2.0), stuck);
         // negative stall cannot rescue an oversized base cost
-        assert_eq!(w.supervise(0.7, -1.0), StageRun::Stuck { wasted_s: 0.5 });
+        assert_eq!(supervise(0.35, -1.0), stuck);
     }
 }

@@ -40,7 +40,7 @@ fn injected_fault_counters_count_only_applied_faults() {
     let plan = FaultPlan::heavy();
     // the heavy plan's stalls are 2-12x its 0.2 s latency scale, so each
     // one overshoots the 0.25 s watchdog budget and trips the watchdog
-    assert!(plan.latency_mean_s * 2.0 > ServeConfig::default().watchdog_budget_s);
+    assert!(plan.latency_mean_s * 2.0 > stca_serve::WATCHDOG_BUDGET_S);
     for shards in [1, 4] {
         let (stalls_before, predict_before) = (stalls.get(), predict.get());
         let r = run(shards, &plan);

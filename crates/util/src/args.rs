@@ -20,6 +20,8 @@ use std::path::PathBuf;
 pub enum ArgError {
     /// A positional token appeared where a `--flag` was expected.
     NotAFlag { token: String },
+    /// A flag the command does not read.
+    UnknownFlag { flag: String },
     /// A flag was given without a following value.
     MissingValue { flag: String },
     /// A flag the command requires was absent.
@@ -36,6 +38,7 @@ impl std::fmt::Display for ArgError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ArgError::NotAFlag { token } => write!(f, "expected a --flag, got {token:?}"),
+            ArgError::UnknownFlag { flag } => write!(f, "unknown flag --{flag}"),
             ArgError::MissingValue { flag } => write!(f, "flag --{flag} needs a value"),
             ArgError::MissingRequired { flag } => write!(f, "missing required flag --{flag}"),
             ArgError::BadValue { flag, value, why } => {
@@ -52,13 +55,19 @@ impl std::error::Error for ArgError {}
 #[derive(Debug, Clone, Default)]
 pub struct Args {
     flags: Vec<(String, String)>,
+    /// A last flag with no value after it: reported by [`Args::check`]
+    /// once every flag name is known, so an unknown last flag is reported
+    /// as unknown.
+    trailing: Option<String>,
 }
 
 impl Args {
     /// Parse an argv slice (without the program name / subcommand).
-    /// Accepts `--name value`, `-n value`, and `--name=value`.
+    /// Accepts `--name value`, `-n value`, and `--name=value`. A last flag
+    /// without a value is kept for [`Args::check`] to report.
     pub fn parse<S: AsRef<str>>(argv: &[S]) -> Result<Args, ArgError> {
         let mut flags = Vec::new();
+        let mut trailing = None;
         let mut i = 0;
         while i < argv.len() {
             let token = argv[i].as_ref();
@@ -73,13 +82,28 @@ impl Args {
                 i += 1;
                 continue;
             }
-            let value = argv.get(i + 1).ok_or_else(|| ArgError::MissingValue {
-                flag: key.to_string(),
-            })?;
-            flags.push((key.to_string(), value.as_ref().to_string()));
+            match argv.get(i + 1) {
+                Some(value) => flags.push((key.to_string(), value.as_ref().to_string())),
+                None => trailing = Some(key.to_string()),
+            }
             i += 2;
         }
-        Ok(Args { flags })
+        Ok(Args { flags, trailing })
+    }
+
+    /// The command's check of its flags, run before any flag is read: the
+    /// first flag (in argv order) that `known` rejects is an
+    /// [`ArgError::UnknownFlag`]; then a last flag with no value is an
+    /// [`ArgError::MissingValue`].
+    pub fn check(&self, known: impl Fn(&str) -> bool) -> Result<(), ArgError> {
+        let names = self.flags.iter().map(|(k, _)| k).chain(&self.trailing);
+        if let Some(flag) = names.into_iter().find(|f| !known(f)) {
+            return Err(ArgError::UnknownFlag { flag: flag.clone() });
+        }
+        match &self.trailing {
+            Some(flag) => Err(ArgError::MissingValue { flag: flag.clone() }),
+            None => Ok(()),
+        }
     }
 
     /// Parse the process argv, skipping the program name.
@@ -260,11 +284,23 @@ mod tests {
                 token: "positional".into()
             }
         );
+        // a last flag without a value: unknown beats missing value
+        let trailing = Args::parse(&argv(&["--n", "1", "--seed"])).unwrap();
         assert_eq!(
-            Args::parse(&argv(&["--seed"])).unwrap_err(),
+            trailing.check(|f| f == "n").unwrap_err(),
+            ArgError::UnknownFlag {
+                flag: "seed".into()
+            }
+        );
+        assert_eq!(
+            trailing.check(|f| f == "n" || f == "seed").unwrap_err(),
             ArgError::MissingValue {
                 flag: "seed".into()
             }
+        );
+        assert_eq!(
+            trailing.check(|f| f == "seed").unwrap_err(),
+            ArgError::UnknownFlag { flag: "n".into() }
         );
         let a = Args::parse(&argv(&["--seed", "x"])).unwrap();
         assert!(matches!(

@@ -90,7 +90,6 @@ fn queuesim_invariants() {
             timeout_ratio: timeout,
             boost_rate: boost,
             servers: 2,
-            shared_boost: true,
             measured_queries: 300,
             warmup_queries: 30,
         };
@@ -129,7 +128,6 @@ fn boost_never_slows_service() {
                 timeout_ratio: timeout,
                 boost_rate: rate,
                 servers: 2,
-                shared_boost: true,
                 measured_queries: 400,
                 warmup_queries: 40,
             };
@@ -297,7 +295,6 @@ fn static_policy_equals_never_boost() {
             timeout_ratio: p.timeout_ratio,
             boost_rate: if p.boost_enabled() { 2.0 } else { 1.0 },
             servers: 2,
-            shared_boost: true,
             measured_queries: 500,
             warmup_queries: 50,
         };
