@@ -176,17 +176,19 @@ struct FlagMap<'a> {
 
 impl FlagMap<'_> {
     /// Build the subcommand's spec: defaults, then `--spec FILE`, then
-    /// flag overrides — the one precedence rule of the CLI.
+    /// flag overrides — the one precedence rule of the CLI. Flag names
+    /// are checked first, so a misspelt flag is a usage error even when
+    /// the spec file is missing too.
     fn build(&self, args: &Args) -> Result<ScenarioSpec, StcaError> {
-        let mut spec = match args.get("spec") {
-            Some(path) => stca_scenario::load_file(Path::new(path))?,
-            None => ScenarioSpec::default(),
-        };
         reject_unknown_flags(args, |flag| {
             self.map.iter().any(|(f, _, _)| *f == flag)
                 || self.extra.contains(&flag)
                 || flag == "fault-plan"
         })?;
+        let mut spec = match args.get("spec") {
+            Some(path) => stca_scenario::load_file(Path::new(path))?,
+            None => ScenarioSpec::default(),
+        };
         for &(flag, section, key) in self.map {
             if let Some(v) = args.get(flag) {
                 set_flag(&mut spec, flag, section, key, v)?;

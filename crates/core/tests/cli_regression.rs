@@ -540,6 +540,28 @@ fn trailing_flag_is_checked_by_name_first() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Flag names are checked before `--spec` is read: an unknown flag beside
+/// a missing spec file exits 2 naming the flag, and a missing spec file
+/// with only known flags still exits 1 naming the file.
+#[test]
+fn unknown_flag_is_reported_before_the_spec_is_read() {
+    let dir = temp_dir("flag_before_spec");
+    for cmd in ["serve", "explore"] {
+        let out = run_in(&dir, &[cmd, "--spec", "nope.stca", "--bogus", "1"]);
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{cmd}: {err}");
+        assert!(
+            err.starts_with("error: usage error: unknown flag --bogus\n"),
+            "{cmd}: {err}"
+        );
+    }
+    let out = run_in(&dir, &["serve", "--spec", "nope.stca", "--requests", "5"]);
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{err}");
+    assert!(err.contains("nope.stca"), "{err}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// A usage error prints its one error line and a hint, not the whole
 /// help; `stca help` prints the help to stdout.
 #[test]

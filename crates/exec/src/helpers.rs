@@ -8,33 +8,25 @@
 //!   helpers for one call and maps `0..n` as one batch.
 //! * [`with_helpers`] spawns `threads() − 1` helpers once, for a caller's
 //!   whole loop, so a loop that maps one small batch after another pays no
-//!   spawn per batch and its helpers can run deferred jobs between them.
+//!   spawn per batch.
 //!
-//! The helpers do two kinds of work:
-//!
-//! * **Batch items.** [`Helpers::map`] publishes a batch. The caller and
-//!   every idle helper claim blocks of items off one cursor, and each
-//!   block's results come back as one unit, assembled in input order. The
-//!   caller waits only for blocks a helper has already claimed: it spins
-//!   briefly, then yields, then parks.
-//! * **Deferred jobs.** [`Helpers::defer`] queues jobs that helpers run
-//!   whenever no batch item is unclaimed; batch items always come first.
-//!   [`Helpers::finish_deferred`] runs what is still queued on the caller,
-//!   waits for the rest, and returns every outcome in submit order.
+//! [`Helpers::map`] publishes a batch. The caller and every idle helper
+//! claim blocks of items off one cursor, and each block's results come
+//! back as one unit, assembled in input order. The caller waits only for
+//! blocks a helper has already claimed: it spins briefly, then yields,
+//! then parks. Between batches the helpers park.
 //!
 //! At one thread, or when called from a pool worker, there are no helpers
 //! and everything runs inline on the caller. The caller and the helpers
 //! count as pool workers while the helpers live, so a nested `par_map` in
 //! any of their work runs inline.
 //!
-//! A panic in a helper's block or job is caught there and re-raised, with
-//! its own payload, on the caller at its next [`Helpers::map`] or
-//! [`Helpers::finish_deferred`]; helpers stop taking work after one, so
-//! the run never hangs.
+//! A panic in a helper's block is caught there and re-raised, with its own
+//! payload, on the caller at the end of that [`Helpers::map`]; helpers
+//! stop taking work after one, so the run never hangs.
 
 use std::any::Any;
 use std::cell::Cell;
-use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
@@ -131,27 +123,22 @@ impl<T, R> Batch<T, R> {
     }
 }
 
-struct State<T, R, J, O> {
+struct State<T, R> {
     /// The batch being mapped, while it is open to helpers.
     batch: Option<Arc<Batch<T, R>>>,
     /// Helpers holding a clone of `batch`.
     holders: usize,
-    /// Queued deferred jobs, tagged with their slot in `outcomes`.
-    jobs: VecDeque<(usize, J)>,
-    /// Deferred jobs a helper is running.
-    running: usize,
-    outcomes: Vec<Option<O>>,
     /// The first panic a helper caught, until the caller re-raises it.
     panic: Option<Payload>,
     stop: bool,
 }
 
-struct Shared<T, R, J, O> {
-    state: Mutex<State<T, R, J, O>>,
+struct Shared<T, R> {
+    state: Mutex<State<T, R>>,
     /// Helpers park here while there is nothing to do.
     work: Condvar,
     /// The caller parks here while helpers finish claimed work; a helper
-    /// signals it after every block run and job.
+    /// signals it after every block run.
     idle: Condvar,
 }
 
@@ -168,8 +155,8 @@ fn wait<'g, S>(cv: &Condvar, guard: MutexGuard<'g, S>) -> MutexGuard<'g, S> {
     cv.wait(guard).unwrap_or_else(PoisonError::into_inner)
 }
 
-impl<T, R, J, O> Shared<T, R, J, O> {
-    fn state(&self) -> MutexGuard<'_, State<T, R, J, O>> {
+impl<T, R> Shared<T, R> {
+    fn state(&self) -> MutexGuard<'_, State<T, R>> {
         lock(&self.state)
     }
 }
@@ -191,21 +178,17 @@ impl Drop for InPool {
 }
 
 /// Tells the helpers to exit once the caller's body returns or unwinds.
-struct StopOnDrop<'s, T, R, J, O>(&'s Shared<T, R, J, O>);
+struct StopOnDrop<'s, T, R>(&'s Shared<T, R>);
 
-impl<T, R, J, O> Drop for StopOnDrop<'_, T, R, J, O> {
+impl<T, R> Drop for StopOnDrop<'_, T, R> {
     fn drop(&mut self) {
         self.0.state().stop = true;
         self.0.work.notify_all();
     }
 }
 
-/// One helper thread: batch blocks first, then deferred jobs, else park.
-fn help<T, R, J, O>(
-    shared: &Shared<T, R, J, O>,
-    map: &(dyn Fn(&T) -> R + Sync),
-    run: &(dyn Fn(J) -> O + Sync),
-) {
+/// One helper thread: claim blocks of the open batch, else park.
+fn help<T, R>(shared: &Shared<T, R>, map: &(dyn Fn(&T) -> R + Sync)) {
     let _in_pool = InPool::enter();
     let mut st = shared.state();
     loop {
@@ -224,19 +207,6 @@ fn help<T, R, J, O>(
                 st.panic.get_or_insert(payload);
             }
             shared.idle.notify_one();
-        } else if let Some((slot, job)) = st.jobs.pop_front() {
-            st.running += 1;
-            drop(st);
-            let result = catch_unwind(AssertUnwindSafe(|| run(job)));
-            st = shared.state();
-            st.running -= 1;
-            match result {
-                Ok(outcome) => st.outcomes[slot] = Some(outcome),
-                Err(payload) => {
-                    st.panic.get_or_insert(payload);
-                }
-            }
-            shared.idle.notify_one();
         } else {
             st = wait(&shared.work, st);
         }
@@ -244,15 +214,14 @@ fn help<T, R, J, O>(
 }
 
 /// The caller's handle on its helper threads; see the module docs.
-pub struct Helpers<'s, T, R, J, O> {
-    shared: &'s Shared<T, R, J, O>,
+pub struct Helpers<'s, T, R> {
+    shared: &'s Shared<T, R>,
     map: &'s (dyn Fn(&T) -> R + Sync),
-    run: &'s (dyn Fn(J) -> O + Sync),
     /// Helper threads beside the caller: 0 when called from a pool worker.
     count: usize,
 }
 
-impl<T, R, J, O> Helpers<'_, T, R, J, O> {
+impl<T, R> Helpers<'_, T, R> {
     /// Map the helpers' function over `items`, shared with every idle
     /// helper; `out[i] = map(&items[i])`, always. The items come back
     /// with the results. One call is one `exec.par_maps_total` region when
@@ -302,117 +271,60 @@ impl<T, R, J, O> Helpers<'_, T, R, J, O> {
         timer.stop();
         batch.into_parts()
     }
-
-    /// Queue jobs for the helpers. Each counts in `exec.tasks_total`.
-    pub fn defer(&mut self, jobs: impl IntoIterator<Item = J>) {
-        let mut st = self.shared.state();
-        let before = st.jobs.len();
-        for job in jobs {
-            let slot = st.outcomes.len();
-            st.outcomes.push(None);
-            st.jobs.push_back((slot, job));
-        }
-        let added = st.jobs.len() - before;
-        drop(st);
-        if added > 0 {
-            pool_metrics().tasks.add(added as u64);
-            if self.count > 0 {
-                self.shared.work.notify_all();
-            }
-        }
-    }
-
-    /// Run the deferred jobs still queued on the caller, wait for those a
-    /// helper is running, and return every outcome since the last call in
-    /// submit order.
-    pub fn finish_deferred(&mut self) -> Vec<O> {
-        let mut st = self.shared.state();
-        loop {
-            if let Some(payload) = st.panic.take() {
-                drop(st);
-                resume_unwind(payload);
-            }
-            if let Some((slot, job)) = st.jobs.pop_front() {
-                drop(st);
-                let outcome = (self.run)(job);
-                st = self.shared.state();
-                st.outcomes[slot] = Some(outcome);
-            } else if st.running > 0 {
-                st = wait(&self.shared.idle, st);
-            } else {
-                break;
-            }
-        }
-        std::mem::take(&mut st.outcomes)
-            .into_iter()
-            .map(|o| o.expect("every deferred job ran"))
-            .collect()
-    }
 }
 
 /// Run `body` with `threads() − 1` helper threads that live until it
-/// returns; see the module docs. `map` is the function
-/// [`Helpers::map`] applies to batch items and `run` the one
-/// [`Helpers::defer`]red jobs go through. Both must be pure for results
-/// to be independent of the thread count: scheduling decides only when
-/// and where an item or job runs.
-pub fn with_helpers<T, R, J, O, Out>(
+/// returns; see the module docs. `map` is the function [`Helpers::map`]
+/// applies to batch items. It must be pure for results to be independent
+/// of the thread count: scheduling decides only when and where an item
+/// runs.
+pub fn with_helpers<T, R, Out>(
     map: impl Fn(&T) -> R + Sync,
-    run: impl Fn(J) -> O + Sync,
-    body: impl FnOnce(&mut Helpers<'_, T, R, J, O>) -> Out,
+    body: impl FnOnce(&mut Helpers<'_, T, R>) -> Out,
 ) -> Out
 where
     T: Send + Sync,
     R: Send,
-    J: Send,
-    O: Send,
 {
     let count = if IN_POOL.with(Cell::get) {
         0
     } else {
         crate::threads() - 1
     };
-    with_n_helpers(count, map, run, body)
+    with_n_helpers(count, map, body)
 }
 
 /// [`with_helpers`] with `count` helper threads, the one place that
 /// spawns them.
-pub(crate) fn with_n_helpers<T, R, J, O, Out>(
+pub(crate) fn with_n_helpers<T, R, Out>(
     count: usize,
     map: impl Fn(&T) -> R + Sync,
-    run: impl Fn(J) -> O + Sync,
-    body: impl FnOnce(&mut Helpers<'_, T, R, J, O>) -> Out,
+    body: impl FnOnce(&mut Helpers<'_, T, R>) -> Out,
 ) -> Out
 where
     T: Send + Sync,
     R: Send,
-    J: Send,
-    O: Send,
 {
     let shared = Shared {
         state: Mutex::new(State {
             batch: None,
             holders: 0,
-            jobs: VecDeque::new(),
-            running: 0,
-            outcomes: Vec::new(),
             panic: None,
             stop: false,
         }),
         work: Condvar::new(),
         idle: Condvar::new(),
     };
-    let (map, run) = (&map, &run);
+    let map = &map;
     std::thread::scope(|scope| {
         for _ in 0..count {
-            scope.spawn(|| help(&shared, map, run));
+            scope.spawn(|| help(&shared, map));
         }
         let _stop = StopOnDrop(&shared);
         let _in_pool = InPool::enter();
         body(&mut Helpers {
             shared: &shared,
             map,
-            run,
             count,
         })
     })
@@ -451,46 +363,18 @@ mod tests {
         let expect: Vec<u64> = items.iter().map(skewed).collect();
         for threads in [1, 2, 5, 8] {
             crate::set_threads(threads);
-            let got = with_helpers(
-                skewed,
-                |j: u64| j,
-                |h| {
-                    assert_eq!(h.count, threads - 1);
-                    // several batches, one of them not a multiple of a claim
-                    [1_000, 333, 1, 0].map(|len| {
-                        let (back, out) = h.map(items[..len].to_vec());
-                        assert_eq!(back, items[..len]);
-                        out
-                    })
-                },
-            );
+            let got = with_helpers(skewed, |h| {
+                assert_eq!(h.count, threads - 1);
+                // several batches, one of them not a multiple of a claim
+                [1_000, 333, 1, 0].map(|len| {
+                    let (back, out) = h.map(items[..len].to_vec());
+                    assert_eq!(back, items[..len]);
+                    out
+                })
+            });
             for out in got {
                 assert_eq!(out, expect[..out.len()], "threads={threads}");
             }
-        }
-    }
-
-    #[test]
-    fn deferred_outcomes_come_back_in_submit_order() {
-        let _guard = crate::config::test_lock();
-        let expect: Vec<u64> = (0..100).chain([7]).map(|j| skewed(&j)).collect();
-        for threads in [1, 2, 5, 8] {
-            crate::set_threads(threads);
-            let out = with_helpers(
-                skewed,
-                |j: u64| skewed(&j),
-                |h| {
-                    h.defer(0..40);
-                    // batch items interleave with the queued jobs
-                    let (_, mapped) = h.map((0..200).collect());
-                    h.defer(40..100);
-                    let mut outcomes = h.finish_deferred();
-                    h.defer([7]);
-                    outcomes.extend(h.finish_deferred());
-                    (mapped.len(), outcomes)
-                },
-            );
-            assert_eq!(out, (200, expect.clone()), "threads={threads}");
         }
     }
 
@@ -499,19 +383,15 @@ mod tests {
         let _guard = crate::config::test_lock();
         crate::set_threads(4);
         let here = std::thread::current().id();
-        let nested = |i: usize| {
-            let ids = crate::par_map_range(8, |_| std::thread::current().id());
-            assert!(ids.iter().all(|&id| id == ids[0]), "nested map fanned out");
-            i
-        };
         with_helpers(
-            |&i: &usize| nested(i),
-            nested,
+            |&i: &usize| {
+                let ids = crate::par_map_range(8, |_| std::thread::current().id());
+                assert!(ids.iter().all(|&id| id == ids[0]), "nested map fanned out");
+                i
+            },
             |h| {
                 let (_, out) = h.map((0..300).collect());
                 assert_eq!(out, (0..300).collect::<Vec<_>>());
-                h.defer(0..20);
-                assert_eq!(h.finish_deferred(), (0..20).collect::<Vec<_>>());
                 // the caller's own nested maps run inline too
                 let ids = crate::par_map_range(8, |_| std::thread::current().id());
                 assert!(ids.iter().all(|&id| id == here));
@@ -536,7 +416,6 @@ mod tests {
                             }
                             i
                         },
-                        |j: u8| j,
                         |h| {
                             for _ in 0..4 {
                                 h.map((0..1_000).collect());
@@ -545,33 +424,13 @@ mod tests {
                     )
                 })
             });
-            assert!(err.is_err(), "threads={threads}: a block panic is lost");
-            // a panicking deferred job
-            let err = watchdog(move || {
-                catch_unwind(|| {
-                    with_helpers(
-                        |&i: &usize| i,
-                        |j: u32| {
-                            if j == 13 {
-                                panic!("job 13 failed");
-                            }
-                            j
-                        },
-                        |h| {
-                            h.defer(0..30);
-                            h.map((0..500).collect());
-                            h.finish_deferred()
-                        },
-                    )
-                })
-            });
-            let payload = err.expect_err("a job panic is lost");
+            let payload = err.expect_err("a block panic is lost");
             let msg = payload
                 .downcast_ref::<&str>()
                 .map(|s| s.to_string())
                 .or_else(|| payload.downcast_ref::<String>().cloned())
                 .unwrap_or_default();
-            assert!(msg.contains("job 13"), "threads={threads}: {msg}");
+            assert!(msg.contains("item 517"), "threads={threads}: {msg}");
         }
     }
 
@@ -582,21 +441,17 @@ mod tests {
         let here = std::thread::current().id();
         let ids = with_helpers(
             |_: &u8| std::thread::current().id(),
-            |_: u8| std::thread::current().id(),
             |h| {
                 assert_eq!(h.count, 0);
-                let (_, mut ids) = h.map(vec![0u8; 257]);
-                h.defer([0, 1, 2]);
-                ids.extend(h.finish_deferred());
-                ids
+                h.map(vec![0u8; 257]).1
             },
         );
-        assert_eq!(ids.len(), 260);
+        assert_eq!(ids.len(), 257);
         assert!(ids.iter().all(|&id| id == here));
     }
 
     #[test]
-    fn counts_items_and_jobs_as_tasks() {
+    fn counts_items_as_tasks() {
         let _guard = crate::config::test_lock();
         crate::set_threads(2);
         let tasks = stca_obs::counter("exec.tasks_total");
@@ -604,14 +459,11 @@ mod tests {
         let (tasks_before, regions_before) = (tasks.get(), regions.get());
         with_helpers(
             |&v: &u8| v,
-            |j: u8| j,
             |h| {
                 h.map(vec![0u8; 100]);
-                h.defer([1, 2, 3]);
-                h.finish_deferred();
             },
         );
-        assert!(tasks.get() >= tasks_before + 103);
+        assert!(tasks.get() >= tasks_before + 100);
         assert!(regions.get() > regions_before, "one region per shared map");
     }
 }

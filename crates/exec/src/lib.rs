@@ -5,7 +5,7 @@
 //! Every compute-heavy stage of the reproduction is embarrassingly parallel:
 //! profiling experiments (Stage 1), per-tree / per-level / per-window forest
 //! training (Stage 2), and the timeout-grid policy search; the serving
-//! fleet's per-request compute and validation sims run beside its serial
+//! fleet's per-request compute runs between the chunks of its serial
 //! replay. This crate is the single place that schedules threads for all
 //! of them. It has one scheduler: a caller spawns helper threads in one
 //! scope, publishes a batch, and claims adaptive blocks of it off one
@@ -19,8 +19,7 @@
 //! * [`with_helpers`] — for a loop that maps many small batches, such as
 //!   the serving fleet's chunked replay: `threads() − 1` helpers live for
 //!   the whole loop instead of being spawned per batch. The caller and
-//!   idle helpers share each batch ([`Helpers::map`]), and helpers run
-//!   [`Helpers::defer`]red jobs whenever no batch item is unclaimed.
+//!   idle helpers share each batch ([`Helpers::map`]).
 //!
 //! Determinism is a contract shared with callers: tasks must not share
 //! mutable state, and any randomness must come from a tagged stream

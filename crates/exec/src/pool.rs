@@ -39,7 +39,6 @@ where
     with_n_helpers(
         workers - 1,
         |&i: &usize| f(i),
-        |(): ()| (),
         |helpers| helpers.map((0..n).collect()).1,
     )
 }

@@ -42,10 +42,7 @@ pub use logger::{
     clear_virtual_now, init_with, set_sink, set_virtual_now, try_init_from_env, virtual_now,
     FilterError, Level, LevelFilter, LogConfig, LogFormat,
 };
-pub use metrics::{
-    counter, current_trace_id, gauge, histogram, registry, set_current_trace_id, Counter, Gauge,
-    Histogram, Registry,
-};
+pub use metrics::{counter, gauge, histogram, registry, Counter, Gauge, Histogram, Registry};
 pub use report::{
     emit_run_report, emit_run_report_to, metrics_out_from_args, summary_table, write_metrics,
 };

@@ -22,13 +22,6 @@
 //! not tighten the worst case — it removes the systematic bias the old
 //! geometric-midpoint rule had at bucket boundaries, where a rank
 //! sitting at the very edge of a bucket was pulled half a bucket away.
-//!
-//! Histograms also carry **exemplars**: each bucket remembers the trace
-//! id of one request that landed in it (last write wins), linked via the
-//! thread-local set by [`set_current_trace_id`]. Exemplars are a
-//! best-effort debugging hint — when samples race from several threads
-//! the surviving id is schedule-dependent, so they are deliberately
-//! excluded from the determinism contract and from byte-stable exports.
 
 use crate::json::Value;
 use std::collections::{BTreeMap, BTreeSet};
@@ -85,32 +78,10 @@ impl Gauge {
     }
 }
 
-std::thread_local! {
-    /// Trace id of the request the current thread is working on
-    /// (0 = none). Histogram samples recorded while it is set stamp the
-    /// id into their bucket's exemplar slot.
-    static CURRENT_TRACE_ID: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
-}
-
-/// Set the calling thread's current trace id (0 clears it). The serving
-/// loop sets this per request so nested timers — e.g. the
-/// `deepforest.predict.*` histograms inside a model call — pick up the
-/// id transparently.
-pub fn set_current_trace_id(id: u64) {
-    CURRENT_TRACE_ID.with(|c| c.set(id));
-}
-
-/// The calling thread's current trace id (0 = none).
-pub fn current_trace_id() -> u64 {
-    CURRENT_TRACE_ID.with(|c| c.get())
-}
-
 /// A lock-free log-bucketed histogram of non-negative `f64` samples.
 pub struct Histogram {
     /// `[underflow, BUCKETS regular, overflow]`.
     buckets: Vec<AtomicU64>,
-    /// One exemplar trace id per bucket slot (0 = none, last write wins).
-    exemplars: Vec<AtomicU64>,
     count: AtomicU64,
     /// Sum of samples as `f64` bits, updated by CAS.
     sum_bits: AtomicU64,
@@ -142,7 +113,6 @@ impl Default for Histogram {
     fn default() -> Self {
         Histogram {
             buckets: (0..BUCKETS + 2).map(|_| AtomicU64::new(0)).collect(),
-            exemplars: (0..BUCKETS + 2).map(|_| AtomicU64::new(0)).collect(),
             count: AtomicU64::new(0),
             sum_bits: AtomicU64::new(0f64.to_bits()),
             min_bits: AtomicU64::new(f64::INFINITY.to_bits()),
@@ -153,9 +123,7 @@ impl Default for Histogram {
 
 impl Histogram {
     /// Record one sample. Negative and NaN samples are counted in the
-    /// underflow bucket and excluded from sum/min/max. If the calling
-    /// thread has a current trace id set, it becomes the bucket's
-    /// exemplar (last write wins).
+    /// underflow bucket and excluded from sum/min/max.
     pub fn record(&self, v: f64) {
         let slot = if !v.is_finite() || v < MIN_VALUE {
             0
@@ -166,10 +134,6 @@ impl Histogram {
         };
         self.buckets[slot].fetch_add(1, Ordering::Relaxed);
         self.count.fetch_add(1, Ordering::Relaxed);
-        let trace_id = current_trace_id();
-        if trace_id != 0 {
-            self.exemplars[slot].store(trace_id, Ordering::Relaxed);
-        }
         if v.is_finite() && v >= 0.0 {
             fetch_update_f64(&self.sum_bits, |s| s + v);
             fetch_update_f64(&self.min_bits, |m| m.min(v));
@@ -258,34 +222,6 @@ impl Histogram {
             lo + (hi - lo) * frac
         };
         estimate.clamp(self.min(), self.max())
-    }
-
-    /// The exemplar trace id recorded nearest the `q`-quantile bucket:
-    /// the bucket itself first, then the closest occupied slot below,
-    /// then above. `None` when no sample carried a trace id. Best-effort
-    /// by design — see the module docs.
-    pub fn exemplar_for_quantile(&self, q: f64) -> Option<u64> {
-        let (slot, ..) = self.quantile_slot(q)?;
-        let read = |s: usize| {
-            let id = self.exemplars[s].load(Ordering::Relaxed);
-            (id != 0).then_some(id)
-        };
-        if let Some(id) = read(slot) {
-            return Some(id);
-        }
-        for d in 1..self.exemplars.len() {
-            if slot >= d {
-                if let Some(id) = read(slot - d) {
-                    return Some(id);
-                }
-            }
-            if slot + d < self.exemplars.len() {
-                if let Some(id) = read(slot + d) {
-                    return Some(id);
-                }
-            }
-        }
-        None
     }
 
     /// `(count, sum, min, max, p50, p95, p99)` in one read.
@@ -755,27 +691,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn exemplars_resolve_quantile_buckets() {
-        let h = Histogram::default();
-        // no trace id set: samples leave no exemplar
-        h.record(0.010);
-        assert_eq!(h.exemplar_for_quantile(0.5), None);
-        // stamped samples: fast requests tagged 0x11, slow tagged 0x22
-        set_current_trace_id(0x11);
-        for _ in 0..99 {
-            h.record(0.010);
-        }
-        set_current_trace_id(0x22);
-        h.record(10.0);
-        set_current_trace_id(0);
-        assert_eq!(h.exemplar_for_quantile(0.50), Some(0x11));
-        assert_eq!(h.exemplar_for_quantile(0.999), Some(0x22));
-        // clearing the thread-local stops stamping
-        h.record(20.0);
-        assert_eq!(h.exemplar_for_quantile(1.0), Some(0x22), "nearest slot");
     }
 
     #[test]

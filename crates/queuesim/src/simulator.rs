@@ -15,8 +15,7 @@
 //! per insert when the queue grows at high utilisation.
 //! `tests/engine_pin.rs` pins every output bit of the loop.
 //!
-//! Runs are independent, so callers run them in parallel: the explorer's
-//! grid and the serving fleet's batched policy-validation sims. The
+//! Runs are independent, so the explorer runs its grid in parallel. The
 //! `queuesim.server_utilization` gauge is then last-writer-wins, and its
 //! final value depends on thread timing at more than one thread.
 //!

@@ -15,8 +15,8 @@
 //! A run holds `threads() − 1` helper threads for its whole length
 //! ([`stca_exec::with_helpers`]; none at one thread, none when called
 //! from a pool worker). The thread that calls [`serve_fleet`] is the
-//! replay thread. The replayed arrival stream is processed in fixed-size
-//! chunks, and each chunk runs two phases:
+//! replay thread. The replayed arrival stream is processed in chunks of
+//! `CHUNK` (4,096) requests, and each chunk runs two phases:
 //!
 //! 1. **Shared compute** — for every request in the chunk, the pure
 //!    per-request work: the primary model call and the degraded fallback.
@@ -39,18 +39,6 @@
 //! Each decision-log line is one typed `Entry`, encoded by hand (decimal
 //! and 16-digit hex, no `core::fmt`) into a reused buffer and folded into
 //! the FNV-1a decision hash (DESIGN §5f has the format table).
-//!
-//! **Validation sims run beside the replay.** Each policy apply queues a
-//! budgeted `QueueSim` run whose station and seed are fixed at apply time.
-//! At every chunk boundary the queued runs go to the helpers, which run
-//! them whenever no request of a chunk is unclaimed, so chunk compute
-//! always comes first. After the drain, the replay thread runs what is
-//! left and then credits every result to its shard in queue order. Only
-//! the `policy_validations` and `sim_budget_exhausted` counters and the
-//! `serve.policy_validation_mean_response_s` gauge read a result, so no
-//! decision, log entry, span, route or breaker can depend on when or where
-//! the sims ran. The last value of `queuesim.server_utilization` does:
-//! with helpers it is whichever sim finished last.
 //!
 //! ## One shard
 //!
@@ -109,9 +97,7 @@ use crate::model::{EaModel, TIMEOUT_GRID};
 use crate::request::{Request, SyntheticStream};
 use crate::router::{route, Candidate, RouterKind};
 use crate::server::{Accounting, ServeConfig};
-use crate::shard::{
-    compute_request, shard_metric, DecisionSink, Pending, ShardCore, ValidationJob,
-};
+use crate::shard::{compute_request, shard_metric, DecisionSink, Pending, ShardCore};
 use stca_fault::{FaultInjector, FaultPlan, StcaError};
 use stca_obs::json::Value;
 use stca_trace::{AttrValue, Disposition, FlightRecorder, Stage, TraceDump};
@@ -212,10 +198,6 @@ pub struct ShardStats {
     pub policy_applies: u64,
     /// Decisions suppressed by hysteresis.
     pub policy_suppressed: u64,
-    /// Budgeted validation simulations run on policy application.
-    pub policy_validations: u64,
-    /// Validation sims that hit their event budget.
-    pub sim_budget_exhausted: u64,
     /// Timeout-grid index applied when the run ended.
     pub final_timeout_idx: usize,
     /// Mean response of this shard's completed requests, seconds.
@@ -288,8 +270,6 @@ const SHARD_ROWS: &[Row<ShardStats>] = rows! { s: ShardStats;
     "breaker.rejects" => "breaker.rejects_total": Count(s.breaker_rejects),
     "policy.applies" => "policy_applies_total": Count(s.policy_applies),
     "policy.suppressed" => "policy_suppressed_total": Count(s.policy_suppressed),
-    "policy.validations" => "policy_validations_total": Count(s.policy_validations),
-    "policy.sim_budget_exhausted" => "sim_budget_exhausted_total": Count(s.sim_budget_exhausted),
     "policy.applied_timeout_ratio": Num(TIMEOUT_GRID[s.final_timeout_idx]),
     "response.mean_s": Num(s.mean_response_s),
     "response.p50_s": Num(s.p50_response_s),
@@ -548,6 +528,9 @@ struct Slot<'a> {
 /// per-request randomness.
 const ROUTE_SALT: u64 = 0x000F_1EE7;
 
+/// Requests per chunk: one shared compute batch, then its serial replay.
+const CHUNK: usize = 4096;
+
 /// Health-gated shard selection for request `seq` at virtual `now`.
 /// Tiered fallback: fully healthy shards first, then breaker-open, then
 /// flapped; crashed shards are never candidates. `None` means every shard
@@ -754,25 +737,11 @@ pub fn serve_fleet(
     let mut seq = 0u64;
     let mut t_cursor = 0.0f64;
     let mut last_arrival = 0.0f64;
-    // phase 1: pure per-request compute, input-order results. When
-    // tracing, each request tags its thread with its trace id so
-    // histograms recorded inside the model call (e.g.
-    // `deepforest.predict.seconds`) pick up exemplars.
-    let trace_cfg = cfg.base.trace;
-    let compute = |r: &Request| {
-        if let Some(tc) = &trace_cfg {
-            stca_obs::set_current_trace_id(tc.trace_id(r.seq));
-        }
-        let comp = compute_request(model, r);
-        if trace_cfg.is_some() {
-            stca_obs::set_current_trace_id(0);
-        }
-        comp
-    };
-    let validate = |job: ValidationJob| (job.shard, job.run());
-    let (virtual_end, validations) = stca_exec::with_helpers(compute, validate, |helpers| {
+    // phase 1: pure per-request compute, input-order results
+    let compute = |r: &Request| compute_request(model, r);
+    let virtual_end = stca_exec::with_helpers(compute, |helpers| {
         while seq < n_requests {
-            let count = ((n_requests - seq).min(cfg.base.chunk as u64)) as usize;
+            let count = ((n_requests - seq).min(CHUNK as u64)) as usize;
             let (reqs, new_t) = stream.chunk(seq, count, t_cursor);
             t_cursor = new_t;
             last_arrival = new_t;
@@ -859,8 +828,6 @@ pub fn serve_fleet(
             seq += count as u64;
             let depth: usize = slots.iter().map(|s| s.core.queue_depth()).sum();
             depth_gauge.set(depth as f64);
-            // the chunk's policy applies hand their sims to the helpers
-            helpers.defer(sink.take_validations());
         }
         // coordinated graceful drain: close every probe gate fleet-wide
         // first, then drain shard by shard in id order
@@ -874,16 +841,8 @@ pub fn serve_fleet(
                 virtual_end = end;
             }
         }
-        // drain completions can apply policies too
-        helpers.defer(sink.take_validations());
-        (virtual_end, helpers.finish_deferred())
+        virtual_end
     });
-    // credit each sim to its shard in queue order, as if it ran inline
-    for (shard, outcome) in validations {
-        if let Some(outcome) = outcome {
-            slots[shard].core.record_validation(&outcome);
-        }
-    }
     stca_obs::clear_virtual_now();
     timer.stop();
 
@@ -964,7 +923,6 @@ mod tests {
         FleetConfig {
             base: ServeConfig {
                 queue_capacity: 16,
-                sim_budget_events: 0,
                 keep_decision_log: true,
                 ..ServeConfig::default()
             },
@@ -1092,25 +1050,6 @@ mod tests {
             ..FleetConfig::default()
         };
         assert!(serve_fleet(&bad, &model, &plan, &stream(), 10).is_err());
-    }
-
-    #[test]
-    fn policy_applies_run_budgeted_validation_sims() {
-        for shards in [1, 3] {
-            let mut cfg = small_fleet(shards);
-            cfg.base.hysteresis_k = 2;
-            cfg.base.sim_budget_events = 50; // tiny budget: must exhaust
-            let r = run(&cfg, &FaultPlan::none(), 2_000);
-            for s in &r.shards {
-                assert!(
-                    s.policy_applies > 0,
-                    "shard {} of {shards}: EA spread must flip the policy",
-                    s.id
-                );
-                assert_eq!(s.policy_validations, s.policy_applies);
-                assert_eq!(s.sim_budget_exhausted, s.policy_validations);
-            }
-        }
     }
 
     #[test]

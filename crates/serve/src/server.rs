@@ -77,11 +77,6 @@ pub struct ServeConfig {
     pub drain_grace_s: f64,
     /// The station the STAP decision targets.
     pub station: StationModel,
-    /// Event budget for the budgeted validation simulation run when a new
-    /// policy is applied; 0 disables validation sims.
-    pub sim_budget_events: u64,
-    /// Requests per parallel compute chunk.
-    pub chunk: usize,
     /// Keep the full decision log in the report (the rolling hash is
     /// always computed; the log itself costs memory on big replays).
     pub keep_decision_log: bool,
@@ -104,8 +99,6 @@ impl Default for ServeConfig {
             breaker: BreakerConfig::default(),
             drain_grace_s: 5.0,
             station: StationModel::default(),
-            sim_budget_events: 4000,
-            chunk: 4096,
             keep_decision_log: false,
             trace: None,
             adapt: AdaptConfig::default(),
@@ -122,9 +115,6 @@ impl ServeConfig {
             return Err(StcaError::invalid_input(
                 "serve: queue_capacity must be >= 1",
             ));
-        }
-        if self.chunk == 0 {
-            return Err(StcaError::invalid_input("serve: chunk must be >= 1"));
         }
         let v = self.drain_grace_s;
         if !v.is_finite() || v < 0.0 {
@@ -247,7 +237,6 @@ mod tests {
         ServeConfig {
             servers: 2,
             queue_capacity: 8,
-            sim_budget_events: 500,
             keep_decision_log: true,
             ..ServeConfig::default()
         }

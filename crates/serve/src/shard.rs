@@ -21,10 +21,7 @@
 //! Decision-log entries (encoded without `core::fmt`) flow through a
 //! caller-owned [`DecisionSink`]: one sink per run, shared by
 //! every shard in a fleet, so the fleet decision hash covers shard entries
-//! and router entries in one deterministic serial order. The sink also
-//! queues each policy apply's validation sim ([`ValidationJob`]);
-//! `serve_fleet` hands them to its helper threads at each chunk boundary
-//! and credits each one back to its shard in queue order.
+//! and router entries in one deterministic serial order.
 
 use crate::adapt::{Completion, Lifecycle};
 use crate::breaker::CircuitBreaker;
@@ -37,9 +34,8 @@ use crate::server::{OverloadPolicy, ServeConfig, DECIDE_COST_S, PREDICT_COST_S};
 use crate::watchdog::{supervise, StageRun};
 use crate::Verdict;
 use stca_fault::{FaultInjector, FaultPlan};
-use stca_queuesim::{QueueSim, RunBudget, StationConfig};
 use stca_trace::{AttrValue, Disposition, FlightRecorder, Stage, TraceCtx};
-use stca_util::{Distribution, Fnv1a};
+use stca_util::Fnv1a;
 use std::collections::VecDeque;
 
 /// A per-shard metric name: `serve.<name>` in a one-shard run,
@@ -51,8 +47,7 @@ pub(crate) fn shard_metric(shard: Option<u32>, name: &str) -> String {
     }
 }
 
-/// Rolling FNV-1a decision-log hash plus the (optional) retained log, and
-/// the queue of validation sims not yet run.
+/// Rolling FNV-1a decision-log hash plus the (optional) retained log.
 /// Entries are hashed as `entry + "\n"` so the hash equals the FNV-1a of
 /// the decision-log file bytes.
 #[derive(Debug)]
@@ -62,7 +57,6 @@ pub(crate) struct DecisionSink {
     keep: bool,
     /// Each entry is encoded here, so only a retained entry allocates.
     buf: Vec<u8>,
-    validations: Vec<ValidationJob>,
 }
 
 impl DecisionSink {
@@ -72,7 +66,6 @@ impl DecisionSink {
             log: Vec::new(),
             keep,
             buf: Vec::new(),
-            validations: Vec::new(),
         }
     }
 
@@ -89,12 +82,6 @@ impl DecisionSink {
             let line = String::from_utf8(line.to_vec()).expect("log entries are ASCII");
             self.log.push(line);
         }
-    }
-
-    /// Take the queued validation sims, in the serial order they were
-    /// queued.
-    pub(crate) fn take_validations(&mut self) -> Vec<ValidationJob> {
-        std::mem::take(&mut self.validations)
     }
 
     pub(crate) fn hash(&self) -> u64 {
@@ -153,7 +140,6 @@ pub(crate) struct ShardCore<'a> {
     servers: Vec<f64>,
     pub(crate) waiting: VecDeque<Pending>,
     pub(crate) responses: Vec<f64>,
-    last_ea: f64,
     seed: u64,
     /// Once graceful drain begins, a half-open breaker must not spend
     /// drain traffic on probe recovery: probe verdicts are gated to
@@ -196,7 +182,6 @@ impl<'a> ShardCore<'a> {
             servers: vec![0.0; cfg.servers],
             waiting: VecDeque::new(),
             responses: Vec::new(),
-            last_ea: 1.0,
             seed,
             draining: false,
             shard,
@@ -396,7 +381,6 @@ impl<'a> ShardCore<'a> {
                 served_version = v;
             }
         }
-        self.last_ea = ea;
         if let Some(ctx) = p.ctx.as_mut() {
             if (self.breaker.opens, self.breaker.closes) != breaker_counters {
                 ctx.flag_breaker_transition();
@@ -462,7 +446,6 @@ impl<'a> ShardCore<'a> {
                 .push(("timeout_s", AttrValue::Num(TIMEOUT_GRID[idx])));
         }
         if let Some(new_idx) = self.hyst.observe(idx) {
-            self.validate_policy(new_idx, sink);
             if let Some(ctx) = p.ctx.as_mut() {
                 ctx.push_span(Stage::ValidatePolicy, completion, completion)
                     .args
@@ -505,16 +488,7 @@ impl<'a> ShardCore<'a> {
             (Entry::ShedDeadline { .. }, Some(lc)) => lc.note_deadline_event(),
             (Entry::Ok { ea, resp, .. }, lc) => {
                 self.responses.push(resp);
-                if let Some(ctx) = p.ctx.as_ref() {
-                    // stamp the response sample with this request's trace
-                    // id so the `serve.response_seconds` bucket gains an
-                    // exemplar
-                    stca_obs::set_current_trace_id(ctx.trace_id());
-                }
                 self.resp_hist.record(resp);
-                if p.ctx.is_some() {
-                    stca_obs::set_current_trace_id(0);
-                }
                 if let Some(lc) = lc {
                     let (shadow, entries) = lc.on_complete(Completion {
                         features: &p.features,
@@ -546,52 +520,6 @@ impl<'a> ShardCore<'a> {
         }
         if let (Some(rec), Some(ctx)) = (self.recorder.as_mut(), p.ctx) {
             rec.record(ctx.finish(disposition, end));
-        }
-    }
-
-    /// Queue the budgeted validation sim for a freshly applied timeout: it
-    /// replays the station under the new policy with a hard event budget,
-    /// so a policy flip can never stall the control loop. The config and
-    /// seed are fixed here, at apply time, so the deferred run is the same
-    /// simulation an inline one would be; nothing in the replay reads its
-    /// result (see [`ShardCore::record_validation`]).
-    fn validate_policy(&mut self, new_idx: usize, sink: &mut DecisionSink) {
-        if self.cfg.sim_budget_events == 0 {
-            return;
-        }
-        let st = &self.cfg.station;
-        let gain = (self.last_ea * (st.alloc_boost - 1.0)).max(0.0);
-        let sim_cfg = StationConfig {
-            inter_arrival: Distribution::Exponential {
-                mean: 1.0 / st.lambda(),
-            },
-            service: Distribution::Exponential { mean: st.service_s },
-            expected_service: st.service_s,
-            timeout_ratio: TIMEOUT_GRID[new_idx],
-            boost_rate: (1.0 + gain).max(1.0),
-            servers: st.servers,
-            measured_queries: 2000,
-            warmup_queries: 200,
-        };
-        sink.validations.push(ValidationJob {
-            shard: self.shard.map_or(0, |id| id as usize),
-            config: sim_cfg,
-            seed: self.seed ^ self.hyst.applies.wrapping_mul(0x9E37_79B9),
-            budget_events: self.cfg.sim_budget_events,
-        });
-    }
-
-    /// Credit one finished validation sim to this shard. Only these two
-    /// counters and the `serve.policy_validation_mean_response_s` gauge
-    /// see a sim's result: no decision, log entry, span, route or breaker
-    /// does, which is why the sims can run off the serial replay.
-    pub(crate) fn record_validation(&mut self, outcome: &ValidationOutcome) {
-        self.stats.policy_validations += 1;
-        if outcome.exhausted {
-            self.stats.sim_budget_exhausted += 1;
-        }
-        if let Some(mean) = outcome.mean_response_s {
-            stca_obs::gauge("serve.policy_validation_mean_response_s").set(mean);
         }
     }
 
@@ -672,37 +600,6 @@ fn lifecycle_span(entry: Entry) -> Option<(Stage, Vec<(&'static str, AttrValue)>
             Some((Stage::Rollback, vec![("from", num(from)), ("to", num(to))]))
         }
         _ => None,
-    }
-}
-
-/// One queued policy-validation sim: the station and seed fixed at apply
-/// time, and the index of the shard it is credited to (0 in a one-shard
-/// run).
-#[derive(Debug)]
-pub(crate) struct ValidationJob {
-    pub(crate) shard: usize,
-    config: StationConfig,
-    seed: u64,
-    budget_events: u64,
-}
-
-/// What a validation sim reports back to its shard.
-pub(crate) struct ValidationOutcome {
-    exhausted: bool,
-    /// Mean response of the completed queries (`None` if none completed).
-    mean_response_s: Option<f64>,
-}
-
-impl ValidationJob {
-    /// Run the sim. `None` when the station is malformed: such an apply
-    /// counts no validation, as before.
-    pub(crate) fn run(&self) -> Option<ValidationOutcome> {
-        let mut sim = QueueSim::try_new(self.config.clone(), self.seed).ok()?;
-        let run = sim.run_budgeted(RunBudget::events(self.budget_events));
-        Some(ValidationOutcome {
-            exhausted: run.exhausted,
-            mean_response_s: (run.result.completed() > 0).then(|| run.result.mean_response()),
-        })
     }
 }
 

@@ -17,7 +17,6 @@ fn run(shards: u32, plan: &FaultPlan) -> FleetReport {
     let cfg = FleetConfig {
         base: ServeConfig {
             queue_capacity: 16,
-            sim_budget_events: 0,
             ..ServeConfig::default()
         },
         shards,

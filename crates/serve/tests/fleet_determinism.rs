@@ -11,7 +11,6 @@ fn fleet_cfg(router: RouterKind) -> FleetConfig {
     FleetConfig {
         base: ServeConfig {
             queue_capacity: 16,
-            sim_budget_events: 0,
             keep_decision_log: true,
             ..ServeConfig::default()
         },

@@ -39,7 +39,6 @@ static REGISTRY: Mutex<()> = Mutex::new(());
 fn base() -> ServeConfig {
     ServeConfig {
         queue_capacity: 32,
-        sim_budget_events: 1500,
         adapt: AdaptConfig {
             enabled: true,
             epoch_s: 2.0,
@@ -89,7 +88,11 @@ fn eight_shards() -> FleetConfig {
     }
 }
 
-/// A run of `n` arrivals at `rate` under `plan`.
+/// A run of `n` arrivals at `rate` under `plan`. Serving runs no queueing
+/// simulation, so `queuesim.runs_total` does not move. The handle is
+/// looked up before the run: the simulator registers the one it counts
+/// on at its first run, which is then this handle, so the first run in
+/// the process that simulated would fail here, whichever test makes it.
 fn serve(cfg: &FleetConfig, plan: &FaultPlan, rate: f64, n: u64) -> FleetReport {
     let stream = SyntheticStream {
         seed: 2022,
@@ -97,7 +100,11 @@ fn serve(cfg: &FleetConfig, plan: &FaultPlan, rate: f64, n: u64) -> FleetReport 
         deadline_s: 0.25,
         n_features: 6,
     };
-    serve_fleet(cfg, &AnalyticEa::default(), plan, &stream, n).expect("fleet runs")
+    let sims = stca_obs::counter("queuesim.runs_total");
+    let before = sims.get();
+    let report = serve_fleet(cfg, &AnalyticEa::default(), plan, &stream, n).expect("fleet runs");
+    assert_eq!(sims.get(), before, "serving ran a queueing simulation");
+    report
 }
 
 /// The run's report JSON and its `serve.*` counters and gauges, one

@@ -425,7 +425,6 @@ fn serving_accounting_balances_for_arbitrary_configs() {
             overload,
             hysteresis_k: 1 + rng.next_below(8) as u32,
             drain_grace_s: rng.next_f64() * 5.0,
-            sim_budget_events: 200,
             ..ServeConfig::default()
         };
         let plan = stca_repro::fault::FaultPlan::parse(&format!(
